@@ -272,7 +272,6 @@ void BM_ServerConnectionSweep(benchmark::State& state) {
   }
 
   ncpm::net::ServerConfig cfg;
-  cfg.core = ncpm::net::ServerCoreKind::kEpoll;
   cfg.backlog = 256;
   cfg.engine = ncpm::engine::EngineConfig{4, 1};
   ncpm::net::Server server(cfg);

@@ -83,7 +83,7 @@ constexpr const char* kGenStableUsage = "gen-stable N SEED";
 constexpr const char* kGenBatchUsage = "gen-batch COUNT N_APPLICANTS N_POSTS SEED OUT.bin";
 constexpr const char* kServeUsage =
     "serve [--port P] [--bind ADDR] [--workers W] [--threads LANES] [--pin-lanes CPUS] "
-    "[--max-in-flight K] [--max-in-flight-global G] [--core threads|epoll] "
+    "[--max-in-flight K] [--max-in-flight-global G] "
     "[--idle-timeout-ms T] [--hello-timeout-ms T] [--metrics-port P] [--trace-sample-n N] "
     "[--slow-request-ms N] [--log-json]";
 constexpr const char* kRpcUsage =
@@ -119,7 +119,6 @@ struct Options {
   int workers = 0;             // serve: 0 = hardware default
   int max_in_flight = 64;
   int max_in_flight_global = 0;  // serve: 0 = no global admission cap
-  std::string core = "epoll";    // serve: reactor core (threads|epoll)
   int idle_timeout_ms = 0;       // serve: 0 = never reap idle connections
   int hello_timeout_ms = 10000;  // serve: 0 = wait for the hello forever
   int deadline_ms = 0;           // rpc: 0 = none
@@ -175,9 +174,6 @@ bool parse_flags(int argc, char** argv, Options& opts) {
       if (++i >= argc || !parse_int(argv[i], 1, opts.max_in_flight)) return false;
     } else if (arg == "--max-in-flight-global") {
       if (++i >= argc || !parse_int(argv[i], 0, opts.max_in_flight_global)) return false;
-    } else if (arg == "--core") {
-      if (++i >= argc || !ncpm::net::parse_server_core(argv[i]).has_value()) return false;
-      opts.core = argv[i];
     } else if (arg == "--idle-timeout-ms") {
       if (++i >= argc || !parse_int(argv[i], 1, opts.idle_timeout_ms)) return false;
     } else if (arg == "--hello-timeout-ms") {
@@ -781,7 +777,6 @@ int run_serve(const Options& opts) {
   cfg.port = static_cast<std::uint16_t>(opts.port);
   cfg.max_in_flight_per_connection = static_cast<std::size_t>(opts.max_in_flight);
   cfg.max_in_flight_global = static_cast<std::size_t>(opts.max_in_flight_global);
-  cfg.core = *ncpm::net::parse_server_core(opts.core);  // validated in parse_flags
   cfg.idle_timeout = std::chrono::milliseconds(opts.idle_timeout_ms);
   cfg.hello_timeout = std::chrono::milliseconds(opts.hello_timeout_ms);
   cfg.engine.num_workers = opts.workers > 0 ? opts.workers : ncpm::pram::default_lanes();
@@ -797,10 +792,9 @@ int run_serve(const Options& opts) {
   server.start();
   // One parseable line on stdout so scripts (and the loopback bench) can
   // pick up an ephemeral port.
-  std::printf("ncpm-rpc v1 listening on %s:%u (%s core, %d worker(s) x %d lane(s))\n",
-              cfg.bind_address.c_str(), server.port(),
-              std::string(ncpm::net::server_core_name(cfg.core)).c_str(),
-              cfg.engine.num_workers, cfg.engine.lanes_per_worker);
+  std::printf("ncpm-rpc v1 listening on %s:%u (epoll core, %d worker(s) x %d lane(s))\n",
+              cfg.bind_address.c_str(), server.port(), cfg.engine.num_workers,
+              cfg.engine.lanes_per_worker);
   std::fflush(stdout);
   // Startup summary: one stderr line with everything an operator needs to
   // know about how this process is configured.
@@ -817,10 +811,9 @@ int run_serve(const Options& opts) {
   if (cfg.engine.pin_lanes) extras += " pin-lanes=on";
   if (cfg.log_json) extras += " log-json=on";
   std::fprintf(stderr,
-               "ncpm_cli serve: up port=%u core=%s workers=%d lanes=%d "
+               "ncpm_cli serve: up port=%u core=epoll workers=%d lanes=%d "
                "max-in-flight=%zu max-in-flight-global=%zu%s\n",
-               server.port(), std::string(ncpm::net::server_core_name(cfg.core)).c_str(),
-               cfg.engine.num_workers, cfg.engine.lanes_per_worker,
+               server.port(), cfg.engine.num_workers, cfg.engine.lanes_per_worker,
                cfg.max_in_flight_per_connection, cfg.max_in_flight_global, extras.c_str());
 
   std::signal(SIGINT, on_signal);

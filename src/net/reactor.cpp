@@ -5,9 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
-#include <condition_variable>
 #include <cstring>
 #include <unordered_set>
 #include <utility>
@@ -162,112 +160,92 @@ void EventLoop::run() {
 // ---------------------------------------------------------------------------
 
 namespace detail {
-namespace {
 
-class EpollCore final : public ServerCoreImpl, public FdHandler {
- public:
-  using ServerCoreImpl::ServerCoreImpl;
-  ~EpollCore() override = default;
-
-  void start() override {
-    listener_ = Socket::listen_on(config_.bind_address, config_.port, config_.backlog);
-    port_ = listener_.local_port();
-    listener_.set_nonblocking(true);
-
-    std::size_t n = config_.num_event_loops;
-    if (n == 0) {
-      const auto hw = static_cast<std::size_t>(std::thread::hardware_concurrency());
-      n = std::min<std::size_t>(4, std::max<std::size_t>(1, hw));
-    }
-    loops_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) loops_.push_back(std::make_unique<LoopState>());
-    for (auto& ls : loops_) ls->loop.start();
-    // The listener lives on loop 0; all its accept work happens there.
-    loops_[0]->loop.post([this] { loops_[0]->loop.add_fd(listener_.fd(), EPOLLIN, this); });
-  }
-
-  void stop() override {
-    draining_.store(true, std::memory_order_release);
-    // Stop accepting: deregister + close the listener on its own loop so
-    // this never races the accept handler.
-    loops_[0]->loop.post([this] {
-      loops_[0]->loop.remove_fd(listener_.fd());
-      listener_.close();
-    });
-    // Drain every session. FIFO task order guarantees any session-creation
-    // task already queued runs before its loop's drain sweep.
-    for (auto& ls : loops_) {
-      auto* state = ls.get();
-      state->loop.post([state] {
-        const std::vector<std::shared_ptr<Session>> snapshot(state->sessions.begin(),
-                                                             state->sessions.end());
-        for (const auto& session : snapshot) session->begin_drain();
-      });
-    }
-    {
-      std::unique_lock<std::mutex> lock(live_mu_);
-      live_cv_.wait(lock, [this] { return live_sessions_ == 0; });
-    }
-    for (auto& ls : loops_) ls->loop.stop();
-  }
-
-  /// Loop 0 thread: the listener is readable.
-  void on_io(std::uint32_t /*events*/) override {
-    for (;;) {
-      Socket sock;
-      try {
-        sock = listener_.try_accept();
-      } catch (const std::exception&) {
-        return;  // listener shut down or hard accept failure; stop() owns cleanup
-      }
-      if (!sock.valid()) return;  // kernel queue drained
-      if (draining_.load(std::memory_order_acquire)) continue;  // refused; closes on scope exit
-      {
-        std::lock_guard<std::mutex> lock(live_mu_);
-        ++live_sessions_;
-      }
-      auto* ls = loops_[next_loop_++ % loops_.size()].get();
-      // Hand the socket to its loop's thread; Session state is born and
-      // dies there. shared_ptr wrapper because std::function must be
-      // copyable and Socket is move-only.
-      auto sock_box = std::make_shared<Socket>(std::move(sock));
-      ls->loop.post([this, ls, sock_box] {
-        auto session = std::make_shared<Session>(
-            std::move(*sock_box), ls->loop, config_, engine_, obs_,
-            [this, ls](const std::shared_ptr<Session>& closed) {
-              ls->sessions.erase(closed);
-              std::lock_guard<std::mutex> lock(live_mu_);
-              if (--live_sessions_ == 0) live_cv_.notify_all();
-            });
-        ls->sessions.insert(session);
-        session->open();
-        // stop() may have swept this loop between the accept and now.
-        if (draining_.load(std::memory_order_acquire)) session->begin_drain();
-      });
-    }
-  }
-
- private:
-  struct LoopState {
-    EventLoop loop;
-    std::unordered_set<std::shared_ptr<Session>> sessions;  ///< loop-thread-only
-  };
-
-  Socket listener_;
-  std::vector<std::unique_ptr<LoopState>> loops_;
-  std::atomic<bool> draining_{false};
-  std::size_t next_loop_ = 0;  ///< loop 0 thread only (round-robin cursor)
-
-  std::mutex live_mu_;
-  std::condition_variable live_cv_;
-  std::size_t live_sessions_ = 0;  ///< guarded by live_mu_
+struct EpollCore::LoopState {
+  EventLoop loop;
+  std::unordered_set<std::shared_ptr<Session>> sessions;  ///< loop-thread-only
 };
 
-}  // namespace
+EpollCore::EpollCore(const ServerConfig& config, engine::Engine& engine, ServerObs& obs)
+    : config_(config), engine_(engine), obs_(obs) {}
 
-std::unique_ptr<ServerCoreImpl> make_epoll_core(const ServerConfig& config,
-                                                engine::Engine& engine, ServerObs& obs) {
-  return std::make_unique<EpollCore>(config, engine, obs);
+EpollCore::~EpollCore() = default;
+
+void EpollCore::start() {
+  listener_ = Socket::listen_on(config_.bind_address, config_.port, config_.backlog);
+  port_ = listener_.local_port();
+  listener_.set_nonblocking(true);
+
+  std::size_t n = config_.num_event_loops;
+  if (n == 0) {
+    const auto hw = static_cast<std::size_t>(std::thread::hardware_concurrency());
+    n = std::min<std::size_t>(4, std::max<std::size_t>(1, hw));
+  }
+  loops_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) loops_.push_back(std::make_unique<LoopState>());
+  for (auto& ls : loops_) ls->loop.start();
+  // The listener lives on loop 0; all its accept work happens there.
+  loops_[0]->loop.post([this] { loops_[0]->loop.add_fd(listener_.fd(), EPOLLIN, this); });
+}
+
+void EpollCore::stop() {
+  draining_.store(true, std::memory_order_release);
+  // Stop accepting: deregister + close the listener on its own loop so
+  // this never races the accept handler.
+  loops_[0]->loop.post([this] {
+    loops_[0]->loop.remove_fd(listener_.fd());
+    listener_.close();
+  });
+  // Drain every session. FIFO task order guarantees any session-creation
+  // task already queued runs before its loop's drain sweep.
+  for (auto& ls : loops_) {
+    auto* state = ls.get();
+    state->loop.post([state] {
+      const std::vector<std::shared_ptr<Session>> snapshot(state->sessions.begin(),
+                                                           state->sessions.end());
+      for (const auto& session : snapshot) session->begin_drain();
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(live_mu_);
+    live_cv_.wait(lock, [this] { return live_sessions_ == 0; });
+  }
+  for (auto& ls : loops_) ls->loop.stop();
+}
+
+void EpollCore::on_io(std::uint32_t /*events*/) {
+  for (;;) {
+    Socket sock;
+    try {
+      sock = listener_.try_accept();
+    } catch (const std::exception&) {
+      return;  // listener shut down or hard accept failure; stop() owns cleanup
+    }
+    if (!sock.valid()) return;  // kernel queue drained
+    if (draining_.load(std::memory_order_acquire)) continue;  // refused; closes on scope exit
+    {
+      std::lock_guard<std::mutex> lock(live_mu_);
+      ++live_sessions_;
+    }
+    auto* ls = loops_[next_loop_++ % loops_.size()].get();
+    // Hand the socket to its loop's thread; Session state is born and
+    // dies there. shared_ptr wrapper because std::function must be
+    // copyable and Socket is move-only.
+    auto sock_box = std::make_shared<Socket>(std::move(sock));
+    ls->loop.post([this, ls, sock_box] {
+      auto session = std::make_shared<Session>(
+          std::move(*sock_box), ls->loop, config_, engine_, obs_,
+          [this, ls](const std::shared_ptr<Session>& closed) {
+            ls->sessions.erase(closed);
+            std::lock_guard<std::mutex> lock(live_mu_);
+            if (--live_sessions_ == 0) live_cv_.notify_all();
+          });
+      ls->sessions.insert(session);
+      session->open();
+      // stop() may have swept this loop between the accept and now.
+      if (draining_.load(std::memory_order_acquire)) session->begin_drain();
+    });
+  }
 }
 
 }  // namespace detail

@@ -8,9 +8,8 @@
 // registration, interest changes, timer arming — is loop-thread-only by
 // contract, which is what lets sessions run without a single lock.
 //
-// The EpollCore that owns a pool of these lives in reactor.cpp behind
-// detail::make_epoll_core(); only EventLoop and the FdHandler seam are
-// public here because session.cpp needs them.
+// The detail::EpollCore that owns a pool of these is declared in
+// net/server_core.hpp and implemented in reactor.cpp.
 
 #include <chrono>
 #include <cstdint>

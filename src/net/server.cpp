@@ -1,9 +1,6 @@
 #include "net/server.hpp"
 
-#include <condition_variable>
-#include <deque>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -11,24 +8,9 @@
 #include "net/metrics_http.hpp"
 #include "net/server_core.hpp"
 #include "net/socket.hpp"
-#include "net/stats_frame.hpp"
 #include "pram/simd.hpp"
 
 namespace ncpm::net {
-
-std::string_view server_core_name(ServerCoreKind core) {
-  switch (core) {
-    case ServerCoreKind::kThreads: return "threads";
-    case ServerCoreKind::kEpoll: return "epoll";
-  }
-  return "unknown";
-}
-
-std::optional<ServerCoreKind> parse_server_core(std::string_view name) {
-  if (name == "threads") return ServerCoreKind::kThreads;
-  if (name == "epoll") return ServerCoreKind::kEpoll;
-  return std::nullopt;
-}
 
 namespace detail {
 
@@ -306,345 +288,6 @@ void dispatch_request(engine::Engine& engine, ServerObs& obs, const ServerConfig
   }
 }
 
-namespace {
-
-// ---------------------------------------------------------------------------
-// Threads core: the PR 5 reader/writer thread pair per connection, kept as
-// the semantics reference. See the class comment in server.hpp.
-// ---------------------------------------------------------------------------
-
-class ThreadsCore final : public ServerCoreImpl {
- public:
-  using ServerCoreImpl::ServerCoreImpl;
-  ~ThreadsCore() override = default;
-
-  void start() override;
-  void stop() override;
-
- private:
-  // Per-connection state. The socket is shared by the reader (recv) and
-  // writer (send) threads — safe because each owns exactly one direction.
-  // Lifetime: shared_ptr copies live in the reader/writer closures and in
-  // every pending engine callback, so a Connection outlives its last
-  // response even if the server's list drops it first.
-  /// One outbound frame. Response frames count (slot release +
-  /// responses_sent when written); pong frames ride the same queue but
-  /// count as neither — keepalives are protocol-level traffic.
-  struct OutMsg {
-    std::string bytes;
-    bool counts = true;
-  };
-
-  struct Connection {
-    explicit Connection(Socket s) : sock(std::move(s)) {}
-
-    Socket sock;
-    std::uint64_t id = 0;  ///< from ServerObs::next_conn_id; log/trace correlation key
-    std::chrono::steady_clock::time_point accepted{};
-    std::thread reader;  ///< joined by the core (stop() or the reaper)
-    std::thread writer;  ///< joined by the reader on its way out
-
-    std::mutex mu;
-    std::condition_variable write_cv;      ///< writer wakeup
-    std::condition_variable in_flight_cv;  ///< backpressure + reader drain
-    std::deque<OutMsg> write_queue;
-    /// Admitted frames whose response has not yet been sent (or discarded on
-    /// a broken connection). Invariant: every queued frame holds one slot,
-    /// released by the writer after send_all — so the bound caps engine work
-    /// *and* encoded-response memory per connection.
-    std::size_t in_flight = 0;
-    bool closing = false;  ///< no further frames will be queued
-    bool broken = false;   ///< write side failed; queued frames are discarded
-
-    std::atomic<bool> done{false};  ///< reader (and therefore writer) exited
-  };
-
-  void accept_loop();
-  void reader_loop(std::shared_ptr<Connection> conn);
-  void writer_loop(std::shared_ptr<Connection> conn);
-  void handle_frame(const std::shared_ptr<Connection>& conn,
-                    const std::vector<std::uint8_t>& body,
-                    std::chrono::steady_clock::time_point receipt);
-  void enqueue_frame(const std::shared_ptr<Connection>& conn, std::string frame,
-                     bool counts = true);
-  void reap_finished_locked();
-
-  Socket listener_;
-  std::thread accept_thread_;
-  std::atomic<bool> stopping_{false};
-
-  std::mutex conn_mu_;
-  std::vector<std::shared_ptr<Connection>> connections_;
-};
-
-void ThreadsCore::start() {
-  listener_ = Socket::listen_on(config_.bind_address, config_.port, config_.backlog);
-  port_ = listener_.local_port();
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-void ThreadsCore::stop() {
-  stopping_.store(true, std::memory_order_release);
-
-  // 1. No new connections: wake the accept loop and join it.
-  listener_.shutdown_both();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listener_.close();
-
-  // 2. Unwind every connection. Shutting down only the read side turns the
-  // reader's next recv into EOF while responses still flush: the reader
-  // then waits for its in-flight requests, hands the writer the last
-  // frames, joins it, and closes the socket.
-  std::vector<std::shared_ptr<Connection>> connections;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    connections.swap(connections_);
-  }
-  for (auto& conn : connections) {
-    // conn->mu serialises this against the reader's own close() (a client
-    // that disconnected right as stop() began): shutting down an fd the
-    // reader has already closed (and the OS may have recycled) would be a
-    // use-after-close. After close() the fd is -1 and this no-ops.
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->sock.shutdown_read();
-  }
-  for (auto& conn : connections) {
-    if (conn->reader.joinable()) conn->reader.join();
-  }
-}
-
-void ThreadsCore::accept_loop() {
-  for (;;) {
-    Socket sock;
-    try {
-      sock = listener_.accept_connection();
-    } catch (const NetError&) {
-      // Listener shut down (stop()) or hard accept failure — either way the
-      // accept loop is over; stop() handles the rest.
-      return;
-    }
-    if (stopping_.load(std::memory_order_acquire)) return;
-    // Connection setup can itself fail (thread exhaustion under a flood,
-    // setsockopt on an fd the peer already reset). That costs this one
-    // connection, never the accept loop or the process.
-    try {
-      if (config_.send_timeout.count() > 0) sock.set_send_timeout(config_.send_timeout);
-      auto conn = std::make_shared<Connection>(std::move(sock));
-      conn->id = obs_.next_conn_id.fetch_add(1, std::memory_order_relaxed);
-      conn->accepted = std::chrono::steady_clock::now();
-      conn->writer = std::thread([this, conn] { writer_loop(conn); });
-      try {
-        conn->reader = std::thread([this, conn] { reader_loop(conn); });
-      } catch (...) {
-        // Writer already runs; unwind it before dropping the connection.
-        {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          conn->closing = true;
-        }
-        conn->write_cv.notify_all();
-        conn->writer.join();
-        throw;
-      }
-      obs_.connections_accepted.add(1);
-      obs_.connections_active.add(1);
-      if (obs_.log.enabled()) {
-        obs_.log.event("conn_open", {{"conn_id", conn->id}, {"core", "threads"}});
-      }
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      reap_finished_locked();
-      connections_.push_back(std::move(conn));
-    } catch (const std::exception&) {
-      // The refused socket closes on scope exit; keep accepting.
-    }
-  }
-}
-
-/// Join and drop connections whose threads have already unwound (clients
-/// that disconnected long before stop()), so a long-lived server does not
-/// accumulate dead Connection records. Caller holds conn_mu_.
-void ThreadsCore::reap_finished_locked() {
-  auto it = connections_.begin();
-  while (it != connections_.end()) {
-    if ((*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->reader.joinable()) (*it)->reader.join();
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-/// Queue one outbound frame. For a response (`counts`) the caller holds an
-/// in_flight slot; on a broken connection the frame will never be sent, so
-/// the slot is released here instead of by the writer. Pongs
-/// (counts=false) hold no slot and are simply dropped when broken.
-void ThreadsCore::enqueue_frame(const std::shared_ptr<Connection>& conn, std::string frame,
-                                bool counts) {
-  bool dropped = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->broken) {
-      if (counts) --conn->in_flight;
-      dropped = true;
-    } else {
-      conn->write_queue.push_back(OutMsg{std::move(frame), counts});
-    }
-  }
-  if (dropped) {
-    if (counts) conn->in_flight_cv.notify_all();
-  } else {
-    conn->write_cv.notify_one();
-  }
-}
-
-void ThreadsCore::handle_frame(const std::shared_ptr<Connection>& conn,
-                               const std::vector<std::uint8_t>& body,
-                               std::chrono::steady_clock::time_point receipt) {
-  // Counted at receipt, before the slot wait — a frame read off the wire is
-  // "received" even when a broken connection later drops it undispatched.
-  obs_.frames_received.add(1);
-
-  // Backpressure: every admitted frame — engine work or protocol error —
-  // takes a slot the writer releases only after its response is sent. At
-  // the bound the reader blocks here, stops pulling frames off the socket,
-  // and TCP pushes back on the client.
-  {
-    std::unique_lock<std::mutex> lock(conn->mu);
-    conn->in_flight_cv.wait(lock, [&] {
-      return conn->in_flight < config_.max_in_flight_per_connection || conn->broken;
-    });
-    if (conn->broken) return;  // client is gone; drop the frame
-    ++conn->in_flight;
-  }
-  dispatch_request(engine_, obs_, config_, body, receipt, conn->id, conn->accepted,
-                   [this, conn](std::string frame) { enqueue_frame(conn, std::move(frame)); });
-}
-
-void ThreadsCore::reader_loop(std::shared_ptr<Connection> conn) {
-  try {
-    // Handshake liveness: the hello phase alone runs under a recv timeout,
-    // so a connect()-and-say-nothing client cannot pin this thread forever.
-    // Restored to blocking-forever once the stream is up — mid-stream
-    // silence is legitimate (an idle client), and send_timeout still bounds
-    // the write side.
-    bool hello_ok;
-    try {
-      if (config_.hello_timeout.count() > 0) conn->sock.set_recv_timeout(config_.hello_timeout);
-      hello_ok = expect_hello(conn->sock);
-      if (config_.hello_timeout.count() > 0) {
-        conn->sock.set_recv_timeout(std::chrono::milliseconds(0));
-      }
-    } catch (const NetError& e) {
-      if (e.code() == NetErrc::kTimeout) {
-        obs_.hello_timeouts.add(1);
-      }
-      throw;
-    }
-    if (hello_ok) {
-      send_hello(conn->sock);
-      std::vector<std::uint8_t> body;
-      while (!stopping_.load(std::memory_order_acquire)) {
-        if (!read_frame_body(conn->sock, body)) break;  // clean EOF
-        // Keepalive pings are answered at the protocol layer: no dispatch,
-        // no slot, not counted as a received request frame.
-        if (const auto token = parse_keepalive_body(body.data(), body.size(), FrameType::kPing)) {
-          obs_.pings_answered.add(1);
-          enqueue_frame(conn, encode_keepalive_frame(FrameType::kPong, *token),
-                        /*counts=*/false);
-          continue;
-        }
-        // Stats requests likewise: answered inline from a registry snapshot,
-        // no dispatch, no slot — a scrape cannot be starved by backpressure.
-        if (const auto sreq = parse_stats_request_body(body.data(), body.size())) {
-          obs_.stats_frames_answered.add(1);
-          std::vector<obs::TraceSpan> spans;
-          if ((sreq->flags & kStatsFlagTraces) != 0) spans = obs_.traces.snapshot();
-          enqueue_frame(conn,
-                        encode_stats_response_frame(sreq->token, obs_.registry.snapshot(),
-                                                    spans),
-                        /*counts=*/false);
-          continue;
-        }
-        handle_frame(conn, body, std::chrono::steady_clock::now());
-      }
-    }
-  } catch (const std::exception&) {
-    // Broken framing, hello timeout, or socket failure: the stream cannot
-    // be resynced, so fall through to teardown. Well-framed garbage never
-    // lands here.
-  }
-
-  // Drain: every admitted frame's response must be sent (or discarded on a
-  // broken connection) before the writer is told to finish. This wait
-  // terminates: engine callbacks always fire (drain and abandon both
-  // fulfil), and a client that stopped reading trips the send timeout,
-  // which breaks the connection and releases every held slot.
-  {
-    std::unique_lock<std::mutex> lock(conn->mu);
-    conn->in_flight_cv.wait(lock, [&] { return conn->in_flight == 0; });
-    conn->closing = true;
-  }
-  conn->write_cv.notify_all();
-  if (conn->writer.joinable()) conn->writer.join();
-  {
-    // Serialised against stop()'s shutdown_read on this same socket.
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->sock.shutdown_both();
-    conn->sock.close();
-  }
-  obs_.connections_active.add(-1);
-  if (obs_.log.enabled()) obs_.log.event("conn_close", {{"conn_id", conn->id}});
-  conn->done.store(true, std::memory_order_release);
-}
-
-void ThreadsCore::writer_loop(std::shared_ptr<Connection> conn) {
-  for (;;) {
-    OutMsg msg;
-    {
-      std::unique_lock<std::mutex> lock(conn->mu);
-      // Once broken, only `closing` ends the loop (the queue stays empty).
-      conn->write_cv.wait(lock, [&] {
-        return conn->closing || (!conn->broken && !conn->write_queue.empty());
-      });
-      if (conn->broken || conn->write_queue.empty()) {
-        if (conn->closing) return;
-        continue;
-      }
-      msg = std::move(conn->write_queue.front());
-      conn->write_queue.pop_front();
-    }
-    try {
-      conn->sock.send_all(msg.bytes.data(), msg.bytes.size());
-      if (msg.counts) {
-        obs_.responses_sent.add(1);
-        std::lock_guard<std::mutex> lock(conn->mu);
-        --conn->in_flight;  // response delivered; the slot opens
-      }
-    } catch (const std::exception&) {
-      // Client gone, or it stopped reading past the send timeout. Discard
-      // everything queued — releasing every held slot (counting frames
-      // only; pongs never took one) — and let the reader's waits (and
-      // future enqueues) observe `broken`.
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->broken = true;
-      std::size_t held = msg.counts ? 1 : 0;
-      for (const auto& queued : conn->write_queue) {
-        if (queued.counts) ++held;
-      }
-      conn->in_flight -= held;
-      conn->write_queue.clear();
-    }
-    conn->in_flight_cv.notify_all();
-  }
-}
-
-}  // namespace
-
-std::unique_ptr<ServerCoreImpl> make_threads_core(const ServerConfig& config,
-                                                  engine::Engine& engine, ServerObs& obs) {
-  return std::make_unique<ThreadsCore>(config, engine, obs);
-}
-
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -693,9 +336,7 @@ void Server::start() {
     // The engine behind a stopped server is drained for good.
     throw NetError(NetErrc::kConnectFailed, "server is single-use; cannot restart after stop()");
   }
-  core_ = config_.core == ServerCoreKind::kThreads
-              ? detail::make_threads_core(config_, engine_, *obs_)
-              : detail::make_epoll_core(config_, engine_, *obs_);
+  core_ = std::make_unique<detail::EpollCore>(config_, engine_, *obs_);
   core_->start();
   if (config_.metrics_port.has_value()) {
     try {
@@ -721,7 +362,7 @@ void Server::start() {
   if (log_->enabled()) {
     log_->event("server_start",
                 {{"port", std::uint64_t{port()}},
-                 {"core", server_core_name(config_.core)},
+                 {"core", "epoll"},
                  {"metrics_port", std::uint64_t{metrics_port()}}});
   }
   running_.store(true, std::memory_order_release);

@@ -1,26 +1,20 @@
 #pragma once
-// ncpm-rpc v1 TCP server over an engine::Engine, with two interchangeable
-// connection cores behind one facade:
+// ncpm-rpc v1 TCP server over an engine::Engine. Linux only: a small pool
+// of epoll event loops drives nonblocking sockets, and each connection is
+// an explicit session FSM (net/session_fsm.hpp) with a timer wheel for
+// hello, send-stall and idle timeouts. Per-connection cost is one fd plus a
+// few KB of buffers, so one process holds tens of thousands of connections
+// (the C10K soak test pins 1024 with flat memory).
 //
-//  - kEpoll (default): a small pool of epoll event loops drives nonblocking
-//    sockets; each connection is an explicit session FSM
-//    (net/session_fsm.hpp) with a timer wheel for send-stall and idle
-//    timeouts. Per-connection cost is one fd plus a few KB of buffers, so
-//    one process holds tens of thousands of connections (the C10K soak
-//    test pins 1024 with flat memory).
-//  - kThreads: the PR 5 core — one reader + one writer thread per
-//    connection, blocking sockets. Two threads per client caps it at
-//    hundreds of connections; kept as the semantics reference and fallback.
-//
-// Both cores speak the identical wire contract and identical semantics,
-// pinned by the parameterized suite in tests/net/server_loopback_test.cpp:
-// responses go back out of order as solves resolve; backpressure is
-// slot-accounted per connection (every admitted frame holds a slot until
-// its response is *sent*); a malformed payload inside a well-delimited
-// frame costs one error response while bytes that break the framing kill
-// only that connection; a client that stops reading trips the send timeout
-// instead of hoarding memory or pinning shutdown; and stop() drains every
-// dispatched request before the sockets close and the engine shuts down.
+// The semantics, pinned by tests/net/server_loopback_test.cpp and its
+// sibling suites: responses go back out of order as solves resolve;
+// backpressure is slot-accounted per connection (every admitted frame holds
+// a slot until its response is *sent*); a malformed payload inside a
+// well-delimited frame costs one error response while bytes that break the
+// framing kill only that connection; a client that stops reading trips the
+// send timeout instead of hoarding memory or pinning shutdown; and stop()
+// drains every dispatched request before the sockets close and the engine
+// shuts down.
 
 #include <atomic>
 #include <chrono>
@@ -47,26 +41,15 @@ class MetricsHttpServer;
 
 namespace detail {
 struct ServerObs;
-class ServerCoreImpl;
+class EpollCore;
 }  // namespace detail
-
-/// Which connection core serves the sockets. Same protocol, same
-/// semantics; they differ only in how many clients one process can hold.
-enum class ServerCoreKind : std::uint8_t {
-  kThreads = 0,  ///< reader+writer thread pair per connection (PR 5)
-  kEpoll,        ///< epoll event-loop pool + session FSMs (default)
-};
-
-std::string_view server_core_name(ServerCoreKind core);
-std::optional<ServerCoreKind> parse_server_core(std::string_view name);
 
 struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; Server::port() reports the bound port
   int backlog = 64;
-  ServerCoreKind core = ServerCoreKind::kEpoll;
-  /// Epoll core only: event loops sharing the connections (round-robin).
-  /// 0 = auto (min(4, hardware threads)). The threads core ignores this.
+  /// Event loops sharing the connections (round-robin).
+  /// 0 = auto (min(4, hardware threads)).
   std::size_t num_event_loops = 0;
   /// Reader-side backpressure bound: admitted frames whose response has not
   /// yet been *sent* (engine work and protocol errors alike). At the bound
@@ -79,15 +62,13 @@ struct ServerConfig {
   /// stop()'s drain. Zero = block indefinitely (drain then waits on the
   /// slowest client).
   std::chrono::milliseconds send_timeout{30000};
-  /// Epoll core only: reap connections that stay fully quiescent (no
-  /// partial frame, nothing in flight, nothing to write) this long.
-  /// Zero = never (the threads-core behavior).
+  /// Reap connections that stay fully quiescent (no partial frame, nothing
+  /// in flight, nothing to write) this long. Zero = never.
   std::chrono::milliseconds idle_timeout{0};
-  /// Handshake liveness bound, both cores: a connection that has not
-  /// completed its 12-byte client hello this long after accept is closed
-  /// (counted in ServerStats::hello_timeouts). Without it a connect()-and-
-  /// say-nothing client pins a reader thread (threads core) or an fd (epoll
-  /// core) forever. Zero = wait indefinitely.
+  /// Handshake liveness bound: a connection that has not completed its
+  /// 12-byte client hello this long after accept is closed (counted in
+  /// ServerStats::hello_timeouts). Without it a connect()-and-say-nothing
+  /// client pins an fd forever. Zero = wait indefinitely.
   std::chrono::milliseconds hello_timeout{10000};
   /// Global admission cap: when the engine's unfulfilled requests (queued +
   /// mid-solve) reach this bound, further requests are shed with
@@ -150,7 +131,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind + listen + spawn the configured core. Throws
+  /// Bind + listen + start the event loops. Throws
   /// NetError(kConnectFailed) when the address cannot be bound. A Server is
   /// single-use: calling start() again after stop() throws (the engine is
   /// already drained).
@@ -187,7 +168,7 @@ class Server {
   std::unique_ptr<obs::TraceRing> traces_;
   engine::Engine engine_;
   std::unique_ptr<detail::ServerObs> obs_;
-  std::unique_ptr<detail::ServerCoreImpl> core_;
+  std::unique_ptr<detail::EpollCore> core_;
   std::unique_ptr<MetricsHttpServer> metrics_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};

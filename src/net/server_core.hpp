@@ -1,33 +1,37 @@
 #pragma once
-// Internal seam between the net::Server facade and its two cores.
+// Internal seam between the net::Server facade and its epoll core.
 //
-// The facade owns the engine, the config, and the observability state; a
-// core owns the listener and the connection machinery. Two cores implement
-// the same contract (docs/ncpm-rpc-v1.md): the PR 5 thread-per-connection
-// core (server.cpp) and the epoll reactor core (reactor.cpp). The loopback /
-// shutdown / backpressure tests in tests/net/ are parameterized over both,
-// which is what keeps the contract byte-identical between them.
+// The facade owns the engine, the config, and the observability state; the
+// core (EpollCore, reactor.cpp) owns the listener, a pool of epoll event
+// loops, and one Session per connection (session.cpp). The contract it
+// serves is docs/ncpm-rpc-v1.md, pinned by the loopback / resilience /
+// stats / chaos suites in tests/net/.
 //
 // Not installed, not included by client code — server.cpp, reactor.cpp and
 // session.cpp only.
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "net/reactor.hpp"
 #include "net/server.hpp"
+#include "net/socket.hpp"
 #include "obs/log.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
 namespace ncpm::net::detail {
 
-/// The facade's observability surface, shared with whichever core is live.
+/// The facade's observability surface, shared with the core and its sessions.
 /// The counters/gauge are handles into the facade's obs::Registry (so the
 /// same series serve ServerStats, the /metrics endpoint, and stats frames);
 /// log and traces are the facade's event log and trace ring.
@@ -56,34 +60,51 @@ struct ServerObs {
   obs::Counter& stats_frames_answered;
   obs::Counter& slow_requests;
 
-  /// Monotone connection id source, both cores: the correlation key tying
-  /// log lines and trace spans to one accepted socket.
+  /// Monotone connection id source: the correlation key tying log lines and
+  /// trace spans to one accepted socket.
   std::atomic<std::uint64_t> next_conn_id{1};
 };
 
-class ServerCoreImpl {
+/// The connection core: a small pool of epoll event loops (EventLoop) over
+/// nonblocking sockets, one Session per connection. The listener lives on
+/// loop 0, which hands accepted sockets out round-robin; every Session is
+/// born, runs, and dies on its loop's thread.
+class EpollCore final : public FdHandler {
  public:
-  ServerCoreImpl(const ServerConfig& config, engine::Engine& engine, ServerObs& obs)
-      : config_(config), engine_(engine), obs_(obs) {}
-  virtual ~ServerCoreImpl() = default;
-  ServerCoreImpl(const ServerCoreImpl&) = delete;
-  ServerCoreImpl& operator=(const ServerCoreImpl&) = delete;
+  EpollCore(const ServerConfig& config, engine::Engine& engine, ServerObs& obs);
+  ~EpollCore() override;
+  EpollCore(const EpollCore&) = delete;
+  EpollCore& operator=(const EpollCore&) = delete;
 
-  /// Bind + listen + spawn the core's threads. Throws NetError on bind
+  /// Bind + listen + start the event loops. Throws NetError on bind
   /// failure. port() is valid afterwards.
-  virtual void start() = 0;
-  /// Stop accepting, unwind every connection, flush every admitted
-  /// request's response, join every core thread. The facade drains the
-  /// engine afterwards (nothing can submit once stop() returns).
-  virtual void stop() = 0;
+  void start();
+  /// Stop accepting, drain every session (each flushes its admitted
+  /// requests' responses, then closes), join every loop thread. The facade
+  /// drains the engine afterwards (nothing can submit once stop() returns).
+  void stop();
 
   std::uint16_t port() const noexcept { return port_; }
 
- protected:
+  /// Loop 0 thread: the listener is readable.
+  void on_io(std::uint32_t events) override;
+
+ private:
+  struct LoopState;
+
   const ServerConfig& config_;
   engine::Engine& engine_;
   ServerObs& obs_;
   std::uint16_t port_ = 0;
+
+  Socket listener_;
+  std::vector<std::unique_ptr<LoopState>> loops_;
+  std::atomic<bool> draining_{false};
+  std::size_t next_loop_ = 0;  ///< loop 0 thread only (round-robin cursor)
+
+  std::mutex live_mu_;
+  std::condition_variable live_cv_;
+  std::size_t live_sessions_ = 0;  ///< guarded by live_mu_
 };
 
 /// Decode one request frame body and route it: protocol errors produce an
@@ -99,8 +120,7 @@ class ServerCoreImpl {
 /// without touching the engine. Increments malformed_frames /
 /// overloaded_shed / deadline_shed, emits shed/malformed log events, and
 /// commits a trace span when this request was sampled; the caller owns
-/// frames_received (counted at receipt, before any slot wait — PR 5 counted
-/// frames a broken connection later dropped) and responses_sent (a response
+/// frames_received (counted at receipt) and responses_sent (a response
 /// only counts once it is on the wire). `conn_id` and `accepted` identify
 /// the connection for log correlation and the span's accept timestamp.
 void dispatch_request(engine::Engine& engine, ServerObs& obs, const ServerConfig& config,
@@ -108,10 +128,5 @@ void dispatch_request(engine::Engine& engine, ServerObs& obs, const ServerConfig
                       std::chrono::steady_clock::time_point receipt, std::uint64_t conn_id,
                       std::chrono::steady_clock::time_point accepted,
                       std::function<void(std::string)> deliver);
-
-std::unique_ptr<ServerCoreImpl> make_threads_core(const ServerConfig& config,
-                                                  engine::Engine& engine, ServerObs& obs);
-std::unique_ptr<ServerCoreImpl> make_epoll_core(const ServerConfig& config,
-                                                engine::Engine& engine, ServerObs& obs);
 
 }  // namespace ncpm::net::detail

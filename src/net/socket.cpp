@@ -239,15 +239,6 @@ void Socket::set_recv_timeout(std::chrono::milliseconds timeout) {
   }
 }
 
-void Socket::set_send_timeout(std::chrono::milliseconds timeout) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
-  if (::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) < 0) {
-    fail(NetErrc::kIo, "setsockopt(SO_SNDTIMEO)");
-  }
-}
-
 void Socket::send_all(const void* data, std::size_t size) {
   const char* p = static_cast<const char*>(data);
   while (size > 0) {
@@ -290,10 +281,6 @@ bool Socket::recv_exact(void* data, std::size_t size) {
     got += static_cast<std::size_t>(n);
   }
   return true;
-}
-
-void Socket::shutdown_read() noexcept {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
 }
 
 void Socket::shutdown_write() noexcept {

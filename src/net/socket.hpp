@@ -1,8 +1,8 @@
 #pragma once
 // Thin RAII wrapper over a POSIX TCP socket — the only file in the tree
-// that touches <sys/socket.h>. No external dependencies, blocking I/O
-// only; the server gets its concurrency from threads, not from an event
-// loop, which keeps every read/write a straight-line bounds-checked call.
+// that touches <sys/socket.h>. No external dependencies. Clients use the
+// blocking calls (send_all, recv_exact); the server's event loops use the
+// single-shot nonblocking ones (try_accept, recv_some, send_some).
 //
 // Every failure throws NetError carrying a typed code, so callers (the
 // client library in particular) can distinguish "could not connect" from
@@ -65,9 +65,8 @@ class Socket {
   Socket try_accept() const;
   std::uint16_t local_port() const;
 
-  /// Toggle O_NONBLOCK — the reactor core drives every connection socket
-  /// (and its listener) nonblocking; the threads core and the client keep
-  /// blocking I/O.
+  /// Toggle O_NONBLOCK — the server drives every connection socket (and
+  /// its listener) nonblocking; the client keeps blocking I/O.
   void set_nonblocking(bool on);
 
   /// Clamp the kernel receive buffer (SO_RCVBUF). Defeats receive-side
@@ -77,9 +76,6 @@ class Socket {
 
   /// Zero cancels a previously set timeout.
   void set_recv_timeout(std::chrono::milliseconds timeout);
-  /// Bounds how long send_all may block on a full TCP buffer (a peer that
-  /// stopped reading); expiry throws NetError(kTimeout). Zero cancels.
-  void set_send_timeout(std::chrono::milliseconds timeout);
 
   /// Write all `size` bytes (retrying partial writes). Throws
   /// NetError(kClosed) when the peer has gone, kIo otherwise.
@@ -101,13 +97,11 @@ class Socket {
   bool valid() const noexcept { return fd_ >= 0; }
   int fd() const noexcept { return fd_; }
 
-  /// shutdown(2) wakes threads blocked in accept/recv/send on this socket
-  /// (closing the fd alone does not). Read side only: in-flight writes
-  /// still flush, which is what a draining server wants.
-  void shutdown_read() noexcept;
   /// Write side only: sends FIN while reads continue — the chaos proxy uses
   /// this to propagate one direction's EOF without killing the other.
   void shutdown_write() noexcept;
+  /// shutdown(2) wakes threads blocked in accept/recv/send on this socket
+  /// (closing the fd alone does not).
   void shutdown_both() noexcept;
   /// SO_LINGER {on, 0}: the eventual close() aborts the connection (RST to
   /// the peer) instead of the orderly FIN — the chaos proxy's "connection

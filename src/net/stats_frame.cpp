@@ -188,7 +188,7 @@ std::string encode_stats_response_frame(std::uint64_t token, const obs::Snapshot
     put_u64(body, s.solve_start_ns);
     put_u64(body, s.solve_end_ns);
     put_u64(body, s.response_ns);
-    // v2 tail: digest + payload size + sparse phase breakdown.
+    // Digest + payload size + sparse phase breakdown.
     put_u64(body, s.instance_digest);
     put_u32(body, s.payload_bytes);
     std::uint8_t nonzero = 0;
@@ -211,7 +211,7 @@ StatsReply decode_stats_response_body(const std::uint8_t* body, std::size_t size
   StatsReply reply;
   reply.token = cur.u64("stats token");
   reply.version = cur.u32("stats snapshot version");
-  if (reply.version != 1 && reply.version != kStatsSnapshotVersion)
+  if (reply.version != kStatsSnapshotVersion)
     fail("unsupported stats snapshot version " + std::to_string(reply.version));
   reply.snapshot.uptime_ns = cur.u64("stats uptime");
 
@@ -266,15 +266,13 @@ StatsReply decode_stats_response_body(const std::uint8_t* body, std::size_t size
     s.solve_start_ns = cur.u64("span solve-start ts");
     s.solve_end_ns = cur.u64("span solve-end ts");
     s.response_ns = cur.u64("span response ts");
-    if (reply.version >= 2) {
-      s.instance_digest = cur.u64("span instance digest");
-      s.payload_bytes = cur.u32("span payload bytes");
-      const std::size_t nonzero = cur.u8("span phase count");
-      for (std::size_t p = 0; p < nonzero; ++p) {
-        const std::uint8_t idx = cur.u8("span phase index");
-        if (idx >= obs::kNumPhases) fail("span phase index out of range");
-        s.phase_ns[idx] = cur.u64("span phase ns");
-      }
+    s.instance_digest = cur.u64("span instance digest");
+    s.payload_bytes = cur.u32("span payload bytes");
+    const std::size_t nonzero = cur.u8("span phase count");
+    for (std::size_t p = 0; p < nonzero; ++p) {
+      const std::uint8_t idx = cur.u8("span phase index");
+      if (idx >= obs::kNumPhases) fail("span phase index out of range");
+      s.phase_ns[idx] = cur.u64("span phase ns");
     }
     reply.spans.push_back(s);
   }

@@ -1,8 +1,8 @@
 #pragma once
 // ncpm-rpc v1 stats frames (types 5/6) — the wire form of an obs snapshot.
 //
-// A stats request is a fixed 10-byte body, recognised inline by both server
-// cores exactly like ping (before the request decoder, never consuming a
+// A stats request is a fixed 10-byte body, recognised inline by the server
+// exactly like ping (before the request decoder, never consuming a
 // backpressure slot):
 //
 //   stats request  : u8 type = 5, u64 token, u8 flags
@@ -31,9 +31,9 @@ namespace ncpm::net {
 inline constexpr std::size_t kStatsRequestBodySize = 1 + 8 + 1;
 /// Bit 0 of the request flags: echo the trace ring's sampled spans.
 inline constexpr std::uint8_t kStatsFlagTraces = 0x01;
-/// Version tag leading every stats response payload. v2 extends each span
-/// row with instance digest, payload size, and a sparse per-phase solver
-/// breakdown; the decoder still accepts v1 rows from older servers.
+/// Version tag leading every stats response payload. Version 2 span rows
+/// carry instance digest, payload size, and a sparse per-phase solver
+/// breakdown; the decoder accepts this version only.
 inline constexpr std::uint32_t kStatsSnapshotVersion = 2;
 
 struct StatsRequest {

@@ -72,7 +72,9 @@ std::optional<std::chrono::milliseconds> TimerWheel::next_wakeup(Clock::time_poi
       }
     }
     if (!live) continue;
-    const auto due = next_tick_time_ + step * tick_;
+    // Signed step: a size_t factor would make the whole sum unsigned, and an
+    // overdue slot's negative wait would wrap to ~584 years.
+    const auto due = next_tick_time_ + static_cast<std::int64_t>(step) * tick_;
     const auto wait = std::chrono::duration_cast<std::chrono::milliseconds>(due - now);
     return wait.count() < 0 ? std::chrono::milliseconds(0) : wait;
   }

@@ -16,10 +16,18 @@ bool TraceRing::should_sample() noexcept {
 void TraceRing::commit(const TraceSpan& span) noexcept {
   if (!enabled()) return;
   Slot& slot = slots_[commits_.fetch_add(1, std::memory_order_relaxed) % capacity_];
-  // Seqlock write: odd while the fields are in flux. Two writers landing on
-  // the same slot (a full ring's worth of commits apart) can tear it; the
-  // reader's seq check drops such slots.
-  slot.seq.fetch_add(1, std::memory_order_acq_rel);
+  // Seqlock write: odd while the fields are in flux. The writer claims the
+  // slot by moving seq from even to odd; a writer that finds it odd (or loses
+  // the race to claim it) has lapped a slow writer a full ring's worth of
+  // commits behind, and drops its span rather than interleave with it. The
+  // release fence orders the claim before every field store, so a reader
+  // that sees any new field also sees the odd seq and discards the slot.
+  std::uint32_t seq = slot.seq.load(std::memory_order_relaxed);
+  if ((seq & 1u) != 0 ||
+      !slot.seq.compare_exchange_strong(seq, seq + 1, std::memory_order_relaxed)) {
+    return;
+  }
+  std::atomic_thread_fence(std::memory_order_release);
   slot.request_id.store(span.request_id, std::memory_order_relaxed);
   slot.conn_id.store(span.conn_id, std::memory_order_relaxed);
   slot.mode_status.store(
@@ -36,7 +44,7 @@ void TraceRing::commit(const TraceSpan& span) noexcept {
   for (std::size_t p = 0; p < kNumPhases; ++p) {
     slot.phase_ns[p].store(span.phase_ns[p], std::memory_order_relaxed);
   }
-  slot.seq.fetch_add(1, std::memory_order_release);
+  slot.seq.store(seq + 2, std::memory_order_release);
 }
 
 std::vector<TraceSpan> TraceRing::snapshot() const {

@@ -3,13 +3,15 @@
 //
 // Every Nth request (sample_every) gets a TraceSpan recording the serving
 // milestones as steady-clock nanosecond timestamps. The span is committed
-// whole at request completion: the writer claims a slot with one fetch_add
-// and publishes through a per-slot sequence (odd while writing). snapshot()
-// never blocks writers; a slot caught mid-write is skipped. All slot fields
-// are atomics, so concurrent scrape + commit is data-race-free.
+// whole at request completion: the writer picks a slot with one fetch_add,
+// claims it by moving its sequence from even to odd (compare-exchange), and
+// publishes by making it even again. snapshot() never blocks writers; a slot
+// caught mid-write is skipped. All slot fields are atomics, so concurrent
+// scrape + commit is data-race-free.
 //
 // This is best-effort flight-recorder telemetry: under extreme wrap rates a
-// slot can be overwritten while read and is simply dropped from that scrape.
+// writer that finds its slot still claimed by a slower one drops its span,
+// and a slot overwritten while read is dropped from that scrape.
 
 #include <array>
 #include <atomic>
@@ -63,7 +65,8 @@ class TraceRing {
   /// Publishes one completed span into the ring.
   void commit(const TraceSpan& span) noexcept;
 
-  /// Total spans ever committed.
+  /// Total commit() calls on the enabled ring, including spans dropped
+  /// because their slot was still claimed by a slower writer.
   std::uint64_t committed() const noexcept {
     return commits_.load(std::memory_order_relaxed);
   }

@@ -245,6 +245,4 @@ Executor& default_executor() {
   return shared;
 }
 
-void set_default_lanes(int lanes) { default_executor().resize(lanes); }
-
 }  // namespace ncpm::pram

@@ -348,9 +348,4 @@ int default_lanes() noexcept;
 /// Constructed on first use with default_lanes() lanes.
 Executor& default_executor();
 
-/// Resize the shared default executor (clamped to >= 1). Deprecated-shim
-/// backend for the old global pram::set_num_threads; must not race with
-/// rounds running on the default executor.
-void set_default_lanes(int lanes);
-
 }  // namespace ncpm::pram

@@ -8,49 +8,16 @@
 // `default_executor()` — they keep simple callers (tests, examples,
 // one-shot utilities) simple, and carry the old OpenMP-era names.
 //
-// There is deliberately NO process-global thread count any more:
-// `set_num_threads` survives only as a deprecated shim that resizes the
-// default executor. Code that needs an explicit width should build its own
-// `Executor` (or `SerialExecutor`) and pass it along — see executor.hpp.
+// There is deliberately NO process-global thread count: code that needs an
+// explicit width builds its own `Executor` (or `SerialExecutor`) and passes
+// it along — see executor.hpp.
 
 #include <cstddef>
-#include <cstdio>
-#include <thread>
 #include <utility>
 
 #include "pram/executor.hpp"
 
 namespace ncpm::pram {
-
-/// Deprecated shim for the retired process-global setter: resizes the
-/// shared default executor. Executors already handed to Workspaces keep
-/// working (the resize is in place), but per-call parallelism should come
-/// from an explicit Executor instead. The request is clamped to
-/// [1, hardware_concurrency()] — the old OpenMP ICV accepted arbitrary
-/// values, and oversubscribing the barrier-per-round pool only adds
-/// context-switch latency to every round. Warns once on stderr. Unlike
-/// the old per-thread ICV this touches shared state: call it only from
-/// single-threaded setup code — never concurrently, and never while any
-/// thread runs rounds on the default executor.
-[[deprecated(
-    "process-global thread state is gone; construct a pram::Executor and carry it "
-    "per call (e.g. via pram::Workspace); if you must call this shim, do so only "
-    "during single-threaded setup")]]
-inline void set_num_threads(int t) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int cap = hw == 0 ? 1 : static_cast<int>(hw);
-  const int clamped = t < 1 ? 1 : (t > cap ? cap : t);
-  static bool warned = false;  // setup-only contract: no synchronization
-  if (!warned) {
-    warned = true;
-    std::fprintf(stderr,
-                 "ncpm: pram::set_num_threads is deprecated; resizing the default "
-                 "executor to %d lane(s) (requested %d, hardware limit %d). "
-                 "Construct a pram::Executor instead.\n",
-                 clamped, t, cap);
-  }
-  set_default_lanes(clamped);
-}
 
 /// One synchronous parallel round on the default executor.
 template <typename F>

@@ -68,8 +68,7 @@ expect_usage "gen-batch junk"          -- gen-batch three 5 5 1 out.bin
 expect_usage "serve positional"        -- serve extra
 expect_usage "serve bad port"          -- serve --port 99999
 expect_usage "serve bad workers"       -- serve --workers 0
-expect_usage "serve bad core"          -- serve --core bogus
-expect_usage "serve core missing"      -- serve --core
+expect_usage "serve retired core flag" -- serve --core epoll
 expect_usage "serve bad idle timeout"  -- serve --idle-timeout-ms nope
 expect_usage "serve bad hello timeout" -- serve --hello-timeout-ms nope
 expect_usage "serve bad global cap"    -- serve --max-in-flight-global nope

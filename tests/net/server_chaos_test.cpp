@@ -9,8 +9,6 @@
 // payload corruption inside a well-delimited frame costs exactly one
 // error response and nothing else.
 
-#include "net/chaos_proxy.hpp"
-
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -23,6 +21,7 @@
 #include "net/client.hpp"
 #include "net/resilient_client.hpp"
 #include "net/server.hpp"
+#include "support/chaos_proxy.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define NCPM_CHAOS_SANITIZED 1
@@ -38,21 +37,6 @@ namespace {
 
 using namespace std::chrono_literals;
 using engine::Mode;
-
-class ServerChaos : public ::testing::TestWithParam<ServerCoreKind> {
- protected:
-  ServerConfig make_config() const {
-    ServerConfig cfg;
-    cfg.core = GetParam();
-    return cfg;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(Cores, ServerChaos,
-                         ::testing::Values(ServerCoreKind::kThreads, ServerCoreKind::kEpoll),
-                         [](const ::testing::TestParamInfo<ServerCoreKind>& info) {
-                           return std::string(server_core_name(info.param));
-                         });
 
 core::Instance small_instance(std::uint64_t seed) {
   gen::SolvableConfig cfg;
@@ -119,11 +103,11 @@ void expect_matches_direct(const ResponseFrame& resp, const engine::Result& ref)
 /// to the direct engine. No corruption in this storm — a flipped byte can
 /// decode to a *different valid instance*, which would break the
 /// byte-identical contract without being a serving bug.
-TEST_P(ServerChaos, RetryStormLosesNothingAndMatchesDirectEngine) {
+TEST(ServerChaos, RetryStormLosesNothingAndMatchesDirectEngine) {
   constexpr int kClients = 4;
   constexpr std::size_t kRequestsPerClient = 24;
 
-  ServerConfig scfg = make_config();
+  ServerConfig scfg;
   scfg.engine = engine::EngineConfig{4, 1};
   Server server(scfg);
   server.start();
@@ -193,8 +177,8 @@ TEST_P(ServerChaos, RetryStormLosesNothingAndMatchesDirectEngine) {
 /// One-shot RST mid-request: the first attempt dies on a torn connection,
 /// the redial (through the now-clean proxy) succeeds. Framing breaks cost
 /// the connection, never a wrong answer.
-TEST_P(ServerChaos, ResetMidFrameRedialsAndCompletes) {
-  Server server{make_config()};
+TEST(ServerChaos, ResetMidFrameRedialsAndCompletes) {
+  Server server;
   server.start();
 
   ChaosConfig ccfg;
@@ -226,7 +210,7 @@ TEST_P(ServerChaos, ResetMidFrameRedialsAndCompletes) {
 /// mid-response, the server's bounded send_all trips its send timeout and
 /// abandons the connection, the client sees the broken stream and the
 /// retry completes on a fresh connection.
-TEST_P(ServerChaos, StallUntilServerSendTimeoutThenRetryCompletes) {
+TEST(ServerChaos, StallUntilServerSendTimeoutThenRetryCompletes) {
 #ifdef NCPM_CHAOS_SANITIZED
   // Real-time physics: the response must outsize the kernel send buffer and
   // the 250 ms send timeout must race a 1.5 s stall. Sanitizer slowdown
@@ -234,7 +218,7 @@ TEST_P(ServerChaos, StallUntilServerSendTimeoutThenRetryCompletes) {
   // runs in the Release chaos job only (the soak-test precedent).
   GTEST_SKIP() << "stall timing is a Release-only scenario; sanitizer overhead distorts it";
 #endif
-  ServerConfig scfg = make_config();
+  ServerConfig scfg;
   scfg.send_timeout = 250ms;
   Server server(scfg);
   server.start();
@@ -282,8 +266,8 @@ TEST_P(ServerChaos, StallUntilServerSendTimeoutThenRetryCompletes) {
 /// One-shot byte flip inside the instance payload of a well-delimited
 /// frame: exactly one kMalformedFrame error response, the connection
 /// survives, and the next request (same connection, clean bytes) solves.
-TEST_P(ServerChaos, CorruptionInsidePayloadCostsExactlyOneErrorResponse) {
-  Server server{make_config()};
+TEST(ServerChaos, CorruptionInsidePayloadCostsExactlyOneErrorResponse) {
+  Server server;
   server.start();
 
   ChaosConfig ccfg;
@@ -320,8 +304,8 @@ TEST_P(ServerChaos, CorruptionInsidePayloadCostsExactlyOneErrorResponse) {
 /// Determinism spot-check: two proxies with the same seed and the same
 /// single-connection byte stream fire their probabilistic faults at the
 /// same slice boundaries (same stats), so a failing chaos run replays.
-TEST_P(ServerChaos, SameSeedSameFaultSchedule) {
-  Server server{make_config()};
+TEST(ServerChaos, SameSeedSameFaultSchedule) {
+  Server server;
   server.start();
 
   const auto inst = small_instance(3);

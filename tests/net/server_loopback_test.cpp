@@ -5,9 +5,8 @@
 // error responses without killing the connection, and shutdown drains
 // in-flight requests.
 //
-// The whole suite is parameterized over both connection cores (threads and
-// epoll): the assertions ARE the server's semantic contract, so both cores
-// must pass every one of them unchanged.
+// The assertions ARE the server's semantic contract: any change to the
+// epoll core must pass every one of them unchanged.
 
 #include "net/server.hpp"
 
@@ -27,22 +26,6 @@ namespace ncpm::net {
 namespace {
 
 using engine::Mode;
-
-class ServerLoopback : public ::testing::TestWithParam<ServerCoreKind> {
- protected:
-  /// Default config aimed at the core under test; tests tweak from here.
-  ServerConfig make_config() const {
-    ServerConfig cfg;
-    cfg.core = GetParam();
-    return cfg;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(Cores, ServerLoopback,
-                         ::testing::Values(ServerCoreKind::kThreads, ServerCoreKind::kEpoll),
-                         [](const ::testing::TestParamInfo<ServerCoreKind>& info) {
-                           return std::string(server_core_name(info.param));
-                         });
 
 std::vector<core::Instance> mixed_instances(std::uint64_t seed) {
   std::vector<core::Instance> instances;
@@ -104,11 +87,11 @@ void expect_matches_direct(const ResponseFrame& resp, const engine::Result& ref)
   }
 }
 
-TEST_P(ServerLoopback, PipelinedMixedModesMatchDirectEngine) {
+TEST(ServerLoopback, PipelinedMixedModesMatchDirectEngine) {
   constexpr int kClients = 4;
   constexpr std::size_t kRequestsPerClient = 24;
 
-  ServerConfig cfg = make_config();
+  ServerConfig cfg;
   cfg.engine = engine::EngineConfig{4, 1};
   Server server(cfg);
   server.start();
@@ -150,8 +133,8 @@ TEST_P(ServerLoopback, PipelinedMixedModesMatchDirectEngine) {
   for (auto& t : threads) t.join();
   for (const auto& f : failures) EXPECT_TRUE(f.empty()) << f;
 
-  // stop() joins every reader/writer thread, making the counters final —
-  // reading them earlier races the last writer's post-send increment.
+  // stop() joins every event-loop thread, making the counters final —
+  // reading them earlier races the last session's post-send increment.
   server.stop();
   const auto stats = server.stats();
   EXPECT_EQ(stats.connections_accepted, static_cast<std::uint64_t>(kClients));
@@ -160,8 +143,8 @@ TEST_P(ServerLoopback, PipelinedMixedModesMatchDirectEngine) {
   EXPECT_EQ(stats.malformed_frames, 0u);
 }
 
-TEST_P(ServerLoopback, MalformedFramesGetErrorsWithoutKillingTheConnection) {
-  Server server{make_config()};
+TEST(ServerLoopback, MalformedFramesGetErrorsWithoutKillingTheConnection) {
+  Server server;
   server.start();
 
   Socket sock = Socket::connect_to("127.0.0.1", server.port(), std::chrono::seconds(5));
@@ -242,8 +225,8 @@ TEST_P(ServerLoopback, MalformedFramesGetErrorsWithoutKillingTheConnection) {
   server.stop();
 }
 
-TEST_P(ServerLoopback, DeadlineTooTightComesBackExpired) {
-  Server server{make_config()};
+TEST(ServerLoopback, DeadlineTooTightComesBackExpired) {
+  Server server;
   server.start();
   auto client = Client::connect("127.0.0.1", server.port());
   gen::SolvableConfig cfg;
@@ -256,8 +239,8 @@ TEST_P(ServerLoopback, DeadlineTooTightComesBackExpired) {
   server.stop();
 }
 
-TEST_P(ServerLoopback, StopDrainsInFlightRequests) {
-  ServerConfig cfg = make_config();
+TEST(ServerLoopback, StopDrainsInFlightRequests) {
+  ServerConfig cfg;
   cfg.engine = engine::EngineConfig{1, 1};  // one worker => a real queue builds
   Server server(cfg);
   server.start();
@@ -315,13 +298,13 @@ TEST_P(ServerLoopback, StopDrainsInFlightRequests) {
 }
 
 /// A client that pipelines requests and then never reads a byte must not
-/// block stop(): once the TCP buffers fill, the writer trips the send
-/// timeout, the connection is marked broken, every held slot is released,
-/// and the drain completes. (When the responses happen to fit the kernel
-/// buffers the writer never stalls and this degenerates to a clean drain —
-/// either way stop() returns; a hang fails the test via the CTest timeout.)
-TEST_P(ServerLoopback, StalledClientCannotBlockStop) {
-  ServerConfig cfg = make_config();
+/// block stop(): once the TCP buffers fill, the session trips the send
+/// timeout, drops its backlog, releases every held slot and closes, and the
+/// drain completes. (When the responses happen to fit the kernel buffers
+/// the session never stalls and this degenerates to a clean drain — either
+/// way stop() returns; a hang fails the test via the CTest timeout.)
+TEST(ServerLoopback, StalledClientCannotBlockStop) {
+  ServerConfig cfg;
   cfg.send_timeout = std::chrono::milliseconds(250);
   cfg.engine = engine::EngineConfig{1, 1};
   Server server{cfg};
@@ -339,16 +322,25 @@ TEST_P(ServerLoopback, StalledClientCannotBlockStop) {
   icfg.seed = 33;
   const auto inst = gen::solvable_strict_instance(icfg);
   constexpr std::size_t kPipelined = 24;
-  for (std::size_t i = 0; i < kPipelined; ++i) {
-    RequestHead head;
-    head.request_id = i + 1;
-    head.mode_raw = static_cast<std::uint8_t>(Mode::kSolve);
-    const auto frame = encode_request_frame(head, inst);
-    sock.send_all(frame.data(), frame.size());
+  std::size_t sent = 0;
+  try {
+    for (; sent < kPipelined; ++sent) {
+      RequestHead head;
+      head.request_id = sent + 1;
+      head.mode_raw = static_cast<std::uint8_t>(Mode::kSolve);
+      const auto frame = encode_request_frame(head, inst);
+      sock.send_all(frame.data(), frame.size());
+    }
+  } catch (const NetError&) {
+    // On a loaded host the send timeout can fire while the pipeline is
+    // still being written: the server closes the stalled connection and
+    // this send fails. That is the behaviour under test arriving early.
   }
 
+  // Wait until the server has read every frame that made it out, or has
+  // already closed the connection on the send timeout.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (server.stats().frames_received < kPipelined) {
+  while (server.stats().frames_received < sent && server.stats().connections_active > 0) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "server never read the frames";
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -361,8 +353,8 @@ TEST_P(ServerLoopback, StalledClientCannotBlockStop) {
 /// work: a storm of malformed frames larger than the in-flight bound must
 /// cycle through (slots released as error responses are sent), not wedge
 /// the reader.
-TEST_P(ServerLoopback, MalformedFrameStormRespectsBackpressure) {
-  ServerConfig cfg = make_config();
+TEST(ServerLoopback, MalformedFrameStormRespectsBackpressure) {
+  ServerConfig cfg;
   cfg.max_in_flight_per_connection = 4;
   Server server{cfg};
   server.start();
@@ -389,8 +381,8 @@ TEST_P(ServerLoopback, MalformedFrameStormRespectsBackpressure) {
   EXPECT_EQ(server.stats().malformed_frames, kFrames);
 }
 
-TEST_P(ServerLoopback, ServerIsSingleUse) {
-  Server server{make_config()};
+TEST(ServerLoopback, ServerIsSingleUse) {
+  Server server;
   server.start();
   server.stop();
   EXPECT_THROW(server.start(), NetError);
@@ -398,8 +390,8 @@ TEST_P(ServerLoopback, ServerIsSingleUse) {
 
 /// Connecting clients that disappear without a clean shutdown must not
 /// wedge or leak the server (the reaper path).
-TEST_P(ServerLoopback, AbruptClientDisconnectsAreHarmless) {
-  Server server{make_config()};
+TEST(ServerLoopback, AbruptClientDisconnectsAreHarmless) {
+  Server server;
   server.start();
   for (int i = 0; i < 8; ++i) {
     Socket sock = Socket::connect_to("127.0.0.1", server.port(), std::chrono::seconds(5));

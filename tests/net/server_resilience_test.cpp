@@ -1,6 +1,6 @@
 // Overload shedding, deadline shedding, keepalive ping/pong, and
-// never-hello reaping — parameterized over both connection cores, because
-// all four behaviours are part of the server's semantic contract.
+// never-hello reaping — all four behaviours are part of the server's
+// semantic contract.
 //
 // Determinism discipline: tests that need a busy engine occupy its single
 // worker with a large instance submitted *directly* (no wire race), so the
@@ -26,21 +26,6 @@ namespace {
 using namespace std::chrono_literals;
 using engine::Mode;
 
-class ServerResilience : public ::testing::TestWithParam<ServerCoreKind> {
- protected:
-  ServerConfig make_config() const {
-    ServerConfig cfg;
-    cfg.core = GetParam();
-    return cfg;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(Cores, ServerResilience,
-                         ::testing::Values(ServerCoreKind::kThreads, ServerCoreKind::kEpoll),
-                         [](const ::testing::TestParamInfo<ServerCoreKind>& info) {
-                           return std::string(server_core_name(info.param));
-                         });
-
 core::Instance small_instance(std::uint64_t seed) {
   gen::SolvableConfig cfg;
   cfg.num_applicants = 12;
@@ -60,8 +45,8 @@ core::Instance busywork_instance() {
   return gen::solvable_strict_instance(cfg);
 }
 
-TEST_P(ServerResilience, InFlightCapShedsWithOverloadedNeverRejected) {
-  ServerConfig cfg = make_config();
+TEST(ServerResilience, InFlightCapShedsWithOverloadedNeverRejected) {
+  ServerConfig cfg;
   cfg.engine = engine::EngineConfig{1, 1};
   cfg.max_in_flight_global = 1;
   Server server(cfg);
@@ -91,8 +76,8 @@ TEST_P(ServerResilience, InFlightCapShedsWithOverloadedNeverRejected) {
   EXPECT_EQ(server.stats().overloaded_shed, calls.size());
 }
 
-TEST_P(ServerResilience, QueueWatermarkShedsWithOverloaded) {
-  ServerConfig cfg = make_config();
+TEST(ServerResilience, QueueWatermarkShedsWithOverloaded) {
+  ServerConfig cfg;
   cfg.engine = engine::EngineConfig{1, 1};
   cfg.overload_queue_watermark = 1;
   Server server(cfg);
@@ -115,8 +100,8 @@ TEST_P(ServerResilience, QueueWatermarkShedsWithOverloaded) {
   EXPECT_GE(server.stats().overloaded_shed, 1u);
 }
 
-TEST_P(ServerResilience, ExpiredDeadlineIsShedBeforeDecodingThePayload) {
-  Server server{make_config()};
+TEST(ServerResilience, ExpiredDeadlineIsShedBeforeDecodingThePayload) {
+  Server server;
   server.start();
   auto client = Client::connect("127.0.0.1", server.port());
   // 1 ns of budget from receipt: gone by dispatch, so the shed gate (not
@@ -128,8 +113,8 @@ TEST_P(ServerResilience, ExpiredDeadlineIsShedBeforeDecodingThePayload) {
   EXPECT_EQ(server.stats().overloaded_shed, 0u);
 }
 
-TEST_P(ServerResilience, PingPongAnswersWithoutTakingASlot) {
-  Server server{make_config()};
+TEST(ServerResilience, PingPongAnswersWithoutTakingASlot) {
+  Server server;
   server.start();
   auto client = Client::connect("127.0.0.1", server.port());
 
@@ -147,8 +132,8 @@ TEST_P(ServerResilience, PingPongAnswersWithoutTakingASlot) {
   EXPECT_EQ(stats.frames_received, 1u);
 }
 
-TEST_P(ServerResilience, PingAnswersWhileEveryWorkerIsBusy) {
-  ServerConfig cfg = make_config();
+TEST(ServerResilience, PingAnswersWhileEveryWorkerIsBusy) {
+  ServerConfig cfg;
   cfg.engine = engine::EngineConfig{1, 1};
   Server server(cfg);
   server.start();
@@ -166,8 +151,8 @@ TEST_P(ServerResilience, PingAnswersWhileEveryWorkerIsBusy) {
   EXPECT_EQ(server.stats().pings_answered, 1u);
 }
 
-TEST_P(ServerResilience, NeverHelloConnectionsAreReapedWithinTheTimeout) {
-  ServerConfig cfg = make_config();
+TEST(ServerResilience, NeverHelloConnectionsAreReapedWithinTheTimeout) {
+  ServerConfig cfg;
   cfg.hello_timeout = 200ms;
   Server server(cfg);
   server.start();
@@ -195,8 +180,8 @@ TEST_P(ServerResilience, NeverHelloConnectionsAreReapedWithinTheTimeout) {
   EXPECT_EQ(server.stats().hello_timeouts, 1u);
 }
 
-TEST_P(ServerResilience, ZeroHelloTimeoutMeansNoReap) {
-  ServerConfig cfg = make_config();
+TEST(ServerResilience, ZeroHelloTimeoutMeansNoReap) {
+  ServerConfig cfg;
   cfg.hello_timeout = 0ms;  // the documented escape hatch
   Server server(cfg);
   server.start();

@@ -106,7 +106,6 @@ TEST(ServerSoak, C10KPipelinedConnectionsFlatMemoryNoDrops) {
   }
 
   ServerConfig cfg;
-  cfg.core = ServerCoreKind::kEpoll;
   cfg.backlog = 256;
   cfg.engine = engine::EngineConfig{2, 1};
   Server server(cfg);

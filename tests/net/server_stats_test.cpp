@@ -1,9 +1,9 @@
-// Observability integration over real sockets, parameterized over both
-// connection cores: the stats frame answers inline with a coherent
-// registry snapshot, concurrent scrapes during a pipelined submit storm
-// only ever see monotone counters and a consistent quiesce, trace spans
-// are sampled and retrievable, the optional HTTP /metrics endpoint speaks
-// Prometheus text, and --log-json lifecycle events reach the sink.
+// Observability integration over real sockets: the stats frame answers
+// inline with a coherent registry snapshot, concurrent scrapes during a
+// pipelined submit storm only ever see monotone counters and a consistent
+// quiesce, trace spans are sampled and retrievable, the optional HTTP
+// /metrics endpoint speaks Prometheus text, and --log-json lifecycle events
+// reach the sink.
 
 #include "net/server.hpp"
 
@@ -80,23 +80,14 @@ std::int64_t gauge_value(const obs::Snapshot& snap, const std::string& name) {
   return 0;
 }
 
-class ServerObsLoopback : public ::testing::TestWithParam<ServerCoreKind> {
- protected:
-  ServerConfig make_config() const {
-    ServerConfig cfg;
-    cfg.core = GetParam();
-    cfg.engine = engine::EngineConfig{2, 1};
-    return cfg;
-  }
-};
+/// Two workers, so pipelined storms actually overlap solves.
+ServerConfig make_config() {
+  ServerConfig cfg;
+  cfg.engine = engine::EngineConfig{2, 1};
+  return cfg;
+}
 
-INSTANTIATE_TEST_SUITE_P(Cores, ServerObsLoopback,
-                         ::testing::Values(ServerCoreKind::kThreads, ServerCoreKind::kEpoll),
-                         [](const ::testing::TestParamInfo<ServerCoreKind>& info) {
-                           return std::string(server_core_name(info.param));
-                         });
-
-TEST_P(ServerObsLoopback, StatsFrameReflectsServedTraffic) {
+TEST(ServerObsLoopback, StatsFrameReflectsServedTraffic) {
   Server server{make_config()};
   server.start();
 
@@ -142,7 +133,7 @@ TEST_P(ServerObsLoopback, StatsFrameReflectsServedTraffic) {
   server.stop();
 }
 
-TEST_P(ServerObsLoopback, ConcurrentScrapesStayMonotoneThroughASubmitStorm) {
+TEST(ServerObsLoopback, ConcurrentScrapesStayMonotoneThroughASubmitStorm) {
   ServerConfig cfg = make_config();
   Server server(cfg);
   server.start();
@@ -236,7 +227,7 @@ TEST_P(ServerObsLoopback, ConcurrentScrapesStayMonotoneThroughASubmitStorm) {
   server.stop();
 }
 
-TEST_P(ServerObsLoopback, TraceSpansAreSampledAndRetrievable) {
+TEST(ServerObsLoopback, TraceSpansAreSampledAndRetrievable) {
   ServerConfig cfg = make_config();
   cfg.trace_sample_n = 1;  // sample every request
   Server server(cfg);
@@ -269,7 +260,7 @@ TEST_P(ServerObsLoopback, TraceSpansAreSampledAndRetrievable) {
   server.stop();
 }
 
-TEST_P(ServerObsLoopback, TracingOffMeansNoSpansEver) {
+TEST(ServerObsLoopback, TracingOffMeansNoSpansEver) {
   Server server{make_config()};  // trace_sample_n defaults to 0
   server.start();
   auto client = Client::connect("127.0.0.1", server.port());
@@ -278,7 +269,7 @@ TEST_P(ServerObsLoopback, TracingOffMeansNoSpansEver) {
   server.stop();
 }
 
-TEST_P(ServerObsLoopback, HttpMetricsEndpointServesPrometheusText) {
+TEST(ServerObsLoopback, HttpMetricsEndpointServesPrometheusText) {
   ServerConfig cfg = make_config();
   cfg.metrics_port = 0;  // ephemeral
   Server server(cfg);
@@ -326,7 +317,7 @@ TEST_P(ServerObsLoopback, HttpMetricsEndpointServesPrometheusText) {
   EXPECT_FALSE(server.running());
 }
 
-TEST_P(ServerObsLoopback, JsonLogCapturesLifecycleEvents) {
+TEST(ServerObsLoopback, JsonLogCapturesLifecycleEvents) {
   ServerConfig cfg = make_config();
   cfg.log_json = true;
   std::mutex mu;
@@ -362,7 +353,7 @@ TEST_P(ServerObsLoopback, JsonLogCapturesLifecycleEvents) {
   }
 }
 
-TEST_P(ServerObsLoopback, ServerStatsStructMirrorsTheRegistry) {
+TEST(ServerObsLoopback, ServerStatsStructMirrorsTheRegistry) {
   Server server{make_config()};
   server.start();
   auto client = Client::connect("127.0.0.1", server.port());
@@ -380,7 +371,7 @@ TEST_P(ServerObsLoopback, ServerStatsStructMirrorsTheRegistry) {
   server.stop();
 }
 
-TEST_P(ServerObsLoopback, PhaseHistogramsReconcileWithTheSolveWindow) {
+TEST(ServerObsLoopback, PhaseHistogramsReconcileWithTheSolveWindow) {
   Server server{make_config()};
   server.start();
 
@@ -418,7 +409,7 @@ TEST_P(ServerObsLoopback, PhaseHistogramsReconcileWithTheSolveWindow) {
   server.stop();
 }
 
-TEST_P(ServerObsLoopback, SlowRequestCaptureLogsEveryRequestOverTheBound) {
+TEST(ServerObsLoopback, SlowRequestCaptureLogsEveryRequestOverTheBound) {
   ServerConfig cfg = make_config();
   cfg.slow_request_ns = 1;  // every served solve qualifies
   std::mutex mu;
@@ -465,7 +456,7 @@ TEST_P(ServerObsLoopback, SlowRequestCaptureLogsEveryRequestOverTheBound) {
   }
 }
 
-TEST_P(ServerObsLoopback, SlowRequestCaptureOffByDefault) {
+TEST(ServerObsLoopback, SlowRequestCaptureOffByDefault) {
   ServerConfig cfg = make_config();
   std::atomic<int> captured{0};
   cfg.slow_log_sink = [&](std::string_view) { captured.fetch_add(1); };
@@ -479,7 +470,7 @@ TEST_P(ServerObsLoopback, SlowRequestCaptureOffByDefault) {
   EXPECT_EQ(captured.load(), 0);
 }
 
-TEST_P(ServerObsLoopback, HealthAndReadinessProbesTrackTheServerLifecycle) {
+TEST(ServerObsLoopback, HealthAndReadinessProbesTrackTheServerLifecycle) {
   ServerConfig cfg = make_config();
   cfg.metrics_port = 0;
   cfg.engine = engine::EngineConfig{1, 1};  // one worker: queued work piles up
@@ -556,7 +547,7 @@ TEST_P(ServerObsLoopback, HealthAndReadinessProbesTrackTheServerLifecycle) {
   EXPECT_FALSE(server.running());
 }
 
-TEST_P(ServerObsLoopback, HeadRequestsGetHeadersOnlyWithTheGetContentLength) {
+TEST(ServerObsLoopback, HeadRequestsGetHeadersOnlyWithTheGetContentLength) {
   ServerConfig cfg = make_config();
   cfg.metrics_port = 0;
   Server server(cfg);

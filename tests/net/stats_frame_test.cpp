@@ -137,10 +137,11 @@ TEST(StatsResponseCodec, RoundTripsV2SpanTail) {
   EXPECT_EQ(reply.spans[0].phase_ns, span.phase_ns);  // sparse encoding is lossless
 }
 
-TEST(StatsResponseCodec, DecoderAcceptsVersion1SpansWithoutTail) {
-  // A v1 peer's span rows stop after response_ns. Synthesise one by
-  // rewriting the version field and stripping the (empty) v2 tail:
+TEST(StatsResponseCodec, DecoderRejectsVersion1) {
+  // A version-1 peer's span rows stop after response_ns. Synthesise one by
+  // rewriting the version field and stripping the (empty) version-2 tail:
   // u64 digest + u32 payload + u8 phase count = 13 bytes at the body end.
+  // Only kStatsSnapshotVersion decodes; the old layout is a protocol error.
   obs::TraceSpan span;
   span.request_id = 5;
   span.mode = 2;
@@ -149,15 +150,16 @@ TEST(StatsResponseCodec, DecoderAcceptsVersion1SpansWithoutTail) {
   body[9] = 1;  // u32 version sits after type + token, little-endian
   ASSERT_GE(body.size(), 13u);
   body.resize(body.size() - 13);
-
-  const StatsReply reply = decode_stats_response_body(body.data(), body.size());
-  EXPECT_EQ(reply.version, 1u);
-  ASSERT_EQ(reply.spans.size(), 1u);
-  EXPECT_EQ(reply.spans[0].request_id, 5u);
-  EXPECT_EQ(reply.spans[0].response_ns, 150u);
-  EXPECT_EQ(reply.spans[0].instance_digest, 0u);  // tail fields default
-  EXPECT_EQ(reply.spans[0].payload_bytes, 0u);
-  for (const auto ns : reply.spans[0].phase_ns) EXPECT_EQ(ns, 0u);
+  EXPECT_THROW(
+      {
+        try {
+          decode_stats_response_body(body.data(), body.size());
+        } catch (const NetError& e) {
+          EXPECT_EQ(e.code(), NetErrc::kProtocol);
+          throw;
+        }
+      },
+      NetError);
 }
 
 TEST(StatsResponseCodec, OutOfRangeSpanPhaseIndexThrowsProtocol) {

@@ -85,6 +85,18 @@ TEST_F(TimerWheelTest, NextWakeupIsEmptyOnlyWhenIdle) {
   EXPECT_FALSE(wheel.next_wakeup(t0_ + milliseconds(140)).has_value());
 }
 
+TEST_F(TimerWheelTest, OverdueWakeupIsZeroNotAHugeWait) {
+  TimerWheel wheel(t0_, milliseconds(20), 512);
+  wheel.schedule(t0_, milliseconds(0));
+  // The loop thread can fall behind the wheel between advance() and the
+  // next epoll_wait (descheduled, slow callbacks). An overdue slot must ask
+  // for an immediate wakeup; a wrapped-around "wait" would park the loop and
+  // lose the timer.
+  const auto wake = wheel.next_wakeup(t0_ + milliseconds(500));
+  ASSERT_TRUE(wake.has_value());
+  EXPECT_EQ(wake->count(), 0);
+}
+
 TEST_F(TimerWheelTest, ArmingAgainstAStaleCursorNeverFiresEarly) {
   TimerWheel wheel(t0_, milliseconds(20), 512);
   // Real time runs a full second ahead of the cursor before anything is

@@ -133,10 +133,10 @@ TEST(Executor, ActiveLanesCapsWithoutChangingResults) {
 TEST(Executor, ResizeKeepsReferencesValid) {
   Executor& ex = default_executor();
   const int original = ex.lanes();
-  set_default_lanes(3);
+  default_executor().resize(3);
   EXPECT_EQ(ex.lanes(), 3);  // same object, resized in place
   EXPECT_EQ(ex.parallel_count(10'000, [](std::size_t) { return true; }), 10'000u);
-  set_default_lanes(original);
+  default_executor().resize(original);
   EXPECT_EQ(ex.lanes(), original);
 }
 

@@ -1,4 +1,4 @@
-#include "net/chaos_proxy.hpp"
+#include "support/chaos_proxy.hpp"
 
 #include <algorithm>
 #include <utility>

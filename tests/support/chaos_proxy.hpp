@@ -17,9 +17,10 @@
 // them to hit a precise wire position, e.g. "reset mid-frame on the third
 // request".
 //
-// Scale: one relay thread per direction per connection (blocking sockets).
-// That is the threads-core cost model, which is fine — chaos tests run a
-// handful of connections, not ten thousand.
+// Scale: one relay thread per direction per connection (blocking sockets),
+// which is fine — chaos tests run a handful of connections, not ten
+// thousand. Test support only: built into a static target under tests/
+// that the chaos suite alone links, never into the shipped ncpm_net.
 
 #include <atomic>
 #include <chrono>
