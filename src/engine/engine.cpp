@@ -21,6 +21,15 @@ namespace {
 constexpr std::string_view kModeNames[kNumModes] = {
     "solve", "max-card", "fair", "rank-maximal", "count", "check", "next-stable"};
 
+/// Statuses a request can end in once it reached a worker: every Status
+/// before kRejected.
+constexpr std::size_t kCompletedStatuses = static_cast<std::size_t>(Status::kRejected);
+
+/// The ModeStats field each completed status is counted in.
+constexpr std::uint64_t ModeStats::*kStatusFields[kCompletedStatuses] = {
+    &ModeStats::ok,        &ModeStats::no_solution, &ModeStats::deadline_expired,
+    &ModeStats::cancelled, &ModeStats::invalid,     &ModeStats::errors};
+
 /// Modes whose algorithms are defined only for strict preference lists.
 bool requires_strict(Mode mode) {
   return mode == Mode::kMaxCard || mode == Mode::kFair || mode == Mode::kRankMaximal ||
@@ -166,8 +175,8 @@ std::string_view status_name(Status status) {
 /// forward declaration of obs::Registry.
 struct Engine::ObsHandles {
   obs::Counter* submitted[kNumModes];
-  obs::Counter* completed[kNumModes];
-  obs::Counter* rejected;
+  obs::Counter* completed[kNumModes][kCompletedStatuses];  ///< [mode][status]
+  obs::Counter* rejected[kNumModes];
   obs::Histogram* queue_ns[kNumModes];
   obs::Histogram* solve_ns[kNumModes];
   obs::Histogram* phase_ns[obs::kNumPhases];
@@ -180,47 +189,54 @@ Engine::Engine(EngineConfig config) : config_(config), start_(std::chrono::stead
   // indexes one stable list, and worker w's lanes start at offset
   // w * lanes_per_worker so distinct workers land on distinct CPUs.
   if (config_.pin_lanes && config_.cpu_set.empty()) config_.cpu_set = pram::allowed_cpus();
-  stats_.num_workers = config_.num_workers;
-  stats_.lanes_per_worker = config_.lanes_per_worker;
-  stats_.pin_lanes = config_.pin_lanes;
-  stats_.simd_tier = std::string(pram::simd_tier_name(pram::active_simd_tier()));
-  if (config_.registry != nullptr) {
-    obs::Registry& reg = *config_.registry;
-    obs_ = std::make_unique<ObsHandles>();
-    for (std::size_t m = 0; m < kNumModes; ++m) {
-      const obs::Labels labels{{"mode", std::string(kModeNames[m])}};
-      obs_->submitted[m] = &reg.counter("ncpm_engine_submitted_total",
-                                        "Requests accepted into the engine queue", labels);
-      obs_->completed[m] = &reg.counter(
-          "ncpm_engine_completed_total",
-          "Requests that reached a worker and produced any status", labels);
-      obs_->queue_ns[m] = &reg.histogram(
-          "ncpm_engine_queue_ns", "Submit-to-dequeue latency in nanoseconds", labels);
-      obs_->solve_ns[m] = &reg.histogram(
-          "ncpm_engine_solve_ns", "Dequeue-to-result latency in nanoseconds", labels);
-    }
-    obs_->rejected = &reg.counter("ncpm_engine_rejected_total",
-                                  "Requests abandoned at shutdown without a worker");
-    for (std::size_t p = 0; p < obs::kNumPhases; ++p) {
-      obs_->phase_ns[p] = &reg.histogram(
-          "ncpm_solve_phase_ns", "Exclusive solver time per phase in nanoseconds",
-          {{"phase", std::string(obs::phase_name(p))}});
-    }
-    reg.gauge("ncpm_engine_workers", "Worker thread count").set(config_.num_workers);
-    reg.gauge("ncpm_engine_lanes_per_worker", "Executor lanes inside each worker")
-        .set(config_.lanes_per_worker);
-    reg.gauge("ncpm_engine_simd_tier",
-              "Active SIMD dispatch tier (0 = scalar, 1 = sse2, 2 = avx2)")
-        .set(static_cast<std::int64_t>(pram::active_simd_tier()));
-    reg.gauge("ncpm_engine_pin_lanes", "1 when worker lanes are pinned to CPUs")
-        .set(config_.pin_lanes ? 1 : 0);
-    reg.gauge_callback(this, "ncpm_engine_queue_depth",
-                       "Requests queued but not yet picked up", {},
-                       [this] { return static_cast<std::int64_t>(queue_depth()); });
-    reg.gauge_callback(this, "ncpm_engine_outstanding",
-                       "Requests submitted but not yet fulfilled (queued + mid-solve)", {},
-                       [this] { return static_cast<std::int64_t>(outstanding()); });
+  if (config_.registry == nullptr) {
+    own_registry_ = std::make_unique<obs::Registry>();
+    config_.registry = own_registry_.get();
   }
+  obs::Registry& reg = *config_.registry;
+  obs_ = std::make_unique<ObsHandles>();
+  // Every series is registered up front so the hot path never takes the
+  // registry mutex. Completions and rejections register before submissions:
+  // snapshot() reads series in registration order, and reading a request's
+  // outcome before its submission keeps submitted >= completed + rejected in
+  // any snapshot taken mid-flight.
+  for (std::size_t m = 0; m < kNumModes; ++m) {
+    const std::string mode(kModeNames[m]);
+    for (std::size_t s = 0; s < kCompletedStatuses; ++s) {
+      obs_->completed[m][s] = &reg.counter(
+          "ncpm_engine_completed_total", "Requests that reached a worker, by final status",
+          {{"mode", mode}, {"status", std::string(status_name(static_cast<Status>(s)))}});
+    }
+    obs_->rejected[m] = &reg.counter("ncpm_engine_rejected_total",
+                                     "Requests abandoned at shutdown without a worker",
+                                     {{"mode", mode}});
+  }
+  for (std::size_t m = 0; m < kNumModes; ++m) {
+    const obs::Labels labels{{"mode", std::string(kModeNames[m])}};
+    obs_->submitted[m] = &reg.counter("ncpm_engine_submitted_total",
+                                      "Requests accepted into the engine queue", labels);
+    obs_->queue_ns[m] = &reg.histogram("ncpm_engine_queue_ns",
+                                       "Submit-to-dequeue latency in nanoseconds", labels);
+    obs_->solve_ns[m] = &reg.histogram("ncpm_engine_solve_ns",
+                                       "Dequeue-to-result latency in nanoseconds", labels);
+  }
+  for (std::size_t p = 0; p < obs::kNumPhases; ++p) {
+    obs_->phase_ns[p] = &reg.histogram("ncpm_solve_phase_ns",
+                                       "Exclusive solver time per phase in nanoseconds",
+                                       {{"phase", std::string(obs::phase_name(p))}});
+  }
+  reg.gauge("ncpm_engine_workers", "Worker thread count").set(config_.num_workers);
+  reg.gauge("ncpm_engine_lanes_per_worker", "Executor lanes inside each worker")
+      .set(config_.lanes_per_worker);
+  reg.gauge("ncpm_engine_simd_tier", "Active SIMD dispatch tier (0 = scalar, 1 = sse2, 2 = avx2)")
+      .set(static_cast<std::int64_t>(pram::active_simd_tier()));
+  reg.gauge("ncpm_engine_pin_lanes", "1 when worker lanes are pinned to CPUs")
+      .set(config_.pin_lanes ? 1 : 0);
+  reg.gauge_callback(this, "ncpm_engine_queue_depth", "Requests queued but not yet picked up",
+                     {}, [this] { return static_cast<std::int64_t>(queue_depth()); });
+  reg.gauge_callback(this, "ncpm_engine_outstanding",
+                     "Requests submitted but not yet fulfilled (queued + mid-solve)", {},
+                     [this] { return static_cast<std::int64_t>(outstanding()); });
   workers_.reserve(static_cast<std::size_t>(config_.num_workers));
   for (int i = 0; i < config_.num_workers; ++i) {
     workers_.push_back(std::make_unique<Worker>());
@@ -235,8 +251,8 @@ Engine::Engine(EngineConfig config) : config_(config), start_(std::chrono::stead
 Engine::~Engine() {
   shutdown(ShutdownMode::kDrain);
   // The callback gauges capture `this`; drop them before the engine's
-  // storage goes away (the registry itself outlives the engine by contract).
-  if (config_.registry != nullptr) config_.registry->remove_callbacks(this);
+  // storage goes away (a supplied registry outlives the engine by contract).
+  config_.registry->remove_callbacks(this);
 }
 
 void Engine::shutdown(ShutdownMode mode) {
@@ -267,16 +283,10 @@ void Engine::shutdown(ShutdownMode mode) {
 
 void Engine::enqueue_locked(Task&& task) {
   if (stopping_) throw std::runtime_error("engine: submit after shutdown");
-  if (obs_) obs_->submitted[static_cast<std::size_t>(task.request.mode)]->add(1);
+  obs_->submitted[static_cast<std::size_t>(task.request.mode)]->add(1);
   queue_.push_back(std::move(task));
   queue_depth_.fetch_add(1, std::memory_order_relaxed);
   outstanding_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.submitted;
-    ++stats_.per_mode[static_cast<std::size_t>(queue_.back().request.mode)].submitted;
-    if (queue_.size() > stats_.peak_queue_depth) stats_.peak_queue_depth = queue_.size();
-  }
 }
 
 std::future<Result> Engine::submit(Request request) {
@@ -330,47 +340,20 @@ void Engine::wait_idle() {
 }
 
 void Engine::record(const Result& result) {
-  const auto queue_ns = static_cast<std::uint64_t>(result.queue_latency.count());
-  const auto solve_ns = static_cast<std::uint64_t>(result.solve_time.count());
-  if (obs_) {
-    const auto m = static_cast<std::size_t>(result.mode);
-    if (result.status == Status::kRejected) {
-      obs_->rejected->add(1);
-    } else {
-      obs_->completed[m]->add(1);
-      obs_->queue_ns[m]->observe(queue_ns);
-      obs_->solve_ns[m]->observe(solve_ns);
-      for (std::size_t p = 0; p < obs::kNumPhases; ++p) {
-        // Only phases the request actually visited; a zero observation
-        // would drown the distributions in first-bucket noise.
-        if (result.phase_ns[p] != 0) obs_->phase_ns[p]->observe(result.phase_ns[p]);
-      }
-    }
-  }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  auto& mode = stats_.per_mode[static_cast<std::size_t>(result.mode)];
+  const auto m = static_cast<std::size_t>(result.mode);
   if (result.status == Status::kRejected) {
     // Never reached a worker: counts as rejected, not completed, and
     // contributes no latency.
-    ++stats_.rejected;
-    ++mode.rejected;
+    obs_->rejected[m]->add(1);
     return;
   }
-  ++stats_.completed;
-  ++mode.completed;
-  stats_.queue_ns_total += queue_ns;
-  stats_.solve_ns_total += solve_ns;
-  mode.queue_ns_total += queue_ns;
-  mode.solve_ns_total += solve_ns;
-  if (queue_ns > stats_.queue_ns_max) stats_.queue_ns_max = queue_ns;
-  switch (result.status) {
-    case Status::kOk: ++mode.ok; break;
-    case Status::kNoSolution: ++mode.no_solution; break;
-    case Status::kDeadlineExpired: ++mode.deadline_expired; break;
-    case Status::kCancelled: ++mode.cancelled; break;
-    case Status::kInvalid: ++mode.invalid; break;
-    case Status::kError: ++mode.errors; break;
-    case Status::kRejected: break;  // handled above
+  obs_->completed[m][static_cast<std::size_t>(result.status)]->add(1);
+  obs_->queue_ns[m]->observe(static_cast<std::uint64_t>(result.queue_latency.count()));
+  obs_->solve_ns[m]->observe(static_cast<std::uint64_t>(result.solve_time.count()));
+  for (std::size_t p = 0; p < obs::kNumPhases; ++p) {
+    // Only phases the request actually visited; a zero observation would
+    // drown the distributions in first-bucket noise.
+    if (result.phase_ns[p] != 0) obs_->phase_ns[p]->observe(result.phase_ns[p]);
   }
 }
 
@@ -464,9 +447,31 @@ void Engine::worker_main(int worker_id) {
 
 EngineStats Engine::stats() const {
   EngineStats snapshot;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    snapshot = stats_;
+  snapshot.num_workers = config_.num_workers;
+  snapshot.lanes_per_worker = config_.lanes_per_worker;
+  snapshot.pin_lanes = config_.pin_lanes;
+  snapshot.simd_tier = std::string(pram::simd_tier_name(pram::active_simd_tier()));
+  // Outcomes first, submissions second (see the constructor): a request is
+  // counted submitted before it can complete, so this order keeps
+  // submitted >= completed + rejected in a snapshot taken mid-flight.
+  for (std::size_t m = 0; m < kNumModes; ++m) {
+    ModeStats& mode = snapshot.per_mode[m];
+    for (std::size_t s = 0; s < kCompletedStatuses; ++s) {
+      mode.*kStatusFields[s] = obs_->completed[m][s]->value();
+      mode.completed += mode.*kStatusFields[s];
+    }
+    mode.rejected = obs_->rejected[m]->value();
+    mode.queue_ns_total = obs_->queue_ns[m]->sum();
+    mode.solve_ns_total = obs_->solve_ns[m]->sum();
+  }
+  for (std::size_t m = 0; m < kNumModes; ++m) {
+    ModeStats& mode = snapshot.per_mode[m];
+    mode.submitted = obs_->submitted[m]->value();
+    snapshot.submitted += mode.submitted;
+    snapshot.completed += mode.completed;
+    snapshot.rejected += mode.rejected;
+    snapshot.queue_ns_total += mode.queue_ns_total;
+    snapshot.solve_ns_total += mode.solve_ns_total;
   }
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -17,7 +17,10 @@
 // an expired or cancelled request is dropped without paying for its solve
 // (a solve already running is never preempted). Results carry per-request
 // timing (queue latency, solve time) plus the Algorithm 2 round/allocation
-// stats; `stats()` aggregates everything into an EngineStats snapshot.
+// stats. The engine keeps one set of books, its obs::Registry series
+// (per-mode submitted, completed-by-status and rejected counters, and
+// queue/solve latency histograms); `stats()` reads them back into an
+// EngineStats snapshot.
 //
 // Parallelism composes along two axes under one hardware budget: worker
 // count (batch concurrency) x executor lanes per worker (intra-solve
@@ -217,10 +220,13 @@ struct EngineConfig {
   /// CPUs to pin onto; empty = every CPU the process may run on
   /// (pram::allowed_cpus), resolved once at engine construction.
   std::vector<int> cpu_set;
-  /// Optional metrics registry. When set, the engine registers per-mode
-  /// submitted/completed counters, queue/solve latency histograms, and
-  /// queue-depth/outstanding callback gauges (removed again on destruction),
-  /// plus SIMD-tier and pinning gauges. The registry must outlive the engine.
+  /// Registry the engine keeps its books in; null = a private one the
+  /// engine owns. The engine registers per-mode submitted, completed
+  /// (labelled by status) and rejected counters, queue/solve latency
+  /// histograms, and queue-depth/outstanding callback gauges (removed again
+  /// on destruction), plus SIMD-tier and pinning gauges. stats() reads
+  /// these series, so engines sharing one registry share their counts. A
+  /// supplied registry must outlive the engine.
   obs::Registry* registry = nullptr;
   /// Attach a per-worker obs::PhaseAccum so solver layers record phase
   /// timings (Result::phase_ns, ncpm_solve_phase_ns histograms). Off, every
@@ -258,9 +264,7 @@ struct EngineStats {
   std::uint64_t completed = 0;
   std::uint64_t rejected = 0;  ///< abandoned at shutdown, futures fulfilled kRejected
   std::uint64_t queue_ns_total = 0;
-  std::uint64_t queue_ns_max = 0;
   std::uint64_t solve_ns_total = 0;
-  std::uint64_t peak_queue_depth = 0;
   std::uint64_t queue_depth = 0;  ///< requests waiting at snapshot time
   int active_workers = 0;         ///< workers mid-solve at snapshot time
   std::uint64_t uptime_ns = 0;  ///< since engine construction
@@ -270,12 +274,6 @@ struct EngineStats {
   /// (the steady-state guarantee, observable per worker).
   std::vector<std::uint64_t> workspace_allocs_per_worker;
   std::uint64_t workspace_allocs_total = 0;
-
-  /// Completed requests per second of engine uptime (0 when idle-fresh).
-  double completed_per_sec() const noexcept {
-    return uptime_ns == 0 ? 0.0
-                          : static_cast<double>(completed) * 1e9 / static_cast<double>(uptime_ns);
-  }
 };
 
 class Engine {
@@ -352,6 +350,7 @@ class Engine {
   struct ObsHandles;
 
   void worker_main(int worker_id);
+  /// Count a finished or abandoned request into the registry series.
   void record(const Result& result);
   /// record() + hand the result to the task's promise or callback.
   void fulfill(Task& task, Result&& result);
@@ -359,7 +358,9 @@ class Engine {
 
   EngineConfig config_;
   std::chrono::steady_clock::time_point start_;
-  std::unique_ptr<ObsHandles> obs_;  ///< null when config_.registry is null
+  /// Backs config_.registry when the caller supplied none.
+  std::unique_ptr<obs::Registry> own_registry_;
+  std::unique_ptr<ObsHandles> obs_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -373,9 +374,6 @@ class Engine {
   std::atomic<std::size_t> outstanding_{0};
 
   std::mutex shutdown_mu_;  ///< serialises concurrent shutdown() calls
-
-  mutable std::mutex stats_mu_;
-  EngineStats stats_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
 };

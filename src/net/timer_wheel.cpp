@@ -1,5 +1,7 @@
 #include "net/timer_wheel.hpp"
 
+#include <algorithm>
+
 namespace ncpm::net {
 
 TimerWheel::TimerWheel(Clock::time_point now, std::chrono::milliseconds tick,
@@ -27,32 +29,25 @@ TimerWheel::TimerId TimerWheel::schedule(Clock::time_point now, std::chrono::mil
   const auto rounds = static_cast<std::uint32_t>(ticks / slots_.size());
   const TimerId id = next_id_++;
   slots_[slot].push_back(Entry{id, rounds});
-  ++armed_;
+  live_.insert(id);
   return id;
 }
 
-void TimerWheel::cancel(TimerId id) {
-  if (id == 0 || id >= next_id_) return;
-  if (cancelled_.insert(id).second && armed_ > 0) --armed_;
-}
+void TimerWheel::cancel(TimerId id) { live_.erase(id); }
 
 void TimerWheel::advance(Clock::time_point now, std::vector<TimerId>& expired) {
   while (next_tick_time_ <= now) {
     auto& slot = slots_[cursor_];
     std::size_t keep = 0;
     for (auto& entry : slot) {
-      const auto it = cancelled_.find(entry.id);
-      if (it != cancelled_.end()) {
-        cancelled_.erase(it);  // armed_ was already decremented by cancel()
-        continue;
-      }
+      if (!live_.contains(entry.id)) continue;  // cancelled
       if (entry.rounds > 0) {
         --entry.rounds;
         slot[keep++] = entry;
         continue;
       }
       expired.push_back(entry.id);
-      --armed_;
+      live_.erase(entry.id);
     }
     slot.resize(keep);
     cursor_ = (cursor_ + 1) % slots_.size();
@@ -61,24 +56,20 @@ void TimerWheel::advance(Clock::time_point now, std::vector<TimerId>& expired) {
 }
 
 std::optional<std::chrono::milliseconds> TimerWheel::next_wakeup(Clock::time_point now) const {
-  if (armed_ == 0) return std::nullopt;
+  if (live_.empty()) return std::nullopt;
   for (std::size_t step = 0; step < slots_.size(); ++step) {
     const auto& slot = slots_[(cursor_ + step) % slots_.size()];
-    bool live = false;
-    for (const auto& entry : slot) {
-      if (cancelled_.find(entry.id) == cancelled_.end()) {
-        live = true;
-        break;
-      }
+    if (std::none_of(slot.begin(), slot.end(),
+                     [&](const Entry& entry) { return live_.contains(entry.id); })) {
+      continue;
     }
-    if (!live) continue;
     // Signed step: a size_t factor would make the whole sum unsigned, and an
     // overdue slot's negative wait would wrap to ~584 years.
     const auto due = next_tick_time_ + static_cast<std::int64_t>(step) * tick_;
     const auto wait = std::chrono::duration_cast<std::chrono::milliseconds>(due - now);
     return wait.count() < 0 ? std::chrono::milliseconds(0) : wait;
   }
-  // armed_ > 0 but every entry is multi-round: wake at the next revolution.
+  // Live timers, but every entry is multi-round: wake at the next revolution.
   return std::chrono::duration_cast<std::chrono::milliseconds>(next_tick_time_ - now) +
          std::chrono::milliseconds(static_cast<long>(slots_.size()) * tick_.count());
 }

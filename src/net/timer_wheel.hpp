@@ -43,8 +43,9 @@ class TimerWheel {
   /// `now + delay` no matter how far behind the cursor is.
   TimerId schedule(Clock::time_point now, std::chrono::milliseconds delay);
 
-  /// Lazy cancel: the entry is dropped when its slot is next visited.
-  /// Cancelling an unknown/already-fired id is a no-op.
+  /// Lazy cancel: the id stops being live at once, and its entry is dropped
+  /// when its slot is next visited. Cancelling an unknown/already-fired id
+  /// is a no-op.
   void cancel(TimerId id);
 
   /// Advance the wheel to `now`, appending every id that expired (in slot
@@ -57,7 +58,7 @@ class TimerWheel {
   /// wakeup — at most one spurious wakeup per revolution.
   std::optional<std::chrono::milliseconds> next_wakeup(Clock::time_point now) const;
 
-  std::size_t armed() const noexcept { return armed_; }
+  std::size_t armed() const noexcept { return live_.size(); }
 
  private:
   struct Entry {
@@ -70,8 +71,9 @@ class TimerWheel {
   std::size_t cursor_ = 0;             ///< slot advance() will visit next
   Clock::time_point next_tick_time_;   ///< when slots_[cursor_] comes due
   TimerId next_id_ = 1;
-  std::size_t armed_ = 0;              ///< live (scheduled minus fired/cancelled)
-  std::unordered_set<TimerId> cancelled_;
+  /// Ids scheduled and neither fired nor cancelled; a slot entry whose id
+  /// is missing here is a cancelled leftover.
+  std::unordered_set<TimerId> live_;
 };
 
 }  // namespace ncpm::net

@@ -4,16 +4,20 @@
 // Properties: no data race (TSan), counters only move forward, every
 // intermediate snapshot satisfies submitted >= completed + rejected, and
 // at quiesce the books balance exactly: submitted == completed + rejected
-// and nothing is outstanding.
+// and nothing is outstanding. The EngineBooks tests drive every status and
+// check that EngineStats reads back exactly the registry's labelled series.
 
 #include "engine/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gen/generators.hpp"
@@ -55,8 +59,8 @@ TEST(EngineStatsRace, ConcurrentScrapesDuringSubmitStormStayConsistent) {
       std::uint64_t last_submitted = 0;
       std::uint64_t last_completed = 0;
       while (!storm_done.load(std::memory_order_acquire)) {
-        // Both scrape surfaces, interleaved: the locked EngineStats and the
-        // wait-free registry counters.
+        // Both scrape surfaces, interleaved: EngineStats (read back from the
+        // engine's own series) and a whole registry snapshot.
         const EngineStats stats = engine.stats();
         ASSERT_GE(stats.submitted, stats.completed + stats.rejected);
         ASSERT_GE(stats.submitted, last_submitted);
@@ -121,6 +125,165 @@ TEST(EngineStatsRace, ConcurrentScrapesDuringSubmitStormStayConsistent) {
   EXPECT_EQ(observed, kTotal);
 
   engine.shutdown();
+}
+
+// --- One book: EngineStats is read back from the registry series ---------
+
+std::uint64_t series_value(const obs::Snapshot& snap, const std::string& name,
+                           const obs::Labels& labels) {
+  for (const auto& c : snap.counters) {
+    if (c.name == name && c.labels == labels) return c.value;
+  }
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
+}
+
+std::uint64_t histogram_total(const obs::Snapshot& snap, const std::string& name,
+                              const std::string& mode) {
+  for (const auto& h : snap.histograms) {
+    if (h.name == name && h.labels == obs::Labels{{"mode", mode}}) return h.sum;
+  }
+  ADD_FAILURE() << "no histogram " << name;
+  return 0;
+}
+
+/// Holds the single worker inside a completion callback until released.
+struct WorkerGate {
+  std::promise<void> entered;
+  std::promise<void> released;
+  std::shared_future<void> release_signal{released.get_future().share()};
+};
+
+/// Drives a one-worker engine through every status a request can end in
+/// except kError (no solver input makes one throw):
+///   solve:       2 ok (one is the gate request), 1 no-solution, 1 invalid
+///   max-card:    1 deadline-expired
+///   fair:        1 cancelled
+///   next-stable: 1 invalid
+///   count:       1 ok, then 3 rejected by shutdown(kAbandon)
+void drive_every_status(Engine& engine) {
+  gen::SolvableConfig icfg;
+  icfg.num_applicants = 12;
+  icfg.num_posts = 30;
+  icfg.seed = 5;
+  const auto inst = gen::solvable_strict_instance(icfg);
+
+  std::vector<std::future<Result>> done;
+  done.push_back(engine.submit(Request::popular(Mode::kSolve, inst)));
+  done.push_back(engine.submit(Request::popular(Mode::kCount, inst)));
+  done.push_back(engine.submit(Request::popular(Mode::kSolve, gen::contention_instance(7))));
+  done.push_back(engine.submit(Request{}));  // kSolve without an instance
+  Request stable_without_instance;
+  stable_without_instance.mode = Mode::kNextStable;
+  done.push_back(engine.submit(std::move(stable_without_instance)));
+  auto late = Request::popular(Mode::kMaxCard, inst);
+  late.deadline = std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  done.push_back(engine.submit(std::move(late)));
+  CancelToken token;
+  token.cancel();
+  done.push_back(engine.submit(Request::popular(Mode::kFair, inst).with_cancel(token)));
+  const Status expected[] = {Status::kOk,      Status::kOk,           Status::kNoSolution,
+                             Status::kInvalid, Status::kInvalid,      Status::kDeadlineExpired,
+                             Status::kCancelled};
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    ASSERT_EQ(done[i].get().status, expected[i]) << "request " << i;
+  }
+
+  // Park the worker, queue three requests behind it, and abandon them.
+  WorkerGate gate;
+  engine.submit(Request::popular(Mode::kSolve, inst), [&](Result) {
+    gate.entered.set_value();
+    gate.release_signal.wait();
+  });
+  gate.entered.get_future().wait();
+  std::vector<std::future<Result>> queued;
+  for (int i = 0; i < 3; ++i) queued.push_back(engine.submit(Request::popular(Mode::kCount, inst)));
+  std::thread shutter([&] { engine.shutdown(Engine::ShutdownMode::kAbandon); });
+  for (auto& f : queued) ASSERT_EQ(f.get().status, Status::kRejected);
+  gate.released.set_value();
+  shutter.join();
+}
+
+void expect_every_status_counted(const EngineStats& stats) {
+  const auto& solve = stats.per_mode[static_cast<std::size_t>(Mode::kSolve)];
+  EXPECT_EQ(solve.submitted, 4u);
+  EXPECT_EQ(solve.ok, 2u);
+  EXPECT_EQ(solve.no_solution, 1u);
+  EXPECT_EQ(solve.invalid, 1u);
+  EXPECT_EQ(solve.completed, 4u);
+  const auto& max_card = stats.per_mode[static_cast<std::size_t>(Mode::kMaxCard)];
+  EXPECT_EQ(max_card.deadline_expired, 1u);
+  EXPECT_EQ(max_card.completed, 1u);
+  const auto& fair = stats.per_mode[static_cast<std::size_t>(Mode::kFair)];
+  EXPECT_EQ(fair.cancelled, 1u);
+  EXPECT_EQ(fair.completed, 1u);
+  const auto& next_stable = stats.per_mode[static_cast<std::size_t>(Mode::kNextStable)];
+  EXPECT_EQ(next_stable.invalid, 1u);
+  const auto& count = stats.per_mode[static_cast<std::size_t>(Mode::kCount)];
+  EXPECT_EQ(count.submitted, 4u);
+  EXPECT_EQ(count.ok, 1u);
+  EXPECT_EQ(count.completed, 1u);
+  EXPECT_EQ(count.rejected, 3u);
+  EXPECT_EQ(stats.submitted, 11u);
+  EXPECT_EQ(stats.completed, 8u);
+  EXPECT_EQ(stats.rejected, 3u);
+  std::uint64_t errors = 0;
+  for (const auto& mode : stats.per_mode) errors += mode.errors;
+  EXPECT_EQ(errors, 0u);
+  // Latency totals cover completed requests only; something took time.
+  EXPECT_GT(stats.solve_ns_total, 0u);
+}
+
+TEST(EngineBooks, StatsMatchTheSuppliedRegistryToTheUnit) {
+  obs::Registry registry;
+  EngineConfig cfg{1, 1};
+  cfg.registry = &registry;
+  Engine engine(cfg);
+  drive_every_status(engine);
+
+  const EngineStats stats = engine.stats();
+  expect_every_status_counted(stats);
+  const obs::Snapshot snap = registry.snapshot();
+  std::uint64_t queue_ns = 0;
+  std::uint64_t solve_ns = 0;
+  for (std::size_t m = 0; m < kNumModes; ++m) {
+    const std::string mode(mode_name(static_cast<Mode>(m)));
+    const ModeStats& book = stats.per_mode[m];
+    SCOPED_TRACE(mode);
+    EXPECT_EQ(book.submitted, series_value(snap, "ncpm_engine_submitted_total", {{"mode", mode}}));
+    EXPECT_EQ(book.rejected, series_value(snap, "ncpm_engine_rejected_total", {{"mode", mode}}));
+    const std::pair<Status, std::uint64_t> by_status[] = {
+        {Status::kOk, book.ok},
+        {Status::kNoSolution, book.no_solution},
+        {Status::kDeadlineExpired, book.deadline_expired},
+        {Status::kCancelled, book.cancelled},
+        {Status::kInvalid, book.invalid},
+        {Status::kError, book.errors}};
+    std::uint64_t completed = 0;
+    for (const auto& [status, count] : by_status) {
+      const auto series = series_value(
+          snap, "ncpm_engine_completed_total",
+          {{"mode", mode}, {"status", std::string(status_name(status))}});
+      EXPECT_EQ(count, series) << status_name(status);
+      completed += series;
+    }
+    EXPECT_EQ(book.completed, completed);
+    EXPECT_EQ(book.queue_ns_total, histogram_total(snap, "ncpm_engine_queue_ns", mode));
+    EXPECT_EQ(book.solve_ns_total, histogram_total(snap, "ncpm_engine_solve_ns", mode));
+    queue_ns += book.queue_ns_total;
+    solve_ns += book.solve_ns_total;
+  }
+  EXPECT_EQ(stats.queue_ns_total, queue_ns);
+  EXPECT_EQ(stats.solve_ns_total, solve_ns);
+  EXPECT_EQ(counter_sum(snap, "ncpm_engine_submitted_total"), stats.submitted);
+  EXPECT_EQ(counter_sum(snap, "ncpm_engine_completed_total"), stats.completed);
+  EXPECT_EQ(counter_sum(snap, "ncpm_engine_rejected_total"), stats.rejected);
+}
+
+TEST(EngineBooks, StatsCountEveryStatusWithoutARegistry) {
+  Engine engine(EngineConfig{1, 1});
+  drive_every_status(engine);
+  expect_every_status_counted(engine.stats());
 }
 
 TEST(EngineStatsRace, CallbackGaugesDeregisterBeforeTheEngineDies) {

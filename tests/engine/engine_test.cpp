@@ -284,7 +284,6 @@ TEST(Engine, StatsAccumulatePerMode) {
   EXPECT_EQ(stats.per_mode[static_cast<std::size_t>(Mode::kSolve)].submitted, 6u);
   EXPECT_EQ(stats.per_mode[static_cast<std::size_t>(Mode::kSolve)].ok, 6u);
   EXPECT_EQ(stats.per_mode[static_cast<std::size_t>(Mode::kCount)].ok, 3u);
-  EXPECT_GE(stats.peak_queue_depth, 1u);
   EXPECT_EQ(stats.workspace_allocs_per_worker.size(), 2u);
   EXPECT_GT(stats.uptime_ns, 0u);
   // Some worker solved something, so some workspace warmed up.

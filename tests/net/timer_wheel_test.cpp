@@ -59,6 +59,28 @@ TEST_F(TimerWheelTest, CancelledTimersNeverFire) {
   wheel.cancel(12345);  // as is cancelling an unknown one
 }
 
+TEST_F(TimerWheelTest, CancelAfterFireKeepsOtherTimersArmed) {
+  // A session can cancel a timer that expired in the same advance() batch
+  // (its finish() runs from another timer's callback). That cancel must not
+  // count against the timers still armed, or the loop would see an empty
+  // wheel and sleep past the long timer.
+  TimerWheel wheel(t0_, milliseconds(10), 8);
+  const auto short_id = wheel.schedule(t0_, milliseconds(10));
+  const auto long_id = wheel.schedule(t0_, milliseconds(500));
+  const auto fired = advance_to(wheel, milliseconds(30));
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0], short_id);
+  wheel.cancel(short_id);
+  EXPECT_EQ(wheel.armed(), 1u);
+  const auto wake = wheel.next_wakeup(t0_ + milliseconds(30));
+  ASSERT_TRUE(wake.has_value());
+  EXPECT_LE(wake->count(), 480);
+  const auto later = advance_to(wheel, milliseconds(520));
+  ASSERT_EQ(later.size(), 1u);
+  EXPECT_EQ(later[0], long_id);
+  EXPECT_EQ(wheel.armed(), 0u);
+}
+
 TEST_F(TimerWheelTest, DelaysBeyondOneRevolutionSurvive) {
   // 8 slots x 20ms = 160ms revolution; 500ms rides the wheel 3 times.
   TimerWheel wheel(t0_, milliseconds(20), 8);
