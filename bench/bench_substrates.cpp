@@ -22,9 +22,9 @@ namespace {
 
 // A/B harness for the SIMD substrate: arg "simd" = 0 forces the scalar tier
 // for the duration of the benchmark, 1 leaves runtime dispatch in charge.
-// The active tier lands in the "simd_tier" counter (0 scalar / 1 sse2 /
-// 2 avx2) so result JSON self-describes which series is which; on a machine
-// without vector units both series legitimately coincide.
+// The active tier lands in the "simd_tier" counter (0 scalar / 2 avx2) so
+// result JSON self-describes which series is which; on a machine without
+// AVX2 both series legitimately coincide.
 struct SimdAB {
   explicit SimdAB(benchmark::State& state) {
     if (state.range(1) == 0) ncpm::pram::force_simd_tier(ncpm::pram::SimdTier::kScalar);

@@ -228,7 +228,7 @@ Engine::Engine(EngineConfig config) : config_(config), start_(std::chrono::stead
   reg.gauge("ncpm_engine_workers", "Worker thread count").set(config_.num_workers);
   reg.gauge("ncpm_engine_lanes_per_worker", "Executor lanes inside each worker")
       .set(config_.lanes_per_worker);
-  reg.gauge("ncpm_engine_simd_tier", "Active SIMD dispatch tier (0 = scalar, 1 = sse2, 2 = avx2)")
+  reg.gauge("ncpm_engine_simd_tier", "Active SIMD dispatch tier (0 = scalar, 2 = avx2)")
       .set(static_cast<std::int64_t>(pram::active_simd_tier()));
   reg.gauge("ncpm_engine_pin_lanes", "1 when worker lanes are pinned to CPUs")
       .set(config_.pin_lanes ? 1 : 0);

@@ -257,7 +257,7 @@ struct EngineStats {
   int num_workers = 0;
   int lanes_per_worker = 0;  ///< executor width inside each worker
   bool pin_lanes = false;    ///< lane pinning requested and supported
-  /// Active SIMD kernel tier ("avx2" / "sse2" / "scalar") at snapshot time
+  /// Active SIMD kernel tier ("avx2" / "scalar") at snapshot time
   /// — detected at startup, capped by NCPM_SIMD.
   std::string simd_tier;
   std::uint64_t submitted = 0;

@@ -2,13 +2,7 @@
 
 #include <bit>
 
-#if defined(__x86_64__) || defined(_M_X64)
-#define NCPM_SIMD_X86 1
-#include <immintrin.h>
-#define NCPM_TARGET_AVX2 __attribute__((target("avx2")))
-#else
-#define NCPM_SIMD_X86 0
-#endif
+#include "pram/simd_kernel.hpp"
 
 namespace ncpm::linalg::gf2k {
 namespace {
@@ -59,83 +53,6 @@ std::size_t mask_nonzero_count_scalar(const std::uint8_t* mask, std::size_t n) n
 }
 
 #if NCPM_SIMD_X86
-
-// ---------------------------------------------------------------------------
-// SSE2 tier
-
-void row_xor_sse2(std::uint64_t* dst, const std::uint64_t* src,
-                  std::size_t n) noexcept {
-  std::size_t w = 0;
-  for (; w + 2 <= n; w += 2) {
-    __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + w));
-    __m128i s = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + w));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + w), _mm_xor_si128(d, s));
-  }
-  row_xor_scalar(dst + w, src + w, n - w);
-}
-
-void row_or_sse2(std::uint64_t* dst, const std::uint64_t* src,
-                 std::size_t n) noexcept {
-  std::size_t w = 0;
-  for (; w + 2 <= n; w += 2) {
-    __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + w));
-    __m128i s = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + w));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + w), _mm_or_si128(d, s));
-  }
-  row_or_scalar(dst + w, src + w, n - w);
-}
-
-// SSE2 has no pshufb for the nibble LUT; the hardware popcnt via
-// std::popcount is already the fast path here.
-
-std::uint64_t popcount_words_sse2(const std::uint64_t* a, std::size_t n) noexcept {
-  std::uint64_t c0 = 0, c1 = 0;
-  std::size_t w = 0;
-  for (; w + 2 <= n; w += 2) {
-    c0 += static_cast<std::uint64_t>(std::popcount(a[w]));
-    c1 += static_cast<std::uint64_t>(std::popcount(a[w + 1]));
-  }
-  return c0 + c1 + popcount_words_scalar(a + w, n - w);
-}
-
-std::uint64_t and_popcount_sse2(const std::uint64_t* a, const std::uint64_t* b,
-                                std::size_t n) noexcept {
-  std::uint64_t c0 = 0, c1 = 0;
-  std::size_t w = 0;
-  for (; w + 2 <= n; w += 2) {
-    c0 += static_cast<std::uint64_t>(std::popcount(a[w] & b[w]));
-    c1 += static_cast<std::uint64_t>(std::popcount(a[w + 1] & b[w + 1]));
-  }
-  return c0 + c1 + and_popcount_scalar(a + w, b + w, n - w);
-}
-
-std::size_t find_pivot_sse2(const std::uint64_t* words, std::size_t stride,
-                            std::size_t word_index, std::uint64_t mask,
-                            std::size_t row_begin, std::size_t row_end) noexcept {
-  std::size_t r = row_begin;
-  const std::uint64_t* p = words + row_begin * stride + word_index;
-  for (; r + 4 <= row_end; r += 4, p += 4 * stride) {
-    if (((p[0] | p[stride] | p[2 * stride] | p[3 * stride]) & mask) != 0) {
-      if ((p[0] & mask) != 0) return r;
-      if ((p[stride] & mask) != 0) return r + 1;
-      if ((p[2 * stride] & mask) != 0) return r + 2;
-      return r + 3;
-    }
-  }
-  return find_pivot_scalar(words, stride, word_index, mask, r, row_end);
-}
-
-std::size_t mask_nonzero_count_sse2(const std::uint8_t* mask, std::size_t n) noexcept {
-  const __m128i zero = _mm_setzero_si128();
-  std::size_t c = 0;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(mask + i));
-    const int zeros = _mm_movemask_epi8(_mm_cmpeq_epi8(b, zero));
-    c += 16 - static_cast<std::size_t>(std::popcount(static_cast<unsigned>(zeros)));
-  }
-  return c + mask_nonzero_count_scalar(mask + i, n - i);
-}
 
 // ---------------------------------------------------------------------------
 // AVX2 tier
@@ -258,29 +175,7 @@ std::size_t mask_nonzero_count_avx2(const std::uint8_t* mask, std::size_t n) noe
 
 #endif  // NCPM_SIMD_X86
 
-SimdTier clamp(SimdTier tier) noexcept {
-  const auto detected = pram::detected_simd_tier();
-  return static_cast<int>(tier) > static_cast<int>(detected) ? detected : tier;
-}
-
 }  // namespace
-
-#if NCPM_SIMD_X86
-#define NCPM_DISPATCH(fn, ...)       \
-  switch (clamp(tier)) {             \
-    case SimdTier::kAvx2:            \
-      return fn##_avx2(__VA_ARGS__); \
-    case SimdTier::kSse2:            \
-      return fn##_sse2(__VA_ARGS__); \
-    case SimdTier::kScalar:          \
-      break;                         \
-  }                                  \
-  return fn##_scalar(__VA_ARGS__)
-#else
-#define NCPM_DISPATCH(fn, ...) \
-  (void)clamp(tier);           \
-  return fn##_scalar(__VA_ARGS__)
-#endif
 
 void row_xor(SimdTier tier, std::uint64_t* dst, const std::uint64_t* src,
              std::size_t n) noexcept {
@@ -312,7 +207,5 @@ std::size_t mask_nonzero_count(SimdTier tier, const std::uint8_t* mask,
                                std::size_t n) noexcept {
   NCPM_DISPATCH(mask_nonzero_count, mask, n);
 }
-
-#undef NCPM_DISPATCH
 
 }  // namespace ncpm::linalg::gf2k

@@ -3,15 +3,13 @@
 //
 // Everything `BitMatrix` does per row — XOR/OR a row into another,
 // popcount, probe a pivot column — bottoms out in one of these kernels.
-// They follow the tier contract of pram/simd.hpp: AVX2/SSE2/scalar
+// They follow the tier contract of pram/simd.hpp: AVX2 and scalar
 // variants, selected by `pram::active_simd_tier()` (or an explicit tier
-// for the parity tests), every tier bit-exact against scalar, tails
+// for the parity tests), the AVX2 tier bit-exact against scalar, tails
 // handled by the scalar loop so nothing reads past the span.
 //
 // The AVX2 popcount is the classic nibble-LUT + psadbw reduction (AVX2
-// has no vpopcntq); SSE2 lacks pshufb, so its popcount tier and the
-// strided pivot probe fall back to unrolled scalar — parity, not speed,
-// is the guarantee there.
+// has no vpopcntq); the strided pivot probe is a 4-row gather.
 
 #include <cstddef>
 #include <cstdint>

@@ -23,8 +23,8 @@
 // their scratch is leased from.
 //
 // The doubling rounds themselves run through the pram/simd.hpp gather
-// kernels (AVX2 uses vpgather; SSE2/scalar are unrolled loops) — every
-// tier is bit-exact, so results don't depend on NCPM_SIMD.
+// kernels (AVX2 uses vpgather; scalar is a plain loop) — both tiers are
+// bit-exact, so results don't depend on NCPM_SIMD.
 
 #include <cstddef>
 #include <cstdint>

@@ -15,9 +15,9 @@
 // exact, so results are bit-identical for every executor width even though
 // the internal blocking follows the lane count.
 //
-// The per-block loops run through the pram/simd.hpp kernels (AVX2/SSE2/
-// scalar, runtime-dispatched); every tier is bit-exact against scalar, so
-// results are also identical across SIMD tiers and NCPM_SIMD settings.
+// The per-block loops run through the pram/simd.hpp kernels (AVX2 or
+// scalar, runtime-dispatched); the AVX2 tier is bit-exact against scalar,
+// so results are also identical across SIMD tiers and NCPM_SIMD settings.
 
 #include <cstddef>
 #include <cstdint>

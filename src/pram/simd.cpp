@@ -4,17 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#if defined(__x86_64__) || defined(_M_X64)
-#define NCPM_SIMD_X86 1
-#include <immintrin.h>
-// AVX2 bodies carry a per-function target attribute so the translation
-// unit compiles without -mavx2; the dispatcher only reaches them after a
-// CPUID check (or when the caller's explicit tier was clamped to the
-// detected one).
-#define NCPM_TARGET_AVX2 __attribute__((target("avx2")))
-#else
-#define NCPM_SIMD_X86 0
-#endif
+#include "pram/simd_kernel.hpp"
 
 namespace ncpm::pram {
 
@@ -23,59 +13,55 @@ namespace ncpm::pram {
 
 namespace {
 
-int detect_tier_raw() noexcept {
-#if NCPM_SIMD_X86
-  if (__builtin_cpu_supports("avx2")) return static_cast<int>(SimdTier::kAvx2);
-  return static_cast<int>(SimdTier::kSse2);  // baseline on x86-64
-#else
-  return static_cast<int>(SimdTier::kScalar);
-#endif
-}
+std::atomic<int> g_forced{-1};  // -1 = no force_simd_tier() override
 
-std::atomic<int> g_forced{-1};      // -1 = no force_simd_tier() override
-std::atomic<int> g_env_capped{-1};  // -1 = NCPM_SIMD not read yet
-
-int env_capped_tier() noexcept {
-  int cached = g_env_capped.load(std::memory_order_relaxed);
-  if (cached >= 0) return cached;
-  int tier = static_cast<int>(detected_simd_tier());
-  if (const char* env = std::getenv("NCPM_SIMD")) {
-    if (const auto parsed = parse_simd_tier(env)) {
-      if (static_cast<int>(*parsed) < tier) tier = static_cast<int>(*parsed);
-    } else {
-      std::fprintf(stderr,
-                   "ncpm: ignoring unknown NCPM_SIMD value '%s' "
-                   "(expected avx2|sse2|scalar)\n",
-                   env);
+// The detected tier capped by NCPM_SIMD, resolved on first use. The
+// function-local static makes that resolution, and its warning, happen
+// exactly once even when several threads reach it at the same time.
+SimdTier env_capped_tier() noexcept {
+  static const SimdTier tier = [] {
+    const char* env = std::getenv("NCPM_SIMD");
+    if (env == nullptr) return detected_simd_tier();
+    const std::string_view value = env;
+    if (value == "sse2") {
+      // A request for SSE2 is a request for no AVX2: honour it with scalar.
+      std::fprintf(stderr, "ncpm: NCPM_SIMD=sse2 is an alias for scalar\n");
+      return SimdTier::kScalar;
     }
-  }
-  // Benign race: every thread computes the same value.
-  g_env_capped.store(tier, std::memory_order_relaxed);
+    if (const auto parsed = parse_simd_tier(value)) return clamp_simd_tier(*parsed);
+    std::fprintf(stderr,
+                 "ncpm: ignoring unknown NCPM_SIMD value '%s' "
+                 "(expected avx2|scalar)\n",
+                 env);
+    return detected_simd_tier();
+  }();
   return tier;
-}
-
-SimdTier clamp_to_detected(SimdTier tier) noexcept {
-  const int detected = static_cast<int>(detected_simd_tier());
-  const int want = static_cast<int>(tier);
-  return want > detected ? static_cast<SimdTier>(detected) : tier;
 }
 
 }  // namespace
 
 SimdTier detected_simd_tier() noexcept {
-  static const int tier = detect_tier_raw();
-  return static_cast<SimdTier>(tier);
+#if NCPM_SIMD_X86
+  static const SimdTier tier =
+      __builtin_cpu_supports("avx2") ? SimdTier::kAvx2 : SimdTier::kScalar;
+  return tier;
+#else
+  return SimdTier::kScalar;
+#endif
+}
+
+SimdTier clamp_simd_tier(SimdTier tier) noexcept {
+  return detected_simd_tier() == SimdTier::kAvx2 ? tier : SimdTier::kScalar;
 }
 
 SimdTier active_simd_tier() noexcept {
   const int forced = g_forced.load(std::memory_order_relaxed);
   if (forced >= 0) return static_cast<SimdTier>(forced);
-  return static_cast<SimdTier>(env_capped_tier());
+  return env_capped_tier();
 }
 
 void force_simd_tier(SimdTier tier) noexcept {
-  g_forced.store(static_cast<int>(clamp_to_detected(tier)),
-                 std::memory_order_relaxed);
+  g_forced.store(static_cast<int>(clamp_simd_tier(tier)), std::memory_order_relaxed);
 }
 
 void clear_forced_simd_tier() noexcept {
@@ -83,20 +69,11 @@ void clear_forced_simd_tier() noexcept {
 }
 
 std::string_view simd_tier_name(SimdTier tier) noexcept {
-  switch (tier) {
-    case SimdTier::kAvx2:
-      return "avx2";
-    case SimdTier::kSse2:
-      return "sse2";
-    case SimdTier::kScalar:
-      return "scalar";
-  }
-  return "scalar";
+  return tier == SimdTier::kAvx2 ? "avx2" : "scalar";
 }
 
 std::optional<SimdTier> parse_simd_tier(std::string_view name) noexcept {
   if (name == "avx2") return SimdTier::kAvx2;
-  if (name == "sse2") return SimdTier::kSse2;
   if (name == "scalar") return SimdTier::kScalar;
   return std::nullopt;
 }
@@ -107,7 +84,7 @@ namespace {
 // ---------------------------------------------------------------------------
 // Scalar tier
 //
-// These are the reference semantics every other tier must reproduce
+// These are the reference semantics the AVX2 tier must reproduce
 // bit-for-bit. Sums and scans run in the corresponding unsigned type so
 // overflow wraps mod 2^w in every tier (and matches what the signed
 // wrappers produce on this target).
@@ -174,141 +151,6 @@ void list_rank_round_scalar(const std::int32_t* head, const std::int64_t* rank,
 }
 
 #if NCPM_SIMD_X86
-
-// ---------------------------------------------------------------------------
-// SSE2 tier (baseline on x86-64, no target attribute needed)
-
-std::uint32_t sum_u32_sse2(const std::uint32_t* x, std::size_t n) noexcept {
-  __m128i acc = _mm_setzero_si128();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm_add_epi32(acc,
-                        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i)));
-  }
-  acc = _mm_add_epi32(acc, _mm_shuffle_epi32(acc, _MM_SHUFFLE(1, 0, 3, 2)));
-  acc = _mm_add_epi32(acc, _mm_shuffle_epi32(acc, _MM_SHUFFLE(2, 3, 0, 1)));
-  std::uint32_t r = static_cast<std::uint32_t>(_mm_cvtsi128_si32(acc));
-  for (; i < n; ++i) r += x[i];
-  return r;
-}
-
-std::uint64_t sum_u64_sse2(const std::uint64_t* x, std::size_t n) noexcept {
-  __m128i acc = _mm_setzero_si128();
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    acc = _mm_add_epi64(acc,
-                        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i)));
-  }
-  std::uint64_t r =
-      static_cast<std::uint64_t>(_mm_cvtsi128_si64(acc)) +
-      static_cast<std::uint64_t>(_mm_cvtsi128_si64(_mm_unpackhi_epi64(acc, acc)));
-  for (; i < n; ++i) r += x[i];
-  return r;
-}
-
-std::uint32_t exscan_u32_sse2(const std::uint32_t* in, std::uint32_t* out,
-                              std::size_t n, std::uint32_t carry) noexcept {
-  std::size_t i = 0;
-  __m128i vcarry = _mm_set1_epi32(static_cast<int>(carry));
-  for (; i + 4 <= n; i += 4) {
-    __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i));
-    __m128i s = _mm_add_epi32(x, _mm_slli_si128(x, 4));
-    s = _mm_add_epi32(s, _mm_slli_si128(s, 8));  // inclusive prefix of block
-    __m128i excl = _mm_add_epi32(_mm_slli_si128(s, 4), vcarry);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), excl);
-    carry += static_cast<std::uint32_t>(
-        _mm_cvtsi128_si32(_mm_shuffle_epi32(s, _MM_SHUFFLE(3, 3, 3, 3))));
-    vcarry = _mm_set1_epi32(static_cast<int>(carry));
-  }
-  return exscan_u32_scalar(in + i, out + i, n - i, carry);
-}
-
-std::uint64_t exscan_u64_sse2(const std::uint64_t* in, std::uint64_t* out,
-                              std::size_t n, std::uint64_t carry) noexcept {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i));
-    __m128i s = _mm_add_epi64(x, _mm_slli_si128(x, 8));  // [a, a+b]
-    __m128i excl = _mm_add_epi64(_mm_slli_si128(s, 8),
-                                 _mm_set1_epi64x(static_cast<long long>(carry)));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), excl);
-    carry += static_cast<std::uint64_t>(
-        _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s)));
-  }
-  return exscan_u64_scalar(in + i, out + i, n - i, carry);
-}
-
-void mask_to_flags_sse2(const std::uint8_t* mask, std::uint32_t* flags,
-                        std::size_t n) noexcept {
-  const __m128i one = _mm_set1_epi8(1);
-  const __m128i zero = _mm_setzero_si128();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(mask + i));
-    __m128i v = _mm_min_epu8(b, one);  // 0 stays 0, any nonzero byte -> 1
-    __m128i lo16 = _mm_unpacklo_epi8(v, zero);
-    __m128i hi16 = _mm_unpackhi_epi8(v, zero);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(flags + i),
-                     _mm_unpacklo_epi16(lo16, zero));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(flags + i + 4),
-                     _mm_unpackhi_epi16(lo16, zero));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(flags + i + 8),
-                     _mm_unpacklo_epi16(hi16, zero));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(flags + i + 12),
-                     _mm_unpackhi_epi16(hi16, zero));
-  }
-  mask_to_flags_scalar(mask + i, flags + i, n - i);
-}
-
-// SSE2 has no gathers; the doubling rounds get a 4x-unrolled scalar body
-// (tier parity still holds — the per-element math is identical).
-
-void window_min_round_sse2(const std::int64_t* val, const std::int32_t* jump,
-                           std::int64_t* nval, std::int32_t* njump,
-                           std::size_t lo, std::size_t hi) noexcept {
-  std::size_t v = lo;
-  for (; v + 4 <= hi; v += 4) {
-    const std::size_t j0 = static_cast<std::size_t>(jump[v + 0]);
-    const std::size_t j1 = static_cast<std::size_t>(jump[v + 1]);
-    const std::size_t j2 = static_cast<std::size_t>(jump[v + 2]);
-    const std::size_t j3 = static_cast<std::size_t>(jump[v + 3]);
-    const std::int64_t b0 = val[j0], b1 = val[j1], b2 = val[j2], b3 = val[j3];
-    nval[v + 0] = b0 < val[v + 0] ? b0 : val[v + 0];
-    nval[v + 1] = b1 < val[v + 1] ? b1 : val[v + 1];
-    nval[v + 2] = b2 < val[v + 2] ? b2 : val[v + 2];
-    nval[v + 3] = b3 < val[v + 3] ? b3 : val[v + 3];
-    njump[v + 0] = jump[j0];
-    njump[v + 1] = jump[j1];
-    njump[v + 2] = jump[j2];
-    njump[v + 3] = jump[j3];
-  }
-  window_min_round_scalar(val, jump, nval, njump, v, hi);
-}
-
-void list_rank_round_sse2(const std::int32_t* head, const std::int64_t* rank,
-                          std::int32_t* nhead, std::int64_t* nrank,
-                          std::size_t lo, std::size_t hi) noexcept {
-  std::size_t v = lo;
-  for (; v + 4 <= hi; v += 4) {
-    const std::size_t h0 = static_cast<std::size_t>(head[v + 0]);
-    const std::size_t h1 = static_cast<std::size_t>(head[v + 1]);
-    const std::size_t h2 = static_cast<std::size_t>(head[v + 2]);
-    const std::size_t h3 = static_cast<std::size_t>(head[v + 3]);
-    nrank[v + 0] = static_cast<std::int64_t>(
-        static_cast<std::uint64_t>(rank[v + 0]) + static_cast<std::uint64_t>(rank[h0]));
-    nrank[v + 1] = static_cast<std::int64_t>(
-        static_cast<std::uint64_t>(rank[v + 1]) + static_cast<std::uint64_t>(rank[h1]));
-    nrank[v + 2] = static_cast<std::int64_t>(
-        static_cast<std::uint64_t>(rank[v + 2]) + static_cast<std::uint64_t>(rank[h2]));
-    nrank[v + 3] = static_cast<std::int64_t>(
-        static_cast<std::uint64_t>(rank[v + 3]) + static_cast<std::uint64_t>(rank[h3]));
-    nhead[v + 0] = head[h0];
-    nhead[v + 1] = head[h1];
-    nhead[v + 2] = head[h2];
-    nhead[v + 3] = head[h3];
-  }
-  list_rank_round_scalar(head, rank, nhead, nrank, v, hi);
-}
 
 // ---------------------------------------------------------------------------
 // AVX2 tier
@@ -455,28 +297,7 @@ void list_rank_round_avx2(const std::int32_t* head, const std::int64_t* rank,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Dispatch
-//
-// Explicit tiers above what the CPU supports clamp down (parity, not
-// speed, is the contract for a requested tier). On non-x86 everything is
-// the scalar body.
-
-#if NCPM_SIMD_X86
-#define NCPM_DISPATCH(fn, ...)                   \
-  switch (clamp_to_detected(tier)) {             \
-    case SimdTier::kAvx2:                        \
-      return fn##_avx2(__VA_ARGS__);             \
-    case SimdTier::kSse2:                        \
-      return fn##_sse2(__VA_ARGS__);             \
-    case SimdTier::kScalar:                      \
-      break;                                     \
-  }                                              \
-  return fn##_scalar(__VA_ARGS__)
-#else
-#define NCPM_DISPATCH(fn, ...) \
-  (void)tier;                  \
-  return fn##_scalar(__VA_ARGS__)
-#endif
+// Dispatch (AVX2 when `tier` resolves to it on this CPU, else scalar)
 
 std::uint32_t sum_u32(SimdTier tier, const std::uint32_t* x, std::size_t n) noexcept {
   NCPM_DISPATCH(sum_u32, x, n);
@@ -534,8 +355,6 @@ void list_rank_round(SimdTier tier, const std::int32_t* head,
                      std::int64_t* nrank, std::size_t lo, std::size_t hi) noexcept {
   NCPM_DISPATCH(list_rank_round, head, rank, nhead, nrank, lo, hi);
 }
-
-#undef NCPM_DISPATCH
 
 }  // namespace simd
 }  // namespace ncpm::pram

@@ -5,20 +5,22 @@
 // remaining constant factor is memory layout and instruction throughput.
 // This header is the seam between the two: every word/element-level hot
 // loop in the tree (GF(2) row ops in linalg/, blocked scans and doubling
-// rounds here in pram/) funnels through a kernel that exists in up to
-// three tiers — AVX2, SSE2 and portable scalar — selected once at runtime.
+// rounds here in pram/) funnels through a kernel that exists in two
+// tiers — AVX2 and portable scalar — selected once at runtime.
 //
 // Tier selection:
 //   * `detected_simd_tier()` probes the CPU once (CPUID via
-//     __builtin_cpu_supports on x86-64; scalar elsewhere).
-//   * `NCPM_SIMD=avx2|sse2|scalar` caps the tier from the environment
-//     (read once, clamped to what the CPU supports; junk values warn once
-//     on stderr and are ignored).
+//     __builtin_cpu_supports on x86-64): AVX2 if present, else scalar —
+//     also on an x86-64 CPU without AVX2.
+//   * `NCPM_SIMD=avx2|scalar` caps the tier from the environment (read
+//     once, clamped to what the CPU supports). `sse2`, the name of a tier
+//     that no longer exists, caps at scalar with one warning on stderr;
+//     other values warn once and are ignored.
 //   * `force_simd_tier()` / `clear_forced_simd_tier()` override both at
 //     runtime — the dispatch-parity tests and the A/B benches sweep tiers
 //     with it. The active tier is one relaxed atomic load on the hot path.
 //
-// Contract: every tier of every kernel is BIT-EXACT against the scalar
+// Contract: the AVX2 tier of every kernel is BIT-EXACT against the scalar
 // tier — the kernels only reorder exact integer operations (wrap-around
 // addition is associative and commutative mod 2^w; XOR/OR/AND/min/popcount
 // are exact), never floating point. tests/pram/simd_dispatch_test.cpp
@@ -28,9 +30,9 @@
 // its spans (the ASan CI job gates this).
 //
 // Every kernel has two forms: `kernel(args...)` runs on the active tier;
-// `kernel(tier, args...)` runs an explicit tier (tests, benches). Tiers a
-// build or CPU lacks silently fall back to scalar — parity, not speed, is
-// the guarantee for an explicitly requested tier.
+// `kernel(tier, args...)` runs an explicit tier (tests, benches). An AVX2
+// request on a build or CPU without AVX2 silently runs scalar — parity,
+// not speed, is the guarantee for an explicitly requested tier.
 
 #include <cstddef>
 #include <cstdint>
@@ -42,9 +44,10 @@
 
 namespace ncpm::pram {
 
+// The values are exported as-is (the ncpm_engine_simd_tier gauge, bench
+// "simd_tier" counters), so kAvx2 stays 2 even though 1 is unused.
 enum class SimdTier : std::uint8_t {
   kScalar = 0,
-  kSse2 = 1,
   kAvx2 = 2,
 };
 

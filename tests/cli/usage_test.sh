@@ -128,6 +128,18 @@ expect_exit 0 "check happy path"       -- check "$tmp/inst.txt"
 expect_exit 0 "solve pinned to cpu 0"  -- solve "$tmp/inst.txt" --pin-lanes 0
 expect_exit 0 "solve pinned auto"      -- solve "$tmp/inst.txt" --pin-lanes auto --threads 2
 
+# NCPM_SIMD=sse2 (a retired tier) runs scalar: exit 0, one NCPM_SIMD warning.
+err=$(NCPM_SIMD=sse2 "$CLI" solve "$tmp/inst.txt" 2>&1 >/dev/null </dev/null)
+rc=$?
+if [ "$rc" -ne 0 ]; then
+  echo "FAIL [solve under NCPM_SIMD=sse2]: exit $rc, want 0"; failures=$((failures+1))
+elif [ "$(printf '%s\n' "$err" | grep -c NCPM_SIMD)" -ne 1 ]; then
+  echo "FAIL [solve under NCPM_SIMD=sse2]: want one NCPM_SIMD line, got: $err"
+  failures=$((failures+1))
+else
+  echo "ok   [solve under NCPM_SIMD=sse2]"
+fi
+
 if [ "$failures" -ne 0 ]; then
   echo "$failures failure(s)"
   exit 1

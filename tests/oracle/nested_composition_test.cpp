@@ -147,7 +147,7 @@ TEST(NestedComposition, ByteIdenticalAcrossSimdTiers) {
   const auto instances = oracle_instances();
   const auto refs = sequential_reference(instances);
   for (const pram::SimdTier tier :
-       {pram::SimdTier::kScalar, pram::SimdTier::kSse2, pram::SimdTier::kAvx2}) {
+       {pram::SimdTier::kScalar, pram::SimdTier::kAvx2}) {
     pram::force_simd_tier(tier);
     for (const int workers : {1, 2, 4}) {
       for (const int lanes : {1, 2, 4}) {

@@ -4,9 +4,9 @@
 // randomized content. The explicit-tier kernel forms are exercised directly;
 // the full-path cases force a tier via force_simd_tier and run the public
 // entry points (exclusive_scan, compact_indices, list_rank_into,
-// window_min_into, gf2_rank) across executor widths. Tiers the CPU lacks
-// clamp to scalar, so the sweep is safe on any machine — on an AVX2 box it
-// is a genuine three-way parity check.
+// window_min_into, gf2_rank) across executor widths. An AVX2 request on a
+// CPU without AVX2 clamps to scalar, so the sweep is safe on any machine —
+// on an AVX2 box it is a genuine AVX2-vs-scalar parity check.
 
 #include "pram/simd.hpp"
 
@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <random>
+#include <string_view>
 #include <vector>
 
 #include "linalg/gf2_kernels.hpp"
@@ -47,10 +49,7 @@ struct AffinityRestorer {
 // vector boundary and the unroll boundary; 1000 exercises long tails.
 const std::vector<std::size_t> kLengths{0, 1, 2, 3, 7, 8, 63, 64, 65, 127, 128, 129, 1000};
 
-std::vector<SimdTier> tiers_to_test() {
-  std::vector<SimdTier> tiers{SimdTier::kScalar, SimdTier::kSse2, SimdTier::kAvx2};
-  return tiers;
-}
+std::vector<SimdTier> tiers_to_test() { return {SimdTier::kScalar, SimdTier::kAvx2}; }
 
 template <typename T>
 std::vector<T> random_values(std::size_t n, std::mt19937_64& rng) {
@@ -265,14 +264,27 @@ TEST(SimdDispatch, TierControls) {
 }
 
 TEST(SimdDispatch, TierNamesRoundTrip) {
-  for (const SimdTier tier :
-       {SimdTier::kScalar, SimdTier::kSse2, SimdTier::kAvx2}) {
+  for (const SimdTier tier : tiers_to_test()) {
     const auto parsed = parse_simd_tier(simd_tier_name(tier));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, tier);
   }
+  // "sse2" is only an NCPM_SIMD alias for scalar (see EnvCap), not a tier.
+  EXPECT_FALSE(parse_simd_tier("sse2").has_value());
   EXPECT_FALSE(parse_simd_tier("avx512").has_value());
   EXPECT_FALSE(parse_simd_tier("").has_value());
+}
+
+TEST(SimdDispatch, EnvCap) {
+  // Runs under whatever NCPM_SIMD the process was started with: CTest
+  // registers a second run under NCPM_SIMD=sse2, CI runs it unset and under
+  // NCPM_SIMD=scalar. A cap at or above the CPU's tier leaves detection in
+  // charge; "sse2" must not leave AVX2 on.
+  const char* env = std::getenv("NCPM_SIMD");
+  const std::string_view cap = env == nullptr ? "" : env;
+  const SimdTier want =
+      cap == "scalar" || cap == "sse2" ? SimdTier::kScalar : detected_simd_tier();
+  EXPECT_EQ(active_simd_tier(), want) << "NCPM_SIMD=" << cap;
 }
 
 TEST(SimdDispatch, FullPathsBitExactAcrossTiersAndWidths) {
