@@ -1,11 +1,14 @@
 // Experiment C5 (Section IV-E): optimal popular matchings. The profile
 // variants pay one margin pass per rank bucket instead of the paper's
-// n^(R+1) integer weights; `profile_dim` reports the bucket count.
+// n^(R+1) integer weights; `profile_dim` reports the bucket count. Counting
+// and the profile variants run out to 2^17 with a complexity fit: their
+// per-component work is one O(n) switch-menu pass.
 
 #include <benchmark/benchmark.h>
 
 #include "core/max_card_popular.hpp"
 #include "core/optimal_popular.hpp"
+#include "core/switching_graph.hpp"
 #include "gen/generators.hpp"
 
 namespace {
@@ -29,9 +32,10 @@ void BM_RankMaximalPopular(benchmark::State& state) {
     benchmark::DoNotOptimize(m);
   }
   state.counters["profile_dim"] = static_cast<double>(inst.max_ranks() + 1);
+  state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_RankMaximalPopular)->RangeMultiplier(4)->Range(1 << 8, 1 << 15)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RankMaximalPopular)->RangeMultiplier(4)->Range(1 << 8, 1 << 17)
+    ->Unit(benchmark::kMillisecond)->Complexity();
 
 void BM_FairPopular(benchmark::State& state) {
   const auto inst = instance_for(state.range(0));
@@ -39,9 +43,21 @@ void BM_FairPopular(benchmark::State& state) {
     auto m = ncpm::core::find_fair_popular(inst);
     benchmark::DoNotOptimize(m);
   }
+  state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_FairPopular)->RangeMultiplier(4)->Range(1 << 8, 1 << 15)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FairPopular)->RangeMultiplier(4)->Range(1 << 8, 1 << 17)
+    ->Unit(benchmark::kMillisecond)->Complexity();
+
+void BM_CountPopular(benchmark::State& state) {
+  const auto inst = instance_for(state.range(0));
+  for (auto _ : state) {
+    auto count = ncpm::core::count_popular_matchings(inst);
+    benchmark::DoNotOptimize(count);
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_CountPopular)->RangeMultiplier(4)->Range(1 << 8, 1 << 17)
+    ->Unit(benchmark::kMillisecond)->Complexity();
 
 void BM_MaxWeightPopular(benchmark::State& state) {
   const auto inst = instance_for(state.range(0));

@@ -100,11 +100,7 @@ int main() {
     }
   }
   std::printf("switching cycles: %zu; switching paths start at:", engine.analysis().cycles.size());
-  for (const auto label : engine.nontrivial_components()) {
-    if (!engine.component_has_cycle(label)) {
-      for (const auto q : engine.path_starts_of_component(label)) std::printf(" p%d", q + 1);
-    }
-  }
+  for (const auto q : engine.menu().starts) std::printf(" p%d", q + 1);
   std::printf("\n");
 
   const auto sm_inst = fig5();

@@ -132,36 +132,28 @@ matching::Matching optimize_profile(const Instance& inst, const matching::Matchi
   };
 
   // Per-component selection under the profile order. Orchestration is
-  // sequential over components (polynomial work; the margin passes above
-  // carry the NC depth), candidates visited in ascending id for determinism.
+  // sequential over the menu (O(n) in total; the margin passes above carry
+  // the NC depth), candidates visited in ascending id for determinism.
   const Profile zero(dim);
+  const auto menu = engine.menu();
   std::vector<SwitchingEngine::Choice> choices;
-  for (const auto label : engine.nontrivial_components()) {
-    if (engine.component_has_cycle(label)) {
-      std::int32_t root = kNone;
-      const auto& analysis = engine.analysis();
-      for (std::size_t v = 0; v < n_ext; ++v) {
-        if (analysis.component[v] == label && analysis.on_cycle[v] != 0 &&
-            analysis.cycle_root[v] == static_cast<std::int32_t>(v)) {
-          root = static_cast<std::int32_t>(v);
-          break;
-        }
+  for (const auto& entry : menu.entries) {
+    if (entry.cycle_root != kNone) {
+      if (better(cycle_profile(entry.cycle_root), zero)) {
+        choices.push_back({entry.cycle_root, true});
       }
-      if (root != kNone && better(cycle_profile(root), zero)) {
-        choices.push_back({root, true});
-      }
-    } else {
-      Profile best = zero;
-      std::int32_t best_q = kNone;
-      for (const auto q : engine.path_starts_of_component(label)) {
-        const Profile candidate = path_profile(q);
-        if (better(candidate, best)) {
-          best = candidate;
-          best_q = q;
-        }
-      }
-      if (best_q != kNone) choices.push_back({best_q, false});
+      continue;
     }
+    Profile best = zero;
+    std::int32_t best_q = kNone;
+    for (const auto q : menu.starts_of(entry)) {
+      const Profile candidate = path_profile(q);
+      if (better(candidate, best)) {
+        best = candidate;
+        best_q = q;
+      }
+    }
+    if (best_q != kNone) choices.push_back({best_q, false});
   }
   return engine.apply(choices, counters);
 }

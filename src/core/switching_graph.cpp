@@ -8,6 +8,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "pram/crcw.hpp"
 #include "pram/executor.hpp"
 
 namespace ncpm::core {
@@ -16,20 +17,6 @@ namespace {
 
 inline void atomic_store_flag(std::uint8_t& slot) {
   std::atomic_ref<std::uint8_t>(slot).store(1, std::memory_order_relaxed);
-}
-
-inline void atomic_max64(std::int64_t& slot, std::int64_t value) {
-  std::atomic_ref<std::int64_t> ref(slot);
-  std::int64_t cur = ref.load(std::memory_order_relaxed);
-  while (value > cur && !ref.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-  }
-}
-
-inline void atomic_min32(std::int32_t& slot, std::int32_t value) {
-  std::atomic_ref<std::int32_t> ref(slot);
-  std::int32_t cur = ref.load(std::memory_order_relaxed);
-  while (value < cur && !ref.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-  }
 }
 
 }  // namespace
@@ -160,7 +147,7 @@ std::vector<SwitchingEngine::Choice> SwitchingEngine::best_choices(
     if (is_s_post_[q] == 0 || out_applicant_[q] == kNone) return;
     const auto comp = static_cast<std::size_t>(cycles_.component[q]);
     if (has_cycle_[comp] != 0) return;
-    atomic_max64(best_margin[comp], report.path_margin[q]);
+    pram::crcw_max(best_margin[comp], report.path_margin[q]);
   });
   pram::add_round(counters, n_ext);
   std::vector<std::int32_t> best_start(n_ext, std::numeric_limits<std::int32_t>::max());
@@ -169,7 +156,7 @@ std::vector<SwitchingEngine::Choice> SwitchingEngine::best_choices(
     const auto comp = static_cast<std::size_t>(cycles_.component[q]);
     if (has_cycle_[comp] != 0) return;
     if (report.path_margin[q] == best_margin[comp]) {
-      atomic_min32(best_start[comp], static_cast<std::int32_t>(q));
+      pram::crcw_min(best_start[comp], static_cast<std::int32_t>(q));
     }
   });
   pram::add_round(counters, n_ext);
@@ -193,6 +180,9 @@ matching::Matching SwitchingEngine::apply(std::span<const Choice> choices,
   std::vector<std::uint8_t> cycle_root_chosen(n_ext, 0);
   std::vector<std::int32_t> path_start(n_ext, kNone);  // per component label
   for (const auto& c : choices) {
+    if (c.key < 0 || static_cast<std::size_t>(c.key) >= n_ext) {
+      throw std::invalid_argument("SwitchingEngine::apply: choice key is not a post vertex");
+    }
     const auto key = static_cast<std::size_t>(c.key);
     if (c.is_cycle) {
       if (cycles_.on_cycle[key] == 0 || cycles_.cycle_root[key] != c.key) {
@@ -261,29 +251,42 @@ matching::Matching SwitchingEngine::apply_best(std::span<const std::int64_t> pos
   return apply(choices, counters);
 }
 
-std::vector<std::int32_t> SwitchingEngine::path_starts_of_component(std::int32_t label) const {
-  std::vector<std::int32_t> starts;
-  for (std::size_t q = 0; q < pf_.size(); ++q) {
-    if (is_s_post_[q] != 0 && out_applicant_[q] != kNone &&
-        cycles_.component[q] == label && has_cycle_[static_cast<std::size_t>(label)] == 0) {
-      starts.push_back(static_cast<std::int32_t>(q));
-    }
-  }
-  return starts;
-}
-
-std::vector<std::int32_t> SwitchingEngine::nontrivial_components() const {
-  std::vector<std::uint8_t> seen(pf_.size(), 0);
-  std::vector<std::int32_t> labels;
-  for (std::size_t v = 0; v < pf_.size(); ++v) {
+SwitchingEngine::Menu SwitchingEngine::menu() const {
+  const std::size_t n_ext = pf_.size();
+  Menu menu;
+  // Counting sort by component label: number the components in the order of
+  // their first edge-bearing vertex and count each one's path starts ...
+  std::vector<std::int32_t> slot(n_ext, kNone);  // per label: index into entries
+  for (std::size_t v = 0; v < n_ext; ++v) {
     if (out_applicant_[v] == kNone) continue;  // only components with edges
     const auto comp = static_cast<std::size_t>(cycles_.component[v]);
-    if (seen[comp] == 0) {
-      seen[comp] = 1;
-      labels.push_back(static_cast<std::int32_t>(comp));
+    if (slot[comp] == kNone) {
+      slot[comp] = static_cast<std::int32_t>(menu.entries.size());
+      menu.entries.push_back({kNone, 0, 0});
+    }
+    auto& entry = menu.entries[static_cast<std::size_t>(slot[comp])];
+    if (cycles_.on_cycle[v] != 0 && cycles_.cycle_root[v] == static_cast<std::int32_t>(v)) {
+      entry.cycle_root = static_cast<std::int32_t>(v);
+    } else if (is_s_post_[v] != 0 && has_cycle_[comp] == 0) {
+      ++entry.starts_end;
     }
   }
-  return labels;
+  // ... then turn the counts into offsets and place the starts, ascending.
+  std::uint32_t offset = 0;
+  for (auto& entry : menu.entries) {
+    entry.starts_begin = offset;
+    offset += entry.starts_end;
+    entry.starts_end = entry.starts_begin;
+  }
+  menu.starts.resize(offset);
+  for (std::size_t v = 0; v < n_ext; ++v) {
+    if (out_applicant_[v] == kNone || is_s_post_[v] == 0) continue;
+    const auto comp = static_cast<std::size_t>(cycles_.component[v]);
+    if (has_cycle_[comp] != 0) continue;
+    auto& entry = menu.entries[static_cast<std::size_t>(slot[comp])];
+    menu.starts[entry.starts_end++] = static_cast<std::int32_t>(v);
+  }
+  return menu;
 }
 
 std::optional<std::uint64_t> count_popular_matchings(const Instance& inst,
@@ -303,20 +306,13 @@ std::uint64_t count_popular_matchings(const Instance& inst, const matching::Matc
                                       pram::NcCounters* counters, pram::Executor& ex) {
   const ReducedGraph rg = build_reduced_graph(inst, counters, ex);
   const SwitchingEngine engine(inst, rg, popular, counters, ex);
+  const auto menu = engine.menu();
   std::uint64_t count = 1;
-  const auto saturating_mul = [&count](std::uint64_t factor) {
-    if (factor != 0 && count > std::numeric_limits<std::uint64_t>::max() / factor) {
-      count = std::numeric_limits<std::uint64_t>::max();
-    } else {
-      count *= factor;
-    }
-  };
-  for (const auto label : engine.nontrivial_components()) {
-    if (engine.component_has_cycle(label)) {
-      saturating_mul(2);
-    } else {
-      saturating_mul(1 + static_cast<std::uint64_t>(engine.path_starts_of_component(label).size()));
-    }
+  for (const auto& entry : menu.entries) {
+    const std::uint64_t factor = entry.cycle_root != kNone ? 2 : 1 + menu.starts_of(entry).size();
+    count = count > std::numeric_limits<std::uint64_t>::max() / factor
+                ? std::numeric_limits<std::uint64_t>::max()
+                : count * factor;
   }
   return count;
 }
@@ -325,45 +321,25 @@ std::vector<matching::Matching> all_popular_matchings_via_switching(const Instan
                                                                     const ReducedGraph& rg,
                                                                     const matching::Matching& m) {
   const SwitchingEngine engine(inst, rg, m);
-  const auto labels = engine.nontrivial_components();
+  const auto menu = engine.menu();
 
-  // Per component: list the possible switches (none, the cycle, or one path).
-  std::vector<std::vector<std::optional<SwitchingEngine::Choice>>> options;
-  for (const auto label : labels) {
-    std::vector<std::optional<SwitchingEngine::Choice>> opts;
-    opts.push_back(std::nullopt);
-    if (engine.component_has_cycle(label)) {
-      // The unique cycle, identified by its root.
-      for (std::size_t v = 0; v < engine.pseudoforest().size(); ++v) {
-        if (engine.analysis().component[v] == label && engine.analysis().on_cycle[v] != 0 &&
-            engine.analysis().cycle_root[v] == static_cast<std::int32_t>(v)) {
-          opts.push_back(SwitchingEngine::Choice{static_cast<std::int32_t>(v), true});
-        }
-      }
-    } else {
-      for (const auto q : engine.path_starts_of_component(label)) {
-        opts.push_back(SwitchingEngine::Choice{q, false});
-      }
-    }
-    options.push_back(std::move(opts));
-  }
-
+  // Per component: no switch, the cycle, or one path (Theorem 9).
   std::vector<matching::Matching> result;
   std::vector<SwitchingEngine::Choice> current;
   const std::function<void(std::size_t)> recurse = [&](std::size_t i) {
-    if (i == options.size()) {
+    if (i == menu.entries.size()) {
       result.push_back(engine.apply(current));
       return;
     }
-    for (const auto& opt : options[i]) {
-      if (opt.has_value()) {
-        current.push_back(*opt);
-        recurse(i + 1);
-        current.pop_back();
-      } else {
-        recurse(i + 1);
-      }
-    }
+    const auto with = [&](SwitchingEngine::Choice c) {
+      current.push_back(c);
+      recurse(i + 1);
+      current.pop_back();
+    };
+    const auto& entry = menu.entries[i];
+    recurse(i + 1);
+    if (entry.cycle_root != kNone) with({entry.cycle_root, true});
+    for (const auto q : menu.starts_of(entry)) with({q, false});
   };
   recurse(0);
   return result;

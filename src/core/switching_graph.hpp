@@ -22,6 +22,10 @@
 // Margins are parameterised by an arbitrary int64 post-value function so
 // the same engine drives Algorithm 3 (value = 1 for real posts, 0 for last
 // resorts; Definition 4) and the weighted variants of Section IV-E.
+//
+// Per-component orchestration (counting, the profile optimisers, the
+// Theorem 9 oracle) reads one menu(): every component's cycle root and
+// path starts, grouped by a single O(n) counting sort on component label.
 
 #include <cstdint>
 #include <optional>
@@ -54,10 +58,6 @@ class SwitchingEngine {
   std::span<const std::uint8_t> is_s_post_vertex() const noexcept { return is_s_post_; }
   /// Component label (min post id) of every post vertex.
   std::span<const std::int32_t> component() const noexcept { return cycles_.component; }
-  /// True iff the component with this label contains a cycle.
-  bool component_has_cycle(std::int32_t label) const {
-    return has_cycle_[static_cast<std::size_t>(label)] != 0;
-  }
 
   struct MarginReport {
     /// Per vertex v: sum of applicant deltas along v -> component terminal
@@ -101,12 +101,26 @@ class SwitchingEngine {
   matching::Matching apply_best(std::span<const std::int64_t> post_value,
                                 pram::NcCounters* counters = nullptr) const;
 
-  /// Every candidate switching-path start of the tree component labelled
-  /// `label` (non-sink s-post vertices). Sequential helper for tests and the
-  /// lexicographic optimisers.
-  std::vector<std::int32_t> path_starts_of_component(std::int32_t label) const;
-  /// All component labels that contain at least one edge of G_M.
-  std::vector<std::int32_t> nontrivial_components() const;
+  /// The switches one component offers (Theorem 9: pick none or one).
+  struct MenuEntry {
+    std::int32_t cycle_root;      ///< root of the switching cycle; kNone for a tree component
+    std::uint32_t starts_begin;   ///< path starts are Menu::starts[starts_begin, starts_end)
+    std::uint32_t starts_end;
+  };
+  /// Every component with an edge of G_M, in the order of its first
+  /// edge-bearing vertex; path starts (non-sink s-post vertices of tree
+  /// components) ascending within each entry.
+  struct Menu {
+    std::vector<MenuEntry> entries;
+    std::vector<std::int32_t> starts;
+    std::span<const std::int32_t> starts_of(const MenuEntry& e) const {
+      return std::span<const std::int32_t>(starts).subspan(e.starts_begin,
+                                                           e.starts_end - e.starts_begin);
+    }
+  };
+  /// The per-component switch menu in one O(n_ext) counting-sort pass by
+  /// component label. Computed on demand: solve and max-card never pay it.
+  Menu menu() const;
 
  private:
   pram::Executor* ex_;                 // rounds run here; outlives the engine
@@ -128,10 +142,11 @@ std::vector<matching::Matching> all_popular_matchings_via_switching(const Instan
                                                                     const ReducedGraph& rg,
                                                                     const matching::Matching& m);
 
-/// Number of popular matchings of the instance, in polynomial time: by
-/// Theorem 9 it is the product, over the switching-graph components of any
-/// popular matching, of (2 for a cycle component) x (1 + #switching paths
-/// for a tree component). Saturates at UINT64_MAX; std::nullopt when the
+/// Number of popular matchings of the instance, in linear time past the
+/// seed solve: by Theorem 9 it is the product, over the switching-graph
+/// components of any popular matching, of (2 for a cycle component) x
+/// (1 + #switching paths for a tree component), read off one O(n) menu()
+/// pass. Saturates at UINT64_MAX; std::nullopt when the
 /// instance admits no popular matching. (An extension beyond the paper,
 /// following McDermid & Irving's structure results.)
 std::optional<std::uint64_t> count_popular_matchings(const Instance& inst,

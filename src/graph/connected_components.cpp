@@ -3,6 +3,7 @@
 #include <atomic>
 #include <stdexcept>
 
+#include "pram/crcw.hpp"
 #include "pram/executor.hpp"
 
 namespace ncpm::graph {
@@ -11,15 +12,6 @@ namespace {
 
 /// Grain for the very cheap per-vertex loops (a load, a compare, a store).
 constexpr std::size_t kGrain = 2048;
-
-/// CRCW-min write: lower `slot` to `value` if smaller, atomically.
-inline void atomic_fetch_min(std::int32_t& slot, std::int32_t value) {
-  std::atomic_ref<std::int32_t> ref(slot);
-  std::int32_t cur = ref.load(std::memory_order_relaxed);
-  while (value < cur &&
-         !ref.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-  }
-}
 
 }  // namespace
 
@@ -68,7 +60,7 @@ ComponentLabels connected_components(std::size_t n, std::span<const std::int32_t
       if (pu == pv) return;
       const std::int32_t lo = pu < pv ? pu : pv;
       const std::int32_t hi = pu < pv ? pv : pu;
-      atomic_fetch_min(parent[static_cast<std::size_t>(hi)], lo);
+      pram::crcw_min(parent[static_cast<std::size_t>(hi)], lo);
       std::atomic_ref<std::uint8_t>(changed).store(1, std::memory_order_relaxed);
     });
     pram::add_round(counters, m);

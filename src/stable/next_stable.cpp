@@ -3,7 +3,7 @@
 #include <stdexcept>
 
 #include "graph/pseudoforest.hpp"
-#include "pram/scan.hpp"
+#include "pram/crcw.hpp"
 
 namespace ncpm::stable {
 
@@ -17,42 +17,30 @@ NextStableResult next_stable_matchings(const StableInstance& inst, const Marriag
   }
 
   // 1. Soft-delete, in parallel over all n^2 entries of mp: keep (m', w) iff
-  // w weakly prefers m' to her partner.
-  std::vector<std::int64_t> keep(n * n);
+  // w weakly prefers m' to her partner. H_M reads only the first two
+  // entries of each reduced list, and the first must be p_M(m) (always
+  // kept). So instead of compressing the lists, every kept entry other than
+  // p_M(m) bids its slot in one concurrent-write min round (dropped entries
+  // bid n, keeping the round branch-free): the smallest bid is s_M(m), or a
+  // blocking pair when it lies above p_M(m). Scratch is O(n), not O(n^2).
+  const auto none = static_cast<std::int32_t>(n);
+  std::vector<std::int32_t> bid(n, none);
   ex.parallel_for(n * n, [&](std::size_t i) {
     const auto man = static_cast<std::int32_t>(i / n);
     const auto slot = static_cast<std::int32_t>(i % n);
     const std::int32_t w = inst.man_pref(man, slot);
     const std::int32_t partner = m.husband_of[static_cast<std::size_t>(w)];
-    keep[i] =
-        (inst.woman_rank_of(w, man) <= inst.woman_rank_of(w, partner)) ? 1 : 0;
+    const bool kept =
+        partner != man && inst.woman_rank_of(w, man) <= inst.woman_rank_of(w, partner);
+    pram::crcw_min(bid[static_cast<std::size_t>(man)], kept ? slot : none);
   });
   pram::add_round(counters, n * n);
-
-  // Compress with one global prefix sum: an entry's position inside its
-  // man's reduced list is its global scan value minus the row-start value.
-  std::vector<std::int64_t> pos(n * n);
-  pram::exclusive_scan<std::int64_t>(keep, pos, counters, ex);
-  std::vector<std::int32_t> reduced(n * n, kNone);
-  std::vector<std::int64_t> reduced_len(n);
-  ex.parallel_for(n * n, [&](std::size_t i) {
-    if (keep[i] == 0) return;
-    const std::size_t man = i / n;
-    const auto within = static_cast<std::size_t>(pos[i] - pos[man * n]);
-    reduced[man * n + within] = inst.man_pref(static_cast<std::int32_t>(man),
-                                              static_cast<std::int32_t>(i % n));
-  });
-  pram::add_round(counters, n * n);
-  ex.parallel_for(n, [&](std::size_t man) {
-    const std::size_t row_end_exclusive = (man + 1) * n - 1;
-    reduced_len[man] = pos[row_end_exclusive] - pos[man * n] + keep[row_end_exclusive];
-  });
-  pram::add_round(counters, n);
 
   // Sanity: for a stable M the first reduced entry of every man is p_M(m)
   // (anything above his partner that kept him would be a blocking pair).
   const bool unstable = ex.parallel_any(n, [&](std::size_t man) {
-    return reduced_len[man] < 1 || reduced[man * n] != m.wife_of[man];
+    const auto mi = static_cast<std::int32_t>(man);
+    return bid[man] < inst.man_rank_of(mi, m.wife_of[man]);
   });
   if (unstable) {
     throw std::invalid_argument("next_stable_matchings: matching is not stable");
@@ -62,8 +50,8 @@ NextStableResult next_stable_matchings(const StableInstance& inst, const Marriag
   graph::DirectedPseudoforest hm;
   hm.next.assign(n, pram::kNone);
   ex.parallel_for(n, [&](std::size_t man) {
-    if (reduced_len[man] >= 2) {
-      const std::int32_t s = reduced[man * n + 1];
+    if (bid[man] != none) {
+      const std::int32_t s = inst.man_pref(static_cast<std::int32_t>(man), bid[man]);
       hm.next[man] = m.husband_of[static_cast<std::size_t>(s)];
     }
   });

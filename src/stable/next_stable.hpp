@@ -3,10 +3,12 @@
 //
 // Given a stable matching M:
 //   1. build the *reduced lists*: delete every pair (m', w) where w prefers
-//      her partner p_M(w) to m', in one parallel marking round, and compress
-//      each man's list with the parallel-prefix-sum technique. In the
+//      her partner p_M(w) to m', in one parallel marking round. In the
 //      reduced lists p_M(m) is the first entry of m's list and s_M(m) the
-//      second (if any);
+//      second (if any). The paper compresses each list with parallel prefix
+//      sums; only s_M(m) is read, so the same round instead takes it as the
+//      min over the kept slots other than p_M(m) (one CRCW min write per
+//      entry, O(n) scratch instead of O(n^2));
 //   2. build the switching graph H_M — a vertex for each man with s_M(m)
 //      defined, and the edge m -> next_M(m) = p_M(s_M(m)). The paper's
 //      Lemma 17 calls H_M a functional graph; on the Mz-free vertex set the

@@ -84,13 +84,15 @@ TEST_F(PaperExample, Figure4SwitchingGraphShape) {
   // p8 and p9 respectfully."
   std::size_t cycle_count = engine.analysis().cycles.size();
   EXPECT_EQ(cycle_count, 1u);
+  const auto menu = engine.menu();
+  std::vector<std::int32_t> cycle_roots;
   std::vector<std::int32_t> path_starts;
-  for (const auto label : engine.nontrivial_components()) {
-    if (!engine.component_has_cycle(label)) {
-      const auto starts = engine.path_starts_of_component(label);
-      path_starts.insert(path_starts.end(), starts.begin(), starts.end());
-    }
+  for (const auto& entry : menu.entries) {
+    if (entry.cycle_root != kNone) cycle_roots.push_back(entry.cycle_root);
+    const auto starts = menu.starts_of(entry);
+    path_starts.insert(path_starts.end(), starts.begin(), starts.end());
   }
+  EXPECT_EQ(cycle_roots, (std::vector<std::int32_t>{0}));     // p1
   EXPECT_EQ(path_starts, (std::vector<std::int32_t>{7, 8}));  // p8, p9
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/popular_matching.hpp"
 #include "core/reduced_graph.hpp"
 #include "core/verify.hpp"
@@ -60,19 +62,33 @@ TEST(SwitchingGraph, Figure4Structure) {
   EXPECT_EQ(analysis.component[6], label);
   EXPECT_EQ(analysis.component[7], label);
   EXPECT_EQ(analysis.component[8], label);
-  EXPECT_FALSE(engine.component_has_cycle(label));
-  EXPECT_EQ(engine.path_starts_of_component(label), (std::vector<std::int32_t>{7, 8}));
+
+  // The menu: the cycle component {p1..p5} (first edge at p1) offers its
+  // cycle rooted at p1; the tree component offers the paths from p8 and p9.
+  const auto menu = engine.menu();
+  ASSERT_EQ(menu.entries.size(), 2u);
+  EXPECT_EQ(menu.entries[0].cycle_root, 0);
+  EXPECT_TRUE(menu.starts_of(menu.entries[0]).empty());
+  EXPECT_EQ(menu.entries[1].cycle_root, kNone);
+  const auto starts = menu.starts_of(menu.entries[1]);
+  EXPECT_EQ(std::vector<std::int32_t>(starts.begin(), starts.end()),
+            (std::vector<std::int32_t>{7, 8}));
+}
+
+/// The seeded instances of the Lemma 4 and menu tests.
+Instance lemma4_instance(std::uint64_t seed) {
+  gen::SolvableConfig cfg;
+  cfg.num_applicants = 80;
+  cfg.num_posts = 140;
+  cfg.all_f_fraction = 0.2;
+  cfg.contention = 2.0;
+  cfg.seed = seed;
+  return gen::solvable_strict_instance(cfg);
 }
 
 TEST(SwitchingGraph, Lemma4PropertiesOnRandomInstances) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    gen::SolvableConfig cfg;
-    cfg.num_applicants = 80;
-    cfg.num_posts = 140;
-    cfg.all_f_fraction = 0.2;
-    cfg.contention = 2.0;
-    cfg.seed = seed;
-    const auto inst = gen::solvable_strict_instance(cfg);
+    const auto inst = lemma4_instance(seed);
     const auto rg = build_reduced_graph(inst);
     const auto m = find_popular_matching(inst);
     ASSERT_TRUE(m.has_value());
@@ -93,6 +109,96 @@ TEST(SwitchingGraph, Lemma4PropertiesOnRandomInstances) {
       }
     }
   }
+}
+
+/// One component's switches, found the slow way: a full vertex scan per
+/// component, straight from the cycle analysis.
+struct NaiveComponent {
+  std::int32_t cycle_root = kNone;
+  std::vector<std::int32_t> starts;
+};
+
+std::vector<NaiveComponent> naive_grouping(const SwitchingEngine& engine) {
+  const auto& analysis = engine.analysis();
+  const auto out = engine.out_applicant();
+  const auto s_post = engine.is_s_post_vertex();
+  const std::size_t n = out.size();
+  std::vector<std::uint8_t> seen(n, 0);
+  std::vector<NaiveComponent> comps;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (out[v] == kNone) continue;
+    const std::int32_t label = analysis.component[v];
+    if (seen[static_cast<std::size_t>(label)] != 0) continue;
+    seen[static_cast<std::size_t>(label)] = 1;
+    NaiveComponent comp;
+    bool has_cycle = false;
+    for (std::size_t u = 0; u < n; ++u) {
+      if (analysis.component[u] != label || analysis.on_cycle[u] == 0) continue;
+      has_cycle = true;
+      if (analysis.cycle_root[u] == static_cast<std::int32_t>(u)) {
+        EXPECT_EQ(comp.cycle_root, kNone) << "component " << label << " has two cycle roots";
+        comp.cycle_root = static_cast<std::int32_t>(u);
+      }
+    }
+    for (std::size_t u = 0; u < n && !has_cycle; ++u) {
+      if (analysis.component[u] == label && s_post[u] != 0 && out[u] != kNone) {
+        comp.starts.push_back(static_cast<std::int32_t>(u));
+      }
+    }
+    comps.push_back(std::move(comp));
+  }
+  return comps;
+}
+
+TEST(SwitchingGraph, MenuMatchesNaiveGrouping) {
+  // The eight Lemma 4 instances are planted tree-only switching graphs that
+  // count 6e9..1.4e11 popular matchings, too many to enumerate. Eight small
+  // random instances (the solvable ones) add cycle components and counts
+  // small enough to cross-check against the Theorem 9 enumeration.
+  std::vector<Instance> instances;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) instances.push_back(lemma4_instance(seed));
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    gen::StrictConfig cfg;
+    cfg.num_applicants = 20;
+    cfg.num_posts = 20;
+    cfg.seed = seed;
+    instances.push_back(gen::random_strict_instance(cfg));
+  }
+  std::size_t cycles = 0;
+  std::size_t enumerated = 0;
+  for (std::size_t k = 0; k < instances.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "instance " << k);
+    const auto& inst = instances[k];
+    const auto m = find_popular_matching(inst);
+    if (!m.has_value()) continue;
+    const auto rg = build_reduced_graph(inst);
+    const SwitchingEngine engine(inst, rg, *m);
+    const auto menu = engine.menu();
+    const auto naive = naive_grouping(engine);
+    ASSERT_EQ(menu.entries.size(), naive.size());
+    std::size_t total_starts = 0;
+    for (std::size_t i = 0; i < naive.size(); ++i) {
+      const auto& entry = menu.entries[i];
+      const auto starts = menu.starts_of(entry);
+      EXPECT_EQ(entry.cycle_root, naive[i].cycle_root) << "entry " << i;
+      EXPECT_EQ(std::vector<std::int32_t>(starts.begin(), starts.end()), naive[i].starts)
+          << "entry " << i;
+      EXPECT_TRUE(std::is_sorted(starts.begin(), starts.end()));
+      if (entry.cycle_root != kNone) ++cycles;
+      total_starts += starts.size();
+    }
+    EXPECT_EQ(menu.starts.size(), total_starts);
+
+    // Theorem 9 twice: the menu's product must equal the enumeration's size.
+    const auto count = count_popular_matchings(inst);
+    ASSERT_TRUE(count.has_value());
+    if (*count <= 4096) {
+      EXPECT_EQ(*count, all_popular_matchings_via_switching(inst, rg, *m).size());
+      ++enumerated;
+    }
+  }
+  EXPECT_GT(cycles, 0u) << "no instance had a cycle component";
+  EXPECT_GT(enumerated, 0u) << "no instance was small enough to enumerate";
 }
 
 TEST(SwitchingGraph, MarginsOfPaperInstanceAreNonPositive) {
@@ -159,6 +265,11 @@ TEST(SwitchingGraph, ApplyRejectsBadChoices) {
                std::invalid_argument);
   // Two switches in one component.
   EXPECT_THROW(engine.apply(std::vector<SwitchingEngine::Choice>{{7, false}, {8, false}}),
+               std::invalid_argument);
+  // Keys outside the post vertices.
+  EXPECT_THROW(engine.apply(std::vector<SwitchingEngine::Choice>{{-1, true}}),
+               std::invalid_argument);
+  EXPECT_THROW(engine.apply(std::vector<SwitchingEngine::Choice>{{inst.total_posts(), false}}),
                std::invalid_argument);
 }
 
