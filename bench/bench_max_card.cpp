@@ -30,7 +30,8 @@ void BM_MaxCardPipeline(benchmark::State& state) {
   const auto inst = pressured_instance(state.range(0));
   std::size_t size = 0;
   for (auto _ : state) {
-    auto m = ncpm::core::find_max_card_popular(inst);
+    ncpm::pram::Workspace ws;
+    auto m = ncpm::core::find_max_card_popular(inst, ws);
     size = ncpm::core::matching_size(inst, *m);
     benchmark::DoNotOptimize(m);
   }
@@ -40,11 +41,12 @@ BENCHMARK(BM_MaxCardPipeline)->RangeMultiplier(4)->Range(1 << 8, 1 << 16)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SwitchingPhaseOnly(benchmark::State& state) {
+  ncpm::pram::Workspace ws;
   const auto inst = pressured_instance(state.range(0));
-  const auto base = ncpm::core::find_popular_matching(inst);
+  const auto base = ncpm::core::find_popular_matching(inst, ws);
   std::size_t gained = 0;
   for (auto _ : state) {
-    auto m = ncpm::core::maximize_cardinality(inst, *base);
+    auto m = ncpm::core::maximize_cardinality(inst, *base, ws);
     gained = ncpm::core::matching_size(inst, m) - ncpm::core::matching_size(inst, *base);
     benchmark::DoNotOptimize(m);
   }
@@ -58,16 +60,17 @@ BENCHMARK(BM_SwitchingPhaseOnly)->RangeMultiplier(4)->Range(1 << 8, 1 << 16)
 // every switching path of a tree component at once; this measures that
 // margin computation in isolation.
 void BM_MarginsOnly(benchmark::State& state) {
+  ncpm::pram::Workspace ws;
   const auto inst = pressured_instance(state.range(0));
-  const auto base = ncpm::core::find_popular_matching(inst);
-  const auto rg = ncpm::core::build_reduced_graph(inst);
-  const ncpm::core::SwitchingEngine engine(inst, rg, *base);
+  const auto base = ncpm::core::find_popular_matching(inst, ws);
+  const auto rg = ncpm::core::build_reduced_graph(inst, ws);
+  const ncpm::core::SwitchingEngine engine(inst, rg, *base, ws);
   std::vector<std::int64_t> value(static_cast<std::size_t>(inst.total_posts()));
   for (std::int32_t p = 0; p < inst.total_posts(); ++p) {
     value[static_cast<std::size_t>(p)] = inst.is_last_resort(p) ? 0 : 1;
   }
   for (auto _ : state) {
-    auto report = engine.margins(value);
+    auto report = engine.margins(value, ws);
     benchmark::DoNotOptimize(report);
   }
 }

@@ -19,7 +19,8 @@ void BM_NextStableNC(benchmark::State& state) {
   const auto m0 = ncpm::stable::man_optimal(inst);
   std::size_t rotations = 0;
   for (auto _ : state) {
-    auto result = ncpm::stable::next_stable_matchings(inst, m0);
+    ncpm::pram::Workspace ws;
+    auto result = ncpm::stable::next_stable_matchings(inst, m0, ws);
     rotations = result.rotations.size();
     benchmark::DoNotOptimize(result);
   }
@@ -47,7 +48,8 @@ void BM_NextStableCyclic(benchmark::State& state) {
   const auto m0 = ncpm::stable::man_optimal(inst);
   std::size_t rotations = 0;
   for (auto _ : state) {
-    auto result = ncpm::stable::next_stable_matchings(inst, m0);
+    ncpm::pram::Workspace ws;
+    auto result = ncpm::stable::next_stable_matchings(inst, m0, ws);
     rotations = result.rotations.size();
     benchmark::DoNotOptimize(result);
   }
@@ -65,10 +67,11 @@ void BM_LatticeDescent(benchmark::State& state) {
   const auto m0 = ncpm::stable::man_optimal(inst);
   std::size_t steps = 0;
   for (auto _ : state) {
+    ncpm::pram::Workspace ws;
     auto m = m0;
     steps = 0;
     while (true) {
-      auto result = ncpm::stable::next_stable_matchings(inst, m);
+      auto result = ncpm::stable::next_stable_matchings(inst, m, ws);
       if (result.is_woman_optimal) break;
       m = result.successors.front();
       ++steps;

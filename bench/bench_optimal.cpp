@@ -28,7 +28,8 @@ ncpm::core::Instance instance_for(std::int64_t n) {
 void BM_RankMaximalPopular(benchmark::State& state) {
   const auto inst = instance_for(state.range(0));
   for (auto _ : state) {
-    auto m = ncpm::core::find_rank_maximal_popular(inst);
+    ncpm::pram::Workspace ws;
+    auto m = ncpm::core::find_rank_maximal_popular(inst, ws);
     benchmark::DoNotOptimize(m);
   }
   state.counters["profile_dim"] = static_cast<double>(inst.max_ranks() + 1);
@@ -40,7 +41,8 @@ BENCHMARK(BM_RankMaximalPopular)->RangeMultiplier(4)->Range(1 << 8, 1 << 17)
 void BM_FairPopular(benchmark::State& state) {
   const auto inst = instance_for(state.range(0));
   for (auto _ : state) {
-    auto m = ncpm::core::find_fair_popular(inst);
+    ncpm::pram::Workspace ws;
+    auto m = ncpm::core::find_fair_popular(inst, ws);
     benchmark::DoNotOptimize(m);
   }
   state.SetComplexityN(state.range(0));
@@ -51,7 +53,8 @@ BENCHMARK(BM_FairPopular)->RangeMultiplier(4)->Range(1 << 8, 1 << 17)
 void BM_CountPopular(benchmark::State& state) {
   const auto inst = instance_for(state.range(0));
   for (auto _ : state) {
-    auto count = ncpm::core::count_popular_matchings(inst);
+    ncpm::pram::Workspace ws;
+    auto count = ncpm::core::count_popular_matchings(inst, ws);
     benchmark::DoNotOptimize(count);
   }
   state.SetComplexityN(state.range(0));
@@ -66,7 +69,8 @@ void BM_MaxWeightPopular(benchmark::State& state) {
     return static_cast<std::int64_t>((a * 131 + p * 17) % 1000);
   };
   for (auto _ : state) {
-    auto m = ncpm::core::find_optimal_popular(inst, weight, true);
+    ncpm::pram::Workspace ws;
+    auto m = ncpm::core::find_optimal_popular(inst, weight, true, ws);
     benchmark::DoNotOptimize(m);
   }
 }
@@ -77,7 +81,8 @@ BENCHMARK(BM_MaxWeightPopular)->RangeMultiplier(4)->Range(1 << 8, 1 << 15)
 void BM_MaxCardAsWeightBaseline(benchmark::State& state) {
   const auto inst = instance_for(state.range(0));
   for (auto _ : state) {
-    auto m = ncpm::core::find_max_card_popular(inst);
+    ncpm::pram::Workspace ws;
+    auto m = ncpm::core::find_max_card_popular(inst, ws);
     benchmark::DoNotOptimize(m);
   }
 }

@@ -32,7 +32,8 @@ void BM_PopularNC(benchmark::State& state) {
   const auto inst = make_instance(state.range(0), 0.2);
   ncpm::core::PopularRunStats stats;
   for (auto _ : state) {
-    auto m = ncpm::core::find_popular_matching(inst, nullptr, &stats);
+    ncpm::pram::Workspace ws;
+    auto m = ncpm::core::find_popular_matching(inst, ws, &stats);
     benchmark::DoNotOptimize(m);
   }
   const auto n = static_cast<std::uint64_t>(inst.num_applicants() + inst.total_posts());
@@ -66,7 +67,7 @@ void BM_PopularNC_LargeSparse(benchmark::State& state) {
   ncpm::pram::Workspace ws;  // reused across iterations: steady-state regime
   ncpm::core::PopularRunStats stats;
   for (auto _ : state) {
-    auto m = ncpm::core::find_popular_matching(inst, ws, nullptr, &stats);
+    auto m = ncpm::core::find_popular_matching(inst, ws, &stats);
     benchmark::DoNotOptimize(m);
   }
   state.counters["n_applicants"] = static_cast<double>(inst.num_applicants());
@@ -91,7 +92,8 @@ void BM_PopularNC_Zipf(benchmark::State& state) {
   const auto inst = ncpm::gen::random_strict_instance(cfg);
   std::int64_t exists = 0;
   for (auto _ : state) {
-    auto m = ncpm::core::find_popular_matching(inst);
+    ncpm::pram::Workspace ws;
+    auto m = ncpm::core::find_popular_matching(inst, ws);
     exists = m.has_value() ? 1 : 0;
     benchmark::DoNotOptimize(m);
   }

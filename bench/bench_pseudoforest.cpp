@@ -29,7 +29,8 @@ void BM_CycleMethod(benchmark::State& state) {
   const auto pf = random_pf(static_cast<std::size_t>(state.range(0)), 5);
   std::size_t cycle_vertices = 0;
   for (auto _ : state) {
-    auto mask = ncpm::graph::cycle_members(pf, Method);
+    ncpm::pram::Workspace ws;
+    auto mask = ncpm::graph::cycle_members(pf, Method, ws);
     cycle_vertices = 0;
     for (const auto b : mask) cycle_vertices += b;
     benchmark::DoNotOptimize(mask);
@@ -55,7 +56,8 @@ BENCHMARK_TEMPLATE(BM_CycleMethod, ncpm::graph::CycleMethod::EdgeRemovalCC)
 void BM_FullAnalysis(benchmark::State& state) {
   const auto pf = random_pf(static_cast<std::size_t>(state.range(0)), 9);
   for (auto _ : state) {
-    auto analysis = ncpm::graph::analyze_cycles(pf);
+    ncpm::pram::Workspace ws;
+    auto analysis = ncpm::graph::analyze_cycles(pf, ncpm::graph::CycleMethod::PointerDoubling, ws);
     benchmark::DoNotOptimize(analysis);
   }
 }

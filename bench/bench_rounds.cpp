@@ -17,8 +17,8 @@ namespace {
 void BM_Lemma2_BinaryTree(benchmark::State& state) {
   const auto depth = static_cast<std::int32_t>(state.range(0));
   const auto inst = ncpm::gen::binary_tree_instance(depth);
-  const auto rg = ncpm::core::build_reduced_graph(inst);
   ncpm::pram::Workspace ws;  // reused across iterations: steady-state regime
+  const auto rg = ncpm::core::build_reduced_graph(inst, ws);
   std::uint64_t rounds = 0;
   std::uint64_t steady_allocs = 0;
   for (auto _ : state) {
@@ -36,6 +36,7 @@ void BM_Lemma2_BinaryTree(benchmark::State& state) {
 BENCHMARK(BM_Lemma2_BinaryTree)->DenseRange(2, 16, 2)->Unit(benchmark::kMillisecond);
 
 void BM_Lemma2_RandomSolvable(benchmark::State& state) {
+  ncpm::pram::Workspace ws;
   ncpm::gen::SolvableConfig cfg;
   cfg.num_applicants = static_cast<std::int32_t>(state.range(0));
   cfg.num_posts = cfg.num_applicants * 2;
@@ -44,10 +45,10 @@ void BM_Lemma2_RandomSolvable(benchmark::State& state) {
   cfg.contention = 2.0;
   cfg.seed = 11;
   const auto inst = ncpm::gen::solvable_strict_instance(cfg);
-  const auto rg = ncpm::core::build_reduced_graph(inst);
+  const auto rg = ncpm::core::build_reduced_graph(inst, ws);
   std::uint64_t rounds = 0;
   for (auto _ : state) {
-    auto result = ncpm::core::applicant_complete_matching(inst, rg);
+    auto result = ncpm::core::applicant_complete_matching(inst, rg, ws);
     rounds = result.while_rounds;
     benchmark::DoNotOptimize(result);
   }
@@ -61,21 +62,21 @@ BENCHMARK(BM_Lemma2_RandomSolvable)->RangeMultiplier(4)->Range(1 << 8, 1 << 18)
 // Total NC rounds of the full Algorithm 1 pipeline (all barrier-synchronised
 // parallel steps), to exhibit the O(log^2 n)-style growth of the depth.
 void BM_TotalNcRounds(benchmark::State& state) {
+  ncpm::pram::Workspace ws;
   ncpm::gen::SolvableConfig cfg;
   cfg.num_applicants = static_cast<std::int32_t>(state.range(0));
   cfg.num_posts = cfg.num_applicants * 2;
   cfg.contention = 2.0;
   cfg.seed = 3;
   const auto inst = ncpm::gen::solvable_strict_instance(cfg);
-  const auto rg = ncpm::core::build_reduced_graph(inst);
-  ncpm::pram::NcCounters counters;
+  const auto rg = ncpm::core::build_reduced_graph(inst, ws);
   for (auto _ : state) {
-    counters.reset();
-    auto result = ncpm::core::applicant_complete_matching(inst, rg, &counters);
+    ws.counters().reset();
+    auto result = ncpm::core::applicant_complete_matching(inst, rg, ws);
     benchmark::DoNotOptimize(result);
   }
-  state.counters["nc_rounds"] = static_cast<double>(counters.rounds);
-  state.counters["nc_work"] = static_cast<double>(counters.work);
+  state.counters["nc_rounds"] = static_cast<double>(ws.counters().rounds);
+  state.counters["nc_work"] = static_cast<double>(ws.counters().work);
 }
 BENCHMARK(BM_TotalNcRounds)->RangeMultiplier(4)->Range(1 << 8, 1 << 18)
     ->Unit(benchmark::kMillisecond);

@@ -38,7 +38,8 @@ void BM_ExclusiveScan(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<std::int64_t> in(n, 3), out(n);
   for (auto _ : state) {
-    auto total = ncpm::pram::exclusive_scan<std::int64_t>(in, out);
+    ncpm::pram::Workspace ws;
+    auto total = ncpm::pram::exclusive_scan<std::int64_t>(in, out, ws);
     benchmark::DoNotOptimize(total);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(n) * static_cast<std::int64_t>(state.iterations()));
@@ -51,13 +52,13 @@ void BM_ListRanking(benchmark::State& state) {
   std::vector<std::int32_t> next(n);
   for (std::size_t v = 0; v + 1 < n; ++v) next[v] = static_cast<std::int32_t>(v + 1);
   next[n - 1] = static_cast<std::int32_t>(n - 1);
-  ncpm::pram::NcCounters counters;
+  ncpm::pram::Workspace ws;
   for (auto _ : state) {
-    counters.reset();
-    auto r = ncpm::pram::list_rank(next, &counters);
+    ws.counters().reset();
+    auto r = ncpm::pram::list_rank(next, ws);
     benchmark::DoNotOptimize(r);
   }
-  state.counters["doubling_rounds"] = static_cast<double>(counters.rounds);
+  state.counters["doubling_rounds"] = static_cast<double>(ws.counters().rounds);
 }
 BENCHMARK(BM_ListRanking)->RangeMultiplier(8)->Range(1 << 10, 1 << 22)
     ->Unit(benchmark::kMillisecond);
@@ -73,7 +74,8 @@ void BM_ConnectedComponents(benchmark::State& state) {
   }
   std::uint64_t hook_rounds = 0;
   for (auto _ : state) {
-    auto cc = ncpm::graph::connected_components(n, eu, ev);
+    ncpm::pram::Workspace ws;
+    auto cc = ncpm::graph::connected_components(n, eu, ev, {}, ws);
     hook_rounds = cc.hook_rounds;
     benchmark::DoNotOptimize(cc);
   }
@@ -91,13 +93,13 @@ void BM_TransitiveClosure(benchmark::State& state) {
     head[j] = static_cast<std::int32_t>(rng() % n);
   }
   const auto a = ncpm::graph::adjacency_matrix(n, tail, head);
-  ncpm::pram::NcCounters counters;
+  ncpm::pram::Workspace ws;
   for (auto _ : state) {
-    counters.reset();
-    auto tc = ncpm::graph::transitive_closure(a, &counters);
+    ws.counters().reset();
+    auto tc = ncpm::graph::transitive_closure(a, ws);
     benchmark::DoNotOptimize(tc);
   }
-  state.counters["squaring_rounds"] = static_cast<double>(counters.rounds);
+  state.counters["squaring_rounds"] = static_cast<double>(ws.counters().rounds);
 }
 BENCHMARK(BM_TransitiveClosure)->RangeMultiplier(2)->Range(1 << 7, 1 << 12)
     ->Unit(benchmark::kMillisecond);
@@ -112,7 +114,8 @@ void BM_Gf2Rank(benchmark::State& state) {
   }
   const auto m = ncpm::linalg::incidence_matrix(n, eu, ev);
   for (auto _ : state) {
-    auto rank = m.gf2_rank();
+    ncpm::pram::Workspace ws;
+    auto rank = m.gf2_rank(ws);
     benchmark::DoNotOptimize(rank);
   }
 }
@@ -129,7 +132,8 @@ void BM_TwoRegularMatching(benchmark::State& state) {
   }
   const std::vector<std::uint8_t> alive(n, 1);
   for (auto _ : state) {
-    auto m = ncpm::matching::two_regular_perfect_matching(n, eu, ev, alive);
+    ncpm::pram::Workspace ws;
+    auto m = ncpm::matching::two_regular_perfect_matching(n, eu, ev, alive, ws);
     benchmark::DoNotOptimize(m);
   }
 }
@@ -149,7 +153,8 @@ void BM_EulerSplitRegularMatching(benchmark::State& state) {
   }
   const ncpm::graph::BipartiteGraph g(n, n, std::move(edges));
   for (auto _ : state) {
-    auto m = ncpm::matching::regular_bipartite_perfect_matching(g);
+    ncpm::pram::Workspace ws;
+    auto m = ncpm::matching::regular_bipartite_perfect_matching(g, ws);
     benchmark::DoNotOptimize(m);
   }
 }
@@ -186,9 +191,10 @@ void BM_ScanTiled(benchmark::State& state) {
   SimdAB ab(state);
   const auto n = static_cast<std::size_t>(state.range(0));
   ncpm::pram::Executor ex(1);
+  ncpm::pram::Workspace ws(ex);
   std::vector<std::uint32_t> in(n, 3), out(n);
   for (auto _ : state) {
-    auto total = ncpm::pram::exclusive_scan<std::uint32_t>(in, out, nullptr, ex);
+    auto total = ncpm::pram::exclusive_scan<std::uint32_t>(in, out, ws);
     benchmark::DoNotOptimize(total);
     benchmark::DoNotOptimize(out.data());
   }

@@ -32,6 +32,7 @@ void report(const char* label, const ncpm::core::Instance& inst,
 }  // namespace
 
 int main() {
+  ncpm::pram::Workspace ws;  // the round context every solver call threads
   // Market 1: fully random with Zipf-skewed desirability. Existence is the
   // interesting output: heavy contention on a few desirable houses usually
   // kills popularity (Abraham et al.'s motivating observation).
@@ -45,7 +46,7 @@ int main() {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     rcfg.seed = seed;
     const auto market = ncpm::gen::random_strict_instance(rcfg);
-    if (ncpm::core::find_popular_matching(market).has_value()) ++admits;
+    if (ncpm::core::find_popular_matching(market, ws).has_value()) ++admits;
   }
   std::printf("skewed random markets (20000 families, 14000 houses): "
               "%d / 10 admit a popular allocation\n\n", admits);
@@ -63,9 +64,9 @@ int main() {
   cfg.seed = 7;
   const auto inst = ncpm::gen::solvable_strict_instance(cfg);
   std::printf("de-conflicted market (20000 families, 26000 houses):\n");
-  report("Algorithm 1 (any)", inst, *ncpm::core::find_popular_matching(inst));
-  report("Algorithm 3 (largest)", inst, *ncpm::core::find_max_card_popular(inst));
-  report("fair", inst, *ncpm::core::find_fair_popular(inst));
-  report("rank-maximal", inst, *ncpm::core::find_rank_maximal_popular(inst));
+  report("Algorithm 1 (any)", inst, *ncpm::core::find_popular_matching(inst, ws));
+  report("Algorithm 3 (largest)", inst, *ncpm::core::find_max_card_popular(inst, ws));
+  report("fair", inst, *ncpm::core::find_fair_popular(inst, ws));
+  report("rank-maximal", inst, *ncpm::core::find_rank_maximal_popular(inst, ws));
   return 0;
 }

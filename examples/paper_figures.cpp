@@ -56,6 +56,7 @@ ncpm::stable::StableInstance fig5() {
 
 int main() {
   using namespace ncpm;
+  pram::Workspace ws;  // the round context every solver call threads
 
   const auto inst = fig1();
   std::printf("=== Figure 1: a popular matching instance I ===\n");
@@ -65,7 +66,7 @@ int main() {
     std::printf("\n");
   }
 
-  const auto rg = core::build_reduced_graph(inst);
+  const auto rg = core::build_reduced_graph(inst, ws);
   std::printf("\n=== Figure 2a: the reduced preference lists of I ===\n");
   for (std::int32_t a = 0; a < inst.num_applicants(); ++a) {
     const auto ai = static_cast<std::size_t>(a);
@@ -76,13 +77,13 @@ int main() {
   std::printf("\n");
 
   std::printf("\n=== Figure 3: Algorithm 2's while loop ===\n");
-  const auto ac = core::applicant_complete_matching(inst, rg);
+  const auto ac = core::applicant_complete_matching(inst, rg, ws);
   std::printf("while-loop rounds: %llu\n", static_cast<unsigned long long>(ac.while_rounds));
   std::printf("matched in/after the loop:");
   for (std::size_t a = 0; a < 8; ++a) std::printf(" (a%zu,p%d)", a + 1, ac.post_of[a] + 1);
   std::printf("\n");
 
-  const auto popular = core::find_popular_matching(inst);
+  const auto popular = core::find_popular_matching(inst, ws);
   std::printf("\n=== Section III-C: the resulting popular matching M ===\nM =");
   for (std::int32_t a = 0; a < 8; ++a) std::printf(" (a%d,p%d)", a + 1, popular->right_of(a) + 1);
   std::printf("\n");
@@ -91,7 +92,7 @@ int main() {
   matching::Matching paper_m(inst.num_applicants(), inst.total_posts());
   const std::int32_t stated[] = {0, 1, 3, 2, 4, 6, 7, 8};
   for (std::int32_t a = 0; a < 8; ++a) paper_m.match(a, stated[a]);
-  const core::SwitchingEngine engine(inst, rg, paper_m);
+  const core::SwitchingEngine engine(inst, rg, paper_m, ws);
   for (std::int32_t p = 0; p < inst.total_posts(); ++p) {
     const auto pi = static_cast<std::size_t>(p);
     if (engine.pseudoforest().next[pi] != pram::kNone) {
@@ -126,7 +127,7 @@ int main() {
   }
 
   std::printf("\n=== Figure 7: the switching graph H_M — exposed rotations ===\n");
-  const auto next = stable::next_stable_matchings(sm_inst, m_fig5);
+  const auto next = stable::next_stable_matchings(sm_inst, m_fig5, ws);
   for (const auto& rho : next.rotations) {
     std::printf("rotation:");
     for (const auto& [man, woman] : rho.pairs) std::printf(" (m%d,w%d)", man + 1, woman + 1);

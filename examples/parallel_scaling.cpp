@@ -49,7 +49,7 @@ int main() {
     ncpm::pram::Workspace ws(ex);
     ncpm::core::PopularRunStats stats;
     const double ms = time_ms([&] {
-      auto m = ncpm::core::find_popular_matching(inst, ws, nullptr, &stats);
+      auto m = ncpm::core::find_popular_matching(inst, ws, &stats);
     });
     if (lanes == 1) t1 = ms;
     const auto n = static_cast<std::uint64_t>(inst.num_applicants() + inst.total_posts());

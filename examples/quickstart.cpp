@@ -11,6 +11,7 @@
 
 int main() {
   using namespace ncpm;
+  pram::Workspace ws;  // the round context every solver call threads
 
   // Applicants rank posts, best first (0-indexed; the paper's a1..a8 over
   // p1..p9). Ties would use Instance::with_ties.
@@ -26,7 +27,7 @@ int main() {
                                                             });
 
   // Algorithm 1: a popular matching, or proof that none exists.
-  const auto popular = core::find_popular_matching(instance);
+  const auto popular = core::find_popular_matching(instance, ws);
   if (!popular.has_value()) {
     std::printf("no popular matching exists\n");
     return 0;
@@ -43,12 +44,12 @@ int main() {
   }
 
   // Algorithm 3: the largest popular matching.
-  const auto largest = core::find_max_card_popular(instance);
+  const auto largest = core::find_max_card_popular(instance, ws);
   std::printf("maximum-cardinality popular matching size: %zu\n",
               core::matching_size(instance, *largest));
 
   // Independent certification via the Theorem 1 characterization.
-  const auto rg = core::build_reduced_graph(instance);
+  const auto rg = core::build_reduced_graph(instance, ws);
   std::printf("certified popular: %s\n",
               core::satisfies_popular_characterization(instance, rg, *largest) ? "yes" : "no");
   return 0;

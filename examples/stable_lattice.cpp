@@ -47,6 +47,7 @@ void print_matching(const char* label, const ncpm::stable::MarriageMatching& m) 
 }  // namespace
 
 int main() {
+  ncpm::pram::Workspace ws;  // the round context every solver call threads
   const auto inst = fig5();
   const auto all = ncpm::stable::all_stable_matchings(inst);
   std::printf("the instance has %zu stable matchings in total\n\n", all.size());
@@ -55,7 +56,7 @@ int main() {
   print_matching("man-optimal M0", m);
   int level = 0;
   while (true) {
-    const auto next = ncpm::stable::next_stable_matchings(inst, m);
+    const auto next = ncpm::stable::next_stable_matchings(inst, m, ws);
     if (next.is_woman_optimal) {
       std::printf("\nreached the woman-optimal matching after %d steps\n", level);
       break;

@@ -12,14 +12,7 @@
 namespace ncpm::core {
 
 ApplicantCompleteResult applicant_complete_matching(const Instance& inst, const ReducedGraph& rg,
-                                                    pram::NcCounters* counters) {
-  pram::Workspace ws;
-  return applicant_complete_matching(inst, rg, ws, counters);
-}
-
-ApplicantCompleteResult applicant_complete_matching(const Instance& inst, const ReducedGraph& rg,
-                                                    pram::Workspace& ws,
-                                                    pram::NcCounters* counters) {
+                                                    pram::Workspace& ws) {
   const auto n_a = static_cast<std::size_t>(inst.num_applicants());
   const auto n_vertices = n_a + static_cast<std::size_t>(inst.total_posts());
 
@@ -66,14 +59,14 @@ ApplicantCompleteResult applicant_complete_matching(const Instance& inst, const 
     eu[2 * a + 1] = av;
     ev[2 * a + 1] = pv(rg.s_post[a]);
   });
-  pram::add_round(counters, n_a);
+  ws.round(n_a);
 
   std::size_t ma = m;  // surviving (compacted) edges
   while (true) {
     const std::uint64_t allocs_at = ws.heap_allocations();
     // Degrees, two-slot incidence, successors and ranking over the
     // compacted edges — Θ(ma log ma) work, nothing proportional to m or n.
-    paths.rebuild(eu.first(ma), ev.first(ma), ws, counters);
+    paths.rebuild(eu.first(ma), ev.first(ma), ws);
 
     // Any alive post of degree 1? Every such post is the `ev` endpoint of
     // some surviving edge, so scanning the compacted edges is a complete
@@ -114,7 +107,7 @@ ApplicantCompleteResult applicant_complete_matching(const Instance& inst, const 
       matched_vertex[static_cast<std::size_t>(eu[e])] = 1;
       matched_vertex[static_cast<std::size_t>(ev[e])] = 1;
     });
-    pram::add_round(counters, nh);
+    ws.round(nh);
 
     // Delete matched vertices. Newly matched vertices are endpoints of
     // surviving edges, so the edge array is the frontier to scan.
@@ -129,7 +122,7 @@ ApplicantCompleteResult applicant_complete_matching(const Instance& inst, const 
         }
       }
     });
-    pram::add_round(counters, ma);
+    ws.round(ma);
     if (progressed == 0) {
       throw std::logic_error(
           "applicant_complete_matching: degree-1 post without progress (internal invariant)");
@@ -144,9 +137,9 @@ ApplicantCompleteResult applicant_complete_matching(const Instance& inst, const 
                       ? 1u
                       : 0u;
       });
-      pram::add_round(counters, ma);
+      ws.round(ma);
       const std::uint32_t ma_next = pram::exclusive_scan<std::uint32_t>(
-          keep.span().first(ma), kpos.span().first(ma), ws, counters);
+          keep.span().first(ma), kpos.span().first(ma), ws);
       ex.parallel_for(ma, [&](std::size_t e) {
         if (keep[e] == 0) return;
         const auto p = static_cast<std::size_t>(kpos[e]);
@@ -154,7 +147,7 @@ ApplicantCompleteResult applicant_complete_matching(const Instance& inst, const 
         eu_next[p] = eu[e];
         ev_next[p] = ev[e];
       });
-      pram::add_round(counters, ma);
+      ws.round(ma);
       std::swap(edge_id, edge_id_next);
       std::swap(eu, eu_next);
       std::swap(ev, ev_next);
@@ -179,7 +172,7 @@ ApplicantCompleteResult applicant_complete_matching(const Instance& inst, const 
     std::atomic_ref<std::int32_t>(final_deg[static_cast<std::size_t>(ev[e])])
         .fetch_add(1, std::memory_order_relaxed);
   });
-  pram::add_round(counters, ma);
+  ws.round(ma);
   const std::size_t applicants_left =
       ex.parallel_count(n_a, [&](std::size_t a) { return vertex_alive[a] != 0; });
   const std::size_t posts_left = ex.parallel_count(n_vertices - n_a, [&](std::size_t i) {
@@ -195,7 +188,7 @@ ApplicantCompleteResult applicant_complete_matching(const Instance& inst, const 
   if (applicants_left > 0) {
     obs::PhaseScope phase(ws.profiler(), obs::Phase::kTwoRegular);
     const auto cycle_edges = matching::two_regular_perfect_matching(
-        n_vertices, eu.first(ma), ev.first(ma), {}, ws, counters);
+        n_vertices, eu.first(ma), ev.first(ma), {}, ws);
     if (!cycle_edges.has_value()) {
       throw std::logic_error("applicant_complete_matching: odd cycle in bipartite residual");
     }

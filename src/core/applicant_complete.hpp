@@ -30,7 +30,6 @@
 
 #include "core/instance.hpp"
 #include "core/reduced_graph.hpp"
-#include "pram/counters.hpp"
 #include "pram/workspace.hpp"
 
 namespace ncpm::core {
@@ -49,15 +48,10 @@ struct ApplicantCompleteResult {
   std::uint64_t workspace_allocs_later_rounds = 0;
 };
 
+/// All round-engine scratch is leased from `ws`, which the caller may reuse
+/// across calls (and across instances — buffers are re-sized, never assumed
+/// clean) to amortise even the first-round warm-up away.
 ApplicantCompleteResult applicant_complete_matching(const Instance& inst, const ReducedGraph& rg,
-                                                    pram::NcCounters* counters = nullptr);
-
-/// Workspace-owning variant: all round-engine scratch is leased from `ws`,
-/// which the caller may reuse across calls (and across instances — buffers
-/// are re-sized, never assumed clean) to amortise even the first-round
-/// warm-up away.
-ApplicantCompleteResult applicant_complete_matching(const Instance& inst, const ReducedGraph& rg,
-                                                    pram::Workspace& ws,
-                                                    pram::NcCounters* counters = nullptr);
+                                                    pram::Workspace& ws);
 
 }  // namespace ncpm::core

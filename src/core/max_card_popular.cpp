@@ -7,42 +7,26 @@
 namespace ncpm::core {
 
 matching::Matching maximize_cardinality(const Instance& inst, const matching::Matching& popular,
-                                        pram::Workspace& ws, pram::NcCounters* counters) {
-  pram::Executor& ex = ws.exec();
-  const ReducedGraph rg = build_reduced_graph(inst, counters, ex);
-  const SwitchingEngine engine(inst, rg, popular, counters, ex);
+                                        pram::Workspace& ws) {
+  const ReducedGraph rg = build_reduced_graph(inst, ws);
+  const SwitchingEngine engine(inst, rg, popular, ws);
 
   // Definition 4: a post is worth 1 unless it is a last resort.
   const auto n_ext = static_cast<std::size_t>(inst.total_posts());
   auto value = ws.take<std::int64_t>(n_ext);
   std::int64_t* const value_data = value.data();
-  ex.parallel_for(n_ext, [&](std::size_t p) {
+  ws.exec().parallel_for(n_ext, [&](std::size_t p) {
     value_data[p] = inst.is_last_resort(static_cast<std::int32_t>(p)) ? 0 : 1;
   });
-  pram::add_round(counters, n_ext);
+  ws.round(n_ext);
 
-  return engine.apply_best(value.span(), counters);
+  return engine.apply_best(value.span(), ws);
 }
 
-matching::Matching maximize_cardinality(const Instance& inst, const matching::Matching& popular,
-                                        pram::NcCounters* counters) {
-  pram::Workspace ws;
-  return maximize_cardinality(inst, popular, ws, counters);
-}
-
-std::optional<matching::Matching> find_max_card_popular(const Instance& inst, pram::Workspace& ws,
-                                                        pram::NcCounters* counters) {
-  const auto popular = find_popular_matching(inst, ws, counters);
+std::optional<matching::Matching> find_max_card_popular(const Instance& inst, pram::Workspace& ws) {
+  const auto popular = find_popular_matching(inst, ws);
   if (!popular.has_value()) return std::nullopt;
-  return maximize_cardinality(inst, *popular, ws, counters);
-}
-
-std::optional<matching::Matching> find_max_card_popular(const Instance& inst,
-                                                        pram::NcCounters* counters) {
-  // One workspace per call: Algorithm 2's round scratch is warmed once and
-  // reused by every pass of the pipeline.
-  pram::Workspace ws;
-  return find_max_card_popular(inst, ws, counters);
+  return maximize_cardinality(inst, *popular, ws);
 }
 
 }  // namespace ncpm::core

@@ -13,29 +13,20 @@
 
 #include "core/instance.hpp"
 #include "matching/matching.hpp"
-#include "pram/counters.hpp"
 #include "pram/workspace.hpp"
 
 namespace ncpm::core {
 
 /// Largest-cardinality popular matching, or std::nullopt when the instance
 /// admits no popular matching. Strict preferences with last resorts.
-std::optional<matching::Matching> find_max_card_popular(const Instance& inst,
-                                                        pram::NcCounters* counters = nullptr);
-
-/// Workspace-reusing variant: Algorithm 1's round scratch and this
-/// pipeline's own buffers are leased from `ws`, so a caller holding one
-/// warm workspace (e.g. an engine worker) solves repeatedly without
-/// workspace growth.
-std::optional<matching::Matching> find_max_card_popular(const Instance& inst, pram::Workspace& ws,
-                                                        pram::NcCounters* counters = nullptr);
+/// Algorithm 1's round scratch and this pipeline's own buffers are leased
+/// from `ws`, so a caller holding one warm workspace (e.g. an engine
+/// worker) solves repeatedly without workspace growth.
+std::optional<matching::Matching> find_max_card_popular(const Instance& inst, pram::Workspace& ws);
 
 /// Algorithm 3 proper: maximise cardinality starting from a known popular
 /// matching of the instance.
 matching::Matching maximize_cardinality(const Instance& inst, const matching::Matching& popular,
-                                        pram::NcCounters* counters = nullptr);
-matching::Matching maximize_cardinality(const Instance& inst, const matching::Matching& popular,
-                                        pram::Workspace& ws,
-                                        pram::NcCounters* counters = nullptr);
+                                        pram::Workspace& ws);
 
 }  // namespace ncpm::core

@@ -21,10 +21,9 @@ std::size_t bucket_of(const Instance& inst, std::int32_t a, std::int32_t p, std:
 }  // namespace
 
 matching::Matching optimize_weight(const Instance& inst, const matching::Matching& popular,
-                                   const WeightFn& weight, bool maximize, pram::Workspace& ws,
-                                   pram::NcCounters* counters) {
-  const ReducedGraph rg = build_reduced_graph(inst, counters, ws.exec());
-  const SwitchingEngine engine(inst, rg, popular, counters, ws.exec());
+                                   const WeightFn& weight, bool maximize, pram::Workspace& ws) {
+  const ReducedGraph rg = build_reduced_graph(inst, ws);
+  const SwitchingEngine engine(inst, rg, popular, ws);
   const std::size_t n_ext = engine.pseudoforest().size();
 
   // Per-vertex delta: gain for the out-edge applicant when it switches.
@@ -38,34 +37,19 @@ matching::Matching optimize_weight(const Instance& inst, const matching::Matchin
     const std::int64_t d = weight(a, to) - weight(a, static_cast<std::int32_t>(v));
     delta[v] = maximize ? d : -d;
   }
-  pram::add_round(counters, n_ext);
+  ws.round(n_ext);
 
-  const auto report = engine.margins_from_deltas(delta.span(), counters);
-  const auto choices = engine.best_choices(report, counters);
-  return engine.apply(choices, counters);
-}
-
-matching::Matching optimize_weight(const Instance& inst, const matching::Matching& popular,
-                                   const WeightFn& weight, bool maximize,
-                                   pram::NcCounters* counters) {
-  pram::Workspace ws;
-  return optimize_weight(inst, popular, weight, maximize, ws, counters);
+  const auto report = engine.margins_from_deltas(delta.span(), ws);
+  const auto choices = engine.best_choices(report, ws);
+  return engine.apply(choices, ws);
 }
 
 std::optional<matching::Matching> find_optimal_popular(const Instance& inst,
                                                        const WeightFn& weight, bool maximize,
-                                                       pram::Workspace& ws,
-                                                       pram::NcCounters* counters) {
-  const auto popular = find_popular_matching(inst, ws, counters);
+                                                       pram::Workspace& ws) {
+  const auto popular = find_popular_matching(inst, ws);
   if (!popular.has_value()) return std::nullopt;
-  return optimize_weight(inst, *popular, weight, maximize, ws, counters);
-}
-
-std::optional<matching::Matching> find_optimal_popular(const Instance& inst,
-                                                       const WeightFn& weight, bool maximize,
-                                                       pram::NcCounters* counters) {
-  pram::Workspace ws;
-  return find_optimal_popular(inst, weight, maximize, ws, counters);
+  return optimize_weight(inst, *popular, weight, maximize, ws);
 }
 
 Profile matching_profile(const Instance& inst, const matching::Matching& m) {
@@ -87,10 +71,10 @@ namespace {
 /// improves on y.
 matching::Matching optimize_profile(const Instance& inst, const matching::Matching& popular,
                                     const std::function<bool(const Profile&, const Profile&)>& better,
-                                    pram::Workspace& ws, pram::NcCounters* counters) {
+                                    pram::Workspace& ws) {
   pram::Executor& ex = ws.exec();
-  const ReducedGraph rg = build_reduced_graph(inst, counters, ex);
-  const SwitchingEngine engine(inst, rg, popular, counters, ex);
+  const ReducedGraph rg = build_reduced_graph(inst, ws);
+  const SwitchingEngine engine(inst, rg, popular, ws);
   const std::size_t n_ext = engine.pseudoforest().size();
   const auto dim = static_cast<std::size_t>(inst.max_ranks()) + 1;
   const auto out = engine.out_applicant();
@@ -114,8 +98,8 @@ matching::Matching optimize_profile(const Instance& inst, const matching::Matchi
       }
       delta_data[v] = d;
     });
-    pram::add_round(counters, n_ext);
-    reports.push_back(engine.margins_from_deltas(delta.span(), counters));
+    ws.round(n_ext);
+    reports.push_back(engine.margins_from_deltas(delta.span(), ws));
   }
 
   const auto path_profile = [&](std::int32_t q) {
@@ -155,41 +139,26 @@ matching::Matching optimize_profile(const Instance& inst, const matching::Matchi
     }
     if (best_q != kNone) choices.push_back({best_q, false});
   }
-  return engine.apply(choices, counters);
+  return engine.apply(choices, ws);
 }
 
 }  // namespace
 
 std::optional<matching::Matching> find_rank_maximal_popular(const Instance& inst,
-                                                            pram::Workspace& ws,
-                                                            pram::NcCounters* counters) {
-  const auto popular = find_popular_matching(inst, ws, counters);
+                                                            pram::Workspace& ws) {
+  const auto popular = find_popular_matching(inst, ws);
   if (!popular.has_value()) return std::nullopt;
   return optimize_profile(
       inst, *popular,
-      [](const Profile& x, const Profile& y) { return Profile::rank_maximal_less(y, x); }, ws,
-      counters);
+      [](const Profile& x, const Profile& y) { return Profile::rank_maximal_less(y, x); }, ws);
 }
 
-std::optional<matching::Matching> find_rank_maximal_popular(const Instance& inst,
-                                                            pram::NcCounters* counters) {
-  pram::Workspace ws;
-  return find_rank_maximal_popular(inst, ws, counters);
-}
-
-std::optional<matching::Matching> find_fair_popular(const Instance& inst, pram::Workspace& ws,
-                                                    pram::NcCounters* counters) {
-  const auto popular = find_popular_matching(inst, ws, counters);
+std::optional<matching::Matching> find_fair_popular(const Instance& inst, pram::Workspace& ws) {
+  const auto popular = find_popular_matching(inst, ws);
   if (!popular.has_value()) return std::nullopt;
   return optimize_profile(
-      inst, *popular,
-      [](const Profile& x, const Profile& y) { return Profile::fair_less(x, y); }, ws, counters);
-}
-
-std::optional<matching::Matching> find_fair_popular(const Instance& inst,
-                                                    pram::NcCounters* counters) {
-  pram::Workspace ws;
-  return find_fair_popular(inst, ws, counters);
+      inst, *popular, [](const Profile& x, const Profile& y) { return Profile::fair_less(x, y); },
+      ws);
 }
 
 }  // namespace ncpm::core

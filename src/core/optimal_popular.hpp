@@ -16,7 +16,6 @@
 #include "core/instance.hpp"
 #include "core/profile.hpp"
 #include "matching/matching.hpp"
-#include "pram/counters.hpp"
 #include "pram/workspace.hpp"
 
 namespace ncpm::core {
@@ -26,41 +25,26 @@ namespace ncpm::core {
 using WeightFn = std::function<std::int64_t(std::int32_t, std::int32_t)>;
 
 /// Optimal (max- or min-weight) popular matching, or std::nullopt when no
-/// popular matching exists.
+/// popular matching exists. Every entry point leases its scratch from `ws`:
+/// pass the same warm workspace across calls (as the engine's workers do)
+/// and the whole pipeline runs without allocating scratch.
 std::optional<matching::Matching> find_optimal_popular(const Instance& inst,
                                                        const WeightFn& weight, bool maximize,
-                                                       pram::NcCounters* counters = nullptr);
-std::optional<matching::Matching> find_optimal_popular(const Instance& inst,
-                                                       const WeightFn& weight, bool maximize,
-                                                       pram::Workspace& ws,
-                                                       pram::NcCounters* counters = nullptr);
+                                                       pram::Workspace& ws);
 
 /// Weight-optimise starting from a known popular matching.
 matching::Matching optimize_weight(const Instance& inst, const matching::Matching& popular,
-                                   const WeightFn& weight, bool maximize,
-                                   pram::NcCounters* counters = nullptr);
-matching::Matching optimize_weight(const Instance& inst, const matching::Matching& popular,
-                                   const WeightFn& weight, bool maximize, pram::Workspace& ws,
-                                   pram::NcCounters* counters = nullptr);
+                                   const WeightFn& weight, bool maximize, pram::Workspace& ws);
 
 /// Rank-maximal popular matching: profile lexicographically maximal from
-/// rank 1 (most rank-1 applicants, then most rank-2, ...). Every entry
-/// point has a workspace-reusing overload: pass the same warm workspace
-/// across calls (as the engine's workers do) and the whole pipeline leases
-/// its scratch from it instead of allocating.
+/// rank 1 (most rank-1 applicants, then most rank-2, ...).
 std::optional<matching::Matching> find_rank_maximal_popular(const Instance& inst,
-                                                            pram::NcCounters* counters = nullptr);
-std::optional<matching::Matching> find_rank_maximal_popular(const Instance& inst,
-                                                            pram::Workspace& ws,
-                                                            pram::NcCounters* counters = nullptr);
+                                                            pram::Workspace& ws);
 
 /// Fair popular matching: profile reverse-lexicographically minimal (fewest
 /// last resorts, then fewest worst-rank applicants, ...). Always also a
 /// maximum-cardinality popular matching.
-std::optional<matching::Matching> find_fair_popular(const Instance& inst,
-                                                    pram::NcCounters* counters = nullptr);
-std::optional<matching::Matching> find_fair_popular(const Instance& inst, pram::Workspace& ws,
-                                                    pram::NcCounters* counters = nullptr);
+std::optional<matching::Matching> find_fair_popular(const Instance& inst, pram::Workspace& ws);
 
 /// The profile of an applicant-complete matching; dimension max_ranks()+1,
 /// bucket k = applicants matched at rank k+1, last bucket = last resorts.

@@ -7,24 +7,16 @@
 namespace ncpm::core {
 
 std::optional<matching::Matching> find_popular_matching(const Instance& inst,
-                                                        pram::NcCounters* counters,
-                                                        PopularRunStats* stats) {
-  pram::Workspace ws;
-  return find_popular_matching(inst, ws, counters, stats);
-}
-
-std::optional<matching::Matching> find_popular_matching(const Instance& inst,
                                                         pram::Workspace& ws,
-                                                        pram::NcCounters* counters,
                                                         PopularRunStats* stats) {
   pram::Executor& ex = ws.exec();
   std::optional<ReducedGraph> rg_holder;
   {
     obs::PhaseScope phase(ws.profiler(), obs::Phase::kReducedGraph);
-    rg_holder.emplace(build_reduced_graph(inst, counters, ex));
+    rg_holder.emplace(build_reduced_graph(inst, ws));
   }
   const ReducedGraph& rg = *rg_holder;
-  ApplicantCompleteResult ac = applicant_complete_matching(inst, rg, ws, counters);
+  ApplicantCompleteResult ac = applicant_complete_matching(inst, rg, ws);
   if (stats != nullptr) {
     stats->while_rounds = ac.while_rounds;
     stats->workspace_allocs_first_round = ac.workspace_allocs_first_round;
@@ -41,7 +33,7 @@ std::optional<matching::Matching> find_popular_matching(const Instance& inst,
   ex.parallel_for(n_a, [&](std::size_t a) {
     post_matched[static_cast<std::size_t>(ac.post_of[a])] = 1;  // injective writes
   });
-  pram::add_round(counters, n_a);
+  ws.round(n_a);
 
   // Promote one applicant per unmatched f-post (line 5-7 of Algorithm 1).
   // f^-1 sets are disjoint, so the parallel writes touch distinct applicants.
@@ -51,13 +43,13 @@ std::optional<matching::Matching> find_popular_matching(const Instance& inst,
     const std::int32_t a = candidates[0];  // deterministic: smallest applicant id
     ac.post_of[static_cast<std::size_t>(a)] = static_cast<std::int32_t>(p);
   });
-  pram::add_round(counters, n_ext);
+  ws.round(n_ext);
 
   matching::Matching m(inst.num_applicants(), inst.total_posts());
   ex.parallel_for(n_a, [&](std::size_t a) {
     m.set_pair_unchecked(static_cast<std::int32_t>(a), ac.post_of[a]);
   });
-  pram::add_round(counters, n_a);
+  ws.round(n_a);
   m.rebuild_inverse_and_size();
   return m;
 }

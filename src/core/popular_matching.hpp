@@ -14,7 +14,6 @@
 
 #include "core/instance.hpp"
 #include "matching/matching.hpp"
-#include "pram/counters.hpp"
 #include "pram/workspace.hpp"
 
 namespace ncpm::core {
@@ -30,18 +29,12 @@ struct PopularRunStats {
 
 /// The NC pipeline. Requires strict preferences and last resorts. The
 /// returned matching pairs applicants with extended post ids and is
-/// applicant-complete (last resorts count as matched).
-std::optional<matching::Matching> find_popular_matching(const Instance& inst,
-                                                        pram::NcCounters* counters = nullptr,
-                                                        PopularRunStats* stats = nullptr);
-
-/// Workspace-reusing variant: all Algorithm 2 round-engine scratch is
-/// leased from `ws`. Passing the same workspace across calls keeps the
-/// buffers warm, so repeated solves perform no round-loop allocation at
-/// all.
+/// applicant-complete (last resorts count as matched). All Algorithm 2
+/// round-engine scratch is leased from `ws`: passing the same workspace
+/// across calls keeps the buffers warm, so repeated solves perform no
+/// round-loop allocation at all.
 std::optional<matching::Matching> find_popular_matching(const Instance& inst,
                                                         pram::Workspace& ws,
-                                                        pram::NcCounters* counters = nullptr,
                                                         PopularRunStats* stats = nullptr);
 
 }  // namespace ncpm::core

@@ -7,8 +7,7 @@
 
 namespace ncpm::core {
 
-ReducedGraph build_reduced_graph(const Instance& inst, pram::NcCounters* counters,
-                                 pram::Executor& ex) {
+ReducedGraph build_reduced_graph(const Instance& inst, pram::Workspace& ws) {
   if (!inst.strict_prefs()) {
     throw std::invalid_argument("build_reduced_graph: instance has ties (see core/ties.hpp)");
   }
@@ -17,6 +16,7 @@ ReducedGraph build_reduced_graph(const Instance& inst, pram::NcCounters* counter
   }
   const auto n_a = static_cast<std::size_t>(inst.num_applicants());
   const auto n_ext = static_cast<std::size_t>(inst.total_posts());
+  pram::Executor& ex = ws.exec();
 
   ReducedGraph rg;
   rg.f_post.resize(n_a);
@@ -31,7 +31,7 @@ ReducedGraph build_reduced_graph(const Instance& inst, pram::NcCounters* counter
     std::atomic_ref<std::uint8_t>(rg.is_f_post[static_cast<std::size_t>(posts[0])])
         .store(1, std::memory_order_relaxed);
   });
-  pram::add_round(counters, n_a);
+  ws.round(n_a);
 
   // s(a): most preferred non-f-post; the last resort if the whole list is
   // f-posts. The per-applicant scan is O(list length) work, matching the
@@ -57,7 +57,7 @@ ReducedGraph build_reduced_graph(const Instance& inst, pram::NcCounters* counter
     rg.s_post[a] = s;
     rg.s_rank[a] = sr;
   });
-  pram::add_round(counters, n_a);
+  ws.round(n_a);
 
   // f^-1 as CSR by counting sort over f_post.
   std::vector<std::int64_t> count(n_ext, 0);
@@ -65,15 +65,15 @@ ReducedGraph build_reduced_graph(const Instance& inst, pram::NcCounters* counter
     std::atomic_ref<std::int64_t>(count[static_cast<std::size_t>(rg.f_post[a])])
         .fetch_add(1, std::memory_order_relaxed);
   });
-  pram::add_round(counters, n_a);
+  ws.round(n_a);
   std::vector<std::int64_t> off64(n_ext);
-  const std::int64_t total = pram::exclusive_scan<std::int64_t>(count, off64, counters, ex);
+  const std::int64_t total = pram::exclusive_scan<std::int64_t>(count, off64, ws);
   rg.f_inv_offset.resize(n_ext + 1);
   ex.parallel_for(n_ext, [&](std::size_t p) {
     rg.f_inv_offset[p] = static_cast<std::size_t>(off64[p]);
   });
   rg.f_inv_offset[n_ext] = static_cast<std::size_t>(total);
-  pram::add_round(counters, n_ext);
+  ws.round(n_ext);
   rg.f_inv.resize(static_cast<std::size_t>(total));
   std::vector<std::int64_t> cursor(off64);
   // Sequential placement keeps f_inv sorted by applicant id (deterministic
@@ -82,10 +82,21 @@ ReducedGraph build_reduced_graph(const Instance& inst, pram::NcCounters* counter
     auto& c = cursor[static_cast<std::size_t>(rg.f_post[a])];
     rg.f_inv[static_cast<std::size_t>(c++)] = static_cast<std::int32_t>(a);
   }
-  pram::add_round(counters, n_a);
+  ws.round(n_a);
 
   for (std::size_t p = 0; p < n_ext; ++p) {
     if (rg.is_f_post[p] != 0) rg.f_posts.push_back(static_cast<std::int32_t>(p));
+  }
+  return rg;
+}
+
+ReducedGraph build_reduced_graph(const Instance& inst, pram::NcCounters* counters,
+                                 pram::Executor& ex) {
+  pram::Workspace ws(ex);
+  ReducedGraph rg = build_reduced_graph(inst, ws);
+  if (counters != nullptr) {
+    counters->rounds += ws.counters().rounds;
+    counters->work += ws.counters().work;
   }
   return rg;
 }

@@ -17,6 +17,7 @@
 #include "core/instance.hpp"
 #include "pram/counters.hpp"
 #include "pram/executor.hpp"
+#include "pram/workspace.hpp"
 
 namespace ncpm::core {
 
@@ -40,7 +41,13 @@ struct ReducedGraph {
 
 /// Build G' from a strict-preferences instance with last resorts.
 /// Throws std::invalid_argument for ties or missing last resorts.
-ReducedGraph build_reduced_graph(const Instance& inst, pram::NcCounters* counters = nullptr,
-                                 pram::Executor& ex = pram::default_executor());
+ReducedGraph build_reduced_graph(const Instance& inst, pram::Workspace& ws);
+
+/// Benchmark shell, kept only because the frozen perfbench/ sources call
+/// this signature: builds a Workspace on `ex`, runs the form above and adds
+/// its counts to `counters` when that is not null. Nothing else may call
+/// it; it goes with the next benchmark change.
+ReducedGraph build_reduced_graph(const Instance& inst, pram::NcCounters* counters,
+                                 pram::Executor& ex);
 
 }  // namespace ncpm::core

@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "pram/crcw.hpp"
-#include "pram/executor.hpp"
 
 namespace ncpm::core {
 
@@ -22,9 +21,24 @@ inline void atomic_store_flag(std::uint8_t& slot) {
 }  // namespace
 
 SwitchingEngine::SwitchingEngine(const Instance& inst, const ReducedGraph& rg,
+                                 const matching::Matching& m, pram::Workspace& ws) {
+  build(inst, rg, m, ws);
+}
+
+SwitchingEngine::SwitchingEngine(const Instance& inst, const ReducedGraph& rg,
                                  const matching::Matching& m, pram::NcCounters* counters,
-                                 pram::Executor& ex)
-    : ex_(&ex) {
+                                 pram::Executor& ex) {
+  pram::Workspace ws(ex);
+  build(inst, rg, m, ws);
+  if (counters != nullptr) {
+    counters->rounds += ws.counters().rounds;
+    counters->work += ws.counters().work;
+  }
+}
+
+void SwitchingEngine::build(const Instance& inst, const ReducedGraph& rg,
+                            const matching::Matching& m, pram::Workspace& ws) {
+  pram::Executor& ex = ws.exec();
   const auto n_a = static_cast<std::size_t>(inst.num_applicants());
   const auto n_ext = static_cast<std::size_t>(inst.total_posts());
   post_of_.resize(n_a);
@@ -54,9 +68,9 @@ SwitchingEngine::SwitchingEngine(const Instance& inst, const ReducedGraph& rg,
     out_applicant_[static_cast<std::size_t>(mp)] = ai;
     atomic_store_flag(is_s_post_[static_cast<std::size_t>(s)]);
   });
-  pram::add_round(counters, n_a);
+  ws.round(n_a);
 
-  cycles_ = graph::analyze_cycles(pf_, graph::CycleMethod::PointerDoubling, counters, ex);
+  cycles_ = graph::analyze_cycles(pf_, graph::CycleMethod::PointerDoubling, ws);
 
   has_cycle_.assign(n_ext, 0);
   ex.parallel_for(n_ext, [&](std::size_t v) {
@@ -64,7 +78,7 @@ SwitchingEngine::SwitchingEngine(const Instance& inst, const ReducedGraph& rg,
       atomic_store_flag(has_cycle_[static_cast<std::size_t>(cycles_.component[v])]);
     }
   });
-  pram::add_round(counters, n_ext);
+  ws.round(n_ext);
 
   // Broken successors: terminals at sinks and at cycle roots.
   broken_succ_.resize(n_ext);
@@ -74,84 +88,84 @@ SwitchingEngine::SwitchingEngine(const Instance& inst, const ReducedGraph& rg,
         (cycles_.on_cycle[v] != 0 && cycles_.cycle_root[v] == static_cast<std::int32_t>(v));
     broken_succ_[v] = terminal ? static_cast<std::int32_t>(v) : pf_.next[v];
   });
-  pram::add_round(counters, n_ext);
-  steps_ = pram::list_rank(broken_succ_, counters, ex);
+  ws.round(n_ext);
+  steps_ = pram::list_rank(broken_succ_, ws);
 
   // Binary-lifting tables for path marking: lift_[k][v] = broken_succ_^(2^k)(v).
   const std::uint32_t levels = pram::ceil_log2(n_ext == 0 ? 1 : n_ext) + 1;
   lift_.resize(levels);
   lift_[0] = broken_succ_;
   for (std::uint32_t k = 1; k < levels; ++k) {
-    lift_[k] = pram::compose(lift_[k - 1], lift_[k - 1], counters, ex);
+    lift_[k] = pram::compose(lift_[k - 1], lift_[k - 1], ws);
   }
 }
 
 SwitchingEngine::MarginReport SwitchingEngine::margins(std::span<const std::int64_t> post_value,
-                                                       pram::NcCounters* counters) const {
+                                                       pram::Workspace& ws) const {
   const std::size_t n_ext = pf_.size();
   if (post_value.size() != n_ext) {
     throw std::invalid_argument("SwitchingEngine::margins: post_value size mismatch");
   }
   // Vertex delta = the change contributed by the applicant on v's out-edge.
   std::vector<std::int64_t> delta(n_ext, 0);
-  ex_->parallel_for(n_ext, [&](std::size_t v) {
+  ws.exec().parallel_for(n_ext, [&](std::size_t v) {
     if (out_applicant_[v] != kNone) {
       delta[v] = post_value[static_cast<std::size_t>(pf_.next[v])] - post_value[v];
     }
   });
-  pram::add_round(counters, n_ext);
-  return margins_from_deltas(delta, counters);
+  ws.round(n_ext);
+  return margins_from_deltas(delta, ws);
 }
 
 SwitchingEngine::MarginReport SwitchingEngine::margins_from_deltas(
-    std::span<const std::int64_t> vertex_delta, pram::NcCounters* counters) const {
+    std::span<const std::int64_t> vertex_delta, pram::Workspace& ws) const {
   const std::size_t n_ext = pf_.size();
   if (vertex_delta.size() != n_ext) {
     throw std::invalid_argument("SwitchingEngine::margins_from_deltas: size mismatch");
   }
-  std::vector<std::int64_t> weight(vertex_delta.begin(), vertex_delta.end());
-  const auto ranking = pram::weighted_list_rank(broken_succ_, weight, counters, *ex_);
+  auto ranking = pram::weighted_list_rank(broken_succ_, vertex_delta, ws);
 
   MarginReport report;
-  report.path_margin = ranking.rank;
+  report.path_margin = std::move(ranking.rank);
   report.cycle_margin.assign(n_ext, 0);
-  ex_->parallel_for(n_ext, [&](std::size_t v) {
+  ws.exec().parallel_for(n_ext, [&](std::size_t v) {
     if (cycles_.on_cycle[v] != 0 && cycles_.cycle_root[v] == static_cast<std::int32_t>(v)) {
       // The root is the ranking terminal, so its own weight is re-added.
       const auto succ = static_cast<std::size_t>(pf_.next[v]);
-      report.cycle_margin[v] = weight[v] + ranking.rank[succ];
+      report.cycle_margin[v] = vertex_delta[v] + report.path_margin[succ];
     }
   });
-  pram::add_round(counters, n_ext);
+  ws.round(n_ext);
   return report;
 }
 
 std::vector<SwitchingEngine::Choice> SwitchingEngine::best_choices(
-    const MarginReport& report, pram::NcCounters* counters) const {
+    const MarginReport& report, pram::Workspace& ws) const {
   const std::size_t n_ext = pf_.size();
+  pram::Executor& ex = ws.exec();
   std::vector<Choice> choices;
 
   // Cycle components: apply the unique switching cycle iff its margin > 0.
   std::vector<std::uint8_t> cycle_chosen(n_ext, 0);
-  ex_->parallel_for(n_ext, [&](std::size_t v) {
+  ex.parallel_for(n_ext, [&](std::size_t v) {
     if (cycles_.on_cycle[v] != 0 && cycles_.cycle_root[v] == static_cast<std::int32_t>(v) &&
         report.cycle_margin[v] > 0) {
       cycle_chosen[v] = 1;
     }
   });
-  pram::add_round(counters, n_ext);
+  ws.round(n_ext);
 
   // Tree components: the best-margin s-post start, ties to the smallest id.
   std::vector<std::int64_t> best_margin(n_ext, std::numeric_limits<std::int64_t>::min());
-  ex_->parallel_for(n_ext, [&](std::size_t q) {
+  ex.parallel_for(n_ext, [&](std::size_t q) {
     if (is_s_post_[q] == 0 || out_applicant_[q] == kNone) return;
     const auto comp = static_cast<std::size_t>(cycles_.component[q]);
     if (has_cycle_[comp] != 0) return;
     pram::crcw_max(best_margin[comp], report.path_margin[q]);
   });
-  pram::add_round(counters, n_ext);
+  ws.round(n_ext);
   std::vector<std::int32_t> best_start(n_ext, std::numeric_limits<std::int32_t>::max());
-  ex_->parallel_for(n_ext, [&](std::size_t q) {
+  ex.parallel_for(n_ext, [&](std::size_t q) {
     if (is_s_post_[q] == 0 || out_applicant_[q] == kNone) return;
     const auto comp = static_cast<std::size_t>(cycles_.component[q]);
     if (has_cycle_[comp] != 0) return;
@@ -159,7 +173,7 @@ std::vector<SwitchingEngine::Choice> SwitchingEngine::best_choices(
       pram::crcw_min(best_start[comp], static_cast<std::int32_t>(q));
     }
   });
-  pram::add_round(counters, n_ext);
+  ws.round(n_ext);
 
   for (std::size_t v = 0; v < n_ext; ++v) {
     if (cycle_chosen[v] != 0) {
@@ -173,8 +187,9 @@ std::vector<SwitchingEngine::Choice> SwitchingEngine::best_choices(
 }
 
 matching::Matching SwitchingEngine::apply(std::span<const Choice> choices,
-                                          pram::NcCounters* counters) const {
+                                          pram::Workspace& ws) const {
   const std::size_t n_ext = pf_.size();
+  pram::Executor& ex = ws.exec();
   const std::size_t n_a = post_of_.size();
 
   std::vector<std::uint8_t> cycle_root_chosen(n_ext, 0);
@@ -209,7 +224,7 @@ matching::Matching SwitchingEngine::apply(std::span<const Choice> choices,
   // steps(v) <= steps(q*) and broken_succ^(steps(q*) - steps(v))(q*) == v,
   // evaluated with the binary-lifting tables in O(log n) each.
   std::vector<std::uint8_t> switches(n_ext, 0);
-  ex_->parallel_for(n_ext, [&](std::size_t v) {
+  ex.parallel_for(n_ext, [&](std::size_t v) {
     if (out_applicant_[v] == kNone) return;  // sinks and isolated posts never move
     if (cycles_.on_cycle[v] != 0) {
       if (cycle_root_chosen[static_cast<std::size_t>(cycles_.cycle_root[v])] != 0) switches[v] = 1;
@@ -227,28 +242,28 @@ matching::Matching SwitchingEngine::apply(std::span<const Choice> choices,
     }
     if (u == static_cast<std::int32_t>(v)) switches[v] = 1;
   });
-  pram::add_round(counters, n_ext);
+  ws.round(n_ext);
 
   matching::Matching out(static_cast<std::int32_t>(n_a), static_cast<std::int32_t>(n_ext));
-  ex_->parallel_for(n_a, [&](std::size_t a) {
+  ex.parallel_for(n_a, [&](std::size_t a) {
     out.set_pair_unchecked(static_cast<std::int32_t>(a), post_of_[a]);
   });
-  pram::add_round(counters, n_a);
-  ex_->parallel_for(n_ext, [&](std::size_t v) {
+  ws.round(n_a);
+  ex.parallel_for(n_ext, [&](std::size_t v) {
     if (switches[v] != 0) {
       out.set_pair_unchecked(out_applicant_[v], pf_.next[v]);
     }
   });
-  pram::add_round(counters, n_ext);
+  ws.round(n_ext);
   out.rebuild_inverse_and_size();
   return out;
 }
 
 matching::Matching SwitchingEngine::apply_best(std::span<const std::int64_t> post_value,
-                                               pram::NcCounters* counters) const {
-  const auto report = margins(post_value, counters);
-  const auto choices = best_choices(report, counters);
-  return apply(choices, counters);
+                                               pram::Workspace& ws) const {
+  const auto report = margins(post_value, ws);
+  const auto choices = best_choices(report, ws);
+  return apply(choices, ws);
 }
 
 SwitchingEngine::Menu SwitchingEngine::menu() const {
@@ -289,23 +304,27 @@ SwitchingEngine::Menu SwitchingEngine::menu() const {
   return menu;
 }
 
-std::optional<std::uint64_t> count_popular_matchings(const Instance& inst,
-                                                     pram::NcCounters* counters) {
-  pram::Workspace ws;
-  return count_popular_matchings(inst, ws, counters);
-}
-
-std::optional<std::uint64_t> count_popular_matchings(const Instance& inst, pram::Workspace& ws,
-                                                     pram::NcCounters* counters) {
-  const auto seed = find_popular_matching(inst, ws, counters);
+std::optional<std::uint64_t> count_popular_matchings(const Instance& inst, pram::Workspace& ws) {
+  const auto seed = find_popular_matching(inst, ws);
   if (!seed.has_value()) return std::nullopt;
-  return count_popular_matchings(inst, *seed, counters, ws.exec());
+  return count_popular_matchings(inst, *seed, ws);
 }
 
 std::uint64_t count_popular_matchings(const Instance& inst, const matching::Matching& popular,
                                       pram::NcCounters* counters, pram::Executor& ex) {
-  const ReducedGraph rg = build_reduced_graph(inst, counters, ex);
-  const SwitchingEngine engine(inst, rg, popular, counters, ex);
+  pram::Workspace ws(ex);
+  const std::uint64_t count = count_popular_matchings(inst, popular, ws);
+  if (counters != nullptr) {
+    counters->rounds += ws.counters().rounds;
+    counters->work += ws.counters().work;
+  }
+  return count;
+}
+
+std::uint64_t count_popular_matchings(const Instance& inst, const matching::Matching& popular,
+                                      pram::Workspace& ws) {
+  const ReducedGraph rg = build_reduced_graph(inst, ws);
+  const SwitchingEngine engine(inst, rg, popular, ws);
   const auto menu = engine.menu();
   std::uint64_t count = 1;
   for (const auto& entry : menu.entries) {
@@ -319,8 +338,9 @@ std::uint64_t count_popular_matchings(const Instance& inst, const matching::Matc
 
 std::vector<matching::Matching> all_popular_matchings_via_switching(const Instance& inst,
                                                                     const ReducedGraph& rg,
-                                                                    const matching::Matching& m) {
-  const SwitchingEngine engine(inst, rg, m);
+                                                                    const matching::Matching& m,
+                                                                    pram::Workspace& ws) {
+  const SwitchingEngine engine(inst, rg, m, ws);
   const auto menu = engine.menu();
 
   // Per component: no switch, the cycle, or one path (Theorem 9).
@@ -328,7 +348,7 @@ std::vector<matching::Matching> all_popular_matchings_via_switching(const Instan
   std::vector<SwitchingEngine::Choice> current;
   const std::function<void(std::size_t)> recurse = [&](std::size_t i) {
     if (i == menu.entries.size()) {
-      result.push_back(engine.apply(current));
+      result.push_back(engine.apply(current, ws));
       return;
     }
     const auto with = [&](SwitchingEngine::Choice c) {

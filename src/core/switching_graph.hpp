@@ -37,6 +37,7 @@
 #include "graph/pseudoforest.hpp"
 #include "matching/matching.hpp"
 #include "pram/counters.hpp"
+#include "pram/executor.hpp"
 #include "pram/list_ranking.hpp"
 #include "pram/workspace.hpp"
 
@@ -45,11 +46,17 @@ namespace ncpm::core {
 class SwitchingEngine {
  public:
   /// Build G_M for a popular matching m of the (strict) instance. The
-  /// engine keeps a reference to `ex` and runs every parallel round of its
-  /// construction and queries on it.
+  /// construction and every query run their rounds in the workspace they
+  /// are handed; the engine keeps no reference to it.
   SwitchingEngine(const Instance& inst, const ReducedGraph& rg, const matching::Matching& m,
-                  pram::NcCounters* counters = nullptr,
-                  pram::Executor& ex = pram::default_executor());
+                  pram::Workspace& ws);
+
+  /// Benchmark shell, kept only because the frozen perfbench/ sources call
+  /// this signature: builds a Workspace on `ex`, runs the constructor above
+  /// and adds its counts to `counters` when that is not null. Nothing else
+  /// may call it; it goes with the next benchmark change.
+  SwitchingEngine(const Instance& inst, const ReducedGraph& rg, const matching::Matching& m,
+                  pram::NcCounters* counters, pram::Executor& ex);
 
   const graph::DirectedPseudoforest& pseudoforest() const noexcept { return pf_; }
   const graph::CycleAnalysis& analysis() const noexcept { return cycles_; }
@@ -69,15 +76,14 @@ class SwitchingEngine {
 
   /// Margins under a post-value function (indexed by extended post id): an
   /// applicant moving M(a) -> O_M(a) contributes value[O_M(a)] - value[M(a)].
-  MarginReport margins(std::span<const std::int64_t> post_value,
-                       pram::NcCounters* counters = nullptr) const;
+  MarginReport margins(std::span<const std::int64_t> post_value, pram::Workspace& ws) const;
 
   /// Margins from raw per-vertex deltas: vertex_delta[v] is the gain when
   /// the applicant on v's out-edge switches (must be 0 for sinks). This is
   /// the general entry point — weighted and profile-valued optimisation
   /// (Section IV-E) build applicant-dependent deltas and aggregate here.
   MarginReport margins_from_deltas(std::span<const std::int64_t> vertex_delta,
-                                   pram::NcCounters* counters = nullptr) const;
+                                   pram::Workspace& ws) const;
 
   /// One switch: either the cycle rooted at `key`, or the switching path
   /// from s-post vertex `key` to its component's sink.
@@ -88,18 +94,16 @@ class SwitchingEngine {
 
   /// Apply a set of switches (at most one per component — unchecked beyond
   /// matching consistency) and return the resulting matching.
-  matching::Matching apply(std::span<const Choice> choices,
-                           pram::NcCounters* counters = nullptr) const;
+  matching::Matching apply(std::span<const Choice> choices, pram::Workspace& ws) const;
 
   /// Algorithm 3 selection: per cycle component take the cycle iff its
   /// margin is positive; per tree component take the best-margin switching
   /// path (ties to the smallest start id) iff positive.
-  std::vector<Choice> best_choices(const MarginReport& report,
-                                   pram::NcCounters* counters = nullptr) const;
+  std::vector<Choice> best_choices(const MarginReport& report, pram::Workspace& ws) const;
 
   /// Convenience: margins + best_choices + apply.
   matching::Matching apply_best(std::span<const std::int64_t> post_value,
-                                pram::NcCounters* counters = nullptr) const;
+                                pram::Workspace& ws) const;
 
   /// The switches one component offers (Theorem 9: pick none or one).
   struct MenuEntry {
@@ -123,7 +127,9 @@ class SwitchingEngine {
   Menu menu() const;
 
  private:
-  pram::Executor* ex_;                 // rounds run here; outlives the engine
+  void build(const Instance& inst, const ReducedGraph& rg, const matching::Matching& m,
+             pram::Workspace& ws);
+
   std::vector<std::int32_t> post_of_;  // M as a post vector (per applicant)
   graph::DirectedPseudoforest pf_;
   graph::CycleAnalysis cycles_;
@@ -140,7 +146,8 @@ class SwitchingEngine {
 /// count — tests only.
 std::vector<matching::Matching> all_popular_matchings_via_switching(const Instance& inst,
                                                                     const ReducedGraph& rg,
-                                                                    const matching::Matching& m);
+                                                                    const matching::Matching& m,
+                                                                    pram::Workspace& ws);
 
 /// Number of popular matchings of the instance, in linear time past the
 /// seed solve: by Theorem 9 it is the product, over the switching-graph
@@ -149,17 +156,17 @@ std::vector<matching::Matching> all_popular_matchings_via_switching(const Instan
 /// pass. Saturates at UINT64_MAX; std::nullopt when the
 /// instance admits no popular matching. (An extension beyond the paper,
 /// following McDermid & Irving's structure results.)
-std::optional<std::uint64_t> count_popular_matchings(const Instance& inst,
-                                                     pram::NcCounters* counters = nullptr);
-/// Workspace-reusing variant (the seed matching's Algorithm 2 rounds lease
-/// their scratch from `ws`).
-std::optional<std::uint64_t> count_popular_matchings(const Instance& inst, pram::Workspace& ws,
-                                                     pram::NcCounters* counters = nullptr);
+std::optional<std::uint64_t> count_popular_matchings(const Instance& inst, pram::Workspace& ws);
 /// Count from a known popular matching, skipping the seed solve (callers
 /// that already hold one — the engine's check mode — pay one pipeline run,
 /// not two).
 std::uint64_t count_popular_matchings(const Instance& inst, const matching::Matching& popular,
-                                      pram::NcCounters* counters = nullptr,
-                                      pram::Executor& ex = pram::default_executor());
+                                      pram::Workspace& ws);
+/// Benchmark shell, kept only because the frozen perfbench/ sources call
+/// this signature: builds a Workspace on `ex`, runs the form above and adds
+/// its counts to `counters` when that is not null. Nothing else may call
+/// it; it goes with the next benchmark change.
+std::uint64_t count_popular_matchings(const Instance& inst, const matching::Matching& popular,
+                                      pram::NcCounters* counters, pram::Executor& ex);
 
 }  // namespace ncpm::core

@@ -65,7 +65,7 @@ void execute(const Request& req, pram::Workspace& ws, Result& out) {
     }
     const auto& inst = *req.stable_instance;
     const auto m0 = stable::man_optimal(inst);
-    out.next_stable = stable::next_stable_matchings(inst, m0, nullptr, ws.exec());
+    out.next_stable = stable::next_stable_matchings(inst, m0, ws);
     out.status = Status::kOk;
     return;
   }
@@ -92,7 +92,7 @@ void execute(const Request& req, pram::Workspace& ws, Result& out) {
   switch (req.mode) {
     case Mode::kSolve:
       if (strict) {
-        fill_matching(inst, core::find_popular_matching(inst, ws, nullptr, &out.run_stats), ws, out);
+        fill_matching(inst, core::find_popular_matching(inst, ws, &out.run_stats), ws, out);
       } else {
         fill_matching(inst, core::find_popular_matching_ties(inst), ws, out);
       }
@@ -122,7 +122,7 @@ void execute(const Request& req, pram::Workspace& ws, Result& out) {
       report.posts = inst.num_posts();
       report.strict = strict;
       const auto m = strict
-                         ? core::find_popular_matching(inst, ws, nullptr, &out.run_stats)
+                         ? core::find_popular_matching(inst, ws, &out.run_stats)
                          : core::find_popular_matching_ties(inst);
       report.admits_popular = m.has_value();
       if (m.has_value()) {
@@ -131,8 +131,8 @@ void execute(const Request& req, pram::Workspace& ws, Result& out) {
           report.size = core::matching_size(inst, *m);
         }
         // Count from the matching already in hand — one pipeline run, not
-        // two — on this worker's own executor, never the shared default.
-        if (strict) report.count = core::count_popular_matchings(inst, *m, nullptr, ws.exec());
+        // two — in this worker's own workspace.
+        if (strict) report.count = core::count_popular_matchings(inst, *m, ws);
       }
       out.check = report;
       out.status = report.admits_popular ? Status::kOk : Status::kNoSolution;
@@ -385,10 +385,10 @@ void Engine::worker_main(int worker_id) {
   pram::Executor exec(exec_config);
   pram::Workspace ws(exec);
   // The worker's private phase accumulator: solver layers below record
-  // into it through the executor's profiler pointer; each task resets it
+  // into it through the workspace's profiler pointer; each task resets it
   // and snapshots the totals into its Result.
   obs::PhaseAccum phase_accum;
-  if (config_.profile_phases) exec.attach_profiler(&phase_accum);
+  if (config_.profile_phases) ws.attach_profiler(&phase_accum);
   Worker& self = *workers_[static_cast<std::size_t>(worker_id)];
   for (;;) {
     Task task;

@@ -5,17 +5,17 @@
 // we implement the classic Shiloach–Vishkin scheme — per round, hook roots
 // toward smaller labels across edges (CRCW "min" writes, realised with
 // std::atomic_ref fetch-min loops) and then fully shortcut by pointer
-// jumping. Labels converge to the minimum vertex id of each component, which
-// the rest of the library uses as the canonical component name. Rounds are
-// counted for the depth-validation benchmarks.
+// jumping. Every round reads only the previous round's labels (synchronous
+// PRAM semantics), so the labels, `hook_rounds` and the counted rounds are
+// all independent of the executor width. Labels converge to the minimum
+// vertex id of each component, which the rest of the library uses as the
+// canonical component name.
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "pram/counters.hpp"
-#include "pram/executor.hpp"
 #include "pram/workspace.hpp"
 
 namespace ncpm::graph {
@@ -27,20 +27,12 @@ struct ComponentLabels {
 };
 
 /// Connected components of the undirected (multi)graph on `n` vertices with
-/// edges (eu[j], ev[j]); `edge_alive` (optional) masks edges out. Self-loops
-/// are permitted and ignored. Rounds run on `ex`.
-ComponentLabels connected_components(std::size_t n, std::span<const std::int32_t> eu,
-                                     std::span<const std::int32_t> ev,
-                                     std::span<const std::uint8_t> edge_alive = {},
-                                     pram::NcCounters* counters = nullptr,
-                                     pram::Executor& ex = pram::default_executor());
-
-/// Workspace-backed variant: the pointer-jumping scratch is leased from
-/// `ws`, so repeated calls reuse one warm buffer set; rounds run on `ws`'s
-/// executor.
+/// edges (eu[j], ev[j]); `edge_alive` (empty = all alive) masks edges out.
+/// Self-loops are permitted and ignored. The pointer-jumping scratch is
+/// leased from `ws`.
 ComponentLabels connected_components(std::size_t n, std::span<const std::int32_t> eu,
                                      std::span<const std::int32_t> ev,
                                      std::span<const std::uint8_t> edge_alive,
-                                     pram::Workspace& ws, pram::NcCounters* counters = nullptr);
+                                     pram::Workspace& ws);
 
 }  // namespace ncpm::graph

@@ -38,7 +38,6 @@
 #include <span>
 #include <vector>
 
-#include "pram/counters.hpp"
 #include "pram/list_ranking.hpp"
 #include "pram/workspace.hpp"
 
@@ -50,14 +49,14 @@ class HalfEdgeStructure {
   /// Build the structure over alive edges. Self-loops are rejected.
   HalfEdgeStructure(std::size_t n_vertices, std::span<const std::int32_t> eu,
                     std::span<const std::int32_t> ev, std::span<const std::uint8_t> edge_alive,
-                    pram::NcCounters* counters = nullptr);
+                    pram::Workspace& ws);
 
   /// Rebuild in place over a new edge set, reusing the capacity of every
   /// internal array; scratch comes from `ws`. With a warm workspace and
   /// non-growing sizes this performs no heap allocation.
   void rebuild(std::size_t n_vertices, std::span<const std::int32_t> eu,
                std::span<const std::int32_t> ev, std::span<const std::uint8_t> edge_alive,
-               pram::Workspace& ws, pram::NcCounters* counters = nullptr);
+               pram::Workspace& ws);
 
   std::size_t n_vertices() const noexcept { return n_; }
   std::size_t n_edges() const noexcept { return eu_.size(); }
@@ -121,9 +120,9 @@ class AliveEdgePaths {
   /// endpoints must be valid non-equal vertex ids (the caller's compaction
   /// guarantees it, so this is not re-validated here).
   void rebuild(std::span<const std::int32_t> eu, std::span<const std::int32_t> ev,
-               pram::Workspace& ws, pram::NcCounters* counters = nullptr) {
-    rebuild_links(eu, ev, {}, counters);
-    rank(ws, counters);
+               pram::Workspace& ws) {
+    rebuild_links(eu, ev, {}, ws);
+    rank(ws);
   }
 
   /// Stage 1 only: degrees, two-slot incidence and successors. An empty
@@ -131,12 +130,11 @@ class AliveEdgePaths {
   /// mask, dead half-edges become terminals. For callers that do their own
   /// ranking over `succ()` (e.g. two_regular's cycle labelling).
   void rebuild_links(std::span<const std::int32_t> eu, std::span<const std::int32_t> ev,
-                     std::span<const std::uint8_t> edge_alive,
-                     pram::NcCounters* counters = nullptr);
+                     std::span<const std::uint8_t> edge_alive, pram::Workspace& ws);
 
   /// Stage 2: list-rank the successor chains; head()/rank()/
   /// reaches_terminal() are valid afterwards.
-  void rank(pram::Workspace& ws, pram::NcCounters* counters = nullptr);
+  void rank(pram::Workspace& ws);
 
   std::size_t n_edges() const noexcept { return m_; }
   std::size_t n_half_edges() const noexcept { return 2 * m_; }
@@ -163,7 +161,6 @@ class AliveEdgePaths {
 
  private:
   std::size_t m_ = 0;
-  pram::Executor* ex_;  // the owning workspace's executor
   std::span<const std::int32_t> eu_, ev_;  // the caller's compacted arrays
   pram::WsBuffer<std::int32_t> deg_;       // per vertex; reset only where touched
   pram::WsBuffer<std::int32_t> inc_;       // two incident-edge slots per vertex

@@ -7,7 +7,6 @@
 #include "graph/connected_components.hpp"
 #include "graph/transitive_closure.hpp"
 #include "linalg/incidence.hpp"
-#include "pram/executor.hpp"
 
 namespace ncpm::graph {
 
@@ -47,32 +46,31 @@ void undirected_edges(const DirectedPseudoforest& pf, std::vector<std::int32_t>&
 }
 
 std::vector<std::uint8_t> members_pointer_doubling(const DirectedPseudoforest& pf,
-                                                   pram::NcCounters* counters,
-                                                   pram::Executor& ex) {
+                                                   pram::Workspace& ws) {
   const std::size_t n = pf.size();
+  pram::Executor& ex = ws.exec();
   const auto f = closed_successors(pf, ex);
   // For K >= n the image of f^K is exactly {cycle vertices} ∪ {sinks}: any
   // tree vertex is at distance < n from every start, so nothing maps onto it
   // after n steps, while f^K restricted to a cycle is a bijection of the cycle.
   const std::uint64_t k = std::uint64_t{1} << pram::ceil_log2(n == 0 ? 1 : n);
-  const auto fk = pram::kth_power(f, k, counters, ex);
+  const auto fk = pram::kth_power(f, k, ws);
   std::vector<std::uint8_t> mark(n, 0);
   ex.parallel_for(n, [&](std::size_t v) {
     // CRCW common-value write, realised with relaxed atomics.
     std::atomic_ref<std::uint8_t>(mark[static_cast<std::size_t>(fk[v])])
         .store(1, std::memory_order_relaxed);
   });
-  pram::add_round(counters, n);
+  ws.round(n);
   ex.parallel_for(n, [&](std::size_t v) {
     if (pf.is_sink(v)) mark[v] = 0;
   });
-  pram::add_round(counters, n);
+  ws.round(n);
   return mark;
 }
 
 std::vector<std::uint8_t> members_transitive_closure(const DirectedPseudoforest& pf,
-                                                     pram::NcCounters* counters,
-                                                     pram::Executor& ex) {
+                                                     pram::Workspace& ws) {
   const std::size_t n = pf.size();
   std::vector<std::int32_t> tail, head;
   for (std::size_t v = 0; v < n; ++v) {
@@ -81,8 +79,8 @@ std::vector<std::uint8_t> members_transitive_closure(const DirectedPseudoforest&
       head.push_back(pf.next[v]);
     }
   }
-  const auto closure = transitive_closure(adjacency_matrix(n, tail, head), counters, ex);
-  return closure.diagonal(ex);  // v on a directed cycle iff v reaches itself
+  const auto closure = transitive_closure(adjacency_matrix(n, tail, head), ws);
+  return closure.diagonal(ws);  // v on a directed cycle iff v reaches itself
 }
 
 /// Shared for the Gf2Rank / EdgeRemovalCC methods: mark endpoints of every
@@ -118,40 +116,39 @@ std::vector<std::uint8_t> members_by_edge_removal(const DirectedPseudoforest& pf
 }  // namespace
 
 std::vector<std::uint8_t> cycle_members(const DirectedPseudoforest& pf, CycleMethod method,
-                                        pram::NcCounters* counters, pram::Executor& ex) {
-  validate(pf, ex);
+                                        pram::Workspace& ws) {
+  validate(pf, ws.exec());
   switch (method) {
     case CycleMethod::PointerDoubling:
-      return members_pointer_doubling(pf, counters, ex);
+      return members_pointer_doubling(pf, ws);
     case CycleMethod::TransitiveClosure:
-      return members_transitive_closure(pf, counters, ex);
+      return members_transitive_closure(pf, ws);
     case CycleMethod::Gf2Rank:
       return members_by_edge_removal(pf, [&](auto& eu, auto& ev, auto& alive) {
-        return linalg::component_count_by_rank(pf.size(), eu, ev, alive, counters, ex);
+        return linalg::component_count_by_rank(pf.size(), eu, ev, alive, ws);
       });
     case CycleMethod::EdgeRemovalCC:
       return members_by_edge_removal(pf, [&](auto& eu, auto& ev, auto& alive) {
-        return static_cast<std::size_t>(
-            connected_components(pf.size(), eu, ev, alive, counters, ex).count);
+        return static_cast<std::size_t>(connected_components(pf.size(), eu, ev, alive, ws).count);
       });
   }
   throw std::invalid_argument("cycle_members: unknown method");
 }
 
-std::vector<std::int32_t> weak_components(const DirectedPseudoforest& pf,
-                                          pram::NcCounters* counters, pram::Executor& ex) {
-  validate(pf, ex);
+std::vector<std::int32_t> weak_components(const DirectedPseudoforest& pf, pram::Workspace& ws) {
+  validate(pf, ws.exec());
   std::vector<std::int32_t> eu, ev, tail;
   undirected_edges(pf, eu, ev, tail);
-  return connected_components(pf.size(), eu, ev, {}, counters, ex).label;
+  return connected_components(pf.size(), eu, ev, {}, ws).label;
 }
 
 CycleAnalysis analyze_cycles(const DirectedPseudoforest& pf, CycleMethod method,
-                             pram::NcCounters* counters, pram::Executor& ex) {
+                             pram::Workspace& ws) {
   const std::size_t n = pf.size();
+  pram::Executor& ex = ws.exec();
   CycleAnalysis out;
-  out.on_cycle = cycle_members(pf, method, counters, ex);
-  out.component = weak_components(pf, counters, ex);
+  out.on_cycle = cycle_members(pf, method, ws);
+  out.component = weak_components(pf, ws);
   out.cycle_root.assign(n, pram::kNone);
   out.dist_to_root.assign(n, 0);
   out.cycle_length.assign(n, 0);
@@ -162,12 +159,12 @@ CycleAnalysis analyze_cycles(const DirectedPseudoforest& pf, CycleMethod method,
   const auto f = closed_successors(pf, ex);
   std::vector<std::int64_t> key(n);
   ex.parallel_for(n, [&](std::size_t v) { key[v] = static_cast<std::int64_t>(v); });
-  pram::add_round(counters, n);
-  const auto wmin = pram::window_min(f, key, n, counters, ex);
+  ws.round(n);
+  const auto wmin = pram::window_min(f, key, n, ws);
   ex.parallel_for(n, [&](std::size_t v) {
     if (out.on_cycle[v] != 0) out.cycle_root[v] = static_cast<std::int32_t>(wmin[v]);
   });
-  pram::add_round(counters, n);
+  ws.round(n);
 
   // Distance to root: break every cycle at its root (root becomes a terminal)
   // and list-rank. rank[v] is then the distance v -> root along the cycle.
@@ -176,12 +173,12 @@ CycleAnalysis analyze_cycles(const DirectedPseudoforest& pf, CycleMethod method,
     const bool is_root = out.on_cycle[v] != 0 && out.cycle_root[v] == static_cast<std::int32_t>(v);
     broken[v] = is_root ? static_cast<std::int32_t>(v) : f[v];
   });
-  pram::add_round(counters, n);
-  const auto ranking = pram::list_rank(broken, counters, ex);
+  ws.round(n);
+  const auto ranking = pram::list_rank(broken, ws);
   ex.parallel_for(n, [&](std::size_t v) {
     if (out.on_cycle[v] != 0) out.dist_to_root[v] = ranking.rank[v];
   });
-  pram::add_round(counters, n);
+  ws.round(n);
 
   // Cycle length: the root's predecessor on the cycle sits at distance len-1.
   // Equivalently len = dist(next(root)) + 1; publish via the root then fan out.
@@ -192,13 +189,13 @@ CycleAnalysis analyze_cycles(const DirectedPseudoforest& pf, CycleMethod method,
       len_at_root[v] = ranking.rank[succ] + 1;
     }
   });
-  pram::add_round(counters, n);
+  ws.round(n);
   ex.parallel_for(n, [&](std::size_t v) {
     if (out.on_cycle[v] != 0) {
       out.cycle_length[v] = len_at_root[static_cast<std::size_t>(out.cycle_root[v])];
     }
   });
-  pram::add_round(counters, n);
+  ws.round(n);
 
   // Materialise ordered cycles for sequential consumers (rotations, tests).
   std::vector<std::int32_t> roots;

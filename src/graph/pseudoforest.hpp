@@ -29,9 +29,8 @@
 #include <span>
 #include <vector>
 
-#include "pram/counters.hpp"
-#include "pram/executor.hpp"
 #include "pram/list_ranking.hpp"
+#include "pram/workspace.hpp"
 
 namespace ncpm::graph {
 
@@ -61,20 +60,15 @@ struct CycleAnalysis {
 };
 
 /// Full cycle analysis of a directed pseudoforest. Throws std::invalid_argument
-/// if some vertex has next[v] outside [0, n) ∪ {kNone}. Rounds run on `ex`.
-CycleAnalysis analyze_cycles(const DirectedPseudoforest& pf,
-                             CycleMethod method = CycleMethod::PointerDoubling,
-                             pram::NcCounters* counters = nullptr,
-                             pram::Executor& ex = pram::default_executor());
+/// if some vertex has next[v] outside [0, n) ∪ {kNone}.
+CycleAnalysis analyze_cycles(const DirectedPseudoforest& pf, CycleMethod method,
+                             pram::Workspace& ws);
 
 /// Just the on-cycle mask, by the chosen method (cheaper than full analysis).
 std::vector<std::uint8_t> cycle_members(const DirectedPseudoforest& pf, CycleMethod method,
-                                        pram::NcCounters* counters = nullptr,
-                                        pram::Executor& ex = pram::default_executor());
+                                        pram::Workspace& ws);
 
 /// Weak-component labels (min vertex id per component) of the pseudoforest.
-std::vector<std::int32_t> weak_components(const DirectedPseudoforest& pf,
-                                          pram::NcCounters* counters = nullptr,
-                                          pram::Executor& ex = pram::default_executor());
+std::vector<std::int32_t> weak_components(const DirectedPseudoforest& pf, pram::Workspace& ws);
 
 }  // namespace ncpm::graph

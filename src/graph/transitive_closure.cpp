@@ -21,8 +21,7 @@ linalg::BitMatrix adjacency_matrix(std::size_t n, std::span<const std::int32_t> 
   return a;
 }
 
-linalg::BitMatrix transitive_closure(const linalg::BitMatrix& adjacency,
-                                     pram::NcCounters* counters, pram::Executor& ex) {
+linalg::BitMatrix transitive_closure(const linalg::BitMatrix& adjacency, pram::Workspace& ws) {
   if (adjacency.rows() != adjacency.cols()) {
     throw std::invalid_argument("transitive_closure: matrix must be square");
   }
@@ -30,9 +29,9 @@ linalg::BitMatrix transitive_closure(const linalg::BitMatrix& adjacency,
   // After k squarings r covers all paths of length 1..2^k.
   const std::uint32_t rounds = pram::ceil_log2(adjacency.rows() == 0 ? 1 : adjacency.rows());
   for (std::uint32_t k = 0; k < rounds; ++k) {
-    linalg::BitMatrix sq = linalg::bool_product(r, r, counters, ex);
-    r.or_assign(sq, ex);
-    pram::add_round(counters, r.rows() * r.words_per_row());
+    linalg::BitMatrix sq = linalg::bool_product(r, r, ws);
+    r.or_assign(sq, ws);
+    ws.round(r.rows() * r.words_per_row());
   }
   return r;
 }

@@ -14,7 +14,7 @@
 #include <span>
 
 #include "linalg/gf2_matrix.hpp"
-#include "pram/counters.hpp"
+#include "pram/workspace.hpp"
 
 namespace ncpm::graph {
 
@@ -23,9 +23,7 @@ linalg::BitMatrix adjacency_matrix(std::size_t n, std::span<const std::int32_t> 
                                    std::span<const std::int32_t> head);
 
 /// Strict transitive closure A⁺: entry (i, j) set iff a directed path of
-/// length >= 1 leads from i to j. Squaring rounds run on `ex`.
-linalg::BitMatrix transitive_closure(const linalg::BitMatrix& adjacency,
-                                     pram::NcCounters* counters = nullptr,
-                                     pram::Executor& ex = pram::default_executor());
+/// length >= 1 leads from i to j.
+linalg::BitMatrix transitive_closure(const linalg::BitMatrix& adjacency, pram::Workspace& ws);
 
 }  // namespace ncpm::graph

@@ -4,7 +4,6 @@
 
 #include "linalg/gf2_kernels.hpp"
 #include "obs/profiler.hpp"
-#include "pram/executor.hpp"
 
 namespace ncpm::linalg {
 
@@ -17,7 +16,7 @@ BitMatrix BitMatrix::identity(std::size_t n) {
   return m;
 }
 
-void BitMatrix::or_assign(const BitMatrix& other, pram::Executor& ex) {
+void BitMatrix::or_assign(const BitMatrix& other, pram::Workspace& ws) {
   if (rows_ != other.rows_ || cols_ != other.cols_) {
     throw std::invalid_argument("BitMatrix::or_assign: shape mismatch");
   }
@@ -25,6 +24,7 @@ void BitMatrix::or_assign(const BitMatrix& other, pram::Executor& ex) {
   // kernel call per lane's share.
   const std::size_t n = words_.size();
   if (n == 0) return;
+  pram::Executor& ex = ws.exec();
   const auto nlanes = static_cast<std::size_t>(ex.lanes());
   const std::size_t block = (n + nlanes - 1) / nlanes;
   const std::size_t nblocks = (n + block - 1) / block;
@@ -35,8 +35,8 @@ void BitMatrix::or_assign(const BitMatrix& other, pram::Executor& ex) {
   });
 }
 
-std::uint64_t BitMatrix::popcount(pram::Executor& ex) const {
-  return ex.parallel_reduce(
+std::uint64_t BitMatrix::popcount(pram::Workspace& ws) const {
+  return ws.exec().parallel_reduce(
       rows_, std::uint64_t{0},
       [&](std::size_t r) {
         return gf2k::popcount_words(words_.data() + r * words_per_row_, words_per_row_);
@@ -48,20 +48,21 @@ bool BitMatrix::operator==(const BitMatrix& other) const {
   return rows_ == other.rows_ && cols_ == other.cols_ && words_ == other.words_;
 }
 
-bool BitMatrix::any_diagonal(pram::Executor& ex) const {
+bool BitMatrix::any_diagonal(pram::Workspace& ws) const {
   const std::size_t n = rows_ < cols_ ? rows_ : cols_;
-  return ex.parallel_any(n, [&](std::size_t i) { return get(i, i); });
+  return ws.exec().parallel_any(n, [&](std::size_t i) { return get(i, i); });
 }
 
-std::vector<std::uint8_t> BitMatrix::diagonal(pram::Executor& ex) const {
+std::vector<std::uint8_t> BitMatrix::diagonal(pram::Workspace& ws) const {
   const std::size_t n = rows_ < cols_ ? rows_ : cols_;
   std::vector<std::uint8_t> d(n);
-  ex.parallel_for(n, [&](std::size_t i) { d[i] = get(i, i) ? 1 : 0; });
+  ws.exec().parallel_for(n, [&](std::size_t i) { d[i] = get(i, i) ? 1 : 0; });
   return d;
 }
 
-std::size_t BitMatrix::gf2_rank(pram::NcCounters* counters, pram::Executor& ex) const {
-  obs::PhaseScope phase(ex.profiler(), obs::Phase::kGf2Rank);
+std::size_t BitMatrix::gf2_rank(pram::Workspace& ws) const {
+  obs::PhaseScope phase(ws.profiler(), obs::Phase::kGf2Rank);
+  pram::Executor& ex = ws.exec();
   BitMatrix work = *this;
   const std::size_t wpr = work.words_per_row_;
   std::size_t pivot_row = 0;
@@ -84,7 +85,7 @@ std::size_t BitMatrix::gf2_rank(pram::NcCounters* counters, pram::Executor& ex) 
         gf2k::row_xor(work.row(r).data(), work.row(pr).data(), wpr);
       }
     });
-    pram::add_round(counters, rows_ * wpr);
+    ws.round(rows_ * wpr);
     ++pivot_row;
   }
   return pivot_row;
@@ -93,14 +94,13 @@ std::size_t BitMatrix::gf2_rank(pram::NcCounters* counters, pram::Executor& ex) 
 namespace {
 
 template <bool Xor>
-BitMatrix product_impl(const BitMatrix& a, const BitMatrix& b, pram::NcCounters* counters,
-                       pram::Executor& ex) {
+BitMatrix product_impl(const BitMatrix& a, const BitMatrix& b, pram::Workspace& ws) {
   if (a.cols() != b.rows()) {
     throw std::invalid_argument("BitMatrix product: inner dimension mismatch");
   }
   BitMatrix c(a.rows(), b.cols());
   const std::size_t wpr = c.words_per_row();
-  ex.parallel_for(a.rows(), [&](std::size_t i) {
+  ws.exec().parallel_for(a.rows(), [&](std::size_t i) {
     auto out = c.row(i);
     for (std::size_t k = 0; k < a.cols(); ++k) {
       if (!a.get(i, k)) continue;
@@ -112,20 +112,18 @@ BitMatrix product_impl(const BitMatrix& a, const BitMatrix& b, pram::NcCounters*
       }
     }
   });
-  pram::add_round(counters, a.rows() * a.cols());
+  ws.round(a.rows() * a.cols());
   return c;
 }
 
 }  // namespace
 
-BitMatrix bool_product(const BitMatrix& a, const BitMatrix& b, pram::NcCounters* counters,
-                       pram::Executor& ex) {
-  return product_impl<false>(a, b, counters, ex);
+BitMatrix bool_product(const BitMatrix& a, const BitMatrix& b, pram::Workspace& ws) {
+  return product_impl<false>(a, b, ws);
 }
 
-BitMatrix gf2_product(const BitMatrix& a, const BitMatrix& b, pram::NcCounters* counters,
-                      pram::Executor& ex) {
-  return product_impl<true>(a, b, counters, ex);
+BitMatrix gf2_product(const BitMatrix& a, const BitMatrix& b, pram::Workspace& ws) {
+  return product_impl<true>(a, b, ws);
 }
 
 }  // namespace ncpm::linalg

@@ -17,8 +17,7 @@
 #include <span>
 #include <vector>
 
-#include "pram/counters.hpp"
-#include "pram/executor.hpp"
+#include "pram/workspace.hpp"
 
 namespace ncpm::linalg {
 
@@ -56,24 +55,23 @@ class BitMatrix {
   }
   std::size_t words_per_row() const noexcept { return words_per_row_; }
 
-  /// this |= other (elementwise OR); shapes must match. Rounds run on `ex`.
-  void or_assign(const BitMatrix& other, pram::Executor& ex = pram::default_executor());
+  /// this |= other (elementwise OR); shapes must match.
+  void or_assign(const BitMatrix& other, pram::Workspace& ws);
 
   bool operator==(const BitMatrix& other) const;
 
   /// Number of set bits in the whole matrix (rows reduced in parallel,
   /// each row through the dispatched popcount kernel).
-  std::uint64_t popcount(pram::Executor& ex = pram::default_executor()) const;
+  std::uint64_t popcount(pram::Workspace& ws) const;
 
   /// True iff any diagonal entry is set (square matrices).
-  bool any_diagonal(pram::Executor& ex = pram::default_executor()) const;
+  bool any_diagonal(pram::Workspace& ws) const;
   /// diagonal()[i] = entry (i, i) as 0/1 (square matrices).
-  std::vector<std::uint8_t> diagonal(pram::Executor& ex = pram::default_executor()) const;
+  std::vector<std::uint8_t> diagonal(pram::Workspace& ws) const;
 
   /// Rank over GF(2) (Gaussian elimination; one parallel elimination round
-  /// per pivot column, counted on `counters`).
-  std::size_t gf2_rank(pram::NcCounters* counters = nullptr,
-                       pram::Executor& ex = pram::default_executor()) const;
+  /// per pivot column).
+  std::size_t gf2_rank(pram::Workspace& ws) const;
 
  private:
   std::uint64_t row_word(std::size_t r, std::size_t w) const {
@@ -87,13 +85,9 @@ class BitMatrix {
 };
 
 /// Boolean (OR-AND) matrix product: C[i][j] = OR_k (A[i][k] AND B[k][j]).
-BitMatrix bool_product(const BitMatrix& a, const BitMatrix& b,
-                       pram::NcCounters* counters = nullptr,
-                       pram::Executor& ex = pram::default_executor());
+BitMatrix bool_product(const BitMatrix& a, const BitMatrix& b, pram::Workspace& ws);
 
 /// GF(2) (XOR-AND) matrix product.
-BitMatrix gf2_product(const BitMatrix& a, const BitMatrix& b,
-                      pram::NcCounters* counters = nullptr,
-                      pram::Executor& ex = pram::default_executor());
+BitMatrix gf2_product(const BitMatrix& a, const BitMatrix& b, pram::Workspace& ws);
 
 }  // namespace ncpm::linalg

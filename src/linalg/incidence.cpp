@@ -32,7 +32,7 @@ BitMatrix incidence_matrix(std::size_t n_vertices, std::span<const std::int32_t>
 std::size_t component_count_by_rank(std::size_t n_vertices, std::span<const std::int32_t> eu,
                                     std::span<const std::int32_t> ev,
                                     std::span<const std::uint8_t> edge_alive,
-                                    pram::NcCounters* counters, pram::Executor& ex) {
+                                    pram::Workspace& ws) {
   // Alive-edge popcount over the byte mask (SIMD movemask kernel): a graph
   // with no surviving edges has a zero incidence matrix, so rank 0 and
   // every vertex its own component — skip the elimination entirely. The
@@ -48,7 +48,7 @@ std::size_t component_count_by_rank(std::size_t n_vertices, std::span<const std:
     }
   }
   const BitMatrix m = incidence_matrix(n_vertices, eu, ev, edge_alive);
-  return n_vertices - m.gf2_rank(counters, ex);
+  return n_vertices - m.gf2_rank(ws);
 }
 
 }  // namespace ncpm::linalg

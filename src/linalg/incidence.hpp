@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "linalg/gf2_matrix.hpp"
-#include "pram/counters.hpp"
 
 namespace ncpm::linalg {
 
@@ -30,8 +29,7 @@ BitMatrix incidence_matrix(std::size_t n_vertices, std::span<const std::int32_t>
 /// n - rank(I_G) per Lemma 6. Isolated vertices count as components.
 std::size_t component_count_by_rank(std::size_t n_vertices, std::span<const std::int32_t> eu,
                                     std::span<const std::int32_t> ev,
-                                    std::span<const std::uint8_t> edge_alive = {},
-                                    pram::NcCounters* counters = nullptr,
-                                    pram::Executor& ex = pram::default_executor());
+                                    std::span<const std::uint8_t> edge_alive,
+                                    pram::Workspace& ws);
 
 }  // namespace ncpm::linalg

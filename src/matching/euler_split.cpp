@@ -22,7 +22,7 @@ constexpr std::size_t kGrain = 2048;
 /// (left l -> l, right r -> n_left + r). All scratch is leased from `ws`,
 /// so the log2(d) cascade reuses one warm set of buffers.
 void euler_halve(const graph::BipartiteGraph& g, std::span<std::uint8_t> alive,
-                 pram::Workspace& ws, pram::NcCounters* counters) {
+                 pram::Workspace& ws) {
   obs::PhaseScope phase(ws.profiler(), obs::Phase::kEulerSplit);
   const std::size_t m = g.num_edges();
   const std::size_t n =
@@ -40,16 +40,16 @@ void euler_halve(const graph::BipartiteGraph& g, std::span<std::uint8_t> alive,
     std::atomic_ref<std::int64_t>(degree[u]).fetch_add(1, std::memory_order_relaxed);
     std::atomic_ref<std::int64_t>(degree[v]).fetch_add(1, std::memory_order_relaxed);
   });
-  pram::add_round(counters, m);
+  ws.round(m);
 
   auto offset = ws.take<std::int64_t>(n);
   const std::int64_t total =
-      pram::exclusive_scan<std::int64_t>(degree.span(), offset.span(), ws, counters);
+      pram::exclusive_scan<std::int64_t>(degree.span(), offset.span(), ws);
   auto incident = ws.take<std::int32_t>(static_cast<std::size_t>(total));
   auto slot_of_half = ws.take<std::int64_t>(nh, std::int64_t{-1});
   auto cursor = ws.take<std::int64_t>(n);
   ex.parallel_for_grain(n, kGrain, [&](std::size_t v) { cursor[v] = offset[v]; });
-  pram::add_round(counters, n);
+  ws.round(n);
   ex.parallel_for(m, [&](std::size_t e) {
     if (alive[e] == 0) return;
     const auto u = static_cast<std::size_t>(g.edge_left(e));
@@ -65,7 +65,7 @@ void euler_halve(const graph::BipartiteGraph& g, std::span<std::uint8_t> alive,
     incident[static_cast<std::size_t>(pu)] = static_cast<std::int32_t>(e);
     slot_of_half[2 * e + 1] = pu;
   });
-  pram::add_round(counters, m);
+  ws.round(m);
 
   // Pair consecutive incident edges at every vertex: entering via the edge in
   // slot 2i leaves via slot 2i+1 and vice versa. This makes `succ` a
@@ -86,7 +86,7 @@ void euler_halve(const graph::BipartiteGraph& g, std::span<std::uint8_t> alive,
     // i.e. the new half-edge is the one entering the left side: 2*buddy+1.
     succ[h] = entered_right ? 2 * buddy_edge + 1 : 2 * buddy_edge;
   });
-  pram::add_round(counters, nh);
+  ws.round(nh);
 
   // Label each directed trail, break at the label, rank, and keep the even
   // parity class. Trails in bipartite graphs have even length.
@@ -94,19 +94,19 @@ void euler_halve(const graph::BipartiteGraph& g, std::span<std::uint8_t> alive,
   ex.parallel_for_grain(nh, kGrain, [&](std::size_t h) {
     key[h] = alive[h >> 1] != 0 ? static_cast<std::int64_t>(h) : static_cast<std::int64_t>(nh);
   });
-  pram::add_round(counters, nh);
+  ws.round(nh);
   auto label = ws.take<std::int64_t>(nh);
-  pram::window_min_into(succ.span(), key.span(), nh, label.span(), ws, counters);
+  pram::window_min_into(succ.span(), key.span(), nh, label.span(), ws);
 
   auto broken = ws.take<std::int32_t>(nh);
   ex.parallel_for_grain(nh, kGrain, [&](std::size_t h) {
     broken[h] = label[h] == static_cast<std::int64_t>(h) ? static_cast<std::int32_t>(h) : succ[h];
   });
-  pram::add_round(counters, nh);
+  ws.round(nh);
   auto head = ws.take<std::int32_t>(nh);
   auto rank = ws.take<std::int64_t>(nh);
   auto reaches = ws.take<std::uint8_t>(nh);
-  pram::list_rank_into(broken.span(), {head.span(), rank.span(), reaches.span()}, ws, counters);
+  pram::list_rank_into(broken.span(), {head.span(), rank.span(), reaches.span()}, ws);
 
   auto len_at = ws.take<std::int64_t>(nh, std::int64_t{0});
   ex.parallel_for_grain(nh, kGrain, [&](std::size_t h) {
@@ -114,7 +114,7 @@ void euler_halve(const graph::BipartiteGraph& g, std::span<std::uint8_t> alive,
       len_at[h] = rank[static_cast<std::size_t>(succ[h])] + 1;
     }
   });
-  pram::add_round(counters, nh);
+  ws.round(nh);
 
   // Keep an edge iff the traversal carrying the smaller label sees it at even
   // distance from the root. Deciding from one traversal only keeps the
@@ -129,18 +129,17 @@ void euler_halve(const graph::BipartiteGraph& g, std::span<std::uint8_t> alive,
     const std::int64_t d = (len - rank[h]) % len;
     if ((d & 1) == 0) keep[h >> 1] = 1;
   });
-  pram::add_round(counters, nh);
+  ws.round(nh);
 
   ex.parallel_for_grain(m, kGrain, [&](std::size_t e) {
     if (alive[e] != 0) alive[e] = keep[e];
   });
-  pram::add_round(counters, m);
+  ws.round(m);
 }
 
 }  // namespace
 
-Matching regular_bipartite_perfect_matching(const graph::BipartiteGraph& g,
-                                            pram::NcCounters* counters) {
+Matching regular_bipartite_perfect_matching(const graph::BipartiteGraph& g, pram::Workspace& ws) {
   if (g.n_left() != g.n_right()) {
     throw std::invalid_argument("regular_bipartite_perfect_matching: side sizes differ");
   }
@@ -160,10 +159,9 @@ Matching regular_bipartite_perfect_matching(const graph::BipartiteGraph& g,
     throw std::invalid_argument("regular_bipartite_perfect_matching: degree must be a power of two");
   }
 
-  pram::Workspace ws;
   auto alive = ws.take<std::uint8_t>(g.num_edges(), std::uint8_t{1});
   for (std::size_t cur = d; cur > 1; cur /= 2) {
-    euler_halve(g, alive.span(), ws, counters);
+    euler_halve(g, alive.span(), ws);
   }
 
   Matching m(g.n_left(), g.n_right());

@@ -14,14 +14,14 @@
 
 #include "graph/bipartite_graph.hpp"
 #include "matching/matching.hpp"
-#include "pram/counters.hpp"
+#include "pram/workspace.hpp"
 
 namespace ncpm::matching {
 
 /// Perfect matching of a d-regular bipartite graph with d a power of two and
 /// |left| == |right|. Throws std::invalid_argument if g is not d-regular for
-/// a power-of-two d or the sides differ in size.
-Matching regular_bipartite_perfect_matching(const graph::BipartiteGraph& g,
-                                            pram::NcCounters* counters = nullptr);
+/// a power-of-two d or the sides differ in size. The log2(d) splits lease
+/// one warm set of scratch buffers from `ws`.
+Matching regular_bipartite_perfect_matching(const graph::BipartiteGraph& g, pram::Workspace& ws);
 
 }  // namespace ncpm::matching

@@ -9,14 +9,7 @@ namespace ncpm::matching {
 
 std::optional<std::vector<std::int32_t>> two_regular_perfect_matching(
     std::size_t n_vertices, std::span<const std::int32_t> eu, std::span<const std::int32_t> ev,
-    std::span<const std::uint8_t> edge_alive, pram::NcCounters* counters) {
-  pram::Workspace ws;
-  return two_regular_perfect_matching(n_vertices, eu, ev, edge_alive, ws, counters);
-}
-
-std::optional<std::vector<std::int32_t>> two_regular_perfect_matching(
-    std::size_t n_vertices, std::span<const std::int32_t> eu, std::span<const std::int32_t> ev,
-    std::span<const std::uint8_t> edge_alive, pram::Workspace& ws, pram::NcCounters* counters) {
+    std::span<const std::uint8_t> edge_alive, pram::Workspace& ws) {
   const std::size_t m = eu.size();
   if (ev.size() != m || (!edge_alive.empty() && edge_alive.size() != m)) {
     throw std::invalid_argument("two_regular_perfect_matching: edge array size mismatch");
@@ -37,7 +30,7 @@ std::optional<std::vector<std::int32_t>> two_regular_perfect_matching(
   // only — a 2-regular graph never needs the full CSR, and the cycle
   // labelling below does its own ranking, so only the links stage runs.
   graph::AliveEdgePaths paths(n_vertices, m, ws);
-  paths.rebuild_links(eu, ev, edge_alive, counters);
+  paths.rebuild_links(eu, ev, edge_alive, ws);
   const std::span<const std::int32_t> succ = paths.succ();
 
   // Dead or blocked half-edges are terminal. In a 2-regular graph no alive
@@ -55,9 +48,9 @@ std::optional<std::vector<std::int32_t>> two_regular_perfect_matching(
     key[h] = alive(h >> 1) ? static_cast<std::int64_t>(h)
                            : static_cast<std::int64_t>(nh);  // dead: +inf
   });
-  pram::add_round(counters, nh);
+  ws.round(nh);
   auto label = ws.take<std::int64_t>(nh);
-  pram::window_min_into(succ, key.span(), nh, label.span(), ws, counters);
+  pram::window_min_into(succ, key.span(), nh, label.span(), ws);
 
   // Break each directed cycle at its label and rank: rank[h] = dist(h -> root).
   auto broken = ws.take<std::int32_t>(nh);
@@ -65,11 +58,11 @@ std::optional<std::vector<std::int32_t>> two_regular_perfect_matching(
     const bool is_root = label[h] == static_cast<std::int64_t>(h);
     broken[h] = is_root ? static_cast<std::int32_t>(h) : succ[h];
   });
-  pram::add_round(counters, nh);
+  ws.round(nh);
   auto head = ws.take<std::int32_t>(nh);
   auto rank = ws.take<std::int64_t>(nh);
   auto reaches = ws.take<std::uint8_t>(nh);
-  pram::list_rank_into(broken.span(), {head.span(), rank.span(), reaches.span()}, ws, counters);
+  pram::list_rank_into(broken.span(), {head.span(), rank.span(), reaches.span()}, ws);
 
   // Cycle lengths, published at each root.
   auto len_at = ws.take<std::int64_t>(nh, std::int64_t{0});
@@ -78,7 +71,7 @@ std::optional<std::vector<std::int32_t>> two_regular_perfect_matching(
       len_at[h] = rank[static_cast<std::size_t>(succ[h])] + 1;
     }
   });
-  pram::add_round(counters, nh);
+  ws.round(nh);
 
   const bool odd = ex.parallel_any(nh, [&](std::size_t h) {
     return alive(h >> 1) && label[h] == static_cast<std::int64_t>(h) && (len_at[h] & 1) != 0;
@@ -97,7 +90,7 @@ std::optional<std::vector<std::int32_t>> two_regular_perfect_matching(
     const std::int64_t d_from_root = (len - rank[h]) % len;
     if ((d_from_root & 1) == 0) selected[h >> 1] = 1;
   });
-  pram::add_round(counters, nh);
+  ws.round(nh);
 
   std::vector<std::int32_t> out;
   for (std::size_t e = 0; e < m; ++e) {

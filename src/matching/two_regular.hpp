@@ -21,7 +21,6 @@
 #include <span>
 #include <vector>
 
-#include "pram/counters.hpp"
 #include "pram/workspace.hpp"
 
 namespace ncpm::matching {
@@ -29,18 +28,12 @@ namespace ncpm::matching {
 /// Edge ids of a perfect matching of the alive subgraph, where every vertex
 /// incident to an alive edge has alive-degree exactly 2. Throws
 /// std::invalid_argument if some such vertex has a different degree; returns
-/// std::nullopt if some cycle is odd.
+/// std::nullopt if some cycle is odd. An empty `edge_alive` means every edge
+/// is alive — the shape the compacted round engine hands in. All scratch is
+/// leased from `ws`, so a warm workspace makes the whole pass
+/// allocation-free (except for the returned edge list).
 std::optional<std::vector<std::int32_t>> two_regular_perfect_matching(
     std::size_t n_vertices, std::span<const std::int32_t> eu, std::span<const std::int32_t> ev,
-    std::span<const std::uint8_t> edge_alive, pram::NcCounters* counters = nullptr);
-
-/// Workspace-backed variant: all scratch is leased from `ws`, so a warm
-/// workspace makes the whole pass allocation-free (except for the returned
-/// edge list). An empty `edge_alive` means every edge is alive — the shape
-/// the compacted round engine hands in.
-std::optional<std::vector<std::int32_t>> two_regular_perfect_matching(
-    std::size_t n_vertices, std::span<const std::int32_t> eu, std::span<const std::int32_t> ev,
-    std::span<const std::uint8_t> edge_alive, pram::Workspace& ws,
-    pram::NcCounters* counters = nullptr);
+    std::span<const std::uint8_t> edge_alive, pram::Workspace& ws);
 
 }  // namespace ncpm::matching

@@ -49,7 +49,7 @@ const char* phase_name(std::size_t index) noexcept;
 class PhaseScope;
 
 /// Per-worker phase-time accumulator, nanoseconds per phase. One instance
-/// per engine worker (attached to its private Executor); reset between
+/// per engine worker (attached to its workspace); reset between
 /// requests by the owner.
 class PhaseAccum {
  public:

@@ -1,17 +1,18 @@
 #pragma once
 // NC-depth instrumentation.
 //
-// Each algorithm in this library that claims a polylogarithmic depth bound
-// accepts an optional `NcCounters*`. It adds one `round` per
-// barrier-synchronised parallel step of the loop whose iteration count the
-// paper bounds (e.g. the while-loop of Algorithm 2, pointer-jumping
-// doublings, connected-components hook/shortcut iterations, transitive-
-// closure squarings) and accumulates total element operations in `work`.
-// Benchmarks read these counters to validate the paper's depth claims
-// independently of wall-clock time.
+// Every pram::Workspace owns one NcCounters (workspace.hpp). Each algorithm
+// in this library that claims a polylogarithmic depth bound charges it
+// through `ws.round(work)`: one `round` per barrier-synchronised parallel
+// step of the loop whose iteration count the paper bounds (e.g. the
+// while-loop of Algorithm 2, pointer-jumping doublings, connected-components
+// hook/shortcut iterations, transitive-closure squarings), and the step's
+// element operations in `work`. Tests and benchmarks read `ws.counters()`
+// to validate the paper's depth claims independently of wall-clock time.
+// Rounds are counted outside the parallel bodies, so the counts never
+// depend on the executor width.
 
 #include <cstdint>
-#include <string>
 
 namespace ncpm::pram {
 
@@ -21,29 +22,5 @@ struct NcCounters {
 
   void reset() noexcept { rounds = 0; work = 0; }
 };
-
-/// Record one parallel round touching `w` elements. No-op when `c` is null.
-inline void add_round(NcCounters* c, std::uint64_t w = 0) noexcept {
-  if (c != nullptr) {
-    ++c->rounds;
-    c->work += w;
-  }
-}
-
-/// Record extra work inside the current round. No-op when `c` is null.
-inline void add_work(NcCounters* c, std::uint64_t w) noexcept {
-  if (c != nullptr) c->work += w;
-}
-
-/// Merge child-phase counters into a parent (rounds add: phases run back to back).
-inline void merge_into(NcCounters* parent, const NcCounters& child) noexcept {
-  if (parent != nullptr) {
-    parent->rounds += child.rounds;
-    parent->work += child.work;
-  }
-}
-
-/// Human-readable one-line summary, e.g. "rounds=12 work=48231".
-std::string to_string(const NcCounters& c);
 
 }  // namespace ncpm::pram

@@ -1,7 +1,10 @@
 #include "pram/executor.hpp"
 
+#include <charconv>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <thread>
 
@@ -231,8 +234,14 @@ void Executor::run_task(int nlanes, TaskFn fn, void* ctx) {
 int default_lanes() noexcept {
   static const int lanes = [] {
     if (const char* env = std::getenv("NCPM_LANES")) {
-      const int parsed = std::atoi(env);
-      if (parsed >= 1) return parsed;
+      const char* const end = env + std::strlen(env);
+      int parsed = 0;
+      const auto [ptr, ec] = std::from_chars(env, end, parsed);
+      if (ec == std::errc() && ptr == end && parsed >= 1) return parsed;
+      std::fprintf(stderr,
+                   "ncpm: ignoring invalid NCPM_LANES value '%s' "
+                   "(expected an integer >= 1)\n",
+                   env);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);

@@ -8,12 +8,12 @@
 // depth claims are validated by counting rounds of the algorithms' outer
 // loops (see counters.hpp), not by wall-clock alone.
 //
-// Unlike the earlier OpenMP substrate, parallelism here is a *per-call*
-// property, not process-global state: every layer of the pipeline runs its
-// rounds on the Executor carried by its pram::Workspace (or passed
-// explicitly), so independent solves can run concurrently, each with its
-// own lane budget — the engine composes batch concurrency (workers) with
-// intra-solve parallelism (lanes per worker) under one hardware budget.
+// Parallelism here is a *per-call* property, not process-global state:
+// every layer of the pipeline runs its rounds on the Executor bound to the
+// pram::Workspace it is handed (workspace.hpp), so independent solves can
+// run concurrently, each with its own lane budget — the engine composes
+// batch concurrency (workers) with intra-solve parallelism (lanes per
+// worker) under one hardware budget.
 //
 // Determinism: results of every primitive are independent of the executor
 // width. `parallel_for` bodies are independent by contract (EREW/CREW
@@ -48,8 +48,6 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "obs/profiler.hpp"
 
 namespace ncpm::pram {
 
@@ -169,15 +167,6 @@ class Executor {
     active_ = cap < 1 ? 1 : (cap > lanes_ ? lanes_ : cap);
   }
   int active_lanes() const noexcept { return active_; }
-
-  /// Attach (or detach, with nullptr) a solver-phase accumulator. Solver
-  /// layers open obs::PhaseScope timers against profiler(); with nothing
-  /// attached every scope is a complete no-op. The accumulator must outlive
-  /// the attachment and is owned by the caller (the engine attaches one per
-  /// worker to the worker's private executor). Not synchronized: call only
-  /// from the thread that dispatches this executor's rounds.
-  void attach_profiler(obs::PhaseAccum* accum) noexcept { profiler_ = accum; }
-  obs::PhaseAccum* profiler() const noexcept { return profiler_; }
 
   /// Rebuild the pool at a new width, in place: references to this
   /// executor (e.g. from Workspaces) stay valid. Joins the old worker
@@ -324,7 +313,6 @@ class Executor {
 
   int lanes_ = 1;
   int active_ = 1;
-  obs::PhaseAccum* profiler_ = nullptr;  // not owned; see attach_profiler
   bool pin_ = false;
   std::vector<int> cpus_;  // resolved pin targets; empty when pin_ is false
   int cpu_offset_ = 0;
@@ -340,12 +328,12 @@ class SerialExecutor : public Executor {
 };
 
 /// Default width for new executors: the NCPM_LANES environment variable
-/// when set (>= 1), else std::thread::hardware_concurrency().
+/// when it is a whole integer >= 1, else std::thread::hardware_concurrency()
+/// (any other NCPM_LANES value is reported once on stderr and ignored).
 int default_lanes() noexcept;
 
-/// The process-wide shared executor used by the convenience free functions
-/// in parallel.hpp and by Workspaces not bound to an explicit executor.
-/// Constructed on first use with default_lanes() lanes.
+/// The process-wide shared executor that default-constructed Workspaces
+/// bind. Constructed on first use with default_lanes() lanes.
 Executor& default_executor();
 
 }  // namespace ncpm::pram

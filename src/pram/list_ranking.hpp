@@ -18,9 +18,11 @@
 // All functions tolerate cycles: ranking values are only meaningful for
 // vertices whose `head` is a terminal; `reaches_terminal` distinguishes them.
 //
-// Rounds run on the trailing Executor argument (the shared default when
-// omitted); the `_into` variants run on the executor bound to the Workspace
-// their scratch is leased from.
+// Every entry runs its rounds on the executor of the pram::Workspace it is
+// handed, leases its doubling scratch from it and charges its rounds to its
+// counters. Ranking and window-min each have one doubling loop
+// (`detail::rank_into`, `window_min_into`); the other entries of each
+// family are thin wrappers that allocate results or pick the weights.
 //
 // The doubling rounds themselves run through the pram/simd.hpp gather
 // kernels (AVX2 uses vpgather; scalar is a plain loop) — both tiers are
@@ -34,7 +36,6 @@
 #include <vector>
 
 #include "obs/profiler.hpp"
-#include "pram/counters.hpp"
 #include "pram/executor.hpp"
 #include "pram/simd.hpp"
 #include "pram/workspace.hpp"
@@ -85,62 +86,6 @@ struct ListRanking {
   std::vector<std::uint8_t> reaches_terminal;
 };
 
-namespace detail {
-
-template <typename WeightAt>
-ListRanking list_rank_impl(std::span<const std::int32_t> next, WeightAt&& weight_at,
-                           Executor& ex, NcCounters* counters) {
-  const std::size_t n = next.size();
-  ListRanking r;
-  r.head.resize(n);
-  r.rank.resize(n);
-  r.reaches_terminal.assign(n, 0);
-
-  // Validate outside the parallel region: a body must not throw.
-  const bool bad = ex.parallel_any(n, [&](std::size_t v) {
-    return next[v] < 0 || static_cast<std::size_t>(next[v]) >= n;
-  });
-  if (bad) throw std::out_of_range("list_rank: successor out of range");
-
-  ex.parallel_for(n, [&](std::size_t v) {
-    const std::int32_t nx = next[v];
-    r.head[v] = nx;
-    r.rank[v] = (static_cast<std::size_t>(nx) == v) ? 0 : weight_at(v);
-  });
-  add_round(counters, n);
-
-  std::vector<std::int32_t> nhead(n);
-  std::vector<std::int64_t> nrank(n);
-  const std::uint32_t rounds = ceil_log2(n) + 1;
-  for (std::uint32_t k = 0; k < rounds; ++k) {
-    for_blocks(ex, n, [&](std::size_t lo, std::size_t hi) {
-      simd::list_rank_round(r.head.data(), r.rank.data(), nhead.data(),
-                            nrank.data(), lo, hi);
-    });
-    r.head.swap(nhead);
-    r.rank.swap(nrank);
-    add_round(counters, n);
-  }
-
-  ex.parallel_for(n, [&](std::size_t v) {
-    const auto h = static_cast<std::size_t>(r.head[v]);
-    r.reaches_terminal[v] = (static_cast<std::size_t>(next[h]) == h) ? 1 : 0;
-  });
-  add_round(counters, n);
-  return r;
-}
-
-}  // namespace detail
-
-/// Wyllie pointer-jumping list ranking: rank[v] = #steps from v to its
-/// terminal, head[v] = that terminal. Vertices on (or leading into) cycles get
-/// reaches_terminal[v] == 0 and unspecified rank.
-inline ListRanking list_rank(std::span<const std::int32_t> next, NcCounters* counters = nullptr,
-                             Executor& ex = default_executor()) {
-  obs::PhaseScope phase(ex.profiler(), obs::Phase::kListRank);
-  return detail::list_rank_impl(next, [](std::size_t) { return std::int64_t{1}; }, ex, counters);
-}
-
 /// Caller-provided destination arrays for the allocation-free ranking.
 struct ListRankingSpans {
   std::span<std::int32_t> head;
@@ -148,21 +93,25 @@ struct ListRankingSpans {
   std::span<std::uint8_t> reaches_terminal;
 };
 
-/// Wyllie ranking into caller-provided arrays; doubling scratch is leased
-/// from `ws` and rounds run on `ws`'s executor, so a warm workspace makes
-/// the whole pass allocation-free.
-inline void list_rank_into(std::span<const std::int32_t> next, const ListRankingSpans& out,
-                           Workspace& ws, NcCounters* counters = nullptr) {
+namespace detail {
+
+/// The Wyllie doubling loop behind every ranking entry: rank[v] = sum of
+/// the step weights from v to its terminal, where an empty `weight` weighs
+/// every step 1. Doubling scratch is leased from `ws`, so a warm workspace
+/// makes the whole pass allocation-free.
+inline void rank_into(std::span<const std::int32_t> next, std::span<const std::int64_t> weight,
+                      const ListRankingSpans& out, Workspace& ws) {
   const std::size_t n = next.size();
   if (out.head.size() != n || out.rank.size() != n || out.reaches_terminal.size() != n) {
-    throw std::invalid_argument("list_rank_into: output span size mismatch");
+    throw std::invalid_argument("list_rank: output span size mismatch");
   }
   obs::PhaseScope phase(ws.profiler(), obs::Phase::kListRank);
   Executor& ex = ws.exec();
+  // Validate outside the parallel region: a body must not throw.
   const bool bad = ex.parallel_any(n, [&](std::size_t v) {
     return next[v] < 0 || static_cast<std::size_t>(next[v]) >= n;
   });
-  if (bad) throw std::out_of_range("list_rank_into: successor out of range");
+  if (bad) throw std::out_of_range("list_rank: successor out of range");
 
   auto tmp_head = ws.take<std::int32_t>(n);
   auto tmp_rank = ws.take<std::int64_t>(n);
@@ -174,115 +123,110 @@ inline void list_rank_into(std::span<const std::int32_t> next, const ListRanking
   ex.parallel_for(n, [&](std::size_t v) {
     const std::int32_t nx = next[v];
     head_cur[v] = nx;
-    rank_cur[v] = (static_cast<std::size_t>(nx) == v) ? 0 : 1;
+    rank_cur[v] = static_cast<std::size_t>(nx) == v ? 0 : weight.empty() ? 1 : weight[v];
   });
-  add_round(counters, n);
+  ws.round(n);
 
   const std::uint32_t rounds = ceil_log2(n) + 1;
   for (std::uint32_t k = 0; k < rounds; ++k) {
-    detail::for_blocks(ex, n, [&](std::size_t lo, std::size_t hi) {
+    for_blocks(ex, n, [&](std::size_t lo, std::size_t hi) {
       simd::list_rank_round(head_cur.data(), rank_cur.data(), head_nxt.data(),
                             rank_nxt.data(), lo, hi);
     });
     std::swap(head_cur, head_nxt);
     std::swap(rank_cur, rank_nxt);
-    add_round(counters, n);
+    ws.round(n);
   }
   if (head_cur.data() != out.head.data()) {
     ex.parallel_for(n, [&](std::size_t v) {
       out.head[v] = head_cur[v];
       out.rank[v] = rank_cur[v];
     });
-    add_round(counters, n);
+    ws.round(n);
   }
 
   ex.parallel_for(n, [&](std::size_t v) {
     const auto h = static_cast<std::size_t>(out.head[v]);
     out.reaches_terminal[v] = (static_cast<std::size_t>(next[h]) == h) ? 1 : 0;
   });
-  add_round(counters, n);
+  ws.round(n);
+}
+
+/// rank_into over freshly allocated result arrays.
+inline ListRanking ranked(std::span<const std::int32_t> next,
+                          std::span<const std::int64_t> weight, Workspace& ws) {
+  const std::size_t n = next.size();
+  ListRanking r;
+  r.head.resize(n);
+  r.rank.resize(n);
+  r.reaches_terminal.resize(n);
+  rank_into(next, weight, {r.head, r.rank, r.reaches_terminal}, ws);
+  return r;
+}
+
+}  // namespace detail
+
+/// Wyllie pointer-jumping list ranking into caller-provided arrays:
+/// rank[v] = #steps from v to its terminal, head[v] = that terminal.
+/// Vertices on (or leading into) cycles get reaches_terminal[v] == 0 and
+/// unspecified rank.
+inline void list_rank_into(std::span<const std::int32_t> next, const ListRankingSpans& out,
+                           Workspace& ws) {
+  detail::rank_into(next, {}, out, ws);
+}
+
+/// list_rank_into with freshly allocated result arrays.
+inline ListRanking list_rank(std::span<const std::int32_t> next, Workspace& ws) {
+  return detail::ranked(next, {}, ws);
 }
 
 /// Weighted ranking: rank[v] = sum of weight[u] over every non-terminal u on
 /// the path from v (inclusive) to its terminal (exclusive).
 inline ListRanking weighted_list_rank(std::span<const std::int32_t> next,
-                                      std::span<const std::int64_t> weight,
-                                      NcCounters* counters = nullptr,
-                                      Executor& ex = default_executor()) {
+                                      std::span<const std::int64_t> weight, Workspace& ws) {
   if (weight.size() != next.size()) {
     throw std::invalid_argument("weighted_list_rank: weight/next size mismatch");
   }
-  return detail::list_rank_impl(
-      next, [&](std::size_t v) { return weight[v]; }, ex, counters);
+  return detail::ranked(next, weight, ws);
 }
 
 /// Compose two successor maps: result(v) = g[f[v]] ("apply f, then g").
 inline std::vector<std::int32_t> compose(std::span<const std::int32_t> g,
-                                         std::span<const std::int32_t> f,
-                                         NcCounters* counters = nullptr,
-                                         Executor& ex = default_executor()) {
+                                         std::span<const std::int32_t> f, Workspace& ws) {
   const std::size_t n = f.size();
   if (g.size() != n) throw std::invalid_argument("compose: size mismatch");
   std::vector<std::int32_t> out(n);
-  ex.parallel_for(n, [&](std::size_t v) { out[v] = g[static_cast<std::size_t>(f[v])]; });
-  add_round(counters, n);
+  ws.exec().parallel_for(n, [&](std::size_t v) { out[v] = g[static_cast<std::size_t>(f[v])]; });
+  ws.round(n);
   return out;
 }
 
 /// The map f^K (K >= 1 applications of `next`) via binary exponentiation of
 /// the composition; O(log K) composition rounds.
 inline std::vector<std::int32_t> kth_power(std::span<const std::int32_t> next, std::uint64_t k,
-                                           NcCounters* counters = nullptr,
-                                           Executor& ex = default_executor()) {
+                                           Workspace& ws) {
   const std::size_t n = next.size();
   std::vector<std::int32_t> result(n);
-  ex.parallel_for(n, [&](std::size_t v) { result[v] = static_cast<std::int32_t>(v); });
-  add_round(counters, n);
+  ws.exec().parallel_for(n, [&](std::size_t v) { result[v] = static_cast<std::int32_t>(v); });
+  ws.round(n);
   std::vector<std::int32_t> base(next.begin(), next.end());
   while (k > 0) {
-    if ((k & 1U) != 0) result = compose(base, result, counters, ex);
+    if ((k & 1U) != 0) result = compose(base, result, ws);
     k >>= 1U;
-    if (k > 0) base = compose(base, base, counters, ex);
+    if (k > 0) base = compose(base, base, ws);
   }
   return result;
 }
 
-/// window_min[v] = min over {key[v], key[f(v)], ..., key[f^(w-1)(v)]} where the
+/// out[v] = min over {key[v], key[f(v)], ..., key[f^(w-1)(v)]} where the
 /// window size w is the smallest power of two >= `window`. Used to elect the
-/// minimum-key vertex of every cycle (window >= cycle length covers the cycle).
-inline std::vector<std::int64_t> window_min(std::span<const std::int32_t> next,
-                                            std::span<const std::int64_t> key,
-                                            std::uint64_t window,
-                                            NcCounters* counters = nullptr,
-                                            Executor& ex = default_executor()) {
-  const std::size_t n = next.size();
-  if (key.size() != n) throw std::invalid_argument("window_min: size mismatch");
-  obs::PhaseScope phase(ex.profiler(), obs::Phase::kWindowMin);
-  std::vector<std::int64_t> val(key.begin(), key.end());
-  std::vector<std::int32_t> jump(next.begin(), next.end());
-  std::vector<std::int64_t> nval(n);
-  std::vector<std::int32_t> njump(n);
-  const std::uint32_t rounds = ceil_log2(window == 0 ? 1 : window);
-  for (std::uint32_t k = 0; k < rounds; ++k) {
-    detail::for_blocks(ex, n, [&](std::size_t lo, std::size_t hi) {
-      simd::window_min_round(val.data(), jump.data(), nval.data(), njump.data(),
-                             lo, hi);
-    });
-    val.swap(nval);
-    jump.swap(njump);
-    add_round(counters, n);
-  }
-  return val;
-}
-
-/// window_min into a caller-provided array, doubling scratch from `ws` and
-/// rounds on `ws`'s executor.
+/// minimum-key vertex of every cycle (window >= cycle length covers the
+/// cycle). Doubling scratch is leased from `ws`.
 inline void window_min_into(std::span<const std::int32_t> next, std::span<const std::int64_t> key,
-                            std::uint64_t window, std::span<std::int64_t> out, Workspace& ws,
-                            NcCounters* counters = nullptr) {
+                            std::uint64_t window, std::span<std::int64_t> out, Workspace& ws) {
   const std::size_t n = next.size();
   if (key.size() != n || out.size() != n) {
-    throw std::invalid_argument("window_min_into: size mismatch");
+    throw std::invalid_argument("window_min: size mismatch");
   }
   obs::PhaseScope phase(ws.profiler(), obs::Phase::kWindowMin);
   Executor& ex = ws.exec();
@@ -297,7 +241,7 @@ inline void window_min_into(std::span<const std::int32_t> next, std::span<const 
     val_cur[v] = key[v];
     jump_cur[v] = next[v];
   });
-  add_round(counters, n);
+  ws.round(n);
   const std::uint32_t rounds = ceil_log2(window == 0 ? 1 : window);
   for (std::uint32_t k = 0; k < rounds; ++k) {
     detail::for_blocks(ex, n, [&](std::size_t lo, std::size_t hi) {
@@ -306,12 +250,21 @@ inline void window_min_into(std::span<const std::int32_t> next, std::span<const 
     });
     std::swap(val_cur, val_nxt);
     std::swap(jump_cur, jump_nxt);
-    add_round(counters, n);
+    ws.round(n);
   }
   if (val_cur.data() != out.data()) {
     ex.parallel_for(n, [&](std::size_t v) { out[v] = val_cur[v]; });
-    add_round(counters, n);
+    ws.round(n);
   }
+}
+
+/// window_min_into with a freshly allocated result.
+inline std::vector<std::int64_t> window_min(std::span<const std::int32_t> next,
+                                            std::span<const std::int64_t> key,
+                                            std::uint64_t window, Workspace& ws) {
+  std::vector<std::int64_t> out(next.size());
+  window_min_into(next, key, window, out, ws);
+  return out;
 }
 
 }  // namespace ncpm::pram

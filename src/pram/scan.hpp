@@ -8,12 +8,12 @@
 // block sums, then a fix-up pass. Depth is O(log n) in the PRAM abstraction
 // (three barrier-synchronised rounds on p processors here).
 //
-// Every entry point runs its rounds on an Executor, following the pram
-// layer's shared convention: a trailing `Executor& ex = default_executor()`
-// parameter after the counters, or a Workspace overload that leases
-// scratch from `ws` and runs on `ws`'s bound executor. Integer addition is
-// exact, so results are bit-identical for every executor width even though
-// the internal blocking follows the lane count.
+// Every entry point runs its rounds on the executor of the pram::Workspace
+// it is handed, leases its scratch (per-block partial sums, flag and
+// position arrays) from that workspace and charges its rounds to the
+// workspace's counters. Integer addition is exact, so results are
+// bit-identical for every executor width even though the internal blocking
+// follows the lane count.
 //
 // The per-block loops run through the pram/simd.hpp kernels (AVX2 or
 // scalar, runtime-dispatched); the AVX2 tier is bit-exact against scalar,
@@ -24,31 +24,31 @@
 #include <span>
 #include <vector>
 
-#include "pram/counters.hpp"
 #include "pram/executor.hpp"
 #include "pram/simd.hpp"
 #include "pram/workspace.hpp"
 
 namespace ncpm::pram {
 
-namespace detail {
-
-/// Blocked two-pass exclusive scan over caller-provided block sums
-/// (`block_sum` must hold at least ex.lanes() elements).
+/// Exclusive prefix sum of `in` into `out` (same length). Returns the
+/// total. `out[i] = in[0] + ... + in[i-1]`, `out[0] = 0`. The per-block
+/// partial sums are leased from `ws`: allocation-free once it is warm.
 template <typename T>
-T exclusive_scan_blocked(std::span<const T> in, std::span<T> out, std::span<T> block_sum,
-                         Executor& ex, NcCounters* counters) {
+T exclusive_scan(std::span<const T> in, std::span<T> out, Workspace& ws) {
   const std::size_t n = in.size();
+  if (n == 0) return T{};
+  Executor& ex = ws.exec();
   const auto nlanes = static_cast<std::size_t>(ex.lanes());
   const std::size_t block = (n + nlanes - 1) / nlanes;
   const std::size_t nblocks = (n + block - 1) / block;
+  auto block_sum = ws.take<T>(nlanes);
 
   ex.parallel_for(nblocks, [&](std::size_t b) {
     const std::size_t lo = b * block;
     const std::size_t hi = lo + block < n ? lo + block : n;
     block_sum[b] = simd::sum<T>(in.data() + lo, hi - lo);
   });
-  add_round(counters, n);
+  ws.round(n);
 
   T total{};
   for (std::size_t b = 0; b < nblocks; ++b) {
@@ -56,7 +56,7 @@ T exclusive_scan_blocked(std::span<const T> in, std::span<T> out, std::span<T> b
     block_sum[b] = total;
     total = total + s;
   }
-  add_round(counters, nblocks);
+  ws.round(nblocks);
 
   ex.parallel_for(nblocks, [&](std::size_t b) {
     const std::size_t lo = b * block;
@@ -64,52 +64,29 @@ T exclusive_scan_blocked(std::span<const T> in, std::span<T> out, std::span<T> b
     simd::exclusive_scan_carry<T>(in.data() + lo, out.data() + lo, hi - lo,
                                   block_sum[b]);
   });
-  add_round(counters, n);
+  ws.round(n);
   return total;
 }
 
-}  // namespace detail
-
-/// Exclusive prefix sum of `in` into `out` (same length) on `ex`. Returns
-/// the total. `out[i] = in[0] + ... + in[i-1]`, `out[0] = 0`.
+/// Inclusive prefix sum: `out[i] = in[0] + ... + in[i]`. Returns the total.
 template <typename T>
-T exclusive_scan(std::span<const T> in, std::span<T> out, NcCounters* counters = nullptr,
-                 Executor& ex = default_executor()) {
-  if (in.empty()) return T{};
-  std::vector<T> block_sum(static_cast<std::size_t>(ex.lanes()), T{});
-  return detail::exclusive_scan_blocked(in, out, std::span<T>(block_sum), ex, counters);
-}
-
-/// Exclusive scan on `ws`'s executor with the per-block partial sums leased
-/// from `ws`: allocation-free once the workspace is warm.
-template <typename T>
-T exclusive_scan(std::span<const T> in, std::span<T> out, Workspace& ws,
-                 NcCounters* counters = nullptr) {
-  if (in.empty()) return T{};
-  Executor& ex = ws.exec();
-  auto block_sum = ws.take<T>(static_cast<std::size_t>(ex.lanes()));
-  return detail::exclusive_scan_blocked(in, out, block_sum.span(), ex, counters);
-}
-
-/// Inclusive prefix sum on `ex`: `out[i] = in[0] + ... + in[i]`. Returns the total.
-template <typename T>
-T inclusive_scan(std::span<const T> in, std::span<T> out, NcCounters* counters = nullptr,
-                 Executor& ex = default_executor()) {
+T inclusive_scan(std::span<const T> in, std::span<T> out, Workspace& ws) {
   const std::size_t n = in.size();
   if (n == 0) return T{};
-  const T total = exclusive_scan<T>(in, out, counters, ex);
-  ex.parallel_for(n, [&](std::size_t i) { out[i] = out[i] + in[i]; });
-  add_round(counters, n);
+  const T total = exclusive_scan<T>(in, out, ws);
+  ws.exec().parallel_for(n, [&](std::size_t i) { out[i] = out[i] + in[i]; });
+  ws.round(n);
   return total;
 }
 
 /// Indices i in [0, n) with keep[i] != 0, in increasing order (stream compaction).
 inline std::vector<std::uint32_t> compact_indices(std::span<const std::uint8_t> keep,
-                                                  NcCounters* counters = nullptr,
-                                                  Executor& ex = default_executor()) {
+                                                  Workspace& ws) {
   const std::size_t n = keep.size();
   if (n == 0) return {};
-  std::vector<std::uint32_t> flags(n), pos(n);
+  Executor& ex = ws.exec();
+  auto flags = ws.take<std::uint32_t>(n);
+  auto pos = ws.take<std::uint32_t>(n);
   const auto nlanes = static_cast<std::size_t>(ex.lanes());
   const std::size_t block = (n + nlanes - 1) / nlanes;
   const std::size_t nblocks = (n + block - 1) / block;
@@ -118,25 +95,24 @@ inline std::vector<std::uint32_t> compact_indices(std::span<const std::uint8_t> 
     const std::size_t hi = lo + block < n ? lo + block : n;
     simd::mask_to_flags(keep.data() + lo, flags.data() + lo, hi - lo);
   });
-  add_round(counters, n);
-  const std::uint32_t total =
-      exclusive_scan<std::uint32_t>(flags, std::span<std::uint32_t>(pos), counters, ex);
+  ws.round(n);
+  const std::uint32_t total = exclusive_scan<std::uint32_t>(flags.span(), pos.span(), ws);
   std::vector<std::uint32_t> out(total);
   ex.parallel_for(n, [&](std::size_t i) {
     if (keep[i] != 0) out[pos[i]] = static_cast<std::uint32_t>(i);
   });
-  add_round(counters, n);
+  ws.round(n);
   return out;
 }
 
 /// Compact the elements of `values` whose flag is set, preserving order.
 template <typename T>
 std::vector<T> compact(std::span<const T> values, std::span<const std::uint8_t> keep,
-                       NcCounters* counters = nullptr, Executor& ex = default_executor()) {
-  const auto idx = compact_indices(keep, counters, ex);
+                       Workspace& ws) {
+  const auto idx = compact_indices(keep, ws);
   std::vector<T> out(idx.size());
-  ex.parallel_for(idx.size(), [&](std::size_t i) { out[i] = values[idx[i]]; });
-  add_round(counters, idx.size());
+  ws.exec().parallel_for(idx.size(), [&](std::size_t i) { out[i] = values[idx[i]]; });
+  ws.round(idx.size());
   return out;
 }
 

@@ -1,27 +1,33 @@
 #pragma once
-// Reusable scratch arenas for the round-synchronous algorithms.
+// The round context every parallel algorithm in this library runs in.
 //
-// Every round-structured algorithm in this library (Algorithm 2's while
-// loop, the Euler-split cascade, pointer-jumping passes, connected
-// components) needs the same families of scratch buffers over and over:
-// successor arrays, rank arrays, CSR offsets, flag and position arrays.
-// Allocating them anew each round makes the hot loop pay the allocator
-// instead of the hardware. A Workspace owns typed pools of buffers;
-// `take<T>(n)` leases one — growing it only when no pooled buffer is big
-// enough — and the lease hands the storage back on destruction. In steady
-// state, with capacities warmed up by the first round, taking and returning
-// buffers performs no heap allocation; `heap_allocations()` makes that
-// observable to tests and benchmarks.
+// A Workspace carries everything a round-synchronous algorithm needs
+// besides its inputs: the pram::Executor its parallel rounds run on, the
+// NcCounters its rounds are charged to (`round(work)`, read back with
+// `counters()`), the solver-phase profiler its obs::PhaseScope timers
+// record into, and reusable scratch arenas. Every public solver entry in
+// pram/, linalg/, graph/, matching/, core/ and stable/ takes one
+// `Workspace&` as its only context parameter, and the pipeline threads that
+// one reference end to end: binding the executor here makes intra-solve
+// parallelism a per-call property with no extra plumbing. The default
+// constructor binds the shared default executor; engines, tests and
+// benchmarks that need an explicit width bind their own.
+//
+// Scratch: every round-structured algorithm (Algorithm 2's while loop, the
+// Euler-split cascade, pointer-jumping passes, connected components) needs
+// the same families of scratch buffers over and over: successor arrays,
+// rank arrays, CSR offsets, flag and position arrays. Allocating them anew
+// each round makes the hot loop pay the allocator instead of the hardware.
+// A Workspace owns typed pools of buffers; `take<T>(n)` leases one —
+// growing it only when no pooled buffer is big enough — and the lease hands
+// the storage back on destruction. In steady state, with capacities warmed
+// up by the first round, taking and returning buffers performs no heap
+// allocation; `heap_allocations()` makes that observable to tests and
+// benchmarks.
 //
 // Leases must not outlive the workspace they came from. Buffer contents
 // start unspecified (stale data from an earlier lease) unless the fill
 // overload is used.
-//
-// A Workspace also carries the pram::Executor its algorithms run their
-// parallel rounds on: the pipeline threads one `Workspace&` end to end, so
-// binding the executor here makes intra-solve parallelism a per-call
-// property with no extra plumbing. The default constructor binds the
-// shared default executor; engines and tests bind their own.
 //
 // Placement: pool storage allocates through CacheAlignedAllocator, so every
 // leased buffer starts on a 64-byte boundary and tiled SIMD kernels never
@@ -38,6 +44,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/profiler.hpp"
+#include "pram/counters.hpp"
 #include "pram/executor.hpp"
 #include "pram/simd.hpp"
 
@@ -103,14 +111,25 @@ class Workspace {
   /// The executor this workspace's algorithms run on.
   Executor& exec() const noexcept { return *ex_; }
 
-  /// The phase accumulator attached to the bound executor, or nullptr.
-  /// Solver layers holding only a Workspace& open their obs::PhaseScope
-  /// timers through this forwarder.
-  obs::PhaseAccum* profiler() const noexcept { return ex_->profiler(); }
-  /// Forwards to Executor::attach_profiler on the bound executor.
-  void attach_profiler(obs::PhaseAccum* accum) noexcept {
-    ex_->attach_profiler(accum);
+  /// Charge one barrier-synchronised round touching `work` elements.
+  /// Called by the dispatching thread between rounds, never from inside a
+  /// parallel body, so the counts do not depend on the executor width.
+  void round(std::uint64_t work = 0) noexcept {
+    ++counters_.rounds;
+    counters_.work += work;
   }
+  /// Rounds and work charged since construction (or the last reset()).
+  NcCounters& counters() noexcept { return counters_; }
+  const NcCounters& counters() const noexcept { return counters_; }
+
+  /// The attached solver-phase accumulator, or nullptr. Solver layers open
+  /// their obs::PhaseScope timers against it; with nothing attached every
+  /// scope is a complete no-op.
+  obs::PhaseAccum* profiler() const noexcept { return profiler_; }
+  /// Attach (or detach, with nullptr) a phase accumulator. It must outlive
+  /// the attachment and is owned by the caller (the engine attaches one per
+  /// worker to the worker's workspace).
+  void attach_profiler(obs::PhaseAccum* accum) noexcept { profiler_ = accum; }
 
   /// Lease a buffer of `n` elements with unspecified contents. Prefers the
   /// smallest pooled buffer whose capacity already fits; allocates (and
@@ -142,7 +161,7 @@ class Workspace {
   }
 
   /// Lease a buffer of `n` elements, every element set to `fill` (one
-  /// parallel round, not counted against any NcCounters).
+  /// parallel round, not charged to counters()).
   template <typename T>
   WsBuffer<T> take(std::size_t n, T fill) {
     WsBuffer<T> out = take<T>(n);
@@ -182,6 +201,8 @@ class Workspace {
   }
 
   Executor* ex_ = nullptr;
+  NcCounters counters_;
+  obs::PhaseAccum* profiler_ = nullptr;  // not owned; see attach_profiler
   std::uint64_t allocs_ = 0;
   std::tuple<std::vector<AlignedVector<std::int32_t>>, std::vector<AlignedVector<std::int64_t>>,
              std::vector<AlignedVector<std::uint8_t>>, std::vector<AlignedVector<std::uint32_t>>,

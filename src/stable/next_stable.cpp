@@ -8,8 +8,9 @@
 namespace ncpm::stable {
 
 NextStableResult next_stable_matchings(const StableInstance& inst, const MarriageMatching& m,
-                                       pram::NcCounters* counters, pram::Executor& ex) {
+                                       pram::Workspace& ws) {
   const auto n = static_cast<std::size_t>(inst.size());
+  pram::Executor& ex = ws.exec();
   NextStableResult result;
   if (n == 0) {
     result.is_woman_optimal = true;
@@ -24,7 +25,7 @@ NextStableResult next_stable_matchings(const StableInstance& inst, const Marriag
   // bid n, keeping the round branch-free): the smallest bid is s_M(m), or a
   // blocking pair when it lies above p_M(m). Scratch is O(n), not O(n^2).
   const auto none = static_cast<std::int32_t>(n);
-  std::vector<std::int32_t> bid(n, none);
+  auto bid = ws.take<std::int32_t>(n, none);
   ex.parallel_for(n * n, [&](std::size_t i) {
     const auto man = static_cast<std::int32_t>(i / n);
     const auto slot = static_cast<std::int32_t>(i % n);
@@ -34,7 +35,7 @@ NextStableResult next_stable_matchings(const StableInstance& inst, const Marriag
         partner != man && inst.woman_rank_of(w, man) <= inst.woman_rank_of(w, partner);
     pram::crcw_min(bid[static_cast<std::size_t>(man)], kept ? slot : none);
   });
-  pram::add_round(counters, n * n);
+  ws.round(n * n);
 
   // Sanity: for a stable M the first reduced entry of every man is p_M(m)
   // (anything above his partner that kept him would be a blocking pair).
@@ -55,7 +56,7 @@ NextStableResult next_stable_matchings(const StableInstance& inst, const Marriag
       hm.next[man] = m.husband_of[static_cast<std::size_t>(s)];
     }
   });
-  pram::add_round(counters, n);
+  ws.round(n);
 
   // Reproduction note: Lemma 17 of the paper states that every vertex of
   // H_M has out-degree exactly one, i.e. that {m : s_M(m) exists} is closed
@@ -72,7 +73,7 @@ NextStableResult next_stable_matchings(const StableInstance& inst, const Marriag
 
   // 3. The cycles of H_M are the exposed rotations.
   const auto analysis =
-      graph::analyze_cycles(hm, graph::CycleMethod::PointerDoubling, counters, ex);
+      graph::analyze_cycles(hm, graph::CycleMethod::PointerDoubling, ws);
   for (const auto& cycle : analysis.cycles) {
     if (cycle.size() < 2) {
       throw std::logic_error("next_stable_matchings: H_M contains a self-loop");
@@ -89,10 +90,21 @@ NextStableResult next_stable_matchings(const StableInstance& inst, const Marriag
   result.successors.reserve(result.rotations.size());
   for (const auto& rho : result.rotations) {
     result.successors.push_back(eliminate_rotation(m, rho));
-    pram::add_round(counters, rho.pairs.size());
+    ws.round(rho.pairs.size());
   }
 
   result.is_woman_optimal = result.rotations.empty();
+  return result;
+}
+
+NextStableResult next_stable_matchings(const StableInstance& inst, const MarriageMatching& m,
+                                       pram::NcCounters* counters, pram::Executor& ex) {
+  pram::Workspace ws(ex);
+  NextStableResult result = next_stable_matchings(inst, m, ws);
+  if (counters != nullptr) {
+    counters->rounds += ws.counters().rounds;
+    counters->work += ws.counters().work;
+  }
   return result;
 }
 

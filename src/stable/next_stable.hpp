@@ -24,6 +24,7 @@
 
 #include "pram/counters.hpp"
 #include "pram/executor.hpp"
+#include "pram/workspace.hpp"
 #include "stable/instance.hpp"
 #include "stable/rotations.hpp"
 
@@ -39,9 +40,15 @@ struct NextStableResult {
 };
 
 /// M must be stable (throws std::invalid_argument otherwise — detected when
-/// some reduced list does not start with p_M(m)). Rounds run on `ex`.
+/// some reduced list does not start with p_M(m)).
 NextStableResult next_stable_matchings(const StableInstance& inst, const MarriageMatching& m,
-                                       pram::NcCounters* counters = nullptr,
-                                       pram::Executor& ex = pram::default_executor());
+                                       pram::Workspace& ws);
+
+/// Benchmark shell, kept only because the frozen perfbench/ sources call
+/// this signature: builds a Workspace on `ex`, runs the form above and adds
+/// its counts to `counters` when that is not null. Nothing else may call
+/// it; it goes with the next benchmark change.
+NextStableResult next_stable_matchings(const StableInstance& inst, const MarriageMatching& m,
+                                       pram::NcCounters* counters, pram::Executor& ex);
 
 }  // namespace ncpm::stable

@@ -1,6 +1,5 @@
 #include "stable/stability.hpp"
 
-#include "pram/executor.hpp"
 
 namespace ncpm::stable {
 
@@ -15,15 +14,14 @@ bool is_blocking(const StableInstance& inst, const MarriageMatching& m, std::int
 
 }  // namespace
 
-bool is_stable(const StableInstance& inst, const MarriageMatching& m,
-               pram::NcCounters* counters, pram::Executor& ex) {
+bool is_stable(const StableInstance& inst, const MarriageMatching& m, pram::Workspace& ws) {
   const auto n = static_cast<std::size_t>(inst.size());
-  const bool blocked = ex.parallel_any(n * n, [&](std::size_t i) {
+  const bool blocked = ws.exec().parallel_any(n * n, [&](std::size_t i) {
     const auto man = static_cast<std::int32_t>(i / n);
     const auto woman = static_cast<std::int32_t>(i % n);
     return is_blocking(inst, m, man, woman);
   });
-  pram::add_round(counters, n * n);
+  ws.round(n * n);
   return !blocked;
 }
 

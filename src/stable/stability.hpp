@@ -4,17 +4,13 @@
 #include <utility>
 #include <vector>
 
-#include "pram/counters.hpp"
-#include "pram/executor.hpp"
+#include "pram/workspace.hpp"
 #include "stable/instance.hpp"
 
 namespace ncpm::stable {
 
-/// Parallel check over all n^2 pairs: is m a blocking pair with w? Rounds
-/// run on `ex`.
-bool is_stable(const StableInstance& inst, const MarriageMatching& m,
-               pram::NcCounters* counters = nullptr,
-               pram::Executor& ex = pram::default_executor());
+/// Parallel check over all n^2 pairs: is m a blocking pair with w?
+bool is_stable(const StableInstance& inst, const MarriageMatching& m, pram::Workspace& ws);
 
 /// All blocking pairs (sequential; diagnostics and tests).
 std::vector<std::pair<std::int32_t, std::int32_t>> blocking_pairs(const StableInstance& inst,

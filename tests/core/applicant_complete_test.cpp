@@ -27,9 +27,10 @@ void expect_valid_applicant_complete(const Instance& inst, const ReducedGraph& r
 }
 
 TEST(ApplicantComplete, PaperInstanceMatchesFigure3Trace) {
+  pram::Workspace ws;
   const auto inst = ncpm::test::fig1_instance();
-  const auto rg = build_reduced_graph(inst);
-  const auto result = applicant_complete_matching(inst, rg);
+  const auto rg = build_reduced_graph(inst, ws);
+  const auto result = applicant_complete_matching(inst, rg, ws);
   expect_valid_applicant_complete(inst, rg, result);
   // The while-loop resolves everything reachable from the degree-1 posts
   // p5, p6, p8, p9 in a single round (Section III-C's trace), leaving the
@@ -42,40 +43,45 @@ TEST(ApplicantComplete, PaperInstanceMatchesFigure3Trace) {
 }
 
 TEST(ApplicantComplete, ContentionHasNoSolution) {
+  pram::Workspace ws;
   const auto inst = gen::contention_instance(3);
-  const auto rg = build_reduced_graph(inst);
-  EXPECT_FALSE(applicant_complete_matching(inst, rg).exists);
+  const auto rg = build_reduced_graph(inst, ws);
+  EXPECT_FALSE(applicant_complete_matching(inst, rg, ws).exists);
 }
 
 TEST(ApplicantComplete, PureCycleNeedsNoPeeling) {
+  pram::Workspace ws;
   // Two applicants sharing both posts: a 4-cycle, zero while-loop rounds.
   const auto inst = Instance::strict(2, {{0, 1}, {0, 1}});
-  const auto rg = build_reduced_graph(inst);
-  const auto result = applicant_complete_matching(inst, rg);
+  const auto rg = build_reduced_graph(inst, ws);
+  const auto result = applicant_complete_matching(inst, rg, ws);
   expect_valid_applicant_complete(inst, rg, result);
   EXPECT_EQ(result.while_rounds, 0u);
 }
 
 TEST(ApplicantComplete, EmptyInstance) {
+  pram::Workspace ws;
   const auto inst = Instance::strict(3, {});
-  const auto rg = build_reduced_graph(inst);
-  EXPECT_TRUE(applicant_complete_matching(inst, rg).exists);
+  const auto rg = build_reduced_graph(inst, ws);
+  EXPECT_TRUE(applicant_complete_matching(inst, rg, ws).exists);
 }
 
 TEST(ApplicantComplete, SingleApplicant) {
+  pram::Workspace ws;
   const auto inst = Instance::strict(2, {{0, 1}});
-  const auto rg = build_reduced_graph(inst);
-  const auto result = applicant_complete_matching(inst, rg);
+  const auto rg = build_reduced_graph(inst, ws);
+  const auto result = applicant_complete_matching(inst, rg, ws);
   expect_valid_applicant_complete(inst, rg, result);
 }
 
 class Lemma2Bound : public ::testing::TestWithParam<std::int32_t> {};
 
 TEST_P(Lemma2Bound, BinaryTreeRoundsStayWithinTheBound) {
+  pram::Workspace ws;
   const std::int32_t depth = GetParam();
   const auto inst = gen::binary_tree_instance(depth);
-  const auto rg = build_reduced_graph(inst);
-  const auto result = applicant_complete_matching(inst, rg);
+  const auto rg = build_reduced_graph(inst, ws);
+  const auto result = applicant_complete_matching(inst, rg, ws);
   expect_valid_applicant_complete(inst, rg, result);
   // Lemma 2: at most ceil(log2 n) + 1 rounds, n = vertices of G'.
   const std::uint64_t n =
@@ -95,14 +101,15 @@ struct RandomParam {
 class ApplicantCompleteRandom : public ::testing::TestWithParam<RandomParam> {};
 
 TEST_P(ApplicantCompleteRandom, SolvableInstancesAlwaysSolvedWithinLemma2) {
+  pram::Workspace ws;
   const auto [seed, n_a, n_p] = GetParam();
   gen::SolvableConfig cfg;
   cfg.num_applicants = n_a;
   cfg.num_posts = n_p;
   cfg.seed = seed;
   const auto inst = gen::solvable_strict_instance(cfg);
-  const auto rg = build_reduced_graph(inst);
-  const auto result = applicant_complete_matching(inst, rg);
+  const auto rg = build_reduced_graph(inst, ws);
+  const auto result = applicant_complete_matching(inst, rg, ws);
   expect_valid_applicant_complete(inst, rg, result);
   const std::uint64_t n =
       static_cast<std::uint64_t>(inst.num_applicants()) + static_cast<std::uint64_t>(inst.total_posts());

@@ -21,6 +21,7 @@ struct Param {
 class OptimalOracle : public ::testing::TestWithParam<Param> {};
 
 TEST_P(OptimalOracle, RankMaximalBeatsEveryPopularMatchingLexicographically) {
+  pram::Workspace ws;
   const auto [seed, n_a, n_p, list_max] = GetParam();
   for (std::uint64_t round = 0; round < 15; ++round) {
     gen::StrictConfig cfg;
@@ -31,7 +32,7 @@ TEST_P(OptimalOracle, RankMaximalBeatsEveryPopularMatchingLexicographically) {
     cfg.seed = seed * 211 + round;
     const auto inst = gen::random_strict_instance(cfg);
     const auto all = all_popular_matchings_bruteforce(inst);
-    const auto m = find_rank_maximal_popular(inst);
+    const auto m = find_rank_maximal_popular(inst, ws);
     ASSERT_EQ(m.has_value(), !all.empty()) << "seed " << cfg.seed;
     if (!m.has_value()) continue;
     EXPECT_TRUE(is_popular_bruteforce(inst, *m));
@@ -45,6 +46,7 @@ TEST_P(OptimalOracle, RankMaximalBeatsEveryPopularMatchingLexicographically) {
 }
 
 TEST_P(OptimalOracle, FairIsMinimalAmongPopularMatchings) {
+  pram::Workspace ws;
   const auto [seed, n_a, n_p, list_max] = GetParam();
   for (std::uint64_t round = 0; round < 15; ++round) {
     gen::StrictConfig cfg;
@@ -55,7 +57,7 @@ TEST_P(OptimalOracle, FairIsMinimalAmongPopularMatchings) {
     cfg.seed = seed * 307 + round;
     const auto inst = gen::random_strict_instance(cfg);
     const auto all = all_popular_matchings_bruteforce(inst);
-    const auto m = find_fair_popular(inst);
+    const auto m = find_fair_popular(inst, ws);
     ASSERT_EQ(m.has_value(), !all.empty()) << "seed " << cfg.seed;
     if (!m.has_value()) continue;
     EXPECT_TRUE(is_popular_bruteforce(inst, *m));
@@ -69,6 +71,7 @@ TEST_P(OptimalOracle, FairIsMinimalAmongPopularMatchings) {
 }
 
 TEST_P(OptimalOracle, MaxWeightMatchesExhaustiveSearch) {
+  pram::Workspace ws;
   const auto [seed, n_a, n_p, list_max] = GetParam();
   for (std::uint64_t round = 0; round < 15; ++round) {
     gen::StrictConfig cfg;
@@ -84,7 +87,7 @@ TEST_P(OptimalOracle, MaxWeightMatchesExhaustiveSearch) {
       return static_cast<std::int64_t>((a * 37 + p * 101) % 50);
     };
     const auto all = all_popular_matchings_bruteforce(inst);
-    const auto m = find_optimal_popular(inst, weight, /*maximize=*/true);
+    const auto m = find_optimal_popular(inst, weight, /*maximize=*/true, ws);
     ASSERT_EQ(m.has_value(), !all.empty());
     if (!m.has_value()) continue;
     const auto total = [&](const matching::Matching& cand) {
@@ -96,7 +99,7 @@ TEST_P(OptimalOracle, MaxWeightMatchesExhaustiveSearch) {
     for (const auto& cand : all) best = std::max(best, total(cand));
     EXPECT_EQ(total(*m), best) << "seed " << cfg.seed;
 
-    const auto mn = find_optimal_popular(inst, weight, /*maximize=*/false);
+    const auto mn = find_optimal_popular(inst, weight, /*maximize=*/false, ws);
     std::int64_t worst = total(all.front());
     for (const auto& cand : all) worst = std::min(worst, total(cand));
     EXPECT_EQ(total(*mn), worst) << "seed " << cfg.seed;
@@ -109,6 +112,7 @@ INSTANTIATE_TEST_SUITE_P(TinyInstances, OptimalOracle,
                                            Param{5, 5, 5, 3}));
 
 TEST(OptimalPopular, FairIsAlsoMaximumCardinality) {
+  pram::Workspace ws;
   // "a fair popular matching is always a maximum-cardinality popular
   // matching since the number of last resort posts is minimized."
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
@@ -119,8 +123,8 @@ TEST(OptimalPopular, FairIsAlsoMaximumCardinality) {
     cfg.contention = 2.5;
     cfg.seed = seed;
     const auto inst = gen::solvable_strict_instance(cfg);
-    const auto fair = find_fair_popular(inst);
-    const auto maxc = find_max_card_popular(inst);
+    const auto fair = find_fair_popular(inst, ws);
+    const auto maxc = find_max_card_popular(inst, ws);
     ASSERT_TRUE(fair.has_value());
     ASSERT_TRUE(maxc.has_value());
     EXPECT_EQ(matching_size(inst, *fair), matching_size(inst, *maxc)) << "seed " << seed;
@@ -128,6 +132,7 @@ TEST(OptimalPopular, FairIsAlsoMaximumCardinality) {
 }
 
 TEST(OptimalPopular, MaxCardIsTheUnitWeightSpecialCase) {
+  pram::Workspace ws;
   // Algorithm 3 == max-weight with 1 for real posts and 0 for last resorts.
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     gen::SolvableConfig cfg;
@@ -140,8 +145,8 @@ TEST(OptimalPopular, MaxCardIsTheUnitWeightSpecialCase) {
     const WeightFn unit = [&](std::int32_t, std::int32_t p) {
       return inst.is_last_resort(p) ? std::int64_t{0} : std::int64_t{1};
     };
-    const auto via_weight = find_optimal_popular(inst, unit, true);
-    const auto via_algo3 = find_max_card_popular(inst);
+    const auto via_weight = find_optimal_popular(inst, unit, true, ws);
+    const auto via_algo3 = find_max_card_popular(inst, ws);
     ASSERT_TRUE(via_weight.has_value());
     ASSERT_TRUE(via_algo3.has_value());
     EXPECT_EQ(matching_size(inst, *via_weight), matching_size(inst, *via_algo3));

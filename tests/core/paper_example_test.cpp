@@ -17,8 +17,9 @@ namespace {
 
 class PaperExample : public ::testing::Test {
  protected:
+  pram::Workspace ws;
   Instance inst = ncpm::test::fig1_instance();
-  ReducedGraph rg = build_reduced_graph(inst);
+  ReducedGraph rg = build_reduced_graph(inst, ws);
 };
 
 TEST_F(PaperExample, Figure1InstanceShape) {
@@ -42,7 +43,7 @@ TEST_F(PaperExample, Figure2FAndSPosts) {
 }
 
 TEST_F(PaperExample, Figure3WhileLoopOutcome) {
-  const auto ac = applicant_complete_matching(inst, rg);
+  const auto ac = applicant_complete_matching(inst, rg, ws);
   ASSERT_TRUE(ac.exists);
   // "In the while loop of Algorithm 2, pairs (a8,p9), (a6,p6), (a7,p8),
   // (a5,p5) are matched," leaving the 8-cycle of Figure 3 on
@@ -59,7 +60,7 @@ TEST_F(PaperExample, Figure3WhileLoopOutcome) {
 }
 
 TEST_F(PaperExample, SectionIIStatedMatchingIsPopularAndOursToo) {
-  const auto mine = find_popular_matching(inst);
+  const auto mine = find_popular_matching(inst, ws);
   ASSERT_TRUE(mine.has_value());
   EXPECT_TRUE(satisfies_popular_characterization(inst, rg, *mine));
   EXPECT_TRUE(is_popular_bruteforce(inst, *mine));
@@ -79,7 +80,7 @@ TEST_F(PaperExample, Figure4SwitchingGraphShape) {
   for (std::size_t a = 0; a < stated.size(); ++a) {
     paper.match(static_cast<std::int32_t>(a), stated[a]);
   }
-  const SwitchingEngine engine(inst, rg, paper);
+  const SwitchingEngine engine(inst, rg, paper, ws);
   // "There are one switching cycle and two switching paths starting from
   // p8 and p9 respectfully."
   std::size_t cycle_count = engine.analysis().cycles.size();
@@ -98,16 +99,16 @@ TEST_F(PaperExample, Figure4SwitchingGraphShape) {
 
 TEST_F(PaperExample, AllEightPopularMatchingsAgreeAcrossOracles) {
   // Theorem 9 enumeration and raw brute force must coincide on instance I.
-  const auto mine = find_popular_matching(inst);
+  const auto mine = find_popular_matching(inst, ws);
   ASSERT_TRUE(mine.has_value());
-  const auto via_switching = all_popular_matchings_via_switching(inst, rg, *mine);
+  const auto via_switching = all_popular_matchings_via_switching(inst, rg, *mine, ws);
   const auto brute = all_popular_matchings_bruteforce(inst);
   EXPECT_EQ(via_switching.size(), brute.size());
   for (const auto& cand : via_switching) {
     EXPECT_TRUE(is_popular_bruteforce(inst, cand));
   }
   // Every popular matching of I uses all real posts: max cardinality = 8.
-  const auto maxc = find_max_card_popular(inst);
+  const auto maxc = find_max_card_popular(inst, ws);
   ASSERT_TRUE(maxc.has_value());
   EXPECT_EQ(matching_size(inst, *maxc), 8u);
 }

@@ -10,7 +10,6 @@
 #include "core/abraham_baseline.hpp"
 #include "core/reduced_graph.hpp"
 #include "core/verify.hpp"
-#include "pram/parallel.hpp"
 #include "gen/generators.hpp"
 #include "test_util.hpp"
 
@@ -18,17 +17,19 @@ namespace ncpm::core {
 namespace {
 
 TEST(PopularMatching, PaperInstanceYieldsAPopularMatching) {
+  pram::Workspace ws;
   const auto inst = ncpm::test::fig1_instance();
-  const auto rg = build_reduced_graph(inst);
-  const auto m = find_popular_matching(inst);
+  const auto rg = build_reduced_graph(inst, ws);
+  const auto m = find_popular_matching(inst, ws);
   ASSERT_TRUE(m.has_value());
   EXPECT_TRUE(satisfies_popular_characterization(inst, rg, *m));
   EXPECT_EQ(matching_size(inst, *m), 8u);  // everyone on a real post
 }
 
 TEST(PopularMatching, PaperStatedMatchingIsPopular) {
+  pram::Workspace ws;
   const auto inst = ncpm::test::fig1_instance();
-  const auto rg = build_reduced_graph(inst);
+  const auto rg = build_reduced_graph(inst, ws);
   matching::Matching m(inst.num_applicants(), inst.total_posts());
   const auto paper = ncpm::test::fig1_paper_matching();
   for (std::size_t a = 0; a < paper.size(); ++a) {
@@ -38,17 +39,19 @@ TEST(PopularMatching, PaperStatedMatchingIsPopular) {
 }
 
 TEST(PopularMatching, ContentionInstanceHasNone) {
+  pram::Workspace ws;
   const auto inst = gen::contention_instance(4);
-  EXPECT_FALSE(find_popular_matching(inst).has_value());
+  EXPECT_FALSE(find_popular_matching(inst, ws).has_value());
   EXPECT_FALSE(find_popular_matching_sequential(inst).has_value());
   EXPECT_TRUE(all_popular_matchings_bruteforce(inst).empty());
 }
 
 TEST(PopularMatching, TwoApplicantsOnePost) {
+  pram::Workspace ws;
   // Both want post 0 only: f = {0}, s(a) = l(a); one gets the post, the
   // other the last resort. Popular: exists.
   const auto inst = Instance::strict(1, {{0}, {0}});
-  const auto m = find_popular_matching(inst);
+  const auto m = find_popular_matching(inst, ws);
   ASSERT_TRUE(m.has_value());
   EXPECT_TRUE(is_popular_bruteforce(inst, *m));
   EXPECT_EQ(matching_size(inst, *m), 1u);
@@ -57,8 +60,9 @@ TEST(PopularMatching, TwoApplicantsOnePost) {
 TEST(PopularMatching, NcStatsReportRounds) {
   const auto inst = ncpm::test::fig1_instance();
   PopularRunStats stats;
-  pram::NcCounters counters;
-  ASSERT_TRUE(find_popular_matching(inst, &counters, &stats).has_value());
+  pram::Workspace ws;
+  ASSERT_TRUE(find_popular_matching(inst, ws, &stats).has_value());
+  const pram::NcCounters& counters = ws.counters();
   EXPECT_EQ(stats.while_rounds, 1u);
   EXPECT_GT(counters.rounds, 0u);
 }
@@ -71,6 +75,7 @@ struct SmallParam {
 class PopularBruteForce : public ::testing::TestWithParam<SmallParam> {};
 
 TEST_P(PopularBruteForce, NcMatchesOracleOnTinyInstances) {
+  pram::Workspace ws;
   const auto [seed, n_a, n_p, list_max] = GetParam();
   for (std::uint64_t round = 0; round < 25; ++round) {
     gen::StrictConfig cfg;
@@ -80,7 +85,7 @@ TEST_P(PopularBruteForce, NcMatchesOracleOnTinyInstances) {
     cfg.list_max = list_max;
     cfg.seed = seed * 1000 + round;
     const auto inst = gen::random_strict_instance(cfg);
-    const auto nc = find_popular_matching(inst);
+    const auto nc = find_popular_matching(inst, ws);
     const auto oracle = all_popular_matchings_bruteforce(inst);
     ASSERT_EQ(nc.has_value(), !oracle.empty()) << "seed " << cfg.seed;
     if (nc.has_value()) {
@@ -103,6 +108,7 @@ struct AgreeParam {
 class NcVsSequential : public ::testing::TestWithParam<AgreeParam> {};
 
 TEST_P(NcVsSequential, ExistenceAgreesAndBothOutputsAreCharacterized) {
+  pram::Workspace ws;
   const auto [seed, n_a, n_p, zipf] = GetParam();
   for (std::uint64_t round = 0; round < 10; ++round) {
     gen::StrictConfig cfg;
@@ -113,8 +119,8 @@ TEST_P(NcVsSequential, ExistenceAgreesAndBothOutputsAreCharacterized) {
     cfg.zipf_s = zipf;
     cfg.seed = seed * 100 + round;
     const auto inst = gen::random_strict_instance(cfg);
-    const auto rg = build_reduced_graph(inst);
-    const auto nc = find_popular_matching(inst);
+    const auto rg = build_reduced_graph(inst, ws);
+    const auto nc = find_popular_matching(inst, ws);
     const auto seq = find_popular_matching_sequential(inst);
     ASSERT_EQ(nc.has_value(), seq.has_value()) << "seed " << cfg.seed;
     if (nc.has_value()) {
@@ -133,6 +139,7 @@ INSTANTIATE_TEST_SUITE_P(MediumInstances, NcVsSequential,
 class SolvableFamilies : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SolvableFamilies, PlantedInstancesAlwaysYieldPopularMatchings) {
+  pram::Workspace ws;
   gen::SolvableConfig cfg;
   cfg.num_applicants = 150;
   cfg.num_posts = 260;
@@ -140,8 +147,8 @@ TEST_P(SolvableFamilies, PlantedInstancesAlwaysYieldPopularMatchings) {
   cfg.contention = 2.5;
   cfg.seed = GetParam();
   const auto inst = gen::solvable_strict_instance(cfg);
-  const auto rg = build_reduced_graph(inst);
-  const auto m = find_popular_matching(inst);
+  const auto rg = build_reduced_graph(inst, ws);
+  const auto m = find_popular_matching(inst, ws);
   ASSERT_TRUE(m.has_value());
   EXPECT_TRUE(satisfies_popular_characterization(inst, rg, *m));
 }
@@ -154,7 +161,8 @@ TEST(PopularMatching, ExecutorWidthDoesNotChangeExistence) {
   cfg.num_posts = 90;
   cfg.seed = 99;
   const auto inst = gen::random_strict_instance(cfg);
-  const auto ref = find_popular_matching(inst);
+  pram::Workspace ref_ws;
+  const auto ref = find_popular_matching(inst, ref_ws);
   for (const int lanes : {1, 2, 5}) {
     pram::Executor ex(lanes);
     pram::Workspace ws(ex);

@@ -12,8 +12,9 @@ namespace ncpm::core {
 namespace {
 
 TEST(ReducedGraph, Figure2OfThePaper) {
+  pram::Workspace ws;
   const auto inst = ncpm::test::fig1_instance();
-  const auto rg = build_reduced_graph(inst);
+  const auto rg = build_reduced_graph(inst, ws);
   // f-posts: p1 p4 p5 p7 -> 0, 3, 4, 6.
   EXPECT_EQ(rg.f_posts, (std::vector<std::int32_t>{0, 3, 4, 6}));
   // Reduced lists of Figure 2a: (f, s) per applicant.
@@ -38,23 +39,26 @@ TEST(ReducedGraph, Figure2OfThePaper) {
 }
 
 TEST(ReducedGraph, AllFPostListFallsToLastResort) {
+  pram::Workspace ws;
   // a0 makes post 0 an f-post; a1's whole list is f-posts.
   const auto inst = Instance::strict(2, {{0, 1}, {0}});
-  const auto rg = build_reduced_graph(inst);
+  const auto rg = build_reduced_graph(inst, ws);
   EXPECT_EQ(rg.s_post[1], inst.last_resort(1));
   EXPECT_EQ(rg.s_rank[1], 2);  // one rank + 1
 }
 
 TEST(ReducedGraph, RejectsTiesAndMissingLastResorts) {
-  EXPECT_THROW(build_reduced_graph(Instance::with_ties(3, {{{0, 1}}})), std::invalid_argument);
+  pram::Workspace ws;
+  EXPECT_THROW(build_reduced_graph(Instance::with_ties(3, {{{0, 1}}}), ws), std::invalid_argument);
   EXPECT_THROW(
-      build_reduced_graph(Instance::with_ties(3, {{{0}}}, /*with_last_resorts=*/false)),
+      build_reduced_graph(Instance::with_ties(3, {{{0}}}, /*with_last_resorts=*/false), ws),
       std::invalid_argument);
 }
 
 class ReducedGraphRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ReducedGraphRandom, StructuralInvariants) {
+  pram::Workspace ws;
   gen::StrictConfig cfg;
   cfg.num_applicants = 60;
   cfg.num_posts = 40;
@@ -62,7 +66,7 @@ TEST_P(ReducedGraphRandom, StructuralInvariants) {
   cfg.list_max = 6;
   cfg.seed = GetParam();
   const auto inst = gen::random_strict_instance(cfg);
-  const auto rg = build_reduced_graph(inst);
+  const auto rg = build_reduced_graph(inst, ws);
 
   for (std::int32_t a = 0; a < inst.num_applicants(); ++a) {
     const auto ai = static_cast<std::size_t>(a);

@@ -27,9 +27,10 @@ matching::Matching paper_matching(const Instance& inst) {
 }
 
 TEST(SwitchingGraph, Figure4Structure) {
+  pram::Workspace ws;
   const auto inst = ncpm::test::fig1_instance();
-  const auto rg = build_reduced_graph(inst);
-  const SwitchingEngine engine(inst, rg, paper_matching(inst));
+  const auto rg = build_reduced_graph(inst, ws);
+  const SwitchingEngine engine(inst, rg, paper_matching(inst), ws);
 
   // Edges of Figure 4 (source post -> target post, labelled by applicant):
   // p1->p2 (a1), p2->p4 (a2), p4->p3 (a3), p3->p1 (a4), p5->p2 (a5),
@@ -87,12 +88,13 @@ Instance lemma4_instance(std::uint64_t seed) {
 }
 
 TEST(SwitchingGraph, Lemma4PropertiesOnRandomInstances) {
+  pram::Workspace ws;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const auto inst = lemma4_instance(seed);
-    const auto rg = build_reduced_graph(inst);
-    const auto m = find_popular_matching(inst);
+    const auto rg = build_reduced_graph(inst, ws);
+    const auto m = find_popular_matching(inst, ws);
     ASSERT_TRUE(m.has_value());
-    const SwitchingEngine engine(inst, rg, *m);
+    const SwitchingEngine engine(inst, rg, *m, ws);
     const auto& pf = engine.pseudoforest();
     const auto out = engine.out_applicant();
     for (std::int32_t p = 0; p < inst.total_posts(); ++p) {
@@ -151,6 +153,7 @@ std::vector<NaiveComponent> naive_grouping(const SwitchingEngine& engine) {
 }
 
 TEST(SwitchingGraph, MenuMatchesNaiveGrouping) {
+  pram::Workspace ws;
   // The eight Lemma 4 instances are planted tree-only switching graphs that
   // count 6e9..1.4e11 popular matchings, too many to enumerate. Eight small
   // random instances (the solvable ones) add cycle components and counts
@@ -169,10 +172,10 @@ TEST(SwitchingGraph, MenuMatchesNaiveGrouping) {
   for (std::size_t k = 0; k < instances.size(); ++k) {
     SCOPED_TRACE(testing::Message() << "instance " << k);
     const auto& inst = instances[k];
-    const auto m = find_popular_matching(inst);
+    const auto m = find_popular_matching(inst, ws);
     if (!m.has_value()) continue;
-    const auto rg = build_reduced_graph(inst);
-    const SwitchingEngine engine(inst, rg, *m);
+    const auto rg = build_reduced_graph(inst, ws);
+    const SwitchingEngine engine(inst, rg, *m, ws);
     const auto menu = engine.menu();
     const auto naive = naive_grouping(engine);
     ASSERT_EQ(menu.entries.size(), naive.size());
@@ -190,10 +193,10 @@ TEST(SwitchingGraph, MenuMatchesNaiveGrouping) {
     EXPECT_EQ(menu.starts.size(), total_starts);
 
     // Theorem 9 twice: the menu's product must equal the enumeration's size.
-    const auto count = count_popular_matchings(inst);
+    const auto count = count_popular_matchings(inst, ws);
     ASSERT_TRUE(count.has_value());
     if (*count <= 4096) {
-      EXPECT_EQ(*count, all_popular_matchings_via_switching(inst, rg, *m).size());
+      EXPECT_EQ(*count, all_popular_matchings_via_switching(inst, rg, *m, ws).size());
       ++enumerated;
     }
   }
@@ -202,28 +205,30 @@ TEST(SwitchingGraph, MenuMatchesNaiveGrouping) {
 }
 
 TEST(SwitchingGraph, MarginsOfPaperInstanceAreNonPositive) {
+  pram::Workspace ws;
   // All applicants of instance I sit on real posts in the stated matching,
   // so every switch has margin 0 under the Definition 4 values and
   // Algorithm 3 must change nothing.
   const auto inst = ncpm::test::fig1_instance();
-  const auto rg = build_reduced_graph(inst);
-  const SwitchingEngine engine(inst, rg, paper_matching(inst));
+  const auto rg = build_reduced_graph(inst, ws);
+  const SwitchingEngine engine(inst, rg, paper_matching(inst), ws);
   std::vector<std::int64_t> value(static_cast<std::size_t>(inst.total_posts()));
   for (std::int32_t p = 0; p < inst.total_posts(); ++p) {
     value[static_cast<std::size_t>(p)] = inst.is_last_resort(p) ? 0 : 1;
   }
-  const auto report = engine.margins(value);
-  const auto choices = engine.best_choices(report);
+  const auto report = engine.margins(value, ws);
+  const auto choices = engine.best_choices(report, ws);
   EXPECT_TRUE(choices.empty());
 }
 
 TEST(SwitchingGraph, ApplyCycleSwitchesEveryCycleApplicant) {
+  pram::Workspace ws;
   const auto inst = ncpm::test::fig1_instance();
-  const auto rg = build_reduced_graph(inst);
+  const auto rg = build_reduced_graph(inst, ws);
   const auto m = paper_matching(inst);
-  const SwitchingEngine engine(inst, rg, m);
+  const SwitchingEngine engine(inst, rg, m, ws);
   // Apply the unique switching cycle (root = p1 = 0).
-  const auto result = engine.apply(std::vector<SwitchingEngine::Choice>{{0, true}});
+  const auto result = engine.apply(std::vector<SwitchingEngine::Choice>{{0, true}}, ws);
   EXPECT_TRUE(satisfies_popular_characterization(inst, rg, result));
   // a1..a4 switched, a5..a8 untouched.
   EXPECT_EQ(result.right_of(0), 1);  // a1: p1 -> p2
@@ -235,13 +240,14 @@ TEST(SwitchingGraph, ApplyCycleSwitchesEveryCycleApplicant) {
 }
 
 TEST(SwitchingGraph, ApplyPathMovesPrefixToSink) {
+  pram::Workspace ws;
   const auto inst = ncpm::test::fig1_instance();
-  const auto rg = build_reduced_graph(inst);
+  const auto rg = build_reduced_graph(inst, ws);
   const auto m = paper_matching(inst);
-  const SwitchingEngine engine(inst, rg, m);
+  const SwitchingEngine engine(inst, rg, m, ws);
   // Switching path from p9 (= 8): a8 moves p9 -> p7, a6 moves p7 -> p6;
   // a7 (on the p8 branch) must not move.
-  const auto result = engine.apply(std::vector<SwitchingEngine::Choice>{{8, false}});
+  const auto result = engine.apply(std::vector<SwitchingEngine::Choice>{{8, false}}, ws);
   EXPECT_TRUE(satisfies_popular_characterization(inst, rg, result));
   EXPECT_EQ(result.right_of(7), 6);  // a8 -> p7
   EXPECT_EQ(result.right_of(5), 5);  // a6 -> p6
@@ -250,37 +256,39 @@ TEST(SwitchingGraph, ApplyPathMovesPrefixToSink) {
 }
 
 TEST(SwitchingGraph, ApplyRejectsBadChoices) {
+  pram::Workspace ws;
   const auto inst = ncpm::test::fig1_instance();
-  const auto rg = build_reduced_graph(inst);
-  const SwitchingEngine engine(inst, rg, paper_matching(inst));
+  const auto rg = build_reduced_graph(inst, ws);
+  const SwitchingEngine engine(inst, rg, paper_matching(inst), ws);
   // p5 (= 4) is an f-post... no: p5 is an f-post vertex, not an s-post, so
   // it cannot start a switching path.
-  EXPECT_THROW(engine.apply(std::vector<SwitchingEngine::Choice>{{4, false}}),
+  EXPECT_THROW(engine.apply(std::vector<SwitchingEngine::Choice>{{4, false}}, ws),
                std::invalid_argument);
   // p6 is the sink: no out-edge, not a valid start either.
-  EXPECT_THROW(engine.apply(std::vector<SwitchingEngine::Choice>{{5, false}}),
+  EXPECT_THROW(engine.apply(std::vector<SwitchingEngine::Choice>{{5, false}}, ws),
                std::invalid_argument);
   // p2 is on the cycle but is not its root (p1 = 0 is).
-  EXPECT_THROW(engine.apply(std::vector<SwitchingEngine::Choice>{{1, true}}),
+  EXPECT_THROW(engine.apply(std::vector<SwitchingEngine::Choice>{{1, true}}, ws),
                std::invalid_argument);
   // Two switches in one component.
-  EXPECT_THROW(engine.apply(std::vector<SwitchingEngine::Choice>{{7, false}, {8, false}}),
+  EXPECT_THROW(engine.apply(std::vector<SwitchingEngine::Choice>{{7, false}, {8, false}}, ws),
                std::invalid_argument);
   // Keys outside the post vertices.
-  EXPECT_THROW(engine.apply(std::vector<SwitchingEngine::Choice>{{-1, true}}),
+  EXPECT_THROW(engine.apply(std::vector<SwitchingEngine::Choice>{{-1, true}}, ws),
                std::invalid_argument);
-  EXPECT_THROW(engine.apply(std::vector<SwitchingEngine::Choice>{{inst.total_posts(), false}}),
+  EXPECT_THROW(engine.apply(std::vector<SwitchingEngine::Choice>{{inst.total_posts(), false}}, ws),
                std::invalid_argument);
 }
 
 TEST(SwitchingGraph, MatchingOutsideReducedGraphRejected) {
+  pram::Workspace ws;
   const auto inst = ncpm::test::fig1_instance();
-  const auto rg = build_reduced_graph(inst);
+  const auto rg = build_reduced_graph(inst, ws);
   matching::Matching bad(inst.num_applicants(), inst.total_posts());
   // a1 to p6 (rank: not on a1's reduced list).
   bad.match(0, 5);
   for (std::int32_t a = 1; a < 8; ++a) bad.match(a, ncpm::test::fig1_paper_matching()[static_cast<std::size_t>(a)]);
-  EXPECT_THROW(SwitchingEngine(inst, rg, bad), std::invalid_argument);
+  EXPECT_THROW(SwitchingEngine(inst, rg, bad, ws), std::invalid_argument);
 }
 
 }  // namespace

@@ -81,6 +81,7 @@ INSTANTIATE_TEST_SUITE_P(TinyInstances, TiesBruteForce,
 class TiesVsStrict : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TiesVsStrict, OnStrictInstancesExistenceMatchesAlgorithm1) {
+  pram::Workspace ws;
   for (std::uint64_t round = 0; round < 10; ++round) {
     gen::StrictConfig cfg;
     cfg.num_applicants = 40;
@@ -90,11 +91,11 @@ TEST_P(TiesVsStrict, OnStrictInstancesExistenceMatchesAlgorithm1) {
     cfg.seed = GetParam() * 97 + round;
     const auto inst = gen::random_strict_instance(cfg);
     const auto via_ties = find_popular_matching_ties(inst);
-    const auto via_nc = find_popular_matching(inst);
+    const auto via_nc = find_popular_matching(inst, ws);
     ASSERT_EQ(via_ties.has_value(), via_nc.has_value()) << "seed " << cfg.seed;
     if (via_ties.has_value()) {
       // Both are popular; with strict lists the characterizations coincide.
-      const auto rg = build_reduced_graph(inst);
+      const auto rg = build_reduced_graph(inst, ws);
       EXPECT_TRUE(satisfies_popular_characterization(inst, rg, *via_ties));
     }
   }

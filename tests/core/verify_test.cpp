@@ -54,8 +54,9 @@ TEST(Verify, SizeCountsRealPostsOnly) {
 }
 
 TEST(Verify, CharacterizationRequiresCompleteness) {
+  pram::Workspace ws;
   const auto inst = ncpm::test::fig1_instance();
-  const auto rg = build_reduced_graph(inst);
+  const auto rg = build_reduced_graph(inst, ws);
   matching::Matching partial(inst.num_applicants(), inst.total_posts());
   partial.match(0, 0);
   EXPECT_FALSE(satisfies_popular_characterization(inst, rg, partial));
@@ -69,6 +70,7 @@ struct CountParam {
 class CountPopular : public ::testing::TestWithParam<CountParam> {};
 
 TEST_P(CountPopular, MatchesBruteForceEnumeration) {
+  pram::Workspace ws;
   const auto [seed, n_a, n_p, list_max] = GetParam();
   for (std::uint64_t round = 0; round < 8; ++round) {
     gen::StrictConfig cfg;
@@ -78,7 +80,7 @@ TEST_P(CountPopular, MatchesBruteForceEnumeration) {
     cfg.list_max = list_max;
     cfg.seed = seed * 1009 + round;
     const auto inst = gen::random_strict_instance(cfg);
-    const auto count = count_popular_matchings(inst);
+    const auto count = count_popular_matchings(inst, ws);
     const auto brute = all_popular_matchings_bruteforce(inst);
     ASSERT_EQ(count.has_value(), !brute.empty()) << "seed " << cfg.seed;
     if (count.has_value()) {
@@ -93,10 +95,11 @@ INSTANTIATE_TEST_SUITE_P(TinyInstances, CountPopular,
                                            CountParam{5, 5, 5, 3}, CountParam{6, 6, 4, 2}));
 
 TEST(CountPopular, PaperInstance) {
+  pram::Workspace ws;
   // Instance I: one cycle component (x2) and one tree component with
   // switching paths from p8 and p9 (x3) -> 6 popular matchings.
   const auto inst = ncpm::test::fig1_instance();
-  const auto count = count_popular_matchings(inst);
+  const auto count = count_popular_matchings(inst, ws);
   ASSERT_TRUE(count.has_value());
   EXPECT_EQ(*count, 6u);
   EXPECT_EQ(all_popular_matchings_bruteforce(inst).size(), 6u);

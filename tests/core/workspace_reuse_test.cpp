@@ -64,9 +64,10 @@ TEST(WorkspaceReuse, SharedWorkspaceMatchesFreshWorkspaceAcrossInstances) {
   pram::Workspace shared;
   for (const auto& inst : mixed_instances()) {
     PopularRunStats shared_stats;
-    const auto with_shared = find_popular_matching(inst, shared, nullptr, &shared_stats);
+    const auto with_shared = find_popular_matching(inst, shared, &shared_stats);
     PopularRunStats fresh_stats;
-    const auto with_fresh = find_popular_matching(inst, nullptr, &fresh_stats);
+    pram::Workspace fresh;
+    const auto with_fresh = find_popular_matching(inst, fresh, &fresh_stats);
     ASSERT_EQ(with_shared.has_value(), with_fresh.has_value());
     EXPECT_EQ(shared_stats.while_rounds, fresh_stats.while_rounds);
     if (with_shared.has_value()) {
@@ -83,7 +84,8 @@ TEST(WorkspaceReuse, SharedWorkspaceMatchesFreshWorkspaceAcrossInstances) {
 TEST(WorkspaceReuse, NoWorkspaceGrowthAfterFirstRound) {
   const auto inst = gen::binary_tree_instance(8);
   PopularRunStats stats;
-  const auto m = find_popular_matching(inst, nullptr, &stats);
+  pram::Workspace ws;
+  const auto m = find_popular_matching(inst, ws, &stats);
   (void)m;
   ASSERT_GE(stats.while_rounds, 7u);  // one round per peeled level
   EXPECT_EQ(stats.workspace_allocs_later_rounds, 0u);
@@ -103,7 +105,7 @@ TEST(WorkspaceReuse, WarmWorkspaceMakesEveryRoundAllocationFree) {
     cfg.contention = 2.0;
     cfg.seed = seed;
     PopularRunStats stats;
-    const auto m = find_popular_matching(gen::solvable_strict_instance(cfg), ws, nullptr, &stats);
+    const auto m = find_popular_matching(gen::solvable_strict_instance(cfg), ws, &stats);
     ASSERT_TRUE(m.has_value());
     EXPECT_EQ(stats.workspace_allocs_first_round, 0u) << "seed " << seed;
     EXPECT_EQ(stats.workspace_allocs_later_rounds, 0u) << "seed " << seed;
@@ -120,8 +122,8 @@ TEST(WorkspaceReuse, AliveEdgeSetShrinkingToZeroIsHandled) {
     lists[static_cast<std::size_t>(a)] = {2 * a, 2 * a + 1};
   }
   const auto inst = core::Instance::strict(2 * n, std::move(lists));
-  const auto rg = build_reduced_graph(inst);
   pram::Workspace ws;
+  const auto rg = build_reduced_graph(inst, ws);
   const auto ac = applicant_complete_matching(inst, rg, ws);
   ASSERT_TRUE(ac.exists);
   EXPECT_EQ(ac.while_rounds, 1u);

@@ -50,16 +50,17 @@ std::vector<core::Instance> mixed_instances(std::uint64_t seed) {
 
 /// Direct single-call reference for one request.
 Result reference_result(Mode mode, const core::Instance& inst) {
+  pram::Workspace ws;
   Result ref;
   ref.mode = mode;
   std::optional<matching::Matching> m;
   switch (mode) {
-    case Mode::kSolve: m = core::find_popular_matching(inst); break;
-    case Mode::kMaxCard: m = core::find_max_card_popular(inst); break;
-    case Mode::kFair: m = core::find_fair_popular(inst); break;
-    case Mode::kRankMaximal: m = core::find_rank_maximal_popular(inst); break;
+    case Mode::kSolve: m = core::find_popular_matching(inst, ws); break;
+    case Mode::kMaxCard: m = core::find_max_card_popular(inst, ws); break;
+    case Mode::kFair: m = core::find_fair_popular(inst, ws); break;
+    case Mode::kRankMaximal: m = core::find_rank_maximal_popular(inst, ws); break;
     case Mode::kCount: {
-      const auto count = core::count_popular_matchings(inst);
+      const auto count = core::count_popular_matchings(inst, ws);
       if (count.has_value()) {
         ref.count = *count;
         ref.status = Status::kOk;
@@ -157,14 +158,15 @@ TEST(Engine, StrictOnlyModesRejectTies) {
 }
 
 TEST(Engine, CheckReportsStatistics) {
+  pram::Workspace ws;
   gen::SolvableConfig cfg;
   cfg.num_applicants = 30;
   cfg.num_posts = 90;
   cfg.seed = 5;
   const auto inst = gen::solvable_strict_instance(cfg);
-  const auto m = core::find_popular_matching(inst);
+  const auto m = core::find_popular_matching(inst, ws);
   ASSERT_TRUE(m.has_value());
-  const auto count = core::count_popular_matchings(inst);
+  const auto count = core::count_popular_matchings(inst, ws);
 
   Engine engine({2, 1});
   const auto res = engine.submit(Request::popular(Mode::kCheck, inst)).get();
@@ -179,8 +181,9 @@ TEST(Engine, CheckReportsStatistics) {
 }
 
 TEST(Engine, NextStableMatchesDirectCall) {
+  pram::Workspace ws;
   const auto inst = gen::random_stable_instance(12, 21);
-  const auto reference = stable::next_stable_matchings(inst, stable::man_optimal(inst));
+  const auto reference = stable::next_stable_matchings(inst, stable::man_optimal(inst), ws);
 
   Engine engine({2, 1});
   const auto res = engine.submit(Request::next_stable(inst)).get();

@@ -43,6 +43,7 @@ TEST(Generators, RandomStrictRespectsBoundsAndSeedDeterminism) {
 }
 
 TEST(Generators, SolvableAlwaysAdmitsPopularMatching) {
+  pram::Workspace ws;
   for (const double contention : {1.0, 2.0, 4.0, 8.0}) {
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
       SolvableConfig cfg;
@@ -52,20 +53,21 @@ TEST(Generators, SolvableAlwaysAdmitsPopularMatching) {
       cfg.contention = contention;
       cfg.seed = seed;
       const auto inst = solvable_strict_instance(cfg);
-      EXPECT_TRUE(core::find_popular_matching(inst).has_value())
+      EXPECT_TRUE(core::find_popular_matching(inst, ws).has_value())
           << "contention " << contention << " seed " << seed;
     }
   }
 }
 
 TEST(Generators, SolvableContentionSharesFirstChoices) {
+  pram::Workspace ws;
   SolvableConfig cfg;
   cfg.num_applicants = 100;
   cfg.num_posts = 250;
   cfg.contention = 5.0;
   cfg.seed = 9;
   const auto inst = solvable_strict_instance(cfg);
-  const auto rg = core::build_reduced_graph(inst);
+  const auto rg = core::build_reduced_graph(inst, ws);
   // With contention 5 the number of distinct f-posts must be well below
   // the number of applicants.
   EXPECT_LT(rg.num_f_posts(), 50u);
@@ -89,10 +91,11 @@ TEST(Generators, ContentionInstanceRejectsTiny) {
 }
 
 TEST(Generators, BinaryTreeShape) {
+  pram::Workspace ws;
   const auto inst = binary_tree_instance(3);
   EXPECT_EQ(inst.num_posts(), 15);       // 2^4 - 1 nodes
   EXPECT_EQ(inst.num_applicants(), 14);  // one per edge
-  const auto rg = core::build_reduced_graph(inst);
+  const auto rg = core::build_reduced_graph(inst, ws);
   // Every applicant's reduced pair is a tree edge {v, parent(v)}.
   for (std::int32_t a = 0; a < inst.num_applicants(); ++a) {
     const auto ai = static_cast<std::size_t>(a);
@@ -135,6 +138,7 @@ TEST(Generators, RandomBipartiteDegreesAreDistinct) {
 }
 
 TEST(StableGenerators, RandomInstancesAreValidAndSeeded) {
+  pram::Workspace ws;
   const auto a = random_stable_instance(12, 5);
   const auto b = random_stable_instance(12, 5);
   for (std::int32_t m = 0; m < 12; ++m) {
@@ -143,13 +147,14 @@ TEST(StableGenerators, RandomInstancesAreValidAndSeeded) {
   }
   // Gale-Shapley must work on them (validity smoke test).
   const auto m0 = stable::man_optimal(a);
-  EXPECT_TRUE(stable::is_stable(a, m0));
+  EXPECT_TRUE(stable::is_stable(a, m0, ws));
 }
 
 TEST(StableGenerators, CyclicInstanceIsValid) {
+  pram::Workspace ws;
   const auto inst = cyclic_stable_instance(7);
   const auto m0 = stable::man_optimal(inst);
-  EXPECT_TRUE(stable::is_stable(inst, m0));
+  EXPECT_TRUE(stable::is_stable(inst, m0, ws));
 }
 
 }  // namespace

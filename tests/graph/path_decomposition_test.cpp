@@ -9,11 +9,12 @@ namespace ncpm::graph {
 namespace {
 
 TEST(HalfEdge, SourceTargetRevEdge) {
+  pram::Workspace ws;
   // Edge 0 = {0, 1}, edge 1 = {1, 2}.
   const std::vector<std::int32_t> eu{0, 1};
   const std::vector<std::int32_t> ev{1, 2};
   const std::vector<std::uint8_t> alive{1, 1};
-  const HalfEdgeStructure s(3, eu, ev, alive);
+  const HalfEdgeStructure s(3, eu, ev, alive, ws);
   EXPECT_EQ(s.source(0), 0);
   EXPECT_EQ(s.target(0), 1);
   EXPECT_EQ(s.source(1), 1);
@@ -43,7 +44,7 @@ TEST(HalfEdge, RebuildReusesTheStructureAcrossGraphs) {
   const std::vector<std::int32_t> ev{1, 2};
   const std::vector<std::uint8_t> alive{1, 0};
   s.rebuild(3, eu, ev, alive, ws);
-  const HalfEdgeStructure fresh(3, eu, ev, alive);
+  const HalfEdgeStructure fresh(3, eu, ev, alive, ws);
   ASSERT_EQ(s.n_edges(), fresh.n_edges());
   for (std::int32_t v = 0; v < 3; ++v) EXPECT_EQ(s.degree(v), fresh.degree(v));
   for (std::size_t h = 0; h < s.n_half_edges(); ++h) {
@@ -54,11 +55,12 @@ TEST(HalfEdge, RebuildReusesTheStructureAcrossGraphs) {
 }
 
 TEST(HalfEdge, PathChainsThroughDegreeTwoVertices) {
+  pram::Workspace ws;
   // Path 0 - 1 - 2 - 3: vertices 1, 2 have degree 2.
   const std::vector<std::int32_t> eu{0, 1, 2};
   const std::vector<std::int32_t> ev{1, 2, 3};
   const std::vector<std::uint8_t> alive{1, 1, 1};
-  const HalfEdgeStructure s(4, eu, ev, alive);
+  const HalfEdgeStructure s(4, eu, ev, alive, ws);
   // The rightward traversal 0->1->2->3: half-edges 0, 2, 4.
   EXPECT_EQ(s.succ()[0], 2);
   EXPECT_EQ(s.succ()[2], 4);
@@ -73,11 +75,12 @@ TEST(HalfEdge, PathChainsThroughDegreeTwoVertices) {
 }
 
 TEST(HalfEdge, StarStopsAtCenter) {
+  pram::Workspace ws;
   // Star: center 0 with leaves 1, 2, 3 (degree 3).
   const std::vector<std::int32_t> eu{0, 0, 0};
   const std::vector<std::int32_t> ev{1, 2, 3};
   const std::vector<std::uint8_t> alive{1, 1, 1};
-  const HalfEdgeStructure s(4, eu, ev, alive);
+  const HalfEdgeStructure s(4, eu, ev, alive, ws);
   EXPECT_EQ(s.degree(0), 3);
   // Every traversal into the center terminates (degree != 2).
   EXPECT_EQ(s.succ()[1], 1);  // 1 -> 0, stop
@@ -85,21 +88,23 @@ TEST(HalfEdge, StarStopsAtCenter) {
 }
 
 TEST(HalfEdge, CycleNeverTerminates) {
+  pram::Workspace ws;
   // Triangle 0-1-2.
   const std::vector<std::int32_t> eu{0, 1, 2};
   const std::vector<std::int32_t> ev{1, 2, 0};
   const std::vector<std::uint8_t> alive{1, 1, 1};
-  const HalfEdgeStructure s(3, eu, ev, alive);
+  const HalfEdgeStructure s(3, eu, ev, alive, ws);
   for (std::size_t h = 0; h < 6; ++h) {
     EXPECT_FALSE(s.ranking().reaches_terminal[h]) << "half-edge " << h;
   }
 }
 
 TEST(HalfEdge, DeadEdgesExcludedFromDegrees) {
+  pram::Workspace ws;
   const std::vector<std::int32_t> eu{0, 1, 2};
   const std::vector<std::int32_t> ev{1, 2, 3};
   const std::vector<std::uint8_t> alive{1, 0, 1};
-  const HalfEdgeStructure s(4, eu, ev, alive);
+  const HalfEdgeStructure s(4, eu, ev, alive, ws);
   EXPECT_EQ(s.degree(1), 1);
   EXPECT_EQ(s.degree(2), 1);
   EXPECT_FALSE(s.edge_alive(1));
@@ -108,24 +113,27 @@ TEST(HalfEdge, DeadEdgesExcludedFromDegrees) {
 }
 
 TEST(HalfEdge, SelfLoopRejected) {
+  pram::Workspace ws;
   const std::vector<std::int32_t> eu{0};
   const std::vector<std::int32_t> ev{0};
   const std::vector<std::uint8_t> alive{1};
-  EXPECT_THROW(HalfEdgeStructure(1, eu, ev, alive), std::invalid_argument);
+  EXPECT_THROW(HalfEdgeStructure(1, eu, ev, alive, ws), std::invalid_argument);
 }
 
 TEST(HalfEdge, OutOfRangeRejected) {
+  pram::Workspace ws;
   const std::vector<std::int32_t> eu{0};
   const std::vector<std::int32_t> ev{7};
   const std::vector<std::uint8_t> alive{1};
-  EXPECT_THROW(HalfEdgeStructure(2, eu, ev, alive), std::invalid_argument);
+  EXPECT_THROW(HalfEdgeStructure(2, eu, ev, alive, ws), std::invalid_argument);
 }
 
 TEST(HalfEdge, IncidentListsMatchDegrees) {
+  pram::Workspace ws;
   const std::vector<std::int32_t> eu{0, 0, 1};
   const std::vector<std::int32_t> ev{1, 2, 2};
   const std::vector<std::uint8_t> alive{1, 1, 1};
-  const HalfEdgeStructure s(3, eu, ev, alive);
+  const HalfEdgeStructure s(3, eu, ev, alive, ws);
   for (std::int32_t v = 0; v < 3; ++v) {
     EXPECT_EQ(static_cast<std::int64_t>(s.incident(v).size()), s.degree(v));
   }

@@ -39,43 +39,48 @@ const CycleMethod kAllMethods[] = {CycleMethod::PointerDoubling, CycleMethod::Tr
                                    CycleMethod::Gf2Rank, CycleMethod::EdgeRemovalCC};
 
 TEST(Pseudoforest, SingleCycle) {
+  pram::Workspace ws;
   DirectedPseudoforest pf{{1, 2, 0}};
   for (const auto method : kAllMethods) {
-    const auto on = cycle_members(pf, method);
+    const auto on = cycle_members(pf, method, ws);
     EXPECT_EQ(on, (std::vector<std::uint8_t>{1, 1, 1})) << static_cast<int>(method);
   }
 }
 
 TEST(Pseudoforest, TreeIntoSinkHasNoCycle) {
+  pram::Workspace ws;
   // 0 -> 1 -> 2(sink), 3 -> 1.
   DirectedPseudoforest pf{{1, 2, pram::kNone, 1}};
   for (const auto method : kAllMethods) {
-    const auto on = cycle_members(pf, method);
+    const auto on = cycle_members(pf, method, ws);
     EXPECT_EQ(on, (std::vector<std::uint8_t>{0, 0, 0, 0})) << static_cast<int>(method);
   }
 }
 
 TEST(Pseudoforest, SelfLoopIsACycleOfLengthOne) {
+  pram::Workspace ws;
   DirectedPseudoforest pf{{0, pram::kNone}};
   for (const auto method : kAllMethods) {
-    const auto on = cycle_members(pf, method);
+    const auto on = cycle_members(pf, method, ws);
     EXPECT_EQ(on, (std::vector<std::uint8_t>{1, 0})) << static_cast<int>(method);
   }
 }
 
 TEST(Pseudoforest, TwoCycleWithTails) {
+  pram::Workspace ws;
   // 0 <-> 1, tails 2 -> 0, 3 -> 2; separate sink 4.
   DirectedPseudoforest pf{{1, 0, 0, 2, pram::kNone}};
   for (const auto method : kAllMethods) {
-    const auto on = cycle_members(pf, method);
+    const auto on = cycle_members(pf, method, ws);
     EXPECT_EQ(on, (std::vector<std::uint8_t>{1, 1, 0, 0, 0})) << static_cast<int>(method);
   }
 }
 
 TEST(Pseudoforest, AnalyzeOrdersCyclesFromRoots) {
+  pram::Workspace ws;
   // Cycle 2 -> 5 -> 3 -> 2 and cycle 0 -> 1 -> 0; 4 leads into the first.
   DirectedPseudoforest pf{{1, 0, 5, 2, 2, 3}};
-  const auto analysis = analyze_cycles(pf);
+  const auto analysis = analyze_cycles(pf, graph::CycleMethod::PointerDoubling, ws);
   ASSERT_EQ(analysis.cycles.size(), 2u);
   EXPECT_EQ(analysis.cycles[0], (std::vector<std::int32_t>{0, 1}));
   EXPECT_EQ(analysis.cycles[1], (std::vector<std::int32_t>{2, 5, 3}));
@@ -90,13 +95,15 @@ TEST(Pseudoforest, AnalyzeOrdersCyclesFromRoots) {
 }
 
 TEST(Pseudoforest, OutOfRangeSuccessorThrows) {
+  pram::Workspace ws;
   DirectedPseudoforest pf{{5}};
-  EXPECT_THROW(analyze_cycles(pf), std::invalid_argument);
+  EXPECT_THROW(analyze_cycles(pf, graph::CycleMethod::PointerDoubling, ws), std::invalid_argument);
 }
 
 TEST(Pseudoforest, EmptyGraph) {
+  pram::Workspace ws;
   DirectedPseudoforest pf{{}};
-  const auto analysis = analyze_cycles(pf);
+  const auto analysis = analyze_cycles(pf, graph::CycleMethod::PointerDoubling, ws);
   EXPECT_TRUE(analysis.cycles.empty());
 }
 
@@ -109,6 +116,7 @@ struct PfParam {
 class PseudoforestRandom : public ::testing::TestWithParam<PfParam> {};
 
 TEST_P(PseudoforestRandom, AllMethodsAgreeWithOracle) {
+  pram::Workspace ws;
   const auto [seed, n, sink_prob] = GetParam();
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> unif(0.0, 1.0);
@@ -119,7 +127,7 @@ TEST_P(PseudoforestRandom, AllMethodsAgreeWithOracle) {
   }
   const auto oracle = oracle_on_cycle(pf);
   for (const auto method : kAllMethods) {
-    EXPECT_EQ(cycle_members(pf, method), oracle) << "method " << static_cast<int>(method);
+    EXPECT_EQ(cycle_members(pf, method, ws), oracle) << "method " << static_cast<int>(method);
   }
 }
 
@@ -131,6 +139,7 @@ INSTANTIATE_TEST_SUITE_P(RandomPseudoforests, PseudoforestRandom,
 class PseudoforestAnalysisRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PseudoforestAnalysisRandom, DistancesAndLengthsMatchWalks) {
+  pram::Workspace ws;
   std::mt19937_64 rng(GetParam());
   const std::size_t n = 120;
   DirectedPseudoforest pf;
@@ -138,7 +147,7 @@ TEST_P(PseudoforestAnalysisRandom, DistancesAndLengthsMatchWalks) {
   for (std::size_t v = 0; v < n; ++v) {
     pf.next[v] = (rng() % 10 == 0) ? pram::kNone : static_cast<std::int32_t>(rng() % n);
   }
-  const auto analysis = analyze_cycles(pf);
+  const auto analysis = analyze_cycles(pf, graph::CycleMethod::PointerDoubling, ws);
   for (const auto& cycle : analysis.cycles) {
     ASSERT_FALSE(cycle.empty());
     const std::int32_t root = cycle[0];

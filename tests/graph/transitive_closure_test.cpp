@@ -28,9 +28,10 @@ std::vector<std::vector<bool>> floyd_warshall(std::size_t n,
 }
 
 TEST(TransitiveClosure, ChainReachesForwardOnly) {
+  pram::Workspace ws;
   const std::vector<std::int32_t> tail{0, 1, 2};
   const std::vector<std::int32_t> head{1, 2, 3};
-  const auto tc = transitive_closure(adjacency_matrix(4, tail, head));
+  const auto tc = transitive_closure(adjacency_matrix(4, tail, head), ws);
   EXPECT_TRUE(tc.get(0, 3));
   EXPECT_TRUE(tc.get(1, 3));
   EXPECT_FALSE(tc.get(3, 0));
@@ -38,10 +39,11 @@ TEST(TransitiveClosure, ChainReachesForwardOnly) {
 }
 
 TEST(TransitiveClosure, CycleDiagonalDetectsCycles) {
+  pram::Workspace ws;
   // 0 -> 1 -> 2 -> 0 plus tail 3 -> 0.
   const std::vector<std::int32_t> tail{0, 1, 2, 3};
   const std::vector<std::int32_t> head{1, 2, 0, 0};
-  const auto tc = transitive_closure(adjacency_matrix(4, tail, head));
+  const auto tc = transitive_closure(adjacency_matrix(4, tail, head), ws);
   EXPECT_TRUE(tc.get(0, 0));
   EXPECT_TRUE(tc.get(1, 1));
   EXPECT_TRUE(tc.get(2, 2));
@@ -49,16 +51,18 @@ TEST(TransitiveClosure, CycleDiagonalDetectsCycles) {
 }
 
 TEST(TransitiveClosure, SelfLoop) {
+  pram::Workspace ws;
   const std::vector<std::int32_t> tail{0};
   const std::vector<std::int32_t> head{0};
-  const auto tc = transitive_closure(adjacency_matrix(2, tail, head));
+  const auto tc = transitive_closure(adjacency_matrix(2, tail, head), ws);
   EXPECT_TRUE(tc.get(0, 0));
   EXPECT_FALSE(tc.get(1, 1));
 }
 
 TEST(TransitiveClosure, NonSquareThrows) {
+  pram::Workspace ws;
   linalg::BitMatrix m(2, 3);
-  EXPECT_THROW(transitive_closure(m), std::invalid_argument);
+  EXPECT_THROW(transitive_closure(m, ws), std::invalid_argument);
 }
 
 TEST(TransitiveClosure, RoundsAreLogarithmic) {
@@ -68,8 +72,9 @@ TEST(TransitiveClosure, RoundsAreLogarithmic) {
     tail.push_back(static_cast<std::int32_t>(v));
     head.push_back(static_cast<std::int32_t>(v + 1));
   }
-  pram::NcCounters counters;
-  transitive_closure(adjacency_matrix(n, tail, head), &counters);
+  pram::Workspace ws;
+  transitive_closure(adjacency_matrix(n, tail, head), ws);
+  const pram::NcCounters& counters = ws.counters();
   // ceil(log2 300) = 9 squarings, each counted once plus the OR round.
   EXPECT_LE(counters.rounds, 2 * 9 + 2);
 }
@@ -77,6 +82,7 @@ TEST(TransitiveClosure, RoundsAreLogarithmic) {
 class TransitiveClosureRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TransitiveClosureRandom, AgreesWithFloydWarshall) {
+  pram::Workspace ws;
   std::mt19937_64 rng(GetParam());
   const std::size_t n = 60;
   std::vector<std::int32_t> tail, head;
@@ -84,7 +90,7 @@ TEST_P(TransitiveClosureRandom, AgreesWithFloydWarshall) {
     tail.push_back(static_cast<std::int32_t>(rng() % n));
     head.push_back(static_cast<std::int32_t>(rng() % n));
   }
-  const auto tc = transitive_closure(adjacency_matrix(n, tail, head));
+  const auto tc = transitive_closure(adjacency_matrix(n, tail, head), ws);
   const auto oracle = floyd_warshall(n, tail, head);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {

@@ -41,21 +41,23 @@ TEST(BitMatrix, SetGetFlip) {
 }
 
 TEST(BitMatrix, IdentityDiagonal) {
+  pram::Workspace ws;
   const auto id = BitMatrix::identity(5);
-  EXPECT_TRUE(id.any_diagonal());
-  const auto diag = id.diagonal();
+  EXPECT_TRUE(id.any_diagonal(ws));
+  const auto diag = id.diagonal(ws);
   EXPECT_EQ(diag, (std::vector<std::uint8_t>{1, 1, 1, 1, 1}));
-  EXPECT_EQ(id.gf2_rank(), 5u);
+  EXPECT_EQ(id.gf2_rank(ws), 5u);
 }
 
 TEST(BitMatrix, ProductsAgainstNaive) {
+  pram::Workspace ws;
   std::mt19937_64 rng(3);
   for (int round = 0; round < 5; ++round) {
     const std::size_t n = 20 + static_cast<std::size_t>(round) * 13;
     const auto a = random_matrix(rng, n, n, 0.2);
     const auto b = random_matrix(rng, n, n, 0.2);
-    const auto bp = bool_product(a, b);
-    const auto gp = gf2_product(a, b);
+    const auto bp = bool_product(a, b, ws);
+    const auto gp = gf2_product(a, b, ws);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         bool any = false, parity = false;
@@ -72,59 +74,66 @@ TEST(BitMatrix, ProductsAgainstNaive) {
 }
 
 TEST(BitMatrix, ProductShapeMismatchThrows) {
+  pram::Workspace ws;
   const BitMatrix a(2, 3), b(4, 2);
-  EXPECT_THROW(bool_product(a, b), std::invalid_argument);
+  EXPECT_THROW(bool_product(a, b, ws), std::invalid_argument);
 }
 
 TEST(BitMatrix, RankOfSingularAndDuplicatedRows) {
+  pram::Workspace ws;
   BitMatrix m(3, 3);
   m.set(0, 0);
   m.set(0, 1);
   m.set(1, 0);
   m.set(1, 1);  // row 1 duplicates row 0
   m.set(2, 2);
-  EXPECT_EQ(m.gf2_rank(), 2u);
+  EXPECT_EQ(m.gf2_rank(ws), 2u);
 }
 
 TEST(BitMatrix, RankIsInvariantUnderRowXor) {
+  pram::Workspace ws;
   std::mt19937_64 rng(17);
   for (int round = 0; round < 10; ++round) {
     auto m = random_matrix(rng, 24, 31, 0.4);
-    const auto base = m.gf2_rank();
+    const auto base = m.gf2_rank(ws);
     // XOR row 3 into row 7 — an elementary operation, rank preserved.
     auto dst = m.row(7);
     auto src = m.row(3);
     for (std::size_t w = 0; w < m.words_per_row(); ++w) dst[w] ^= src[w];
-    EXPECT_EQ(m.gf2_rank(), base);
+    EXPECT_EQ(m.gf2_rank(ws), base);
   }
 }
 
 TEST(Incidence, Lemma6OnHandBuiltGraphs) {
+  pram::Workspace ws;
   // Triangle + isolated vertex: rank = 4 - 2 = 2.
   const std::vector<std::int32_t> eu{0, 1, 2};
   const std::vector<std::int32_t> ev{1, 2, 0};
-  EXPECT_EQ(incidence_matrix(4, eu, ev).gf2_rank(), 2u);
-  EXPECT_EQ(component_count_by_rank(4, eu, ev), 2u);
+  EXPECT_EQ(incidence_matrix(4, eu, ev).gf2_rank(ws), 2u);
+  EXPECT_EQ(component_count_by_rank(4, eu, ev, {}, ws), 2u);
 }
 
 TEST(Incidence, SelfLoopColumnIsZero) {
+  pram::Workspace ws;
   const std::vector<std::int32_t> eu{0};
   const std::vector<std::int32_t> ev{0};
   const auto m = incidence_matrix(2, eu, ev);
   EXPECT_FALSE(m.get(0, 0));
-  EXPECT_EQ(component_count_by_rank(2, eu, ev), 2u);
+  EXPECT_EQ(component_count_by_rank(2, eu, ev, {}, ws), 2u);
 }
 
 TEST(Incidence, AliveMaskDropsColumns) {
+  pram::Workspace ws;
   const std::vector<std::int32_t> eu{0, 1};
   const std::vector<std::int32_t> ev{1, 2};
   const std::vector<std::uint8_t> alive{1, 0};
-  EXPECT_EQ(component_count_by_rank(3, eu, ev, alive), 2u);
+  EXPECT_EQ(component_count_by_rank(3, eu, ev, alive, ws), 2u);
 }
 
 class Lemma6Random : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(Lemma6Random, RankCountsComponentsLikeCc) {
+  pram::Workspace ws;
   std::mt19937_64 rng(GetParam());
   const std::size_t n = 40;
   const std::size_t m = rng() % 80;
@@ -133,8 +142,8 @@ TEST_P(Lemma6Random, RankCountsComponentsLikeCc) {
     eu[j] = static_cast<std::int32_t>(rng() % n);
     ev[j] = static_cast<std::int32_t>(rng() % n);
   }
-  const auto by_rank = component_count_by_rank(n, eu, ev);
-  const auto by_cc = graph::connected_components(n, eu, ev).count;
+  const auto by_rank = component_count_by_rank(n, eu, ev, {}, ws);
+  const auto by_cc = graph::connected_components(n, eu, ev, {}, ws).count;
   EXPECT_EQ(by_rank, static_cast<std::size_t>(by_cc));
 }
 

@@ -33,34 +33,39 @@ void expect_perfect(const graph::BipartiteGraph& g, const Matching& m) {
 }
 
 TEST(EulerSplit, OneRegularIsItsOwnMatching) {
+  pram::Workspace ws;
   std::mt19937_64 rng(1);
   const auto g = regular_graph(rng, 8, 1);
-  expect_perfect(g, regular_bipartite_perfect_matching(g));
+  expect_perfect(g, regular_bipartite_perfect_matching(g, ws));
 }
 
 TEST(EulerSplit, SidesMustMatch) {
+  pram::Workspace ws;
   const graph::BipartiteGraph g(2, 3, {{0, 0}, {1, 1}});
-  EXPECT_THROW(regular_bipartite_perfect_matching(g), std::invalid_argument);
+  EXPECT_THROW(regular_bipartite_perfect_matching(g, ws), std::invalid_argument);
 }
 
 TEST(EulerSplit, IrregularThrows) {
+  pram::Workspace ws;
   const graph::BipartiteGraph g(2, 2, {{0, 0}, {0, 1}, {1, 0}});
-  EXPECT_THROW(regular_bipartite_perfect_matching(g), std::invalid_argument);
+  EXPECT_THROW(regular_bipartite_perfect_matching(g, ws), std::invalid_argument);
 }
 
 TEST(EulerSplit, NonPowerOfTwoThrows) {
+  pram::Workspace ws;
   // 3-regular on K_{3,3} fragment: union of 3 cyclic shifts.
   std::vector<std::pair<std::int32_t, std::int32_t>> edges;
   for (std::int32_t s = 0; s < 3; ++s) {
     for (std::int32_t l = 0; l < 3; ++l) edges.emplace_back(l, (l + s) % 3);
   }
   const graph::BipartiteGraph g(3, 3, std::move(edges));
-  EXPECT_THROW(regular_bipartite_perfect_matching(g), std::invalid_argument);
+  EXPECT_THROW(regular_bipartite_perfect_matching(g, ws), std::invalid_argument);
 }
 
 TEST(EulerSplit, EmptyGraph) {
+  pram::Workspace ws;
   const graph::BipartiteGraph g(0, 0, {});
-  EXPECT_EQ(regular_bipartite_perfect_matching(g).size(), 0u);
+  EXPECT_EQ(regular_bipartite_perfect_matching(g, ws).size(), 0u);
 }
 
 struct EsParam {
@@ -72,11 +77,12 @@ struct EsParam {
 class EulerSplitRandom : public ::testing::TestWithParam<EsParam> {};
 
 TEST_P(EulerSplitRandom, ProducesPerfectMatchings) {
+  pram::Workspace ws;
   const auto [seed, n, d] = GetParam();
   std::mt19937_64 rng(seed);
   for (int round = 0; round < 5; ++round) {
     const auto g = regular_graph(rng, n, d);
-    expect_perfect(g, regular_bipartite_perfect_matching(g));
+    expect_perfect(g, regular_bipartite_perfect_matching(g, ws));
   }
 }
 

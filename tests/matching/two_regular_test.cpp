@@ -33,31 +33,35 @@ void expect_perfect_on(const std::vector<std::int32_t>& vs, const std::vector<st
 }
 
 TEST(TwoRegular, SingleEvenCycle) {
+  pram::Workspace ws;
   std::vector<std::int32_t> eu, ev;
   add_cycle({0, 1, 2, 3}, eu, ev);
   const std::vector<std::uint8_t> alive(eu.size(), 1);
-  const auto result = two_regular_perfect_matching(4, eu, ev, alive);
+  const auto result = two_regular_perfect_matching(4, eu, ev, alive, ws);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->size(), 2u);
   expect_perfect_on({0, 1, 2, 3}, eu, ev, *result);
 }
 
 TEST(TwoRegular, OddCycleReturnsNullopt) {
+  pram::Workspace ws;
   std::vector<std::int32_t> eu, ev;
   add_cycle({0, 1, 2}, eu, ev);
   const std::vector<std::uint8_t> alive(eu.size(), 1);
-  EXPECT_FALSE(two_regular_perfect_matching(3, eu, ev, alive).has_value());
+  EXPECT_FALSE(two_regular_perfect_matching(3, eu, ev, alive, ws).has_value());
 }
 
 TEST(TwoRegular, DegreeViolationThrows) {
+  pram::Workspace ws;
   // A path is not 2-regular.
   const std::vector<std::int32_t> eu{0, 1};
   const std::vector<std::int32_t> ev{1, 2};
   const std::vector<std::uint8_t> alive{1, 1};
-  EXPECT_THROW(two_regular_perfect_matching(3, eu, ev, alive), std::invalid_argument);
+  EXPECT_THROW(two_regular_perfect_matching(3, eu, ev, alive, ws), std::invalid_argument);
 }
 
 TEST(TwoRegular, MultipleCyclesAndDeadEdges) {
+  pram::Workspace ws;
   std::vector<std::int32_t> eu, ev;
   add_cycle({0, 1, 2, 3, 4, 5}, eu, ev);
   add_cycle({6, 7, 8, 9}, eu, ev);
@@ -66,24 +70,26 @@ TEST(TwoRegular, MultipleCyclesAndDeadEdges) {
   ev.push_back(6);
   std::vector<std::uint8_t> alive(eu.size(), 1);
   alive.back() = 0;
-  const auto result = two_regular_perfect_matching(10, eu, ev, alive);
+  const auto result = two_regular_perfect_matching(10, eu, ev, alive, ws);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->size(), 5u);
   expect_perfect_on({0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, eu, ev, *result);
 }
 
 TEST(TwoRegular, TwoCycleOfParallelEdges) {
+  pram::Workspace ws;
   // Two vertices joined by two parallel edges: a 2-cycle, matching picks one.
   const std::vector<std::int32_t> eu{0, 1};
   const std::vector<std::int32_t> ev{1, 0};
   const std::vector<std::uint8_t> alive{1, 1};
-  const auto result = two_regular_perfect_matching(2, eu, ev, alive);
+  const auto result = two_regular_perfect_matching(2, eu, ev, alive, ws);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->size(), 1u);
 }
 
 TEST(TwoRegular, EmptyGraph) {
-  const auto result = two_regular_perfect_matching(0, {}, {}, {});
+  pram::Workspace ws;
+  const auto result = two_regular_perfect_matching(0, {}, {}, {}, ws);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->empty());
 }
@@ -91,6 +97,7 @@ TEST(TwoRegular, EmptyGraph) {
 class TwoRegularRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TwoRegularRandom, RandomEvenCycleUnionsGetPerfectMatchings) {
+  pram::Workspace ws;
   std::mt19937_64 rng(GetParam());
   std::vector<std::int32_t> eu, ev;
   std::vector<std::int32_t> all;
@@ -106,7 +113,7 @@ TEST_P(TwoRegularRandom, RandomEvenCycleUnionsGetPerfectMatchings) {
   }
   const std::vector<std::uint8_t> alive(eu.size(), 1);
   const auto result =
-      two_regular_perfect_matching(static_cast<std::size_t>(next_vertex), eu, ev, alive);
+      two_regular_perfect_matching(static_cast<std::size_t>(next_vertex), eu, ev, alive, ws);
   ASSERT_TRUE(result.has_value());
   expect_perfect_on(all, eu, ev, *result);
 }

@@ -24,6 +24,7 @@ class StrictOracle : public ::testing::TestWithParam<std::uint64_t> {};
 // sequential baseline agree on existence, and when both produce a matching
 // neither output is more popular than the other (two popular matchings tie).
 TEST_P(StrictOracle, NcAgreesWithAbrahamBaselineOnRandomInstances) {
+  pram::Workspace ws;
   for (std::uint64_t round = 0; round < kSweepSize; ++round) {
     gen::StrictConfig cfg;
     cfg.num_applicants = 30 + static_cast<std::int32_t>(round % 5) * 25;
@@ -33,7 +34,7 @@ TEST_P(StrictOracle, NcAgreesWithAbrahamBaselineOnRandomInstances) {
     cfg.zipf_s = (round % 3) * 0.6;
     cfg.seed = GetParam() * 10'000 + round;
     const auto inst = gen::random_strict_instance(cfg);
-    const auto nc = find_popular_matching(inst);
+    const auto nc = find_popular_matching(inst, ws);
     const auto seq = find_popular_matching_sequential(inst);
     ASSERT_EQ(nc.has_value(), seq.has_value()) << "seed " << cfg.seed;
     if (nc.has_value()) {
@@ -47,6 +48,7 @@ TEST_P(StrictOracle, NcAgreesWithAbrahamBaselineOnRandomInstances) {
 // Property (b): on planted-solvable families a popular matching must exist
 // and both algorithms' outputs must satisfy the Theorem 1 characterization.
 TEST_P(StrictOracle, SolvableFamiliesYieldCharacterizedMatchings) {
+  pram::Workspace ws;
   for (std::uint64_t round = 0; round < kSweepSize; ++round) {
     gen::SolvableConfig cfg;
     cfg.num_applicants = 50 + static_cast<std::int32_t>(round % 4) * 40;
@@ -55,8 +57,8 @@ TEST_P(StrictOracle, SolvableFamiliesYieldCharacterizedMatchings) {
     cfg.contention = 1.0 + (round % 5) * 0.75;
     cfg.seed = GetParam() * 10'000 + round;
     const auto inst = gen::solvable_strict_instance(cfg);
-    const auto rg = build_reduced_graph(inst);
-    const auto nc = find_popular_matching(inst);
+    const auto rg = build_reduced_graph(inst, ws);
+    const auto nc = find_popular_matching(inst, ws);
     const auto seq = find_popular_matching_sequential(inst);
     ASSERT_TRUE(nc.has_value()) << "seed " << cfg.seed;
     ASSERT_TRUE(seq.has_value()) << "seed " << cfg.seed;
@@ -72,6 +74,7 @@ TEST_P(StrictOracle, SolvableFamiliesYieldCharacterizedMatchings) {
 // assignment (Definition 1) confirms the NC output, and the full brute-force
 // popular set is empty exactly when the pipeline reports none.
 TEST_P(StrictOracle, TinyInstancesMatchLiteralBruteForce) {
+  pram::Workspace ws;
   for (std::uint64_t round = 0; round < kSweepSize; ++round) {
     gen::StrictConfig cfg;
     cfg.num_applicants = 3 + static_cast<std::int32_t>(round % 4);
@@ -80,7 +83,7 @@ TEST_P(StrictOracle, TinyInstancesMatchLiteralBruteForce) {
     cfg.list_max = 3;
     cfg.seed = GetParam() * 10'000 + round;
     const auto inst = gen::random_strict_instance(cfg);
-    const auto nc = find_popular_matching(inst);
+    const auto nc = find_popular_matching(inst, ws);
     const auto all_popular = all_popular_matchings_bruteforce(inst);
     ASSERT_EQ(nc.has_value(), !all_popular.empty()) << "seed " << cfg.seed;
     if (nc.has_value()) {

@@ -35,9 +35,9 @@ class ThreadInvariance : public ::testing::TestWithParam<std::uint64_t> {};
 // the Theorem 1 characterization. A width-dependent answer is a
 // synchronization bug.
 void ExpectInvariantAcrossLanes(const Instance& inst, std::uint64_t seed) {
-  const auto rg = build_reduced_graph(inst);
   pram::SerialExecutor serial;
   pram::Workspace serial_ws(serial);
+  const auto rg = build_reduced_graph(inst, serial_ws);
   const auto reference = find_popular_matching(inst, serial_ws);
   for (const int lanes : kLaneCounts) {
     pram::Executor ex(lanes);

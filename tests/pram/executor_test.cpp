@@ -9,7 +9,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <numeric>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -138,6 +141,23 @@ TEST(Executor, ResizeKeepsReferencesValid) {
   EXPECT_EQ(ex.parallel_count(10'000, [](std::size_t) { return true; }), 10'000u);
   default_executor().resize(original);
   EXPECT_EQ(ex.lanes(), original);
+}
+
+TEST(Executor, DefaultLanesHonoursOnlyWholeIntegers) {
+  // Runs under whatever NCPM_LANES the process was started with: CTest
+  // registers a second run under NCPM_LANES=17x, which must fall back to
+  // the hardware width with a warning instead of meaning 17.
+  const char* env = std::getenv("NCPM_LANES");
+  const std::string_view value = env == nullptr ? "" : env;
+  const bool valid = !value.empty() && value.size() <= 6 &&
+                     value.find_first_not_of("0123456789") == std::string_view::npos &&
+                     std::stoi(std::string(value)) >= 1;
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int want = valid ? std::stoi(std::string(value)) : (hw == 0 ? 1 : static_cast<int>(hw));
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(default_lanes(), want) << "NCPM_LANES=" << value;
+  const std::string warning = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(warning.find("NCPM_LANES") != std::string::npos, env != nullptr && !valid) << warning;
 }
 
 TEST(Executor, SerialExecutorSpawnsNoLanes) {

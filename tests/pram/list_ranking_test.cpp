@@ -21,9 +21,10 @@ TEST(CeilLog2, SmallValues) {
 }
 
 TEST(ListRank, SingleChain) {
+  Workspace ws;
   // 0 -> 1 -> 2 -> 3 -> 3 (terminal).
   const std::vector<std::int32_t> next{1, 2, 3, 3};
-  const auto r = list_rank(next);
+  const auto r = list_rank(next, ws);
   EXPECT_EQ(r.rank, (std::vector<std::int64_t>{3, 2, 1, 0}));
   for (std::size_t v = 0; v < next.size(); ++v) {
     EXPECT_EQ(r.head[v], 3);
@@ -32,9 +33,10 @@ TEST(ListRank, SingleChain) {
 }
 
 TEST(ListRank, ForestOfChains) {
+  Workspace ws;
   // Two chains: 0->1->1 and 2->3->4->4; 5 is its own terminal.
   const std::vector<std::int32_t> next{1, 1, 3, 4, 4, 5};
-  const auto r = list_rank(next);
+  const auto r = list_rank(next, ws);
   EXPECT_EQ(r.rank[0], 1);
   EXPECT_EQ(r.head[0], 1);
   EXPECT_EQ(r.rank[2], 2);
@@ -43,9 +45,10 @@ TEST(ListRank, ForestOfChains) {
 }
 
 TEST(ListRank, CycleVerticesDoNotReachTerminals) {
+  Workspace ws;
   // 0 -> 1 -> 2 -> 0 cycle, 3 -> 0 leads into it, 4 terminal.
   const std::vector<std::int32_t> next{1, 2, 0, 0, 4};
-  const auto r = list_rank(next);
+  const auto r = list_rank(next, ws);
   EXPECT_FALSE(r.reaches_terminal[0]);
   EXPECT_FALSE(r.reaches_terminal[1]);
   EXPECT_FALSE(r.reaches_terminal[3]);
@@ -53,31 +56,35 @@ TEST(ListRank, CycleVerticesDoNotReachTerminals) {
 }
 
 TEST(ListRank, RejectsOutOfRangeSuccessor) {
+  Workspace ws;
   const std::vector<std::int32_t> bad{1, 7};
-  EXPECT_THROW(list_rank(bad), std::out_of_range);
+  EXPECT_THROW(list_rank(bad, ws), std::out_of_range);
 }
 
 TEST(WeightedListRank, SumsSourceWeightsExcludingTerminal) {
+  Workspace ws;
   // 0 -> 1 -> 2 -> 2, weights 5, 7, 100 (terminal's weight never counted).
   const std::vector<std::int32_t> next{1, 2, 2};
   const std::vector<std::int64_t> w{5, 7, 100};
-  const auto r = weighted_list_rank(next, w);
+  const auto r = weighted_list_rank(next, w, ws);
   EXPECT_EQ(r.rank[0], 12);
   EXPECT_EQ(r.rank[1], 7);
   EXPECT_EQ(r.rank[2], 0);
 }
 
 TEST(WeightedListRank, SizeMismatchThrows) {
+  Workspace ws;
   const std::vector<std::int32_t> next{0};
   const std::vector<std::int64_t> w{1, 2};
-  EXPECT_THROW(weighted_list_rank(next, w), std::invalid_argument);
+  EXPECT_THROW(weighted_list_rank(next, w, ws), std::invalid_argument);
 }
 
 TEST(KthPower, MatchesIteratedApplication) {
+  Workspace ws;
   // Functional graph with a 3-cycle and a tail.
   const std::vector<std::int32_t> next{1, 2, 0, 1, 3};
   for (const std::uint64_t k : {1ULL, 2ULL, 3ULL, 5ULL, 16ULL}) {
-    const auto p = kth_power(next, k);
+    const auto p = kth_power(next, k, ws);
     for (std::size_t v = 0; v < next.size(); ++v) {
       std::int32_t u = static_cast<std::int32_t>(v);
       for (std::uint64_t i = 0; i < k; ++i) u = next[static_cast<std::size_t>(u)];
@@ -87,10 +94,11 @@ TEST(KthPower, MatchesIteratedApplication) {
 }
 
 TEST(WindowMin, CoversTheWindow) {
+  Workspace ws;
   // Cycle 0->1->2->3->0 with keys = ids; window >= 4 sees the whole cycle.
   const std::vector<std::int32_t> next{1, 2, 3, 0};
   const std::vector<std::int64_t> key{0, 1, 2, 3};
-  const auto wm = window_min(next, key, 4);
+  const auto wm = window_min(next, key, 4, ws);
   for (std::size_t v = 0; v < 4; ++v) EXPECT_EQ(wm[v], 0);
 }
 
@@ -102,6 +110,7 @@ struct RandomParam {
 class ListRankingRandom : public ::testing::TestWithParam<RandomParam> {};
 
 TEST_P(ListRankingRandom, AgreesWithBruteForceWalk) {
+  Workspace ws;
   const auto [seed, n] = GetParam();
   std::mt19937_64 rng(seed);
   // Random forest-with-cycles: each vertex points to a random vertex (or
@@ -110,7 +119,7 @@ TEST_P(ListRankingRandom, AgreesWithBruteForceWalk) {
   for (std::size_t v = 0; v < n; ++v) {
     next[v] = static_cast<std::int32_t>(rng() % n);
   }
-  const auto r = list_rank(next);
+  const auto r = list_rank(next, ws);
   for (std::size_t v = 0; v < n; ++v) {
     // Walk at most n steps; if we hit a fixed point the ranking must match.
     std::int32_t u = static_cast<std::int32_t>(v);
@@ -142,12 +151,13 @@ INSTANTIATE_TEST_SUITE_P(RandomFunctionalGraphs, ListRankingRandom,
 class KthPowerRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(KthPowerRandom, ImageOfLargePowerIsClosedUnderNext) {
+  Workspace ws;
   std::mt19937_64 rng(GetParam());
   const std::size_t n = 200;
   std::vector<std::int32_t> next(n);
   for (std::size_t v = 0; v < n; ++v) next[v] = static_cast<std::int32_t>(rng() % n);
   const std::uint64_t k = std::uint64_t{1} << ceil_log2(n);
-  const auto p = kth_power(next, k);
+  const auto p = kth_power(next, k, ws);
   // Every image vertex lies on a cycle: following `next` from it must return.
   for (std::size_t v = 0; v < n; ++v) {
     std::int32_t u = p[v];

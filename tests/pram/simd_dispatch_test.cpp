@@ -315,8 +315,8 @@ TEST(SimdDispatch, FullPathsBitExactAcrossTiersAndWidths) {
     ForcedTier forced(SimdTier::kScalar);
     Executor ex(1);
     Workspace ws(ex);
-    ref_total = exclusive_scan<std::uint32_t>(scan_in, ref_scan, nullptr, ex);
-    ref_compact = compact_indices(keep, nullptr, ex);
+    ref_total = exclusive_scan<std::uint32_t>(scan_in, ref_scan, ws);
+    ref_compact = compact_indices(keep, ws);
     list_rank_into(next, {ref_head, ref_rank, ref_reach}, ws);
     window_min_into(next, key, 64, ref_win, ws);
   }
@@ -327,9 +327,9 @@ TEST(SimdDispatch, FullPathsBitExactAcrossTiersAndWidths) {
       Executor ex(lanes);
       Workspace ws(ex);
       std::vector<std::uint32_t> scan_out(n);
-      EXPECT_EQ(exclusive_scan<std::uint32_t>(scan_in, scan_out, nullptr, ex), ref_total);
+      EXPECT_EQ(exclusive_scan<std::uint32_t>(scan_in, scan_out, ws), ref_total);
       EXPECT_EQ(scan_out, ref_scan) << simd_tier_name(tier) << " lanes=" << lanes;
-      EXPECT_EQ(compact_indices(keep, nullptr, ex), ref_compact)
+      EXPECT_EQ(compact_indices(keep, ws), ref_compact)
           << simd_tier_name(tier) << " lanes=" << lanes;
       std::vector<std::int32_t> head(n);
       std::vector<std::int64_t> rank(n);
@@ -358,16 +358,18 @@ TEST(SimdDispatch, Gf2RankInvariantAcrossTiers) {
   {
     ForcedTier forced(SimdTier::kScalar);
     Executor ex(1);
-    ref_rank = m.gf2_rank(nullptr, ex);
-    ref_pop = m.popcount(ex);
+    Workspace ws(ex);
+    ref_rank = m.gf2_rank(ws);
+    ref_pop = m.popcount(ws);
   }
   for (const SimdTier tier : tiers_to_test()) {
     for (const int lanes : {1, 2, 4}) {
       ForcedTier forced(tier);
       Executor ex(lanes);
-      EXPECT_EQ(m.gf2_rank(nullptr, ex), ref_rank)
+      Workspace ws(ex);
+      EXPECT_EQ(m.gf2_rank(ws), ref_rank)
           << simd_tier_name(tier) << " lanes=" << lanes;
-      EXPECT_EQ(m.popcount(ex), ref_pop)
+      EXPECT_EQ(m.popcount(ws), ref_pop)
           << simd_tier_name(tier) << " lanes=" << lanes;
     }
   }
@@ -431,7 +433,8 @@ TEST(ExecutorAffinity, PinnedExecutorMapsLanesRoundRobin) {
   // Pinned or not, rounds still produce correct results.
   std::vector<std::uint32_t> in(257, 1);
   std::vector<std::uint32_t> out(in.size());
-  EXPECT_EQ(exclusive_scan<std::uint32_t>(in, out, nullptr, ex), 257U);
+  Workspace ws(ex);
+  EXPECT_EQ(exclusive_scan<std::uint32_t>(in, out, ws), 257U);
   EXPECT_EQ(out[256], 256U);
 }
 
@@ -463,7 +466,8 @@ TEST(ExecutorAffinity, ResizeKeepsPinning) {
 #endif
   std::vector<std::uint32_t> in(64, 2);
   std::vector<std::uint32_t> out(in.size());
-  EXPECT_EQ(exclusive_scan<std::uint32_t>(in, out, nullptr, ex), 128U);
+  Workspace ws(ex);
+  EXPECT_EQ(exclusive_scan<std::uint32_t>(in, out, ws), 128U);
 }
 
 TEST(ExecutorAffinity, WorkspacePrefaultWarmsPool) {

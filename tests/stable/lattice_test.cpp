@@ -24,6 +24,7 @@ TEST(Lattice, DominanceIsReflexiveOnEqualAndAntisymmetric) {
 }
 
 TEST(Lattice, EnumerationContainsExtremesAndOnlyStableMatchings) {
+  pram::Workspace ws;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const auto inst = gen::random_stable_instance(6, seed);
     const auto all = all_stable_matchings(inst);
@@ -32,7 +33,7 @@ TEST(Lattice, EnumerationContainsExtremesAndOnlyStableMatchings) {
     const auto m0 = man_optimal(inst);
     const auto mz = woman_optimal(inst);
     for (const auto& m : all) {
-      EXPECT_TRUE(is_stable(inst, m));
+      EXPECT_TRUE(is_stable(inst, m, ws));
       has_m0 = has_m0 || m.wife_of == m0.wife_of;
       has_mz = has_mz || m.wife_of == mz.wife_of;
     }

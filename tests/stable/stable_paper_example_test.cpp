@@ -20,7 +20,8 @@ class StablePaperExample : public ::testing::Test {
 };
 
 TEST_F(StablePaperExample, Figure5MatchingIsStable) {
-  EXPECT_TRUE(is_stable(inst, m));
+  pram::Workspace ws;
+  EXPECT_TRUE(is_stable(inst, m, ws));
   EXPECT_TRUE(blocking_pairs(inst, m).empty());
 }
 
@@ -36,7 +37,8 @@ TEST_F(StablePaperExample, Figure6ReducedListsFirstAndSecondEntries) {
 }
 
 TEST_F(StablePaperExample, Figure7SwitchingGraphCyclesAreTheRotations) {
-  const auto result = next_stable_matchings(inst, m);
+  pram::Workspace ws;
+  const auto result = next_stable_matchings(inst, m, ws);
   EXPECT_FALSE(result.is_woman_optimal);
   // H_M (Figure 7): next(m1)=m2, next(m2)=m4, next(m4)=m1 (3-cycle);
   // next(m3)=m6, next(m6)=m3 (2-cycle); m5, m7, m8 hang off the 2-cycle.
@@ -52,10 +54,11 @@ TEST_F(StablePaperExample, Figure7SwitchingGraphCyclesAreTheRotations) {
 }
 
 TEST_F(StablePaperExample, EliminationsAreStableAndDistinct) {
-  const auto result = next_stable_matchings(inst, m);
+  pram::Workspace ws;
+  const auto result = next_stable_matchings(inst, m, ws);
   ASSERT_EQ(result.successors.size(), 2u);
   for (const auto& succ : result.successors) {
-    EXPECT_TRUE(is_stable(inst, succ));
+    EXPECT_TRUE(is_stable(inst, succ, ws));
     EXPECT_NE(succ.wife_of, m.wife_of);
   }
   EXPECT_NE(result.successors[0].wife_of, result.successors[1].wife_of);
