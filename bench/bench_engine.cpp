@@ -5,6 +5,9 @@
 // instances scales near-linearly 1 -> 4 workers (each worker's warm
 // workspace keeps the steady state allocation-free, so there is no
 // allocator contention to serialise them).
+//
+// BM_DecodeInstancePayload times the request decode every served instance
+// pays first: ncpm-binary payload bytes to a validated core::Instance.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +16,7 @@
 
 #include "engine/engine.hpp"
 #include "gen/generators.hpp"
+#include "gen/io_binary.hpp"
 
 namespace {
 
@@ -91,5 +95,28 @@ BENCHMARK(BM_EngineThroughput)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
+
+void BM_DecodeInstancePayload(benchmark::State& state) {
+  ncpm::gen::SolvableConfig cfg;
+  cfg.num_applicants = static_cast<std::int32_t>(state.range(0));
+  cfg.num_posts = cfg.num_applicants + cfg.num_applicants / 2;
+  cfg.list_min = 2;
+  cfg.list_max = 6;
+  cfg.all_f_fraction = 0.3;
+  cfg.contention = 3.0;
+  cfg.seed = 29;
+  const std::string payload =
+      ncpm::io::encode_instance_payload(ncpm::gen::solvable_strict_instance(cfg));
+  const auto* data = reinterpret_cast<const std::uint8_t*>(payload.data());
+  for (auto _ : state) {
+    auto inst = ncpm::io::decode_instance_payload(data, payload.size());
+    benchmark::DoNotOptimize(inst);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(payload.size()));
+  state.counters["payload_bytes"] = static_cast<double>(payload.size());
+}
+BENCHMARK(BM_DecodeInstancePayload)->Arg(256)->Arg(4096)->Arg(131072)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -22,10 +22,10 @@ mkdir -p "${out_dir}"
 # Stamp the run's provenance into the benchmark JSON context so committed
 # result files identify exactly what produced them.
 stamp_json() {
-  python3 - "$1" <<'PY'
+  python3 - "$1" "${build_dir}" <<'PY'
 import json, os, platform, subprocess, sys
 
-path = sys.argv[1]
+path, build_dir = sys.argv[1], sys.argv[2]
 try:
     with open(path) as f:
         data = json.load(f)
@@ -74,6 +74,19 @@ try:
 except OSError:
     pass
 ctx["cpu_model"] = cpu
+# Google Benchmark's own "library_build_type" describes the benchmark
+# library, not ncpm; the build type the measured code was compiled with
+# comes from the build tree's CMake cache.
+build_type = "unknown"
+try:
+    with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+        for line in f:
+            if line.startswith("CMAKE_BUILD_TYPE:"):
+                build_type = line.split("=", 1)[1].strip() or "unknown"
+                break
+except OSError:
+    pass
+ctx["ncpm_build_type"] = build_type
 
 with open(path, "w") as f:
     json.dump(data, f, indent=2)

@@ -1,88 +1,86 @@
 #include "core/instance.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 namespace ncpm::core {
 
-Instance Instance::strict(std::int32_t num_posts, std::vector<std::vector<std::int32_t>> lists,
-                          bool with_last_resorts) {
-  std::vector<std::vector<std::vector<std::int32_t>>> groups(lists.size());
-  for (std::size_t a = 0; a < lists.size(); ++a) {
-    groups[a].reserve(lists[a].size());
-    for (const auto p : lists[a]) groups[a].push_back({p});
+Instance Instance::from_csr(std::int32_t num_posts, std::vector<std::size_t> offsets,
+                            std::vector<std::int32_t> posts, std::vector<std::int32_t> ranks,
+                            bool with_last_resorts) {
+  if (num_posts < 0) throw std::invalid_argument("Instance: negative post count");
+  if (offsets.empty() || offsets.front() != 0 || offsets.back() != posts.size() ||
+      ranks.size() != posts.size()) {
+    throw std::invalid_argument("Instance: offsets do not cover the preference arrays");
   }
   Instance inst;
-  inst.build(num_posts, with_last_resorts, groups);
-  return inst;
-}
-
-Instance Instance::with_ties(std::int32_t num_posts,
-                             std::vector<std::vector<std::vector<std::int32_t>>> groups,
-                             bool with_last_resorts) {
-  Instance inst;
-  inst.build(num_posts, with_last_resorts, groups);
-  return inst;
-}
-
-void Instance::build(std::int32_t num_posts, bool with_last_resorts,
-                     const std::vector<std::vector<std::vector<std::int32_t>>>& groups) {
-  if (num_posts < 0) throw std::invalid_argument("Instance: negative post count");
-  num_posts_ = num_posts;
-  has_last_resorts_ = with_last_resorts;
-  strict_ = true;
-  const std::size_t n_a = groups.size();
-  list_off_.assign(n_a + 1, 0);
-  num_ranks_.assign(n_a, 0);
-
-  for (std::size_t a = 0; a < n_a; ++a) {
-    std::size_t len = 0;
-    for (const auto& g : groups[a]) {
-      if (g.empty()) throw std::invalid_argument("Instance: empty tie group");
-      if (g.size() > 1) strict_ = false;
-      len += g.size();
+  inst.num_posts_ = num_posts;
+  inst.has_last_resorts_ = with_last_resorts;
+  // listed_by[p] = the last applicant whose list held p, so a repeat within
+  // one list is caught without clearing anything between lists.
+  std::vector<std::int32_t> listed_by(static_cast<std::size_t>(num_posts), kNone);
+  for (std::size_t a = 0; a + 1 < offsets.size(); ++a) {
+    const std::size_t begin = offsets[a];
+    const std::size_t end = offsets[a + 1];
+    if (end < begin || end > posts.size()) {
+      throw std::invalid_argument("Instance: offsets are not monotone");
     }
-    if (with_last_resorts && len == 0) {
+    if (with_last_resorts && begin == end) {
       throw std::invalid_argument("Instance: preference lists must be non-empty");
     }
-    list_off_[a + 1] = list_off_[a] + len;
-    num_ranks_[a] = static_cast<std::int32_t>(groups[a].size());
-    max_ranks_ = std::max(max_ranks_, num_ranks_[a]);
-  }
-
-  posts_.resize(list_off_[n_a]);
-  ranks_.resize(list_off_[n_a]);
-  lookup_posts_.resize(list_off_[n_a]);
-  lookup_ranks_.resize(list_off_[n_a]);
-  std::vector<std::uint8_t> seen(static_cast<std::size_t>(num_posts), 0);
-  for (std::size_t a = 0; a < n_a; ++a) {
-    std::size_t pos = list_off_[a];
-    for (std::size_t k = 0; k < groups[a].size(); ++k) {
-      for (const auto p : groups[a][k]) {
-        if (p < 0 || p >= num_posts) throw std::out_of_range("Instance: post id out of range");
-        if (seen[static_cast<std::size_t>(p)] != 0) {
-          throw std::invalid_argument("Instance: duplicate post in a preference list");
-        }
-        seen[static_cast<std::size_t>(p)] = 1;
-        posts_[pos] = p;
-        ranks_[pos] = static_cast<std::int32_t>(k) + 1;
-        ++pos;
+    std::int32_t prev = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::int32_t p = posts[i];
+      if (p < 0 || p >= num_posts) throw std::out_of_range("Instance: post id out of range");
+      auto& owner = listed_by[static_cast<std::size_t>(p)];
+      if (owner == static_cast<std::int32_t>(a)) {
+        throw std::invalid_argument("Instance: duplicate post in a preference list");
       }
+      owner = static_cast<std::int32_t>(a);
+      const std::int32_t r = ranks[i];
+      if (i == begin ? r != 1 : (r != prev && r != prev + 1)) {
+        throw std::invalid_argument("Instance: ranks must start at 1 and step by 0 or 1");
+      }
+      if (r == prev) inst.strict_ = false;
+      prev = r;
     }
-    for (std::size_t i = list_off_[a]; i < list_off_[a + 1]; ++i) {
-      seen[static_cast<std::size_t>(posts_[i])] = 0;
-    }
-    // Sorted-by-post copy for binary-search rank lookup.
-    std::vector<std::size_t> order(list_off_[a + 1] - list_off_[a]);
-    std::iota(order.begin(), order.end(), list_off_[a]);
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t x, std::size_t y) { return posts_[x] < posts_[y]; });
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      lookup_posts_[list_off_[a] + i] = posts_[order[i]];
-      lookup_ranks_[list_off_[a] + i] = ranks_[order[i]];
-    }
+    inst.max_ranks_ = std::max(inst.max_ranks_, prev);
   }
+  inst.list_off_ = std::move(offsets);
+  inst.posts_ = std::move(posts);
+  inst.ranks_ = std::move(ranks);
+  return inst;
+}
+
+Instance Instance::strict(std::int32_t num_posts, std::vector<std::vector<std::int32_t>> lists,
+                          bool with_last_resorts) {
+  std::vector<std::size_t> offsets{0};
+  std::vector<std::int32_t> posts;
+  std::vector<std::int32_t> ranks;
+  for (const auto& list : lists) {
+    posts.insert(posts.end(), list.begin(), list.end());
+    for (std::int32_t rank = 1; ranks.size() < posts.size(); ++rank) ranks.push_back(rank);
+    offsets.push_back(posts.size());
+  }
+  return from_csr(num_posts, std::move(offsets), std::move(posts), std::move(ranks),
+                  with_last_resorts);
+}
+
+Instance Instance::with_ties(std::int32_t num_posts, std::vector<TieGroups> groups,
+                             bool with_last_resorts) {
+  std::vector<std::size_t> offsets{0};
+  std::vector<std::int32_t> posts;
+  std::vector<std::int32_t> ranks;
+  for (const auto& list : groups) {
+    for (std::size_t k = 0; k < list.size(); ++k) {
+      if (list[k].empty()) throw std::invalid_argument("Instance: empty tie group");
+      posts.insert(posts.end(), list[k].begin(), list[k].end());
+      ranks.resize(posts.size(), static_cast<std::int32_t>(k) + 1);
+    }
+    offsets.push_back(posts.size());
+  }
+  return from_csr(num_posts, std::move(offsets), std::move(posts), std::move(ranks),
+                  with_last_resorts);
 }
 
 std::int32_t Instance::last_resort(std::int32_t a) const {
@@ -97,12 +95,9 @@ std::int32_t Instance::rank_of(std::int32_t a, std::int32_t p) const {
   if (is_last_resort(p)) {
     return (has_last_resorts_ && p == num_posts_ + a) ? num_ranks(a) + 1 : kNoRank;
   }
-  const auto i = static_cast<std::size_t>(a);
-  const auto* begin = lookup_posts_.data() + list_off_[i];
-  const auto* end = lookup_posts_.data() + list_off_[i + 1];
-  const auto* it = std::lower_bound(begin, end, p);
-  if (it == end || *it != p) return kNoRank;
-  return lookup_ranks_[list_off_[i] + static_cast<std::size_t>(it - begin)];
+  const auto posts = posts_of(a);
+  const auto it = std::find(posts.begin(), posts.end(), p);
+  return it == posts.end() ? kNoRank : ranks_of(a)[static_cast<std::size_t>(it - posts.begin())];
 }
 
 bool Instance::prefers(std::int32_t a, std::int32_t p, std::int32_t q) const {

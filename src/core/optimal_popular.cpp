@@ -8,18 +8,6 @@
 
 namespace ncpm::core {
 
-namespace {
-
-/// Bucket index of extended post p for applicant a: rank-1 posts in bucket
-/// 0, ..., last resorts in the final bucket regardless of list length (the
-/// paper counts them at rank n2+1).
-std::size_t bucket_of(const Instance& inst, std::int32_t a, std::int32_t p, std::size_t dim) {
-  if (inst.is_last_resort(p)) return dim - 1;
-  return static_cast<std::size_t>(inst.rank_of(a, p)) - 1;
-}
-
-}  // namespace
-
 matching::Matching optimize_weight(const Instance& inst, const matching::Matching& popular,
                                    const WeightFn& weight, bool maximize, pram::Workspace& ws) {
   const ReducedGraph rg = build_reduced_graph(inst, ws);
@@ -60,7 +48,9 @@ Profile matching_profile(const Instance& inst, const matching::Matching& m) {
     if (p == matching::kNone) {
       throw std::invalid_argument("matching_profile: matching is not applicant-complete");
     }
-    ++profile[bucket_of(inst, a, p, dim)];
+    // Last resorts share the final bucket whatever the list length (the
+    // paper counts them at rank n2+1).
+    ++profile[inst.is_last_resort(p) ? dim - 1 : static_cast<std::size_t>(inst.rank_of(a, p)) - 1];
   }
   return profile;
 }
@@ -76,27 +66,46 @@ matching::Matching optimize_profile(const Instance& inst, const matching::Matchi
   const ReducedGraph rg = build_reduced_graph(inst, ws);
   const SwitchingEngine engine(inst, rg, popular, ws);
   const std::size_t n_ext = engine.pseudoforest().size();
-  const auto dim = static_cast<std::size_t>(inst.max_ranks()) + 1;
   const auto out = engine.out_applicant();
   const auto& pf = engine.pseudoforest();
 
-  // One int64 margin pass per profile bucket; a switch's profile delta at
-  // vertex v is +1 in the bucket of the new post, -1 in the old post's.
-  // The delta buffer is leased once and rewritten per bucket.
+  // A switch at v moves out[v] between its reduced posts v and pf.next[v]:
+  // f(a) ranks 1, s(a) s_rank, and last resorts share bucket max_ranks().
+  // Buckets no switch touches are zero in every profile compared and drop
+  // out of both orders, so the occurring ones are renumbered in rank order.
+  const auto bucket = [&](std::size_t v, std::int32_t p) {
+    const auto a = static_cast<std::size_t>(out[v]);
+    if (p == rg.f_post[a]) return std::size_t{0};
+    return static_cast<std::size_t>(inst.is_last_resort(p) ? inst.max_ranks() : rg.s_rank[a] - 1);
+  };
+  std::vector<std::int32_t> slot(static_cast<std::size_t>(inst.max_ranks()) + 1, kNone);
+  for (std::size_t v = 0; v < n_ext; ++v) {
+    if (out[v] == kNone) continue;
+    slot[bucket(v, static_cast<std::int32_t>(v))] = 0;
+    slot[bucket(v, pf.next[v])] = 0;
+  }
+  std::size_t dim = 0;
+  for (auto& k : slot) k = k == kNone ? kNone : static_cast<std::int32_t>(dim++);
+  auto from = ws.take<std::int32_t>(n_ext);
+  auto to = ws.take<std::int32_t>(n_ext);
+  ex.parallel_for(n_ext, [&](std::size_t v) {
+    const bool sink = out[v] == kNone;
+    from[v] = sink ? kNone : slot[bucket(v, static_cast<std::int32_t>(v))];
+    to[v] = sink ? kNone : slot[bucket(v, pf.next[v])];
+  });
+  ws.round(n_ext);
+
+  // One int64 margin pass per bucket; a switch's profile delta at vertex v
+  // is +1 in the bucket of the new post, -1 in the old post's. The delta
+  // buffer is leased once and rewritten per bucket.
   auto delta = ws.take<std::int64_t>(n_ext);
   std::int64_t* const delta_data = delta.data();
   std::vector<SwitchingEngine::MarginReport> reports;
   reports.reserve(dim);
   for (std::size_t k = 0; k < dim; ++k) {
+    const auto b = static_cast<std::int32_t>(k);
     ex.parallel_for(n_ext, [&](std::size_t v) {
-      const std::int32_t a = out[v];
-      std::int64_t d = 0;
-      if (a != kNone) {
-        const std::int32_t to = pf.next[v];
-        if (bucket_of(inst, a, to, dim) == k) ++d;
-        if (bucket_of(inst, a, static_cast<std::int32_t>(v), dim) == k) --d;
-      }
-      delta_data[v] = d;
+      delta_data[v] = std::int64_t{to[v] == b} - std::int64_t{from[v] == b};
     });
     ws.round(n_ext);
     reports.push_back(engine.margins_from_deltas(delta.span(), ws));

@@ -9,6 +9,10 @@
 // addition, so optimising per component optimises globally. The paper
 // realises the profile orders with n^(R+1)-sized integer weights; we keep
 // exact profile vectors (see profile.hpp) — identical order, no bignums.
+// The profile variants run one O(n) margin pass per rank bucket a switch
+// touches: rank 1, the last resorts and the distinct s-ranks. k distinct
+// s-ranks need k lists of distinct lengths, k(k+1)/2 <= m entries, so there
+// are at most 2 + sqrt(2m) passes however long one list is.
 
 #include <functional>
 #include <optional>

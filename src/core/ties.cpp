@@ -174,17 +174,19 @@ bool satisfies_ties_characterization(const Instance& inst, const matching::Match
 }
 
 Instance rank1_instance(const graph::BipartiteGraph& g) {
-  std::vector<std::vector<std::vector<std::int32_t>>> groups(
-      static_cast<std::size_t>(g.n_left()));
+  // One tie group per applicant: every incident edge at rank 1.
+  std::vector<std::size_t> offsets{0};
+  offsets.reserve(static_cast<std::size_t>(g.n_left()) + 1);
+  std::vector<std::int32_t> posts;
   for (std::int32_t l = 0; l < g.n_left(); ++l) {
-    std::vector<std::int32_t> tier;
-    tier.reserve(g.degree_left(l));
     for (const auto e : g.left_incident(l)) {
-      tier.push_back(g.edge_right(static_cast<std::size_t>(e)));
+      posts.push_back(g.edge_right(static_cast<std::size_t>(e)));
     }
-    if (!tier.empty()) groups[static_cast<std::size_t>(l)].push_back(std::move(tier));
+    offsets.push_back(posts.size());
   }
-  return Instance::with_ties(g.n_right(), std::move(groups), /*with_last_resorts=*/false);
+  std::vector<std::int32_t> ranks(posts.size(), 1);
+  return Instance::from_csr(g.n_right(), std::move(offsets), std::move(posts), std::move(ranks),
+                            /*with_last_resorts=*/false);
 }
 
 matching::Matching popular_matching_rank1(const Instance& inst) {

@@ -187,20 +187,23 @@ core::Instance random_ties_instance(const TiesConfig& cfg) {
   const auto cdf = popularity_cdf(cfg.num_posts, 0.0);
   std::uniform_int_distribution<std::int32_t> len_dist(cfg.list_min, cfg.list_max);
   std::uniform_real_distribution<double> unif01(0.0, 1.0);
-  std::vector<std::vector<std::vector<std::int32_t>>> groups(
-      static_cast<std::size_t>(cfg.num_applicants));
-  for (auto& applicant_groups : groups) {
+  std::vector<std::size_t> offsets{0};
+  offsets.reserve(static_cast<std::size_t>(cfg.num_applicants) + 1);
+  std::vector<std::int32_t> posts;
+  std::vector<std::int32_t> ranks;
+  for (std::int32_t a = 0; a < cfg.num_applicants; ++a) {
     const auto flat = sample_distinct(rng, cfg.num_posts, len_dist(rng), cdf);
-    applicant_groups.reserve(flat.size());
+    std::int32_t rank = 0;
     for (std::size_t i = 0; i < flat.size(); ++i) {
-      if (i == 0 || unif01(rng) >= cfg.tie_prob) {
-        applicant_groups.push_back({flat[i]});
-      } else {
-        applicant_groups.back().push_back(flat[i]);
-      }
+      // Each entry after the first joins the previous tie with tie_prob.
+      if (i == 0 || unif01(rng) >= cfg.tie_prob) ++rank;
+      posts.push_back(flat[i]);
+      ranks.push_back(rank);
     }
+    offsets.push_back(posts.size());
   }
-  return core::Instance::with_ties(cfg.num_posts, std::move(groups));
+  return core::Instance::from_csr(cfg.num_posts, std::move(offsets), std::move(posts),
+                                  std::move(ranks));
 }
 
 graph::BipartiteGraph random_bipartite(std::int32_t n_left, std::int32_t n_right,

@@ -164,7 +164,10 @@ core::Instance read_instance(std::istream& in) {
     bad("expected an integer while reading last_resorts flag");
   }
 
-  std::vector<std::vector<std::vector<std::int32_t>>> groups(static_cast<std::size_t>(n_a));
+  std::vector<std::size_t> offsets{0};
+  offsets.reserve(static_cast<std::size_t>(n_a) + 1);
+  std::vector<std::int32_t> posts;
+  std::vector<std::int32_t> ranks;
   for (std::int32_t a = 0; a < n_a; ++a) {
     if (!next_body_line()) bad("truncated instance");
     std::istringstream ls(line);
@@ -175,28 +178,28 @@ core::Instance read_instance(std::istream& in) {
     }
     std::string tok;
     bool in_tie = false;
+    std::size_t tie_start = 0;
+    std::int32_t rank = 0;
     while (ls >> tok) {
       if (tok == "(") {
         if (in_tie) bad("nested '(' in applicant line");
         in_tie = true;
-        groups[static_cast<std::size_t>(a)].emplace_back();
+        tie_start = posts.size();
+        ++rank;
       } else if (tok == ")") {
         if (!in_tie) bad("unmatched ')' in applicant line");
-        if (groups[static_cast<std::size_t>(a)].back().empty()) {
-          bad("empty tie group in applicant line");
-        }
+        if (posts.size() == tie_start) bad("empty tie group in applicant line");
         in_tie = false;
       } else {
         const auto p = parse_post_id(tok);
         if (!p.has_value()) bad("bad post id '" + tok + "'");
-        if (in_tie) {
-          groups[static_cast<std::size_t>(a)].back().push_back(*p);
-        } else {
-          groups[static_cast<std::size_t>(a)].push_back({*p});
-        }
+        if (!in_tie) ++rank;
+        posts.push_back(*p);
+        ranks.push_back(rank);
       }
     }
     if (in_tie) bad("unclosed '(' in applicant line");
+    offsets.push_back(posts.size());
   }
   // Exactly one document per stream: any leftover non-blank content — on
   // the scanner's current line (reachable when applicants == 0) or on a
@@ -213,7 +216,8 @@ core::Instance read_instance(std::istream& in) {
       bad("trailing content after instance");
     }
   }
-  return core::Instance::with_ties(n_p, std::move(groups), last_resorts);
+  return core::Instance::from_csr(n_p, std::move(offsets), std::move(posts), std::move(ranks),
+                                 last_resorts);
 }
 
 core::Instance read_instance(const std::string& text) {

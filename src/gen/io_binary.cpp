@@ -88,13 +88,10 @@ std::string encode_instance_payload(const core::Instance& inst) {
   put_u8(payload, inst.has_last_resorts() ? 1 : 0);
   for (std::int32_t a = 0; a < inst.num_applicants(); ++a) {
     const auto posts = inst.posts_of(a);
-    const auto ranks = inst.ranks_of(a);
-    // Tie groups come from the same run detection as the text writer, so
-    // the two serialisations cannot diverge.
-    std::uint32_t groups = 0;
-    detail::for_each_tie_group(ranks, [&](std::size_t, std::size_t) { ++groups; });
-    put_u32(payload, groups);
-    detail::for_each_tie_group(ranks, [&](std::size_t i, std::size_t j) {
+    // Ranks step by 0 or 1 from 1, so the group count is the last rank; the
+    // groups share the text writer's run detection, so the two cannot diverge.
+    put_u32(payload, static_cast<std::uint32_t>(inst.num_ranks(a)));
+    detail::for_each_tie_group(inst.ranks_of(a), [&](std::size_t i, std::size_t j) {
       put_u32(payload, static_cast<std::uint32_t>(j - i + 1));
       for (std::size_t k = i; k <= j; ++k) {
         put_u32(payload, static_cast<std::uint32_t>(posts[k]));
@@ -126,29 +123,37 @@ core::Instance decode_instance_payload(const std::uint8_t* data, std::size_t siz
   // whose applicant count cannot fit in the declared payload is rejected
   // before the count drives any allocation.
   if ((size - 9) / 4 < n_a) fail("truncated instance");
-  std::vector<std::vector<std::vector<std::int32_t>>> groups(n_a);
+  std::vector<std::size_t> offsets{0};
+  offsets.reserve(std::size_t{n_a} + 1);
+  // Exact for strict lists, where every entry is a one-post group (8
+  // bytes); tied lists grow past it only as their entries arrive, so a
+  // lying size runs out of payload, never out of memory.
+  const std::size_t strict_entries = ((size - 9) / 4 - n_a) / 2;
+  std::vector<std::int32_t> posts;
+  std::vector<std::int32_t> ranks;
+  posts.reserve(strict_entries);
+  ranks.reserve(strict_entries);
   for (std::uint32_t a = 0; a < n_a; ++a) {
     const auto n_groups = cur.u32("group count");
-    auto& list = groups[a];
-    // Every group holds >= 1 post (>= 4 payload bytes), so a lying group
-    // count runs out of payload long before it runs out of memory.
-    list.reserve(std::min<std::size_t>(n_groups, size / 4));
     for (std::uint32_t g = 0; g < n_groups; ++g) {
       const auto n_posts = cur.u32("tie-group size");
       if (n_posts == 0) fail("empty tie group");
-      std::vector<std::int32_t> tier;
-      tier.reserve(std::min<std::size_t>(n_posts, size / 4));
       for (std::uint32_t i = 0; i < n_posts; ++i) {
-        const auto p = cur.u32("post id");
-        if (p >= n_p) fail("post id out of range");
-        tier.push_back(static_cast<std::int32_t>(p));
+        posts.push_back(static_cast<std::int32_t>(cur.u32("post id")));
+        ranks.push_back(static_cast<std::int32_t>(g) + 1);
       }
-      list.push_back(std::move(tier));
     }
+    offsets.push_back(posts.size());
   }
   cur.finish("instance");
-  return core::Instance::with_ties(static_cast<std::int32_t>(n_p), std::move(groups),
-                                   last_resorts);
+  // from_csr's range, duplicate and empty-list rejections become this
+  // format's documented error.
+  try {
+    return core::Instance::from_csr(static_cast<std::int32_t>(n_p), std::move(offsets),
+                                    std::move(posts), std::move(ranks), last_resorts);
+  } catch (const std::logic_error& e) {
+    fail(e.what());
+  }
 }
 
 matching::Matching decode_matching_payload(const std::uint8_t* data, std::size_t size) {

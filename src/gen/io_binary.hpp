@@ -78,9 +78,11 @@ class BinaryReader {
 /// with no stream header and no record header around it. This is the unit
 /// ncpm-rpc v1 frames embed (src/net/frame.hpp), so the socket protocol and
 /// the batch-file format share one serialisation and cannot diverge. The
-/// decoders enforce the same bounds, range checks, and trailing-byte
-/// strictness as the stream reader and throw std::runtime_error
-/// ("io-binary: ...") on any malformed input.
+/// instance decoder reads the payload straight into the CSR arrays of
+/// core::Instance::from_csr (no per-list or per-group allocation) and
+/// reserves no more entries than the payload can hold. Every rejection,
+/// including the range, duplicate and empty-list checks from_csr makes,
+/// is a std::runtime_error whose message starts "io-binary: ".
 std::string encode_instance_payload(const core::Instance& inst);
 core::Instance decode_instance_payload(const std::uint8_t* data, std::size_t size);
 std::string encode_matching_payload(const matching::Matching& m);

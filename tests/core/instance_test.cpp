@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "gen/generators.hpp"
+
 namespace ncpm::core {
 namespace {
 
@@ -67,6 +71,67 @@ TEST(Instance, ValidationErrors) {
   EXPECT_THROW(Instance::strict(2, {{}}), std::invalid_argument);       // empty list w/ last resorts
   EXPECT_THROW(Instance::with_ties(2, {{{}}}), std::invalid_argument);  // empty tie group
   EXPECT_THROW(Instance::strict(-1, {}), std::invalid_argument);        // negative posts
+  // The flat constructor every path goes through.
+  const auto csr = [](std::vector<std::size_t> off, std::vector<std::int32_t> posts,
+                      std::vector<std::int32_t> ranks, bool last_resorts = true) {
+    return Instance::from_csr(3, std::move(off), std::move(posts), std::move(ranks),
+                              last_resorts);
+  };
+  EXPECT_NO_THROW(csr({0, 2, 3}, {0, 1, 2}, {1, 1, 1}));
+  EXPECT_THROW(csr({0, 3, 2, 3}, {0, 1, 2}, {1, 2, 3}), std::invalid_argument);  // not monotone
+  EXPECT_THROW(csr({0, 2}, {0, 1, 2}, {1, 2, 3}), std::invalid_argument);  // misses an entry
+  EXPECT_THROW(csr({1, 3}, {0, 1, 2}, {1, 2, 3}), std::invalid_argument);  // starts past 0
+  EXPECT_THROW(csr({}, {}, {}), std::invalid_argument);                    // no offsets at all
+  EXPECT_THROW(csr({0, 2}, {0, 1}, {1}), std::invalid_argument);           // ranks short
+  EXPECT_THROW(csr({0, 2}, {0, 1}, {2, 3}), std::invalid_argument);        // first rank not 1
+  EXPECT_THROW(csr({0, 2}, {0, 1}, {1, 3}), std::invalid_argument);        // rank step of 2
+  EXPECT_THROW(csr({0, 2}, {0, 1}, {1, 0}), std::invalid_argument);        // rank steps down
+  EXPECT_THROW(csr({0, 2}, {1, 1}, {1, 2}), std::invalid_argument);        // duplicate
+  EXPECT_THROW(csr({0, 2}, {1, 1}, {1, 1}), std::invalid_argument);        // duplicate in a tie
+  EXPECT_THROW(csr({0, 1}, {3}, {1}), std::out_of_range);                  // id out of range
+  EXPECT_THROW(csr({0, 1}, {-1}, {1}), std::out_of_range);                 // negative id
+  EXPECT_THROW(csr({0, 1, 1}, {0}, {1}), std::invalid_argument);  // empty list w/ last resorts
+  EXPECT_NO_THROW(csr({0, 1, 1}, {0}, {1}, /*last_resorts=*/false));
+}
+
+TEST(Instance, RankOfMatchesRanksOf) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    gen::TiesConfig cfg;
+    cfg.num_applicants = 40;
+    cfg.num_posts = 30;
+    cfg.list_min = 1;
+    cfg.list_max = 12;
+    cfg.tie_prob = 0.4;
+    cfg.seed = seed;
+    const auto inst = gen::random_ties_instance(cfg);
+    bool any_tie = false;
+    std::int32_t max_ranks = 0;
+    for (std::int32_t a = 0; a < inst.num_applicants(); ++a) {
+      const auto posts = inst.posts_of(a);
+      const auto ranks = inst.ranks_of(a);
+      for (std::size_t i = 0; i < posts.size(); ++i) {
+        EXPECT_EQ(inst.rank_of(a, posts[i]), ranks[i]) << "seed " << seed << " a " << a;
+        if (i > 0 && ranks[i] == ranks[i - 1]) any_tie = true;
+      }
+      for (std::int32_t p = 0; p < inst.num_posts(); ++p) {
+        if (std::find(posts.begin(), posts.end(), p) == posts.end()) {
+          EXPECT_EQ(inst.rank_of(a, p), kNoRank) << "seed " << seed << " a " << a;
+        }
+      }
+      EXPECT_EQ(inst.num_ranks(a), ranks.back());
+      EXPECT_EQ(inst.rank_of(a, inst.last_resort(a)), ranks.back() + 1);
+      max_ranks = std::max(max_ranks, ranks.back());
+    }
+    EXPECT_EQ(inst.max_ranks(), max_ranks);
+    EXPECT_EQ(inst.strict_prefs(), !any_tie);
+    EXPECT_TRUE(any_tie) << "seed " << seed << " should draw some ties";
+  }
+  const auto strict = Instance::strict(4, {{3, 1, 2}, {0}});
+  EXPECT_TRUE(strict.strict_prefs());
+  EXPECT_EQ(strict.max_ranks(), 3);
+  const auto empty = Instance::with_ties(2, {{}}, /*with_last_resorts=*/false);
+  EXPECT_EQ(empty.num_ranks(0), 0);
+  EXPECT_EQ(empty.max_ranks(), 0);
 }
 
 TEST(Instance, OtherApplicantsLastResortIsUnacceptable) {

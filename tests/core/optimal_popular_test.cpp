@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/max_card_popular.hpp"
+#include "core/reduced_graph.hpp"
 #include "core/verify.hpp"
 #include "gen/generators.hpp"
 #include "test_util.hpp"
@@ -150,6 +153,48 @@ TEST(OptimalPopular, MaxCardIsTheUnitWeightSpecialCase) {
     ASSERT_TRUE(via_weight.has_value());
     ASSERT_TRUE(via_algo3.has_value());
     EXPECT_EQ(matching_size(inst, *via_weight), matching_size(inst, *via_algo3));
+  }
+}
+
+TEST(OptimalPopular, LongListAddsNoRounds) {
+  // One applicant's list extended by every post it lacks, appended after
+  // its own entries: f and s are unchanged, so G' and the popular matchings
+  // are too. The profile passes must not scale with that one list length.
+  gen::StrictConfig cfg;
+  cfg.num_applicants = 512;
+  cfg.num_posts = 1024;
+  cfg.seed = 7;
+  const auto base = gen::random_strict_instance(cfg);
+  pram::Workspace probe;
+  const ReducedGraph rg = build_reduced_graph(base, probe);
+  std::int32_t longest = kNone;
+  for (std::int32_t a = 0; a < base.num_applicants() && longest == kNone; ++a) {
+    if (!base.is_last_resort(rg.s_post[static_cast<std::size_t>(a)])) longest = a;
+  }
+  ASSERT_NE(longest, kNone);
+  std::vector<std::vector<std::int32_t>> lists;
+  for (std::int32_t a = 0; a < base.num_applicants(); ++a) {
+    const auto posts = base.posts_of(a);
+    lists.emplace_back(posts.begin(), posts.end());
+  }
+  auto& list = lists[static_cast<std::size_t>(longest)];
+  for (std::int32_t p = 0; p < base.num_posts(); ++p) {
+    if (std::find(list.begin(), list.end(), p) == list.end()) list.push_back(p);
+  }
+  const auto extended = Instance::strict(base.num_posts(), std::move(lists));
+  ASSERT_EQ(extended.max_ranks(), extended.num_posts());
+
+  using Solver = std::optional<matching::Matching> (*)(const Instance&, pram::Workspace&);
+  for (const Solver solve : {Solver{&find_fair_popular}, Solver{&find_rank_maximal_popular}}) {
+    pram::Workspace ws_base;
+    pram::Workspace ws_ext;
+    const auto m_base = solve(base, ws_base);
+    const auto m_ext = solve(extended, ws_ext);
+    ASSERT_TRUE(m_base.has_value());
+    ASSERT_TRUE(m_ext.has_value());
+    EXPECT_EQ(*m_base, *m_ext);
+    EXPECT_EQ(ws_base.counters().rounds, ws_ext.counters().rounds);
+    EXPECT_EQ(ws_base.counters().work, ws_ext.counters().work);
   }
 }
 

@@ -375,6 +375,55 @@ TEST(IoBinaryMalformed, PostIdOutOfRangeRejected) {
   expect_binary_rejected(bytes, "post id out of range");
 }
 
+/// One instance record payload: applicants, posts, last-resort flag, then
+/// per applicant its tie groups. The decoder must refuse it with the
+/// format's own "io-binary:" runtime_error.
+void expect_payload_rejected(std::uint32_t posts,
+                             const std::vector<std::vector<std::vector<std::uint32_t>>>& lists,
+                             const char* what) {
+  std::string payload;
+  const auto put_u32 = [&payload](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) payload.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  };
+  put_u32(static_cast<std::uint32_t>(lists.size()));
+  put_u32(posts);
+  payload.push_back(1);  // flags: last resorts
+  for (const auto& groups : lists) {
+    put_u32(static_cast<std::uint32_t>(groups.size()));
+    for (const auto& group : groups) {
+      put_u32(static_cast<std::uint32_t>(group.size()));
+      for (const auto p : group) put_u32(p);
+    }
+  }
+  const auto* data = reinterpret_cast<const std::uint8_t*>(payload.data());
+  try {
+    decode_instance_payload(data, payload.size());
+    ADD_FAILURE() << what << ": accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("io-binary: ", 0), 0u) << what << ": " << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": wrong exception type: " << e.what();
+  }
+  // The stream reader wraps the same decoder.
+  std::ostringstream out;
+  write_binary_header(out);
+  std::string header;
+  header.push_back(1);  // instance record
+  for (int i = 0; i < 8; ++i) {
+    header.push_back(static_cast<char>((std::uint64_t{payload.size()} >> (8 * i)) & 0xff));
+  }
+  expect_binary_rejected(out.str() + header + payload, what);
+}
+
+TEST(IoBinaryMalformed, DuplicatePostRejected) {
+  expect_payload_rejected(3, {{{0}, {1}, {0}}}, "duplicate across tie groups");
+  expect_payload_rejected(3, {{{2}}, {{0, 1, 0}}}, "duplicate inside one tie");
+}
+
+TEST(IoBinaryMalformed, EmptyListRejected) {
+  expect_payload_rejected(3, {{{0}}, {}}, "group count 0 with last resorts");
+}
+
 TEST(IoBinaryMalformed, DuplicateMatchingEndpointRejectedAsRuntimeError) {
   // Pairs (0,0) and (0,1): the second claims left endpoint 0 again. Must
   // surface as the reader's documented std::runtime_error, not the matching
