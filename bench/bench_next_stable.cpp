@@ -58,6 +58,21 @@ void BM_NextStableCyclic(benchmark::State& state) {
 BENCHMARK(BM_NextStableCyclic)->RangeMultiplier(2)->Range(1 << 6, 1 << 12)
     ->Unit(benchmark::kMillisecond);
 
+// The worst case for the windowed scan: at the woman-optimal matching of
+// the cyclic family no man has s_M(m), so every man reads his whole list.
+void BM_NextStableAtWomanOptimal(benchmark::State& state) {
+  const auto n = static_cast<std::int32_t>(state.range(0));
+  const auto inst = ncpm::gen::cyclic_stable_instance(n);
+  const auto mz = ncpm::stable::woman_optimal(inst);
+  for (auto _ : state) {
+    ncpm::pram::Workspace ws;
+    auto result = ncpm::stable::next_stable_matchings(inst, mz, ws);
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_NextStableAtWomanOptimal)->RangeMultiplier(2)->Range(1 << 6, 1 << 12)
+    ->Unit(benchmark::kMillisecond);
+
 // A full lattice descent, taking the first successor each time — the
 // "enumerate stable matchings with small parallel time per matching" use
 // case the paper cites from Gusfield-Irving.

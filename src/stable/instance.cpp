@@ -59,4 +59,11 @@ MarriageMatching MarriageMatching::from_wife_of(std::vector<std::int32_t> wife_o
   return m;
 }
 
+void require_same_size(const StableInstance& inst, const MarriageMatching& m) {
+  const auto n = static_cast<std::size_t>(inst.size());
+  if (m.wife_of.size() != n || m.husband_of.size() != n) {
+    throw std::invalid_argument("MarriageMatching: size differs from the instance");
+  }
+}
+
 }  // namespace ncpm::stable

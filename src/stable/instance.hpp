@@ -71,4 +71,7 @@ struct MarriageMatching {
   bool operator==(const MarriageMatching& other) const { return wife_of == other.wife_of; }
 };
 
+/// Throws std::invalid_argument unless both directions of m have inst.size() entries.
+void require_same_size(const StableInstance& inst, const MarriageMatching& m);
+
 }  // namespace ncpm::stable

@@ -1,14 +1,17 @@
 #include "stable/next_stable.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <numeric>
 #include <stdexcept>
 
 #include "graph/pseudoforest.hpp"
-#include "pram/crcw.hpp"
 
 namespace ncpm::stable {
 
 NextStableResult next_stable_matchings(const StableInstance& inst, const MarriageMatching& m,
                                        pram::Workspace& ws) {
+  require_same_size(inst, m);
   const auto n = static_cast<std::size_t>(inst.size());
   pram::Executor& ex = ws.exec();
   NextStableResult result;
@@ -17,33 +20,57 @@ NextStableResult next_stable_matchings(const StableInstance& inst, const Marriag
     return result;
   }
 
-  // 1. Soft-delete, in parallel over all n^2 entries of mp: keep (m', w) iff
-  // w weakly prefers m' to her partner. H_M reads only the first two
-  // entries of each reduced list, and the first must be p_M(m) (always
-  // kept). So instead of compressing the lists, every kept entry other than
-  // p_M(m) bids its slot in one concurrent-write min round (dropped entries
-  // bid n, keeping the round branch-free): the smallest bid is s_M(m), or a
-  // blocking pair when it lies above p_M(m). Scratch is O(n), not O(n^2).
+  // 1. Reduced lists, read lazily: (m', w) is kept iff w weakly prefers m'
+  // to her partner. A man's bid is his first kept slot other than p_M(m):
+  // s_M(m), or a blocking pair when it lies above p_M(m). Round k reads
+  // slots [2^k - 1, 2^{k+1} - 1) of every man still without a bid.
   const auto none = static_cast<std::int32_t>(n);
   auto bid = ws.take<std::int32_t>(n, none);
-  ex.parallel_for(n * n, [&](std::size_t i) {
-    const auto man = static_cast<std::int32_t>(i / n);
-    const auto slot = static_cast<std::int32_t>(i % n);
+  auto lists = ws.take<std::uint32_t>(2 * n);
+  std::uint32_t* alive_men = lists.data();
+  std::uint32_t* survivors = alive_men + n;
+  std::iota(alive_men, alive_men + n, 0U);
+  const auto kept = [&](std::int32_t man, std::int32_t slot) {
     const std::int32_t w = inst.man_pref(man, slot);
     const std::int32_t partner = m.husband_of[static_cast<std::size_t>(w)];
-    const bool kept =
-        partner != man && inst.woman_rank_of(w, man) <= inst.woman_rank_of(w, partner);
-    pram::crcw_min(bid[static_cast<std::size_t>(man)], kept ? slot : none);
-  });
-  ws.round(n * n);
-
-  // Sanity: for a stable M the first reduced entry of every man is p_M(m)
-  // (anything above his partner that kept him would be a blocking pair).
-  const bool unstable = ex.parallel_any(n, [&](std::size_t man) {
-    const auto mi = static_cast<std::int32_t>(man);
-    return bid[man] < inst.man_rank_of(mi, m.wife_of[man]);
-  });
-  if (unstable) {
+    return partner != man && inst.woman_rank_of(w, man) <= inst.woman_rank_of(w, partner);
+  };
+  // Men without a bid, as one run per block of the previous round: run r
+  // is alive_men[r * stride ..) and holds off[r + 1] - off[r] men.
+  const auto blocks = static_cast<std::size_t>(ex.lanes());
+  std::vector<std::size_t> count(blocks, 0), off(blocks + 1, 0);
+  count[0] = n;
+  std::size_t stride = n;
+  std::atomic<bool> unstable{false};
+  for (std::size_t lo = 0; lo < n; lo = 2 * lo + 1) {
+    for (std::size_t r = 0; r < blocks; ++r) off[r + 1] = off[r] + count[r];
+    const std::size_t alive = off[blocks];
+    if (alive == 0) break;
+    const std::size_t per = (alive + blocks - 1) / blocks;
+    const auto hi = static_cast<std::int32_t>(std::min(2 * lo + 1, n));
+    // One round over the (alive man, window slot) items, whole men per
+    // block; each block compacts the men it leaves without a bid into a run.
+    ex.parallel_for(blocks, [&](std::size_t b) {
+      std::size_t out = b * per;
+      for (std::size_t p = b * per, r = 0; p < std::min(alive, (b + 1) * per); ++p) {
+        while (p >= off[r + 1]) ++r;
+        const std::uint32_t man = alive_men[r * stride + p - off[r]];
+        const auto mi = static_cast<std::int32_t>(man);
+        auto slot = static_cast<std::int32_t>(lo);
+        while (slot < hi && !kept(mi, slot)) ++slot;
+        if (slot == hi) {
+          survivors[out++] = man;
+        } else if ((bid[man] = slot) < inst.man_rank_of(mi, m.wife_of[man])) {
+          unstable.store(true);  // a kept entry above p_M(m): blocking pair
+        }
+      }
+      count[b] = out - b * per;
+    });
+    ws.round(alive * (static_cast<std::size_t>(hi) - lo));
+    std::swap(alive_men, survivors);
+    stride = per;
+  }
+  if (unstable.load()) {
     throw std::invalid_argument("next_stable_matchings: matching is not stable");
   }
 

@@ -3,12 +3,12 @@
 //
 // Given a stable matching M:
 //   1. build the *reduced lists*: delete every pair (m', w) where w prefers
-//      her partner p_M(w) to m', in one parallel marking round. In the
-//      reduced lists p_M(m) is the first entry of m's list and s_M(m) the
-//      second (if any). The paper compresses each list with parallel prefix
-//      sums; only s_M(m) is read, so the same round instead takes it as the
-//      min over the kept slots other than p_M(m) (one CRCW min write per
-//      entry, O(n) scratch instead of O(n^2));
+//      her partner p_M(w) to m'. p_M(m) leads m's reduced list and s_M(m)
+//      is second (if any). The paper marks all n^2 pairs and compresses the
+//      lists; only s_M(m) is read, so each man scans for it in doubling
+//      windows [2^k - 1, 2^{k+1} - 1), one round each: O(log n) rounds, O(n)
+//      scratch, Σ_m min(n, 2(s_m + 1)) + O(n log n) work (s_m: the slot
+//      found), n^2 only when few men have one, as at the woman-optimal M;
 //   2. build the switching graph H_M — a vertex for each man with s_M(m)
 //      defined, and the edge m -> next_M(m) = p_M(s_M(m)). The paper's
 //      Lemma 17 calls H_M a functional graph; on the Mz-free vertex set the
@@ -39,8 +39,8 @@ struct NextStableResult {
   std::vector<MarriageMatching> successors;
 };
 
-/// M must be stable (throws std::invalid_argument otherwise — detected when
-/// some reduced list does not start with p_M(m)).
+/// M must be stable and of size inst.size(); throws std::invalid_argument
+/// otherwise (instability shows as a reduced list not led by p_M(m)).
 NextStableResult next_stable_matchings(const StableInstance& inst, const MarriageMatching& m,
                                        pram::Workspace& ws);
 

@@ -32,6 +32,7 @@ std::int32_t s_m(const StableInstance& inst, const MarriageMatching& m, std::int
 
 std::vector<Rotation> exposed_rotations_sequential(const StableInstance& inst,
                                                    const MarriageMatching& m) {
+  require_same_size(inst, m);
   const auto n = static_cast<std::size_t>(inst.size());
   std::vector<std::int32_t> next(n, kNone);
   for (std::int32_t man = 0; man < inst.size(); ++man) {

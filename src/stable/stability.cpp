@@ -15,6 +15,7 @@ bool is_blocking(const StableInstance& inst, const MarriageMatching& m, std::int
 }  // namespace
 
 bool is_stable(const StableInstance& inst, const MarriageMatching& m, pram::Workspace& ws) {
+  require_same_size(inst, m);
   const auto n = static_cast<std::size_t>(inst.size());
   const bool blocked = ws.exec().parallel_any(n * n, [&](std::size_t i) {
     const auto man = static_cast<std::int32_t>(i / n);
@@ -27,6 +28,7 @@ bool is_stable(const StableInstance& inst, const MarriageMatching& m, pram::Work
 
 std::vector<std::pair<std::int32_t, std::int32_t>> blocking_pairs(const StableInstance& inst,
                                                                   const MarriageMatching& m) {
+  require_same_size(inst, m);
   std::vector<std::pair<std::int32_t, std::int32_t>> pairs;
   for (std::int32_t man = 0; man < inst.size(); ++man) {
     for (std::int32_t woman = 0; woman < inst.size(); ++woman) {

@@ -7,21 +7,29 @@
 // (ws_allocs_steady == 0). This binary is part of the ThreadSanitizer CI
 // gate: two workers running internally-parallel solves concurrently is
 // exactly the surface the old process-global OpenMP state could not serve.
+// Next-stable (Algorithm 4) is pinned on the same grid: its doubling
+// windows split the men still scanning into one block per lane, so block
+// boundaries and the layout of the compacted runs follow the lane count,
+// and the rotations and successors must still come out byte-identical.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "core/max_card_popular.hpp"
 #include "core/popular_matching.hpp"
 #include "engine/engine.hpp"
 #include "gen/generators.hpp"
+#include "gen/stable_generators.hpp"
 #include "matching/matching.hpp"
 #include "pram/executor.hpp"
 #include "pram/simd.hpp"
 #include "pram/workspace.hpp"
+#include "stable/gale_shapley.hpp"
+#include "stable/next_stable.hpp"
 
 namespace ncpm::engine {
 namespace {
@@ -174,6 +182,73 @@ TEST(NestedComposition, PerRequestLaneCapKeepsResultsIdentical) {
     ASSERT_EQ(res.matching.has_value(), refs[i].matching.has_value()) << "request " << i;
     if (refs[i].matching.has_value()) {
       EXPECT_TRUE(*res.matching == *refs[i].matching) << "request " << i;
+    }
+  }
+}
+
+struct StableCase {
+  stable::StableInstance inst;
+  stable::MarriageMatching m;
+};
+
+/// Random and cyclic instances at n = 512, each at the man-optimal matching
+/// and at its first successor.
+std::vector<StableCase> stable_cases() {
+  pram::SerialExecutor serial;
+  pram::Workspace ws(serial);
+  std::vector<StableCase> cases;
+  for (auto inst : {gen::random_stable_instance(512, 31), gen::cyclic_stable_instance(512)}) {
+    const auto m0 = stable::man_optimal(inst);
+    const auto next = stable::next_stable_matchings(inst, m0, ws);
+    cases.push_back({inst, m0});
+    cases.push_back({std::move(inst), next.successors.front()});
+  }
+  return cases;
+}
+
+void expect_same_next_stable(const stable::NextStableResult& got,
+                             const stable::NextStableResult& want, int workers, int lanes,
+                             std::size_t c) {
+  ASSERT_EQ(got.rotations.size(), want.rotations.size())
+      << "workers " << workers << " lanes " << lanes << " case " << c;
+  for (std::size_t i = 0; i < want.rotations.size(); ++i) {
+    EXPECT_EQ(got.rotations[i].pairs, want.rotations[i].pairs)
+        << "workers " << workers << " lanes " << lanes << " case " << c << " rotation " << i;
+    EXPECT_EQ(got.successors[i].wife_of, want.successors[i].wife_of)
+        << "workers " << workers << " lanes " << lanes << " case " << c << " successor " << i;
+  }
+}
+
+TEST(NestedComposition, NextStableByteIdenticalAcrossWorkerLaneGrid) {
+  const auto cases = stable_cases();
+  std::vector<stable::NextStableResult> refs;
+  pram::SerialExecutor serial;
+  pram::Workspace serial_ws(serial);
+  for (const auto& c : cases) refs.push_back(stable::next_stable_matchings(c.inst, c.m, serial_ws));
+
+  for (const int workers : {1, 2, 4}) {
+    for (const int lanes : {1, 2, 4}) {
+      // Each worker thread builds its own executor, as engine workers do,
+      // and runs every case; results are checked after the join.
+      std::vector<std::vector<stable::NextStableResult>> got(static_cast<std::size_t>(workers));
+      std::vector<std::thread> threads;
+      for (int w = 0; w < workers; ++w) {
+        threads.emplace_back([&, w] {
+          pram::Executor ex(lanes);
+          pram::Workspace ws(ex);
+          for (const auto& c : cases) {
+            got[static_cast<std::size_t>(w)].push_back(
+                stable::next_stable_matchings(c.inst, c.m, ws));
+          }
+        });
+      }
+      for (auto& t : threads) t.join();
+      for (const auto& results : got) {
+        ASSERT_EQ(results.size(), refs.size());
+        for (std::size_t c = 0; c < refs.size(); ++c) {
+          expect_same_next_stable(results[c], refs[c], workers, lanes, c);
+        }
+      }
     }
   }
 }

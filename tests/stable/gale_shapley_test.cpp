@@ -76,6 +76,18 @@ TEST(Stability, DetectsPlantedBlockingPair) {
   EXPECT_FALSE(blocking_pairs(inst, fixed).empty());
 }
 
+TEST(Stability, SizeMismatchRejected) {
+  pram::Workspace ws;
+  const auto inst = gen::random_stable_instance(64, 3);
+  const auto small = MarriageMatching::from_wife_of({1, 0});
+  EXPECT_THROW(is_stable(inst, small, ws), std::invalid_argument);
+  EXPECT_THROW(blocking_pairs(inst, small), std::invalid_argument);
+  // A matching whose two directions disagree in length is rejected too.
+  auto lopsided = man_optimal(inst);
+  lopsided.husband_of.pop_back();
+  EXPECT_THROW(is_stable(inst, lopsided, ws), std::invalid_argument);
+}
+
 TEST(MarriageMatching, ValidationRejectsSharedWife) {
   EXPECT_THROW(MarriageMatching::from_wife_of({0, 0}), std::invalid_argument);
   EXPECT_THROW(MarriageMatching::from_wife_of({0, 7}), std::out_of_range);

@@ -44,6 +44,85 @@ TEST(NextStable, UnstableInputRejected) {
                std::invalid_argument);
 }
 
+TEST(NextStable, SizeMismatchRejected) {
+  pram::Workspace ws;
+  const auto inst = gen::random_stable_instance(64, 3);
+  const auto small = MarriageMatching::from_wife_of({1, 0});
+  EXPECT_THROW(next_stable_matchings(inst, small, ws), std::invalid_argument);
+  EXPECT_THROW(exposed_rotations_sequential(inst, small), std::invalid_argument);
+  auto lopsided = man_optimal(inst);
+  lopsided.husband_of.pop_back();
+  EXPECT_THROW(next_stable_matchings(inst, lopsided, ws), std::invalid_argument);
+}
+
+/// `first` followed by every other id of 0..n-1 in increasing order.
+std::vector<std::int32_t> list_led_by(std::int32_t n, std::vector<std::int32_t> first) {
+  for (std::int32_t x = 0; x < n; ++x) {
+    if (std::find(first.begin(), first.end(), x) == first.end()) first.push_back(x);
+  }
+  return first;
+}
+
+/// 1, 2, ..., n-1 and then 0.
+std::vector<std::int32_t> list_ending_in_zero(std::int32_t n) {
+  std::vector<std::int32_t> list;
+  for (std::int32_t x = 1; x < n; ++x) list.push_back(x);
+  list.push_back(0);
+  return list;
+}
+
+TEST(NextStable, BlockingPairInLateWindowRejected) {
+  // Identity matching on n = 64. Man 0 lists women 1..63 before his wife;
+  // every woman puts her husband first except the one at man 0's slot
+  // `slot`, who puts man 0 first. So (0, slot + 1) is the only blocking
+  // pair, and the only kept entry above man 0's wife lies in a window past
+  // the first three ([0,1), [1,3), [3,7)).
+  constexpr std::int32_t n = 64;
+  for (const std::int32_t slot : {7, 20, 40, 62}) {
+    const std::int32_t lover = slot + 1;
+    std::vector<std::vector<std::int32_t>> men, women;
+    std::vector<std::int32_t> identity;
+    for (std::int32_t i = 0; i < n; ++i) {
+      men.push_back(i == 0 ? list_ending_in_zero(n) : list_led_by(n, {i}));
+      women.push_back(i == lover ? list_led_by(n, {0, i}) : list_led_by(n, {i}));
+      identity.push_back(i);
+    }
+    ASSERT_EQ(men[0][static_cast<std::size_t>(slot)], lover);
+    const auto inst = StableInstance::from_lists(men, women);
+    const auto m = MarriageMatching::from_wife_of(identity);
+    pram::Workspace ws;
+    EXPECT_FALSE(is_stable(inst, m, ws)) << "slot " << slot;
+    EXPECT_EQ(blocking_pairs(inst, m),
+              (std::vector<std::pair<std::int32_t, std::int32_t>>{{0, lover}}))
+        << "slot " << slot;
+    EXPECT_THROW(next_stable_matchings(inst, m, ws), std::invalid_argument) << "slot " << slot;
+  }
+}
+
+TEST(NextStable, WorkFollowsScannedPrefix) {
+  // Men stop reading at s_M(m). At the man-optimal matching it sits near
+  // the top of most lists, so the work is far below the n^2 entries; at
+  // the woman-optimal matching the men without one read their whole list,
+  // and the work stays within n^2 plus the lower-order rounds.
+  constexpr std::uint64_t n = 2048;
+  const auto inst = gen::random_stable_instance(static_cast<std::int32_t>(n), 31);
+  pram::Workspace at_m0;
+  next_stable_matchings(inst, man_optimal(inst), at_m0);
+  EXPECT_LE(at_m0.counters().work, n * n / 8);
+  pram::Workspace at_mz;
+  EXPECT_TRUE(next_stable_matchings(inst, woman_optimal(inst), at_mz).is_woman_optimal);
+  EXPECT_LE(at_mz.counters().work, n * n + n * n / 10);
+
+  // Doubling windows add O(log n) rounds, not O(n).
+  const auto rounds_at = [](std::int32_t size) {
+    const auto sized = gen::random_stable_instance(size, 31);
+    pram::Workspace ws;
+    next_stable_matchings(sized, man_optimal(sized), ws);
+    return ws.counters().rounds;
+  };
+  EXPECT_LE(rounds_at(4096), rounds_at(256) + 64);
+}
+
 TEST(NextStable, SizeOneInstance) {
   pram::Workspace ws;
   const auto inst = StableInstance::from_lists({{0}}, {{0}});
