@@ -1,10 +1,6 @@
-// Experiment C4 (Section IV-A ablation): the four NC cycle-finding methods
-// on random directed pseudoforests. The paper offers transitive closure,
-// incidence-matrix rank and per-edge component counting as alternatives;
-// pointer doubling is the natural functional-graph method. All return the
-// same cycles (tested); this measures their very different work terms:
-// pointer doubling O(n log n), transitive closure O(n^3 log n / 64), the
-// per-edge methods O(n) component computations.
+// Experiment C4 (Section IV-A): NC cycle finding on random directed
+// pseudoforests by pointer doubling, O(n log n) work in O(log n) rounds —
+// the bare on-cycle mask, and the full analysis Algorithms 3 and 4 consume.
 
 #include <benchmark/benchmark.h>
 
@@ -24,40 +20,28 @@ ncpm::graph::DirectedPseudoforest random_pf(std::size_t n, std::uint64_t seed) {
   return pf;
 }
 
-template <ncpm::graph::CycleMethod Method>
-void BM_CycleMethod(benchmark::State& state) {
+void BM_Cycles_PointerDoubling(benchmark::State& state) {
   const auto pf = random_pf(static_cast<std::size_t>(state.range(0)), 5);
   std::size_t cycle_vertices = 0;
   for (auto _ : state) {
     ncpm::pram::Workspace ws;
-    auto mask = ncpm::graph::cycle_members(pf, Method, ws);
+    auto mask = ncpm::graph::cycle_members(pf, ws);
     cycle_vertices = 0;
     for (const auto b : mask) cycle_vertices += b;
     benchmark::DoNotOptimize(mask);
   }
   state.counters["cycle_vertices"] = static_cast<double>(cycle_vertices);
 }
+BENCHMARK(BM_Cycles_PointerDoubling)->RangeMultiplier(4)->Range(1 << 8, 1 << 20)
+    ->Unit(benchmark::kMillisecond);
 
-BENCHMARK_TEMPLATE(BM_CycleMethod, ncpm::graph::CycleMethod::PointerDoubling)
-    ->RangeMultiplier(4)->Range(1 << 8, 1 << 20)->Unit(benchmark::kMillisecond)
-    ->Name("BM_Cycles_PointerDoubling");
-BENCHMARK_TEMPLATE(BM_CycleMethod, ncpm::graph::CycleMethod::TransitiveClosure)
-    ->RangeMultiplier(4)->Range(1 << 8, 1 << 12)->Unit(benchmark::kMillisecond)
-    ->Name("BM_Cycles_TransitiveClosure");
-BENCHMARK_TEMPLATE(BM_CycleMethod, ncpm::graph::CycleMethod::Gf2Rank)
-    ->RangeMultiplier(2)->Range(1 << 6, 1 << 8)->Unit(benchmark::kMillisecond)
-    ->Name("BM_Cycles_Gf2Rank");
-BENCHMARK_TEMPLATE(BM_CycleMethod, ncpm::graph::CycleMethod::EdgeRemovalCC)
-    ->RangeMultiplier(2)->Range(1 << 6, 1 << 9)->Unit(benchmark::kMillisecond)
-    ->Name("BM_Cycles_EdgeRemovalCC");
-
-// Full analysis (roots, distances, lengths, ordered cycles) at scale with
-// the default method — what Algorithms 3 and 4 actually consume.
+// Full analysis (roots, distances, lengths, ordered cycles) at scale —
+// what Algorithms 3 and 4 actually consume.
 void BM_FullAnalysis(benchmark::State& state) {
   const auto pf = random_pf(static_cast<std::size_t>(state.range(0)), 9);
   for (auto _ : state) {
     ncpm::pram::Workspace ws;
-    auto analysis = ncpm::graph::analyze_cycles(pf, ncpm::graph::CycleMethod::PointerDoubling, ws);
+    auto analysis = ncpm::graph::analyze_cycles(pf, ws);
     benchmark::DoNotOptimize(analysis);
   }
 }

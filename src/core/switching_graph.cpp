@@ -70,7 +70,7 @@ void SwitchingEngine::build(const Instance& inst, const ReducedGraph& rg,
   });
   ws.round(n_a);
 
-  cycles_ = graph::analyze_cycles(pf_, graph::CycleMethod::PointerDoubling, ws);
+  cycles_ = graph::analyze_cycles(pf_, ws);
 
   has_cycle_.assign(n_ext, 0);
   ex.parallel_for(n_ext, [&](std::size_t v) {

@@ -1,7 +1,5 @@
 #include "core/verify.hpp"
 
-#include <stdexcept>
-
 namespace ncpm::core {
 
 bool is_valid_assignment(const Instance& inst, const matching::Matching& m) {
@@ -60,78 +58,6 @@ bool satisfies_popular_characterization(const Instance& inst, const ReducedGraph
     if (p != rg.f_post[ai] && p != rg.s_post[ai]) return false;  // condition (ii)
   }
   return true;
-}
-
-namespace {
-
-void enumerate_assignments(const Instance& inst, std::int32_t a,
-                           std::vector<std::int32_t>& post_of, std::vector<std::uint8_t>& used,
-                           const std::function<void(const std::vector<std::int32_t>&)>& visit) {
-  if (a == inst.num_applicants()) {
-    visit(post_of);
-    return;
-  }
-  const auto try_post = [&](std::int32_t p) {
-    if (used[static_cast<std::size_t>(p)] != 0) return;
-    used[static_cast<std::size_t>(p)] = 1;
-    post_of[static_cast<std::size_t>(a)] = p;
-    enumerate_assignments(inst, a + 1, post_of, used, visit);
-    post_of[static_cast<std::size_t>(a)] = kNone;
-    used[static_cast<std::size_t>(p)] = 0;
-  };
-  for (const auto p : inst.posts_of(a)) try_post(p);
-  if (inst.has_last_resorts()) {
-    try_post(inst.last_resort(a));  // always free: unique to a
-  } else {
-    enumerate_assignments(inst, a + 1, post_of, used, visit);  // leave a unmatched
-  }
-}
-
-}  // namespace
-
-void for_each_assignment(const Instance& inst,
-                         const std::function<void(const std::vector<std::int32_t>&)>& visit) {
-  std::vector<std::int32_t> post_of(static_cast<std::size_t>(inst.num_applicants()), kNone);
-  std::vector<std::uint8_t> used(static_cast<std::size_t>(inst.total_posts()), 0);
-  enumerate_assignments(inst, 0, post_of, used, visit);
-}
-
-matching::Matching assignment_to_matching(const Instance& inst,
-                                          const std::vector<std::int32_t>& post_of) {
-  matching::Matching m(inst.num_applicants(), inst.total_posts());
-  for (std::size_t a = 0; a < post_of.size(); ++a) {
-    if (post_of[a] != kNone) m.match(static_cast<std::int32_t>(a), post_of[a]);
-  }
-  return m;
-}
-
-bool is_popular_bruteforce(const Instance& inst, const matching::Matching& m) {
-  if (!is_valid_assignment(inst, m)) return false;
-  bool popular = true;
-  for_each_assignment(inst, [&](const std::vector<std::int32_t>& post_of) {
-    if (!popular) return;
-    std::int64_t votes = 0;
-    for (std::int32_t a = 0; a < inst.num_applicants(); ++a) {
-      const std::int32_t p1 = post_of[static_cast<std::size_t>(a)];
-      const std::int32_t p2 = m.right_of(a);
-      if (inst.prefers(a, p1, p2)) {
-        ++votes;
-      } else if (inst.prefers(a, p2, p1)) {
-        --votes;
-      }
-    }
-    if (votes > 0) popular = false;
-  });
-  return popular;
-}
-
-std::vector<matching::Matching> all_popular_matchings_bruteforce(const Instance& inst) {
-  std::vector<matching::Matching> result;
-  for_each_assignment(inst, [&](const std::vector<std::int32_t>& post_of) {
-    const matching::Matching candidate = assignment_to_matching(inst, post_of);
-    if (is_popular_bruteforce(inst, candidate)) result.push_back(candidate);
-  });
-  return result;
 }
 
 }  // namespace ncpm::core

@@ -1,14 +1,10 @@
 #pragma once
-// Independent validators and exponential test oracles for popular matchings.
-//
-// The NC algorithms are never trusted to certify themselves: tests validate
-// their output through (a) the Theorem 1 characterization, checked directly
-// against the instance, and (b) for tiny instances, literal brute force over
-// every matching and the "more popular than" relation of Definition 1.
+// Validators for popular matchings: assignment validity, size, vote counts
+// and the Theorem 1 characterization, checked directly against the instance.
+// The test suite's Definition 1 oracles, which use none of these
+// characterizations, live in tests/support/popular_oracle.hpp.
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "core/instance.hpp"
@@ -34,22 +30,5 @@ std::int64_t popularity_votes(const Instance& inst, const matching::Matching& m1
 /// sits on f(a) or s(a). Strict instances with last resorts only.
 bool satisfies_popular_characterization(const Instance& inst, const ReducedGraph& rg,
                                         const matching::Matching& m);
-
-/// Enumerate every matching of the instance as a post_of vector (extended
-/// ids; kNone = unmatched, only possible without last resorts). With last
-/// resorts the enumeration is over applicant-complete assignments, matching
-/// the paper's convention. Exponential — tests only.
-void for_each_assignment(const Instance& inst,
-                         const std::function<void(const std::vector<std::int32_t>&)>& visit);
-
-/// Definition 1 by brute force: no enumerated matching beats m.
-bool is_popular_bruteforce(const Instance& inst, const matching::Matching& m);
-
-/// All popular matchings, by double enumeration. Exponential — tests only.
-std::vector<matching::Matching> all_popular_matchings_bruteforce(const Instance& inst);
-
-/// post_of vector -> Matching (validates injectivity).
-matching::Matching assignment_to_matching(const Instance& inst,
-                                          const std::vector<std::int32_t>& post_of);
 
 }  // namespace ncpm::core

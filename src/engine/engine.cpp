@@ -415,8 +415,6 @@ void Engine::worker_main(int worker_id) {
     } else if (task.request.deadline.has_value() && dequeued > *task.request.deadline) {
       result.status = Status::kDeadlineExpired;
     } else {
-      // Honour the request's own lane cap, if any, for just this solve.
-      exec.set_active_lanes(task.request.lanes.value_or(config_.lanes_per_worker));
       if (config_.profile_phases) {
         phase_accum.reset();
         if (task.request.decode_ns != 0) {
@@ -429,7 +427,6 @@ void Engine::worker_main(int worker_id) {
         result.status = Status::kError;
         result.error = e.what();
       }
-      exec.set_active_lanes(config_.lanes_per_worker);
       if (config_.profile_phases) result.phase_ns = phase_accum.snapshot();
     }
     result.solve_time = std::chrono::steady_clock::now() - dequeued;

@@ -28,8 +28,7 @@
 // `lanes_per_worker` lanes — no process-global thread state anywhere — so
 // a ThreadBudget of {2 workers, 4 lanes} really uses 8 threads, and a lone
 // large instance can take every core while a deep queue favours workers.
-// Requests may additionally cap their own lanes (Request::with_lanes), and
-// results are bit-identical across every workers x lanes combination.
+// Results are bit-identical across every workers x lanes combination.
 
 #include <array>
 #include <atomic>
@@ -107,11 +106,6 @@ struct Request {
   std::optional<stable::StableInstance> stable_instance;
   std::optional<std::chrono::steady_clock::time_point> deadline;
   std::optional<CancelToken> cancel;
-  /// Per-request cap on intra-solve parallelism: the worker runs this
-  /// request on min(lanes, lanes_per_worker) executor lanes. Results are
-  /// identical either way; this only trades latency for smoothness when a
-  /// cheap request shares a budget with expensive ones.
-  std::optional<int> lanes;
   /// Time the submitter spent decoding the wire payload into the instance,
   /// charged to the obs::Phase::kDecode bucket of the request's phase
   /// breakdown (the decode happens before the engine sees the request).
@@ -135,10 +129,6 @@ struct Request {
   }
   Request&& with_cancel(CancelToken token) && {
     cancel = std::move(token);
-    return std::move(*this);
-  }
-  Request&& with_lanes(int n) && {
-    lanes = n;
     return std::move(*this);
   }
 };

@@ -15,14 +15,9 @@ constexpr std::size_t kGrain = 2048;
 }  // namespace
 
 ComponentLabels connected_components(std::size_t n, std::span<const std::int32_t> eu,
-                                     std::span<const std::int32_t> ev,
-                                     std::span<const std::uint8_t> edge_alive,
-                                     pram::Workspace& ws) {
+                                     std::span<const std::int32_t> ev, pram::Workspace& ws) {
   if (eu.size() != ev.size()) {
     throw std::invalid_argument("connected_components: eu/ev size mismatch");
-  }
-  if (!edge_alive.empty() && edge_alive.size() != eu.size()) {
-    throw std::invalid_argument("connected_components: edge_alive size mismatch");
   }
   const std::size_t m = eu.size();
   pram::Executor& ex = ws.exec();
@@ -46,7 +41,6 @@ ComponentLabels connected_components(std::size_t n, std::span<const std::int32_t
     changed = 0;
     // Hook: pull each endpoint's root toward the smaller root.
     ex.parallel_for(m, [&](std::size_t j) {
-      if (!edge_alive.empty() && edge_alive[j] == 0) return;
       const std::int32_t pu = parent[static_cast<std::size_t>(eu[j])];
       const std::int32_t pv = parent[static_cast<std::size_t>(ev[j])];
       if (pu == pv) return;

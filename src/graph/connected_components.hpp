@@ -27,12 +27,9 @@ struct ComponentLabels {
 };
 
 /// Connected components of the undirected (multi)graph on `n` vertices with
-/// edges (eu[j], ev[j]); `edge_alive` (empty = all alive) masks edges out.
-/// Self-loops are permitted and ignored. The pointer-jumping scratch is
-/// leased from `ws`.
+/// edges (eu[j], ev[j]). Self-loops are permitted and ignored. The
+/// pointer-jumping scratch is leased from `ws`.
 ComponentLabels connected_components(std::size_t n, std::span<const std::int32_t> eu,
-                                     std::span<const std::int32_t> ev,
-                                     std::span<const std::uint8_t> edge_alive,
-                                     pram::Workspace& ws);
+                                     std::span<const std::int32_t> ev, pram::Workspace& ws);
 
 }  // namespace ncpm::graph

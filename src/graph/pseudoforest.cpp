@@ -5,8 +5,6 @@
 #include <stdexcept>
 
 #include "graph/connected_components.hpp"
-#include "graph/transitive_closure.hpp"
-#include "linalg/incidence.hpp"
 
 namespace ncpm::graph {
 
@@ -30,26 +28,11 @@ std::vector<std::int32_t> closed_successors(const DirectedPseudoforest& pf, pram
   return f;
 }
 
-/// Edge list of the underlying undirected multigraph (one edge per non-sink).
-void undirected_edges(const DirectedPseudoforest& pf, std::vector<std::int32_t>& eu,
-                      std::vector<std::int32_t>& ev, std::vector<std::int32_t>& tail_of_edge) {
-  eu.clear();
-  ev.clear();
-  tail_of_edge.clear();
-  for (std::size_t v = 0; v < pf.size(); ++v) {
-    if (!pf.is_sink(v)) {
-      eu.push_back(static_cast<std::int32_t>(v));
-      ev.push_back(pf.next[v]);
-      tail_of_edge.push_back(static_cast<std::int32_t>(v));
-    }
-  }
-}
-
-std::vector<std::uint8_t> members_pointer_doubling(const DirectedPseudoforest& pf,
-                                                   pram::Workspace& ws) {
+/// On-cycle mask by pointer doubling over the closed successor map `f`.
+std::vector<std::uint8_t> members(const DirectedPseudoforest& pf, std::span<const std::int32_t> f,
+                                  pram::Workspace& ws) {
   const std::size_t n = pf.size();
   pram::Executor& ex = ws.exec();
-  const auto f = closed_successors(pf, ex);
   // For K >= n the image of f^K is exactly {cycle vertices} ∪ {sinks}: any
   // tree vertex is at distance < n from every start, so nothing maps onto it
   // after n steps, while f^K restricted to a cycle is a bijection of the cycle.
@@ -69,85 +52,33 @@ std::vector<std::uint8_t> members_pointer_doubling(const DirectedPseudoforest& p
   return mark;
 }
 
-std::vector<std::uint8_t> members_transitive_closure(const DirectedPseudoforest& pf,
-                                                     pram::Workspace& ws) {
-  const std::size_t n = pf.size();
-  std::vector<std::int32_t> tail, head;
-  for (std::size_t v = 0; v < n; ++v) {
+/// Weak-component labels: connected components of the underlying undirected
+/// multigraph (one edge per non-sink).
+std::vector<std::int32_t> weak_components(const DirectedPseudoforest& pf, pram::Workspace& ws) {
+  std::vector<std::int32_t> eu, ev;
+  for (std::size_t v = 0; v < pf.size(); ++v) {
     if (!pf.is_sink(v)) {
-      tail.push_back(static_cast<std::int32_t>(v));
-      head.push_back(pf.next[v]);
+      eu.push_back(static_cast<std::int32_t>(v));
+      ev.push_back(pf.next[v]);
     }
   }
-  const auto closure = transitive_closure(adjacency_matrix(n, tail, head), ws);
-  return closure.diagonal(ws);  // v on a directed cycle iff v reaches itself
-}
-
-/// Shared for the Gf2Rank / EdgeRemovalCC methods: mark endpoints of every
-/// edge whose removal keeps the component count unchanged.
-template <typename ComponentCount>
-std::vector<std::uint8_t> members_by_edge_removal(const DirectedPseudoforest& pf,
-                                                  ComponentCount&& cc_of) {
-  const std::size_t n = pf.size();
-  std::vector<std::int32_t> eu, ev, tail;
-  undirected_edges(pf, eu, ev, tail);
-  const std::size_t m = eu.size();
-  std::vector<std::uint8_t> alive(m, 1);
-  const std::size_t base = cc_of(eu, ev, alive);
-  std::vector<std::uint8_t> edge_on_cycle(m, 0);
-  // The paper runs all m edge-removal tests in parallel; the per-test
-  // computation is itself a parallel NC primitive, so we keep the outer loop
-  // sequential here to avoid nested thread pools. Work is identical.
-  for (std::size_t j = 0; j < m; ++j) {
-    alive[j] = 0;
-    edge_on_cycle[j] = (cc_of(eu, ev, alive) == base) ? 1 : 0;
-    alive[j] = 1;
-  }
-  std::vector<std::uint8_t> mark(n, 0);
-  for (std::size_t j = 0; j < m; ++j) {
-    if (edge_on_cycle[j] != 0) {
-      mark[static_cast<std::size_t>(eu[j])] = 1;
-      mark[static_cast<std::size_t>(ev[j])] = 1;
-    }
-  }
-  return mark;
+  return connected_components(pf.size(), eu, ev, ws).label;
 }
 
 }  // namespace
 
-std::vector<std::uint8_t> cycle_members(const DirectedPseudoforest& pf, CycleMethod method,
-                                        pram::Workspace& ws) {
+std::vector<std::uint8_t> cycle_members(const DirectedPseudoforest& pf, pram::Workspace& ws) {
   validate(pf, ws.exec());
-  switch (method) {
-    case CycleMethod::PointerDoubling:
-      return members_pointer_doubling(pf, ws);
-    case CycleMethod::TransitiveClosure:
-      return members_transitive_closure(pf, ws);
-    case CycleMethod::Gf2Rank:
-      return members_by_edge_removal(pf, [&](auto& eu, auto& ev, auto& alive) {
-        return linalg::component_count_by_rank(pf.size(), eu, ev, alive, ws);
-      });
-    case CycleMethod::EdgeRemovalCC:
-      return members_by_edge_removal(pf, [&](auto& eu, auto& ev, auto& alive) {
-        return static_cast<std::size_t>(connected_components(pf.size(), eu, ev, alive, ws).count);
-      });
-  }
-  throw std::invalid_argument("cycle_members: unknown method");
+  return members(pf, closed_successors(pf, ws.exec()), ws);
 }
 
-std::vector<std::int32_t> weak_components(const DirectedPseudoforest& pf, pram::Workspace& ws) {
-  validate(pf, ws.exec());
-  std::vector<std::int32_t> eu, ev, tail;
-  undirected_edges(pf, eu, ev, tail);
-  return connected_components(pf.size(), eu, ev, {}, ws).label;
-}
-
-CycleAnalysis analyze_cycles(const DirectedPseudoforest& pf, CycleMethod method,
-                             pram::Workspace& ws) {
+CycleAnalysis analyze_cycles(const DirectedPseudoforest& pf, pram::Workspace& ws) {
   const std::size_t n = pf.size();
   pram::Executor& ex = ws.exec();
+  validate(pf, ex);
+  const auto f = closed_successors(pf, ex);
   CycleAnalysis out;
-  out.on_cycle = cycle_members(pf, method, ws);
+  out.on_cycle = members(pf, f, ws);
   out.component = weak_components(pf, ws);
   out.cycle_root.assign(n, pram::kNone);
   out.dist_to_root.assign(n, 0);
@@ -156,7 +87,6 @@ CycleAnalysis analyze_cycles(const DirectedPseudoforest& pf, CycleMethod method,
 
   // Root election: windowed min over vertex ids along the cycle. Off-cycle
   // vertices participate harmlessly (their window min is never read).
-  const auto f = closed_successors(pf, ex);
   std::vector<std::int64_t> key(n);
   ex.parallel_for(n, [&](std::size_t v) { key[v] = static_cast<std::int64_t>(v); });
   ws.round(n);

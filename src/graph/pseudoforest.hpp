@@ -9,21 +9,18 @@
 // to: find each component's unique cycle, order it, and aggregate along the
 // tree paths into it.
 //
-// The paper offers three NC methods for cycle detection and we add the
-// natural fourth; all are implemented and cross-checked:
-//   1. TransitiveClosure — i on cycle iff A⁺(i,i) (Theorem 5 route);
-//   2. Gf2Rank          — edge e on cycle iff rank(I_{G-e}) = rank(I_G)
-//                          over GF(2) (Lemma 6 + Theorem 7 route);
-//   3. EdgeRemovalCC    — edge e on cycle iff cc(G - e) = cc(G)
-//                          (Theorem 8 route);
-//   4. PointerDoubling  — the image of f^K for K >= n is exactly the set of
-//                          on-cycle vertices (sinks made self-loops), found
-//                          in O(log n) composition rounds. Default.
+// The paper lists several NC routes to the cycles of a pseudoforest
+// (transitive closure, Theorem 5; GF(2) incidence rank, Lemma 6 + Theorem 7;
+// edge-removal connected components, Theorem 8). Algorithms 3 and 4 need only
+// one to keep their NC bounds, and this library implements one: pointer
+// doubling. With sinks made self-loops, the image of f^K for K >= n is
+// exactly the set of on-cycle vertices (plus the sinks), found in O(log n)
+// composition rounds.
 //
-// Shared post-processing (independent of the detection method): elect the
-// minimum-id vertex of every cycle as its root via windowed pointer-jumping
-// min, compute each on-cycle vertex's distance to its root by breaking the
-// cycle at the root and list-ranking, and label weakly connected components.
+// Post-processing: elect the minimum-id vertex of every cycle as its root via
+// windowed pointer-jumping min, compute each on-cycle vertex's distance to
+// its root by breaking the cycle at the root and list-ranking, and label weakly
+// connected components.
 
 #include <cstdint>
 #include <span>
@@ -42,13 +39,6 @@ struct DirectedPseudoforest {
   bool is_sink(std::size_t v) const { return next[v] == pram::kNone; }
 };
 
-enum class CycleMethod {
-  PointerDoubling,
-  TransitiveClosure,
-  Gf2Rank,
-  EdgeRemovalCC,
-};
-
 struct CycleAnalysis {
   std::vector<std::uint8_t> on_cycle;      ///< 1 iff v lies on its component's cycle
   std::vector<std::int32_t> cycle_root;    ///< min-id vertex of v's cycle (on-cycle v), else kNone
@@ -61,14 +51,9 @@ struct CycleAnalysis {
 
 /// Full cycle analysis of a directed pseudoforest. Throws std::invalid_argument
 /// if some vertex has next[v] outside [0, n) ∪ {kNone}.
-CycleAnalysis analyze_cycles(const DirectedPseudoforest& pf, CycleMethod method,
-                             pram::Workspace& ws);
+CycleAnalysis analyze_cycles(const DirectedPseudoforest& pf, pram::Workspace& ws);
 
-/// Just the on-cycle mask, by the chosen method (cheaper than full analysis).
-std::vector<std::uint8_t> cycle_members(const DirectedPseudoforest& pf, CycleMethod method,
-                                        pram::Workspace& ws);
-
-/// Weak-component labels (min vertex id per component) of the pseudoforest.
-std::vector<std::int32_t> weak_components(const DirectedPseudoforest& pf, pram::Workspace& ws);
+/// Just the on-cycle mask (cheaper than the full analysis). Same contract.
+std::vector<std::uint8_t> cycle_members(const DirectedPseudoforest& pf, pram::Workspace& ws);
 
 }  // namespace ncpm::graph

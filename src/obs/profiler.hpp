@@ -7,7 +7,7 @@
 // no accumulator is attached. Scopes nest: a scope charges only its
 // *exclusive* time (elapsed minus time spent in child scopes), so the sum
 // over phases never exceeds the wall-clock solve window even though
-// two-regular internally runs euler-split / list-rank / window-min scopes.
+// two-regular internally runs list-rank / window-min scopes.
 //
 // Scopes are created and destroyed on one orchestrating thread (the engine
 // worker driving the solve); lane threads only execute loop bodies and never
@@ -25,16 +25,18 @@ namespace ncpm::obs {
 
 /// Solver phases, in pipeline order. Kept dense and small: the per-request
 /// breakdown travels in fixed arrays through engine results, trace spans,
-/// and stats frames.
+/// and stats frames. The indices are pinned by the ncpm-rpc v1 stats frame;
+/// kEulerSplit and kGf2Rank keep their slots for the wire but no solver
+/// code opens them, so they always read zero.
 enum class Phase : std::uint8_t {
   kDecode = 0,       ///< wire bytes -> Instance (charged by the server)
   kReducedGraph,     ///< first-choice/f-post reduced graph build
   kTwoRegular,       ///< two-regular spanning subgraph selection
-  kEulerSplit,       ///< euler-tour halving rounds
+  kEulerSplit,       ///< reserved (wire slot 3); always zero
   kListRank,         ///< pointer-doubling list-ranking rounds
   kWindowMin,        ///< window-min (trail labeling) rounds
   kCompaction,       ///< alive-edge compaction (scan + scatter)
-  kGf2Rank,          ///< GF(2) rank / pivoting
+  kGf2Rank,          ///< reserved (wire slot 7); always zero
   kExtract,          ///< matching extraction + inverse rebuild
   kVerify,           ///< popularity verification
 };

@@ -6,7 +6,7 @@
 // through `ws.round(work)`: one `round` per barrier-synchronised parallel
 // step of the loop whose iteration count the paper bounds (e.g. the
 // while-loop of Algorithm 2, pointer-jumping doublings, connected-components
-// hook/shortcut iterations, transitive-closure squarings), and the step's
+// hook/shortcut iterations), and the step's
 // element operations in `work`. Tests and benchmarks read `ws.counters()`
 // to validate the paper's depth claims independently of wall-clock time.
 // Rounds are counted outside the parallel bodies, so the counts never

@@ -106,7 +106,7 @@ struct Executor::Pool {
 
 Executor::Executor() : Executor(default_lanes()) {}
 
-Executor::Executor(int lanes) : lanes_(lanes < 1 ? 1 : lanes), active_(lanes_) {
+Executor::Executor(int lanes) : lanes_(lanes < 1 ? 1 : lanes) {
   start_pool();
 }
 
@@ -115,7 +115,6 @@ Executor::Executor(const ExecutorConfig& config)
         const int l = config.lanes > 0 ? config.lanes : default_lanes();
         return l < 1 ? 1 : l;
       }()),
-      active_(lanes_),
       pin_(config.pin_lanes),
       cpus_(config.cpu_set),
       cpu_offset_(config.cpu_offset < 0 ? 0 : config.cpu_offset) {
@@ -191,21 +190,16 @@ void Executor::stop_pool() {
 
 void Executor::resize(int lanes) {
   const int clamped = lanes < 1 ? 1 : lanes;
-  if (clamped == lanes_) {
-    active_ = clamped;
-    return;
-  }
+  if (clamped == lanes_) return;
   stop_pool();
   lanes_ = clamped;
-  active_ = clamped;
   start_pool();
 }
 
 int Executor::plan_lanes(std::size_t n) const noexcept {
   if (lanes_ == 1 || n <= 1) return 1;
   if (tl_running_on == this) return 1;  // nested on our own lanes: run inline
-  const int cap = active_;
-  return static_cast<std::size_t>(cap) < n ? cap : static_cast<int>(n);
+  return static_cast<std::size_t>(lanes_) < n ? lanes_ : static_cast<int>(n);
 }
 
 void Executor::run_task(int nlanes, TaskFn fn, void* ctx) {

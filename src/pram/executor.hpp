@@ -159,15 +159,6 @@ class Executor {
   /// CPU id lane `lane` targets, or -1 when pinning is off.
   int lane_cpu(int lane) const noexcept;
 
-  /// Cap subsequent rounds to `cap` lanes (clamped to [1, lanes()]).
-  /// Cheaper than rebuilding the pool; used by the engine to honour a
-  /// per-request ThreadBudget. Not synchronized: call only from the thread
-  /// that dispatches this executor's rounds.
-  void set_active_lanes(int cap) noexcept {
-    active_ = cap < 1 ? 1 : (cap > lanes_ ? lanes_ : cap);
-  }
-  int active_lanes() const noexcept { return active_; }
-
   /// Rebuild the pool at a new width, in place: references to this
   /// executor (e.g. from Workspaces) stay valid. Joins the old worker
   /// threads first; must not race with rounds running on this executor.
@@ -299,7 +290,7 @@ class Executor {
   }
 
   /// Lanes this round actually uses: 1 when the pool is serial or the call
-  /// nests inside one of this executor's own bodies, else min(active, n).
+  /// nests inside one of this executor's own bodies, else min(lanes, n).
   /// There is deliberately no small-n inline cutoff beyond n <= 1: per-item
   /// cost varies too widely across call sites (bit rows vs. whole
   /// components) to pick one here — callers with provably cheap tiny
@@ -312,7 +303,6 @@ class Executor {
   void stop_pool();
 
   int lanes_ = 1;
-  int active_ = 1;
   bool pin_ = false;
   std::vector<int> cpus_;  // resolved pin targets; empty when pin_ is false
   int cpu_offset_ = 0;

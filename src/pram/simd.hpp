@@ -3,10 +3,11 @@
 //
 // PR 2 made the per-round work proportional to the surviving edges; the
 // remaining constant factor is memory layout and instruction throughput.
-// This header is the seam between the two: every word/element-level hot
-// loop in the tree (GF(2) row ops in linalg/, blocked scans and doubling
-// rounds here in pram/) funnels through a kernel that exists in two
-// tiers — AVX2 and portable scalar — selected once at runtime.
+// This header is the seam between the two: every element-level hot loop
+// in the tree (blocked sums and scans, mask-to-flag conversion, and the
+// list-rank and window-min doubling rounds, all here in pram/) funnels
+// through a kernel that exists in two tiers — AVX2 and portable scalar —
+// selected once at runtime.
 //
 // Tier selection:
 //   * `detected_simd_tier()` probes the CPU once (CPUID via
@@ -22,8 +23,8 @@
 //
 // Contract: the AVX2 tier of every kernel is BIT-EXACT against the scalar
 // tier — the kernels only reorder exact integer operations (wrap-around
-// addition is associative and commutative mod 2^w; XOR/OR/AND/min/popcount
-// are exact), never floating point. tests/pram/simd_dispatch_test.cpp
+// addition is associative and commutative mod 2^w; min is exact), never
+// floating point. tests/pram/simd_dispatch_test.cpp
 // enforces this per tier on adversarial lengths, and the oracle grids
 // sweep tiers end-to-end. Vector bodies use unaligned loads and hand the
 // tail (< one vector) to the scalar loop, so no kernel ever reads past

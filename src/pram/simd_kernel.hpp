@@ -1,6 +1,6 @@
 #pragma once
-// Private plumbing for the translation units that define SIMD kernels
-// (pram/simd.cpp and linalg/gf2_kernels.cpp); include it from nowhere else.
+// Private plumbing for the translation unit that defines the SIMD kernels
+// (pram/simd.cpp); include it from nowhere else.
 //
 // Each kernel `fn` has a portable `fn_scalar` body (the reference
 // semantics) and, on x86-64, an `fn_avx2` body marked NCPM_TARGET_AVX2:

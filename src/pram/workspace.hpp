@@ -6,17 +6,17 @@
 // NcCounters its rounds are charged to (`round(work)`, read back with
 // `counters()`), the solver-phase profiler its obs::PhaseScope timers
 // record into, and reusable scratch arenas. Every public solver entry in
-// pram/, linalg/, graph/, matching/, core/ and stable/ takes one
+// pram/, graph/, matching/, core/ and stable/ takes one
 // `Workspace&` as its only context parameter, and the pipeline threads that
 // one reference end to end: binding the executor here makes intra-solve
 // parallelism a per-call property with no extra plumbing. The default
 // constructor binds the shared default executor; engines, tests and
 // benchmarks that need an explicit width bind their own.
 //
-// Scratch: every round-structured algorithm (Algorithm 2's while loop, the
-// Euler-split cascade, pointer-jumping passes, connected components) needs
-// the same families of scratch buffers over and over: successor arrays,
-// rank arrays, CSR offsets, flag and position arrays. Allocating them anew
+// Scratch: every round-structured algorithm (Algorithm 2's while loop,
+// pointer-jumping passes, connected components) needs the same families of
+// scratch buffers over and over: successor arrays, rank arrays, CSR
+// offsets, flag and position arrays. Allocating them anew
 // each round makes the hot loop pay the allocator instead of the hardware.
 // A Workspace owns typed pools of buffers; `take<T>(n)` leases one —
 // growing it only when no pooled buffer is big enough — and the lease hands

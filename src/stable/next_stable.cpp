@@ -99,8 +99,7 @@ NextStableResult next_stable_matchings(const StableInstance& inst, const Marriag
   // cycle), and the Section IV-A toolkit handles sinks natively.
 
   // 3. The cycles of H_M are the exposed rotations.
-  const auto analysis =
-      graph::analyze_cycles(hm, graph::CycleMethod::PointerDoubling, ws);
+  const auto analysis = graph::analyze_cycles(hm, ws);
   for (const auto& cycle : analysis.cycles) {
     if (cycle.size() < 2) {
       throw std::logic_error("next_stable_matchings: H_M contains a self-loop");

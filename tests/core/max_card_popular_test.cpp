@@ -15,6 +15,7 @@
 #include "core/switching_graph.hpp"
 #include "core/verify.hpp"
 #include "gen/generators.hpp"
+#include "support/popular_oracle.hpp"
 #include "test_util.hpp"
 
 namespace ncpm::core {
@@ -48,7 +49,7 @@ TEST(MaxCardPopular, PromotesAwayFromLastResorts) {
   const auto m = find_max_card_popular(inst, ws);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(matching_size(inst, *m), 2u);
-  EXPECT_TRUE(is_popular_bruteforce(inst, *m));
+  EXPECT_TRUE(test::is_popular(inst, *m));
 }
 
 struct OracleParam {
@@ -69,11 +70,11 @@ TEST_P(MaxCardOracle, MatchesLargestBruteForcePopularMatching) {
     cfg.list_max = list_max;
     cfg.seed = seed * 1000 + round;
     const auto inst = gen::random_strict_instance(cfg);
-    const auto all = all_popular_matchings_bruteforce(inst);
+    const auto all = test::all_popular_matchings_bruteforce(inst);
     const auto m = find_max_card_popular(inst, ws);
     ASSERT_EQ(m.has_value(), !all.empty()) << "seed " << cfg.seed;
     if (!m.has_value()) continue;
-    EXPECT_TRUE(is_popular_bruteforce(inst, *m)) << "seed " << cfg.seed;
+    EXPECT_TRUE(test::is_popular(inst, *m)) << "seed " << cfg.seed;
     std::size_t best = 0;
     for (const auto& cand : all) best = std::max(best, matching_size(inst, cand));
     EXPECT_EQ(matching_size(inst, *m), best) << "seed " << cfg.seed;
@@ -99,7 +100,7 @@ TEST_P(Theorem9Oracle, SwitchingEnumerationIsExactlyAllPopularMatchings) {
     cfg.seed = seed * 500 + round;
     const auto inst = gen::random_strict_instance(cfg);
     const auto m = find_popular_matching(inst, ws);
-    const auto brute = all_popular_matchings_bruteforce(inst);
+    const auto brute = test::all_popular_matchings_bruteforce(inst);
     ASSERT_EQ(m.has_value(), !brute.empty());
     if (!m.has_value()) continue;
     const auto rg = build_reduced_graph(inst, ws);

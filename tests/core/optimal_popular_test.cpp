@@ -11,6 +11,7 @@
 #include "core/reduced_graph.hpp"
 #include "core/verify.hpp"
 #include "gen/generators.hpp"
+#include "support/popular_oracle.hpp"
 #include "test_util.hpp"
 
 namespace ncpm::core {
@@ -34,11 +35,11 @@ TEST_P(OptimalOracle, RankMaximalBeatsEveryPopularMatchingLexicographically) {
     cfg.list_max = list_max;
     cfg.seed = seed * 211 + round;
     const auto inst = gen::random_strict_instance(cfg);
-    const auto all = all_popular_matchings_bruteforce(inst);
+    const auto all = test::all_popular_matchings_bruteforce(inst);
     const auto m = find_rank_maximal_popular(inst, ws);
     ASSERT_EQ(m.has_value(), !all.empty()) << "seed " << cfg.seed;
     if (!m.has_value()) continue;
-    EXPECT_TRUE(is_popular_bruteforce(inst, *m));
+    EXPECT_TRUE(test::is_popular(inst, *m));
     const Profile mine = matching_profile(inst, *m);
     for (const auto& cand : all) {
       const Profile other = matching_profile(inst, cand);
@@ -59,11 +60,11 @@ TEST_P(OptimalOracle, FairIsMinimalAmongPopularMatchings) {
     cfg.list_max = list_max;
     cfg.seed = seed * 307 + round;
     const auto inst = gen::random_strict_instance(cfg);
-    const auto all = all_popular_matchings_bruteforce(inst);
+    const auto all = test::all_popular_matchings_bruteforce(inst);
     const auto m = find_fair_popular(inst, ws);
     ASSERT_EQ(m.has_value(), !all.empty()) << "seed " << cfg.seed;
     if (!m.has_value()) continue;
-    EXPECT_TRUE(is_popular_bruteforce(inst, *m));
+    EXPECT_TRUE(test::is_popular(inst, *m));
     const Profile mine = matching_profile(inst, *m);
     for (const auto& cand : all) {
       const Profile other = matching_profile(inst, cand);
@@ -89,7 +90,7 @@ TEST_P(OptimalOracle, MaxWeightMatchesExhaustiveSearch) {
       if (inst.is_last_resort(p)) return std::int64_t{0};
       return static_cast<std::int64_t>((a * 37 + p * 101) % 50);
     };
-    const auto all = all_popular_matchings_bruteforce(inst);
+    const auto all = test::all_popular_matchings_bruteforce(inst);
     const auto m = find_optimal_popular(inst, weight, /*maximize=*/true, ws);
     ASSERT_EQ(m.has_value(), !all.empty());
     if (!m.has_value()) continue;

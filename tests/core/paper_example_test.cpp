@@ -10,6 +10,7 @@
 #include "core/reduced_graph.hpp"
 #include "core/switching_graph.hpp"
 #include "core/verify.hpp"
+#include "support/popular_oracle.hpp"
 #include "test_util.hpp"
 
 namespace ncpm::core {
@@ -63,7 +64,7 @@ TEST_F(PaperExample, SectionIIStatedMatchingIsPopularAndOursToo) {
   const auto mine = find_popular_matching(inst, ws);
   ASSERT_TRUE(mine.has_value());
   EXPECT_TRUE(satisfies_popular_characterization(inst, rg, *mine));
-  EXPECT_TRUE(is_popular_bruteforce(inst, *mine));
+  EXPECT_TRUE(test::is_popular(inst, *mine));
   EXPECT_EQ(matching_size(inst, *mine), 8u);
 
   matching::Matching paper(inst.num_applicants(), inst.total_posts());
@@ -71,7 +72,7 @@ TEST_F(PaperExample, SectionIIStatedMatchingIsPopularAndOursToo) {
   for (std::size_t a = 0; a < stated.size(); ++a) {
     paper.match(static_cast<std::int32_t>(a), stated[a]);
   }
-  EXPECT_TRUE(is_popular_bruteforce(inst, paper));
+  EXPECT_TRUE(test::is_popular(inst, paper));
 }
 
 TEST_F(PaperExample, Figure4SwitchingGraphShape) {
@@ -98,14 +99,15 @@ TEST_F(PaperExample, Figure4SwitchingGraphShape) {
 }
 
 TEST_F(PaperExample, AllEightPopularMatchingsAgreeAcrossOracles) {
-  // Theorem 9 enumeration and raw brute force must coincide on instance I.
+  // Theorem 9 enumeration and the Definition 1 oracle (every assignment,
+  // each checked by max-weight assignment) must coincide on instance I.
   const auto mine = find_popular_matching(inst, ws);
   ASSERT_TRUE(mine.has_value());
   const auto via_switching = all_popular_matchings_via_switching(inst, rg, *mine, ws);
-  const auto brute = all_popular_matchings_bruteforce(inst);
+  const auto brute = test::all_popular_matchings_bruteforce(inst);
   EXPECT_EQ(via_switching.size(), brute.size());
   for (const auto& cand : via_switching) {
-    EXPECT_TRUE(is_popular_bruteforce(inst, cand));
+    EXPECT_TRUE(test::is_popular(inst, cand));
   }
   // Every popular matching of I uses all real posts: max cardinality = 8.
   const auto maxc = find_max_card_popular(inst, ws);

@@ -1,7 +1,7 @@
 // Algorithm 1 end to end (Theorem 3): the NC pipeline and the sequential
 // baseline must agree on existence, and both outputs must satisfy the
-// Theorem 1 characterization; on tiny instances, literal brute-force
-// popularity is the oracle.
+// Theorem 1 characterization; on tiny instances, Definition 1 itself
+// (tests/support/popular_oracle.hpp) is the oracle.
 
 #include "core/popular_matching.hpp"
 
@@ -11,6 +11,7 @@
 #include "core/reduced_graph.hpp"
 #include "core/verify.hpp"
 #include "gen/generators.hpp"
+#include "support/popular_oracle.hpp"
 #include "test_util.hpp"
 
 namespace ncpm::core {
@@ -43,7 +44,7 @@ TEST(PopularMatching, ContentionInstanceHasNone) {
   const auto inst = gen::contention_instance(4);
   EXPECT_FALSE(find_popular_matching(inst, ws).has_value());
   EXPECT_FALSE(find_popular_matching_sequential(inst).has_value());
-  EXPECT_TRUE(all_popular_matchings_bruteforce(inst).empty());
+  EXPECT_TRUE(test::all_popular_matchings_bruteforce(inst).empty());
 }
 
 TEST(PopularMatching, TwoApplicantsOnePost) {
@@ -53,7 +54,7 @@ TEST(PopularMatching, TwoApplicantsOnePost) {
   const auto inst = Instance::strict(1, {{0}, {0}});
   const auto m = find_popular_matching(inst, ws);
   ASSERT_TRUE(m.has_value());
-  EXPECT_TRUE(is_popular_bruteforce(inst, *m));
+  EXPECT_TRUE(test::is_popular(inst, *m));
   EXPECT_EQ(matching_size(inst, *m), 1u);
 }
 
@@ -86,10 +87,10 @@ TEST_P(PopularBruteForce, NcMatchesOracleOnTinyInstances) {
     cfg.seed = seed * 1000 + round;
     const auto inst = gen::random_strict_instance(cfg);
     const auto nc = find_popular_matching(inst, ws);
-    const auto oracle = all_popular_matchings_bruteforce(inst);
+    const auto oracle = test::all_popular_matchings_bruteforce(inst);
     ASSERT_EQ(nc.has_value(), !oracle.empty()) << "seed " << cfg.seed;
     if (nc.has_value()) {
-      EXPECT_TRUE(is_popular_bruteforce(inst, *nc)) << "seed " << cfg.seed;
+      EXPECT_TRUE(test::is_popular(inst, *nc)) << "seed " << cfg.seed;
     }
   }
 }

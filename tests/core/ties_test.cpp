@@ -9,6 +9,7 @@
 #include "core/verify.hpp"
 #include "gen/generators.hpp"
 #include "matching/hopcroft_karp.hpp"
+#include "support/popular_oracle.hpp"
 #include "test_util.hpp"
 
 namespace ncpm::core {
@@ -25,7 +26,7 @@ TEST(Ties, AllTiedSingleGroupAdmitsPopularMatching) {
   const auto inst = Instance::with_ties(2, {{{0, 1}}, {{0, 1}}});
   const auto m = find_popular_matching_ties(inst);
   ASSERT_TRUE(m.has_value());
-  EXPECT_TRUE(is_popular_bruteforce(inst, *m));
+  EXPECT_TRUE(test::is_popular(inst, *m));
   EXPECT_EQ(matching_size(inst, *m), 2u);
 }
 
@@ -41,7 +42,7 @@ TEST(Ties, TieOnFirstChoicesRescuesContention) {
   const auto inst = Instance::with_ties(3, {{{0, 1, 2}}, {{0, 1, 2}}, {{0, 1, 2}}});
   const auto m = find_popular_matching_ties(inst);
   ASSERT_TRUE(m.has_value());
-  EXPECT_TRUE(is_popular_bruteforce(inst, *m));
+  EXPECT_TRUE(test::is_popular(inst, *m));
 }
 
 struct TiesParam {
@@ -64,10 +65,10 @@ TEST_P(TiesBruteForce, AgreesWithExhaustiveOracle) {
     cfg.seed = seed * 613 + round;
     const auto inst = gen::random_ties_instance(cfg);
     const auto m = find_popular_matching_ties(inst);
-    const auto oracle = all_popular_matchings_bruteforce(inst);
+    const auto oracle = test::all_popular_matchings_bruteforce(inst);
     ASSERT_EQ(m.has_value(), !oracle.empty()) << "seed " << cfg.seed;
     if (m.has_value()) {
-      EXPECT_TRUE(is_popular_bruteforce(inst, *m)) << "seed " << cfg.seed;
+      EXPECT_TRUE(test::is_popular(inst, *m)) << "seed " << cfg.seed;
     }
   }
 }
@@ -140,9 +141,9 @@ TEST_P(Lemma12And13, OnRank1InstancesPopularEqualsMaximum) {
     const auto g = gen::random_bipartite(5, 4, 1.5, GetParam() * 1000 + static_cast<std::uint64_t>(round));
     const auto inst = rank1_instance(g);
     const auto m = popular_matching_rank1(inst);
-    EXPECT_TRUE(is_popular_bruteforce(inst, m)) << "Lemma 13 violated";
+    EXPECT_TRUE(test::is_popular(inst, m)) << "Lemma 13 violated";
     // Lemma 12: all brute-force popular matchings share the maximum size.
-    const auto all = all_popular_matchings_bruteforce(inst);
+    const auto all = test::all_popular_matchings_bruteforce(inst);
     for (const auto& cand : all) {
       EXPECT_EQ(cand.size(), m.size()) << "Lemma 12 violated";
     }

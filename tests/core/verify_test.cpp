@@ -9,6 +9,7 @@
 #include "core/switching_graph.hpp"
 #include "core/ties.hpp"
 #include "gen/generators.hpp"
+#include "support/popular_oracle.hpp"
 #include "test_util.hpp"
 
 namespace ncpm::core {
@@ -81,7 +82,7 @@ TEST_P(CountPopular, MatchesBruteForceEnumeration) {
     cfg.seed = seed * 1009 + round;
     const auto inst = gen::random_strict_instance(cfg);
     const auto count = count_popular_matchings(inst, ws);
-    const auto brute = all_popular_matchings_bruteforce(inst);
+    const auto brute = test::all_popular_matchings_bruteforce(inst);
     ASSERT_EQ(count.has_value(), !brute.empty()) << "seed " << cfg.seed;
     if (count.has_value()) {
       EXPECT_EQ(*count, brute.size()) << "seed " << cfg.seed;
@@ -102,7 +103,7 @@ TEST(CountPopular, PaperInstance) {
   const auto count = count_popular_matchings(inst, ws);
   ASSERT_TRUE(count.has_value());
   EXPECT_EQ(*count, 6u);
-  EXPECT_EQ(all_popular_matchings_bruteforce(inst).size(), 6u);
+  EXPECT_EQ(test::all_popular_matchings_bruteforce(inst).size(), 6u);
 }
 
 TEST(TiesCharacterization, AcceptsSolverOutputAndRejectsCorruption) {
@@ -141,9 +142,9 @@ TEST(TiesCharacterization, AgreesWithBruteForceOnTinyInstances) {
     const auto inst = gen::random_ties_instance(cfg);
     // The characterization must agree with Definition 1 on every
     // applicant-complete assignment.
-    for_each_assignment(inst, [&](const std::vector<std::int32_t>& post_of) {
-      const auto m = assignment_to_matching(inst, post_of);
-      EXPECT_EQ(satisfies_ties_characterization(inst, m), is_popular_bruteforce(inst, m))
+    test::for_each_assignment(inst, [&](const std::vector<std::int32_t>& post_of) {
+      const auto m = test::assignment_to_matching(inst, post_of);
+      EXPECT_EQ(satisfies_ties_characterization(inst, m), test::is_popular_bruteforce(inst, m))
           << "seed " << seed;
     });
   }

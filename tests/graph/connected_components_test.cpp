@@ -1,5 +1,5 @@
 // Shiloach–Vishkin-style connected components vs a BFS oracle, including
-// alive-edge masks, self-loops and degenerate graphs.
+// self-loops and degenerate graphs.
 
 #include "graph/connected_components.hpp"
 
@@ -12,11 +12,9 @@ namespace ncpm::graph {
 namespace {
 
 std::vector<std::int32_t> bfs_labels(std::size_t n, const std::vector<std::int32_t>& eu,
-                                     const std::vector<std::int32_t>& ev,
-                                     const std::vector<std::uint8_t>& alive) {
+                                     const std::vector<std::int32_t>& ev) {
   std::vector<std::vector<std::int32_t>> adj(n);
   for (std::size_t j = 0; j < eu.size(); ++j) {
-    if (!alive.empty() && alive[j] == 0) continue;
     adj[static_cast<std::size_t>(eu[j])].push_back(ev[j]);
     adj[static_cast<std::size_t>(ev[j])].push_back(eu[j]);
   }
@@ -44,7 +42,7 @@ TEST(ConnectedComponents, PathAndIsolated) {
   // 0-1-2 path, 3 isolated.
   const std::vector<std::int32_t> eu{0, 1};
   const std::vector<std::int32_t> ev{1, 2};
-  const auto cc = connected_components(4, eu, ev, {}, ws);
+  const auto cc = connected_components(4, eu, ev, ws);
   EXPECT_EQ(cc.count, 2);
   EXPECT_EQ(cc.label[0], 0);
   EXPECT_EQ(cc.label[1], 0);
@@ -57,7 +55,7 @@ TEST(ConnectedComponents, LabelsAreComponentMinima) {
   // 5-2 and 4-1-3 components.
   const std::vector<std::int32_t> eu{5, 4, 1};
   const std::vector<std::int32_t> ev{2, 1, 3};
-  const auto cc = connected_components(6, eu, ev, {}, ws);
+  const auto cc = connected_components(6, eu, ev, ws);
   EXPECT_EQ(cc.label[5], 2);
   EXPECT_EQ(cc.label[2], 2);
   EXPECT_EQ(cc.label[4], 1);
@@ -69,23 +67,13 @@ TEST(ConnectedComponents, SelfLoopsIgnored) {
   pram::Workspace ws;
   const std::vector<std::int32_t> eu{0, 1};
   const std::vector<std::int32_t> ev{0, 1};
-  const auto cc = connected_components(2, eu, ev, {}, ws);
+  const auto cc = connected_components(2, eu, ev, ws);
   EXPECT_EQ(cc.count, 2);
-}
-
-TEST(ConnectedComponents, AliveMaskDisconnects) {
-  pram::Workspace ws;
-  const std::vector<std::int32_t> eu{0, 1};
-  const std::vector<std::int32_t> ev{1, 2};
-  const std::vector<std::uint8_t> alive{1, 0};
-  const auto cc = connected_components(3, eu, ev, alive, ws);
-  EXPECT_EQ(cc.count, 2);
-  EXPECT_EQ(cc.label[2], 2);
 }
 
 TEST(ConnectedComponents, EmptyGraph) {
   pram::Workspace ws;
-  const auto cc = connected_components(0, {}, {}, {}, ws);
+  const auto cc = connected_components(0, {}, {}, ws);
   EXPECT_EQ(cc.count, 0);
   EXPECT_TRUE(cc.label.empty());
 }
@@ -94,7 +82,7 @@ TEST(ConnectedComponents, SizeMismatchThrows) {
   pram::Workspace ws;
   const std::vector<std::int32_t> eu{0};
   const std::vector<std::int32_t> ev;
-  EXPECT_THROW(connected_components(1, eu, ev, {}, ws), std::invalid_argument);
+  EXPECT_THROW(connected_components(1, eu, ev, ws), std::invalid_argument);
 }
 
 struct CcParam {
@@ -114,8 +102,8 @@ TEST_P(ConnectedComponentsRandom, AgreesWithBfs) {
     eu[j] = static_cast<std::int32_t>(rng() % n);
     ev[j] = static_cast<std::int32_t>(rng() % n);
   }
-  const auto cc = connected_components(n, eu, ev, {}, ws);
-  const auto oracle = bfs_labels(n, eu, ev, {});
+  const auto cc = connected_components(n, eu, ev, ws);
+  const auto oracle = bfs_labels(n, eu, ev);
   EXPECT_EQ(cc.label, oracle);
   std::size_t oracle_count = 0;
   for (std::size_t v = 0; v < n; ++v) {
@@ -140,7 +128,7 @@ TEST(ConnectedComponents, LongPathRoundsStayLogarithmic) {
     eu[j] = static_cast<std::int32_t>(j);
     ev[j] = static_cast<std::int32_t>(j + 1);
   }
-  const auto cc = connected_components(n, eu, ev, {}, ws);
+  const auto cc = connected_components(n, eu, ev, ws);
   EXPECT_EQ(cc.count, 1);
   EXPECT_LE(cc.hook_rounds, 20u);  // ~log2(n) + slack
 }
@@ -158,12 +146,12 @@ TEST(ConnectedComponents, HookRoundsLaneIndependent) {
   }
   pram::SerialExecutor serial;
   pram::Workspace ref_ws(serial);
-  const auto ref = connected_components(n, eu, ev, {}, ref_ws);
+  const auto ref = connected_components(n, eu, ev, ref_ws);
   for (const int lanes : {1, 2, 4}) {
     pram::Executor ex(lanes);
     for (int run = 0; run < 20; ++run) {
       pram::Workspace ws(ex);
-      const auto cc = connected_components(n, eu, ev, {}, ws);
+      const auto cc = connected_components(n, eu, ev, ws);
       ASSERT_EQ(cc.hook_rounds, ref.hook_rounds) << "lanes " << lanes << " run " << run;
       ASSERT_EQ(ws.counters().rounds, ref_ws.counters().rounds)
           << "lanes " << lanes << " run " << run;

@@ -1,7 +1,7 @@
-// Section IV-A: all four NC cycle-finding methods must agree with each other
-// and with a sequential tortoise-free oracle, on hand-built and random
-// directed pseudoforests; the shared post-processing (roots, distances,
-// lengths, ordered cycles) is validated against walks.
+// Section IV-A: the pointer-doubling cycle finder must agree with a
+// sequential walk oracle on hand-built and random directed pseudoforests;
+// the post-processing (roots, distances, lengths, ordered cycles) is
+// validated against walks.
 
 #include "graph/pseudoforest.hpp"
 
@@ -35,52 +35,45 @@ std::vector<std::uint8_t> oracle_on_cycle(const DirectedPseudoforest& pf) {
   return on;
 }
 
-const CycleMethod kAllMethods[] = {CycleMethod::PointerDoubling, CycleMethod::TransitiveClosure,
-                                   CycleMethod::Gf2Rank, CycleMethod::EdgeRemovalCC};
-
 TEST(Pseudoforest, SingleCycle) {
   pram::Workspace ws;
   DirectedPseudoforest pf{{1, 2, 0}};
-  for (const auto method : kAllMethods) {
-    const auto on = cycle_members(pf, method, ws);
-    EXPECT_EQ(on, (std::vector<std::uint8_t>{1, 1, 1})) << static_cast<int>(method);
-  }
+  const auto on = cycle_members(pf, ws);
+  EXPECT_EQ(on, (std::vector<std::uint8_t>{1, 1, 1}));
+  EXPECT_EQ(on, oracle_on_cycle(pf));
 }
 
 TEST(Pseudoforest, TreeIntoSinkHasNoCycle) {
   pram::Workspace ws;
   // 0 -> 1 -> 2(sink), 3 -> 1.
   DirectedPseudoforest pf{{1, 2, pram::kNone, 1}};
-  for (const auto method : kAllMethods) {
-    const auto on = cycle_members(pf, method, ws);
-    EXPECT_EQ(on, (std::vector<std::uint8_t>{0, 0, 0, 0})) << static_cast<int>(method);
-  }
+  const auto on = cycle_members(pf, ws);
+  EXPECT_EQ(on, (std::vector<std::uint8_t>{0, 0, 0, 0}));
+  EXPECT_EQ(on, oracle_on_cycle(pf));
 }
 
 TEST(Pseudoforest, SelfLoopIsACycleOfLengthOne) {
   pram::Workspace ws;
   DirectedPseudoforest pf{{0, pram::kNone}};
-  for (const auto method : kAllMethods) {
-    const auto on = cycle_members(pf, method, ws);
-    EXPECT_EQ(on, (std::vector<std::uint8_t>{1, 0})) << static_cast<int>(method);
-  }
+  const auto on = cycle_members(pf, ws);
+  EXPECT_EQ(on, (std::vector<std::uint8_t>{1, 0}));
+  EXPECT_EQ(on, oracle_on_cycle(pf));
 }
 
 TEST(Pseudoforest, TwoCycleWithTails) {
   pram::Workspace ws;
   // 0 <-> 1, tails 2 -> 0, 3 -> 2; separate sink 4.
   DirectedPseudoforest pf{{1, 0, 0, 2, pram::kNone}};
-  for (const auto method : kAllMethods) {
-    const auto on = cycle_members(pf, method, ws);
-    EXPECT_EQ(on, (std::vector<std::uint8_t>{1, 1, 0, 0, 0})) << static_cast<int>(method);
-  }
+  const auto on = cycle_members(pf, ws);
+  EXPECT_EQ(on, (std::vector<std::uint8_t>{1, 1, 0, 0, 0}));
+  EXPECT_EQ(on, oracle_on_cycle(pf));
 }
 
 TEST(Pseudoforest, AnalyzeOrdersCyclesFromRoots) {
   pram::Workspace ws;
   // Cycle 2 -> 5 -> 3 -> 2 and cycle 0 -> 1 -> 0; 4 leads into the first.
   DirectedPseudoforest pf{{1, 0, 5, 2, 2, 3}};
-  const auto analysis = analyze_cycles(pf, graph::CycleMethod::PointerDoubling, ws);
+  const auto analysis = analyze_cycles(pf, ws);
   ASSERT_EQ(analysis.cycles.size(), 2u);
   EXPECT_EQ(analysis.cycles[0], (std::vector<std::int32_t>{0, 1}));
   EXPECT_EQ(analysis.cycles[1], (std::vector<std::int32_t>{2, 5, 3}));
@@ -97,13 +90,14 @@ TEST(Pseudoforest, AnalyzeOrdersCyclesFromRoots) {
 TEST(Pseudoforest, OutOfRangeSuccessorThrows) {
   pram::Workspace ws;
   DirectedPseudoforest pf{{5}};
-  EXPECT_THROW(analyze_cycles(pf, graph::CycleMethod::PointerDoubling, ws), std::invalid_argument);
+  EXPECT_THROW(analyze_cycles(pf, ws), std::invalid_argument);
+  EXPECT_THROW(cycle_members(pf, ws), std::invalid_argument);
 }
 
 TEST(Pseudoforest, EmptyGraph) {
   pram::Workspace ws;
   DirectedPseudoforest pf{{}};
-  const auto analysis = analyze_cycles(pf, graph::CycleMethod::PointerDoubling, ws);
+  const auto analysis = analyze_cycles(pf, ws);
   EXPECT_TRUE(analysis.cycles.empty());
 }
 
@@ -125,10 +119,10 @@ TEST_P(PseudoforestRandom, AllMethodsAgreeWithOracle) {
   for (std::size_t v = 0; v < n; ++v) {
     pf.next[v] = unif(rng) < sink_prob ? pram::kNone : static_cast<std::int32_t>(rng() % n);
   }
+  // Both entry points, the bare mask and the full analysis, match the walk.
   const auto oracle = oracle_on_cycle(pf);
-  for (const auto method : kAllMethods) {
-    EXPECT_EQ(cycle_members(pf, method, ws), oracle) << "method " << static_cast<int>(method);
-  }
+  EXPECT_EQ(cycle_members(pf, ws), oracle);
+  EXPECT_EQ(analyze_cycles(pf, ws).on_cycle, oracle);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomPseudoforests, PseudoforestRandom,
@@ -147,7 +141,7 @@ TEST_P(PseudoforestAnalysisRandom, DistancesAndLengthsMatchWalks) {
   for (std::size_t v = 0; v < n; ++v) {
     pf.next[v] = (rng() % 10 == 0) ? pram::kNone : static_cast<std::int32_t>(rng() % n);
   }
-  const auto analysis = analyze_cycles(pf, graph::CycleMethod::PointerDoubling, ws);
+  const auto analysis = analyze_cycles(pf, ws);
   for (const auto& cycle : analysis.cycles) {
     ASSERT_FALSE(cycle.empty());
     const std::int32_t root = cycle[0];

@@ -8,7 +8,7 @@
 
 #include <random>
 
-#include "matching/brute_force.hpp"
+#include "support/brute_force.hpp"
 
 namespace ncpm::matching {
 namespace {
@@ -70,7 +70,7 @@ TEST_P(HopcroftKarpRandom, MatchesBruteForceCardinality) {
     const auto g = random_graph(rng, nl, nr, density);
     const auto m = maximum_matching(g);
     EXPECT_TRUE(m.consistent_with(g));
-    EXPECT_EQ(m.size(), brute_force_max_matching_size(g));
+    EXPECT_EQ(m.size(), test::brute_force_max_matching_size(g));
   }
 }
 

@@ -167,25 +167,6 @@ TEST(NestedComposition, ByteIdenticalAcrossSimdTiers) {
   pram::clear_forced_simd_tier();
 }
 
-TEST(NestedComposition, PerRequestLaneCapKeepsResultsIdentical) {
-  const auto instances = oracle_instances();
-  const auto refs = sequential_reference(instances);
-  Engine engine({2, 4});
-  std::vector<Request> batch;
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    batch.push_back(Request::popular(refs[i].mode, instances[i])
-                        .with_lanes(static_cast<int>(i % 4) + 1));
-  }
-  auto futures = engine.submit_batch(std::move(batch));
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    const auto res = futures[i].get();
-    ASSERT_EQ(res.matching.has_value(), refs[i].matching.has_value()) << "request " << i;
-    if (refs[i].matching.has_value()) {
-      EXPECT_TRUE(*res.matching == *refs[i].matching) << "request " << i;
-    }
-  }
-}
-
 struct StableCase {
   stable::StableInstance inst;
   stable::MarriageMatching m;

@@ -1,7 +1,8 @@
 // Randomized oracle layer, strict instances: the NC pipeline is checked
 // against independent evidence on seeded random sweeps — the sequential
 // Abraham et al. baseline (existence + mutual popularity), the Theorem 1
-// characterization, and on tiny instances literal brute force.
+// characterization, and on tiny instances Definition 1 itself
+// (tests/support/popular_oracle.hpp).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "core/reduced_graph.hpp"
 #include "core/verify.hpp"
 #include "gen/generators.hpp"
+#include "support/popular_oracle.hpp"
 
 namespace ncpm::core {
 namespace {
@@ -84,10 +86,10 @@ TEST_P(StrictOracle, TinyInstancesMatchLiteralBruteForce) {
     cfg.seed = GetParam() * 10'000 + round;
     const auto inst = gen::random_strict_instance(cfg);
     const auto nc = find_popular_matching(inst, ws);
-    const auto all_popular = all_popular_matchings_bruteforce(inst);
+    const auto all_popular = test::all_popular_matchings_bruteforce(inst);
     ASSERT_EQ(nc.has_value(), !all_popular.empty()) << "seed " << cfg.seed;
     if (nc.has_value()) {
-      EXPECT_TRUE(is_popular_bruteforce(inst, *nc)) << "seed " << cfg.seed;
+      EXPECT_TRUE(test::is_popular(inst, *nc)) << "seed " << cfg.seed;
     }
   }
 }

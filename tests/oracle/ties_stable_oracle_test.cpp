@@ -13,6 +13,7 @@
 #include "gen/stable_generators.hpp"
 #include "stable/gale_shapley.hpp"
 #include "stable/stability.hpp"
+#include "support/popular_oracle.hpp"
 
 namespace ncpm {
 namespace {
@@ -57,10 +58,10 @@ TEST_P(TiesOracle, TinyTiesInstancesMatchLiteralBruteForce) {
     cfg.seed = GetParam() * 10'000 + round;
     const auto inst = gen::random_ties_instance(cfg);
     const auto m = core::find_popular_matching_ties(inst);
-    const auto all_popular = core::all_popular_matchings_bruteforce(inst);
+    const auto all_popular = test::all_popular_matchings_bruteforce(inst);
     ASSERT_EQ(m.has_value(), !all_popular.empty()) << "seed " << cfg.seed;
     if (m.has_value()) {
-      EXPECT_TRUE(core::is_popular_bruteforce(inst, *m)) << "seed " << cfg.seed;
+      EXPECT_TRUE(test::is_popular(inst, *m)) << "seed " << cfg.seed;
     }
   }
 }

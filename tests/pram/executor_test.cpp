@@ -1,5 +1,5 @@
 // The Executor substrate: correctness of the primitives across widths,
-// grain schedules, nesting, concurrent dispatch, per-call lane caps, and
+// grain schedules, nesting, concurrent dispatch, in-place resizing, and
 // the documented parallel_reduce contract (associative + commutative
 // combine — enforced by a debug assertion).
 
@@ -119,18 +119,6 @@ TEST(Executor, ConcurrentDispatchFromManyThreadsIsSerialized) {
   for (auto& t : threads) t.join();
   const auto expected = std::int64_t{5} * (static_cast<std::int64_t>(kN - 1) * kN / 2);
   for (const auto s : sums) EXPECT_EQ(s, expected);
-}
-
-TEST(Executor, ActiveLanesCapsWithoutChangingResults) {
-  Executor ex(8);
-  EXPECT_EQ(ex.lanes(), 8);
-  ex.set_active_lanes(2);
-  EXPECT_EQ(ex.active_lanes(), 2);
-  const auto capped = ex.parallel_count(50'000, [](std::size_t i) { return i % 7 == 0; });
-  ex.set_active_lanes(99);  // clamped to lanes()
-  EXPECT_EQ(ex.active_lanes(), 8);
-  const auto full = ex.parallel_count(50'000, [](std::size_t i) { return i % 7 == 0; });
-  EXPECT_EQ(capped, full);
 }
 
 TEST(Executor, ResizeKeepsReferencesValid) {

@@ -4,7 +4,7 @@
 // randomized content. The explicit-tier kernel forms are exercised directly;
 // the full-path cases force a tier via force_simd_tier and run the public
 // entry points (exclusive_scan, compact_indices, list_rank_into,
-// window_min_into, gf2_rank) across executor widths. An AVX2 request on a
+// window_min_into) across executor widths. An AVX2 request on a
 // CPU without AVX2 clamps to scalar, so the sweep is safe on any machine —
 // on an AVX2 box it is a genuine AVX2-vs-scalar parity check.
 
@@ -19,8 +19,6 @@
 #include <string_view>
 #include <vector>
 
-#include "linalg/gf2_kernels.hpp"
-#include "linalg/gf2_matrix.hpp"
 #include "pram/executor.hpp"
 #include "pram/list_ranking.hpp"
 #include "pram/scan.hpp"
@@ -175,65 +173,6 @@ TEST_P(SimdKernelParity, WindowMinRoundTiesKeepFirst) {
   EXPECT_EQ(nval, want);
 }
 
-TEST_P(SimdKernelParity, Gf2RowKernelsMatchScalar) {
-  const SimdTier tier = GetParam();
-  std::mt19937_64 rng(46);
-  for (const std::size_t n : kLengths) {
-    const auto src = random_values<std::uint64_t>(n, rng);
-    const auto base = random_values<std::uint64_t>(n, rng);
-    auto got = base;
-    auto want = base;
-    linalg::gf2k::row_xor(tier, got.data(), src.data(), n);
-    linalg::gf2k::row_xor(SimdTier::kScalar, want.data(), src.data(), n);
-    EXPECT_EQ(got, want) << "n=" << n;
-    got = base;
-    want = base;
-    linalg::gf2k::row_or(tier, got.data(), src.data(), n);
-    linalg::gf2k::row_or(SimdTier::kScalar, want.data(), src.data(), n);
-    EXPECT_EQ(got, want) << "n=" << n;
-    EXPECT_EQ(linalg::gf2k::popcount_words(tier, base.data(), n),
-              linalg::gf2k::popcount_words(SimdTier::kScalar, base.data(), n))
-        << "n=" << n;
-    EXPECT_EQ(linalg::gf2k::and_popcount(tier, base.data(), src.data(), n),
-              linalg::gf2k::and_popcount(SimdTier::kScalar, base.data(), src.data(), n))
-        << "n=" << n;
-  }
-}
-
-TEST_P(SimdKernelParity, FindPivotMatchesScalar) {
-  const SimdTier tier = GetParam();
-  std::mt19937_64 rng(47);
-  for (const std::size_t rows : kLengths) {
-    const std::size_t stride = 3;
-    std::vector<std::uint64_t> words(rows * stride);
-    // Sparse hits so many probes miss and the "no pivot" path is covered.
-    for (auto& w : words) w = (rng() % 8 == 0) ? rng() : 0;
-    for (std::size_t word_index = 0; word_index < stride; ++word_index) {
-      const std::uint64_t mask = std::uint64_t{1} << (rng() % 64);
-      for (const std::size_t begin : {std::size_t{0}, rows / 2}) {
-        EXPECT_EQ(
-            linalg::gf2k::find_pivot(tier, words.data(), stride, word_index, mask,
-                                     begin, rows),
-            linalg::gf2k::find_pivot(SimdTier::kScalar, words.data(), stride,
-                                     word_index, mask, begin, rows))
-            << "rows=" << rows << " word=" << word_index << " begin=" << begin;
-      }
-    }
-  }
-}
-
-TEST_P(SimdKernelParity, MaskNonzeroCountMatchesScalar) {
-  const SimdTier tier = GetParam();
-  std::mt19937_64 rng(48);
-  for (const std::size_t n : kLengths) {
-    std::vector<std::uint8_t> mask(n);
-    for (auto& m : mask) m = static_cast<std::uint8_t>(rng() % 4 == 0 ? 1 + rng() % 255 : 0);
-    EXPECT_EQ(linalg::gf2k::mask_nonzero_count(tier, mask.data(), n),
-              linalg::gf2k::mask_nonzero_count(SimdTier::kScalar, mask.data(), n))
-        << "n=" << n;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Tiers, SimdKernelParity, ::testing::ValuesIn(tiers_to_test()),
                          [](const auto& info) {
                            return std::string(simd_tier_name(info.param));
@@ -341,36 +280,6 @@ TEST(SimdDispatch, FullPathsBitExactAcrossTiersAndWidths) {
       std::vector<std::int64_t> win(n);
       window_min_into(next, key, 64, win, ws);
       EXPECT_EQ(win, ref_win) << simd_tier_name(tier) << " lanes=" << lanes;
-    }
-  }
-}
-
-TEST(SimdDispatch, Gf2RankInvariantAcrossTiers) {
-  std::mt19937_64 rng(50);
-  linalg::BitMatrix m(93, 131);
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::size_t c = 0; c < m.cols(); ++c) {
-      if (rng() % 3 == 0) m.set(r, c);
-    }
-  }
-  std::size_t ref_rank = 0;
-  std::uint64_t ref_pop = 0;
-  {
-    ForcedTier forced(SimdTier::kScalar);
-    Executor ex(1);
-    Workspace ws(ex);
-    ref_rank = m.gf2_rank(ws);
-    ref_pop = m.popcount(ws);
-  }
-  for (const SimdTier tier : tiers_to_test()) {
-    for (const int lanes : {1, 2, 4}) {
-      ForcedTier forced(tier);
-      Executor ex(lanes);
-      Workspace ws(ex);
-      EXPECT_EQ(m.gf2_rank(ws), ref_rank)
-          << simd_tier_name(tier) << " lanes=" << lanes;
-      EXPECT_EQ(m.popcount(ws), ref_pop)
-          << simd_tier_name(tier) << " lanes=" << lanes;
     }
   }
 }

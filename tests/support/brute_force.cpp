@@ -1,6 +1,8 @@
-#include "matching/brute_force.hpp"
+#include "support/brute_force.hpp"
 
-namespace ncpm::matching {
+namespace ncpm::test {
+
+using matching::kNone;
 
 namespace {
 
@@ -45,4 +47,4 @@ std::size_t brute_force_max_matching_size(const graph::BipartiteGraph& g) {
   return best;
 }
 
-}  // namespace ncpm::matching
+}  // namespace ncpm::test

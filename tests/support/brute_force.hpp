@@ -1,5 +1,6 @@
 #pragma once
-// Exponential-time oracles for the test suite. Only sane for tiny graphs.
+// Exponential-time matching oracles for the test suite. Only sane for tiny
+// graphs.
 
 #include <cstddef>
 #include <functional>
@@ -8,7 +9,7 @@
 #include "graph/bipartite_graph.hpp"
 #include "matching/matching.hpp"
 
-namespace ncpm::matching {
+namespace ncpm::test {
 
 /// Maximum matching cardinality by exhaustive branching.
 std::size_t brute_force_max_matching_size(const graph::BipartiteGraph& g);
@@ -18,4 +19,4 @@ std::size_t brute_force_max_matching_size(const graph::BipartiteGraph& g);
 void for_each_matching(const graph::BipartiteGraph& g,
                        const std::function<void(const std::vector<std::int32_t>&)>& visit);
 
-}  // namespace ncpm::matching
+}  // namespace ncpm::test
