@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <numeric>
 #include <random>
 
 #include "graph/connected_components.hpp"
@@ -55,6 +57,34 @@ void BM_ListRanking(benchmark::State& state) {
   state.counters["doubling_rounds"] = static_cast<double>(ws.counters().rounds);
 }
 BENCHMARK(BM_ListRanking)->RangeMultiplier(8)->Range(1 << 10, 1 << 22)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ListRanking_ShortPaths(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  // Many disjoint paths of 1-16 steps over shuffled ids: the shape the
+  // solver's maximal-path and switching-path rankings actually see, where
+  // the doubling converges after a few rounds.
+  std::mt19937_64 rng(7);
+  std::vector<std::int32_t> id(n);
+  std::iota(id.begin(), id.end(), 0);
+  std::shuffle(id.begin(), id.end(), rng);
+  std::vector<std::int32_t> next(n);
+  for (std::size_t at = 0; at < n;) {
+    const std::size_t last = std::min(n - 1, at + 1 + rng() % 16);
+    for (std::size_t i = at; i < last; ++i) next[static_cast<std::size_t>(id[i])] = id[i + 1];
+    next[static_cast<std::size_t>(id[last])] = id[last];
+    at = last + 1;
+  }
+  ncpm::pram::Workspace ws;
+  for (auto _ : state) {
+    ws.counters().reset();
+    auto r = ncpm::pram::list_rank(next, ws);
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["doubling_rounds"] = static_cast<double>(ws.counters().rounds);
+}
+// The extra 256 is the size CI's bench-smoke filter selects.
+BENCHMARK(BM_ListRanking_ShortPaths)->Arg(1 << 8)->RangeMultiplier(8)->Range(1 << 10, 1 << 22)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ConnectedComponents(benchmark::State& state) {

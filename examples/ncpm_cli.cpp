@@ -41,6 +41,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -233,6 +234,14 @@ std::string slurp_input(const Options& opts) {
   return buf.str();
 }
 
+/// A popular-matching count as printed: count_popular_matchings saturates
+/// at UINT64_MAX, so that value is a lower bound, not an exact count.
+std::string format_count(std::uint64_t count) {
+  std::string text = std::to_string(count);
+  if (count == std::numeric_limits<std::uint64_t>::max()) text = ">= " + text + " (saturated)";
+  return text;
+}
+
 void print_rotation(const ncpm::stable::Rotation& rho) {
   for (const auto& [man, woman] : rho.pairs) std::printf("(%d,%d) ", man, woman);
   std::printf("\n");
@@ -270,7 +279,7 @@ int print_result(const ncpm::engine::Result& res) {
       std::fputs(ncpm::io::write_matching(*res.matching).c_str(), stdout);
       return 0;
     case Mode::kCount:
-      std::printf("%llu\n", static_cast<unsigned long long>(*res.count));
+      std::printf("%s\n", format_count(*res.count).c_str());
       return 0;
     case Mode::kCheck: {
       const auto& report = *res.check;
@@ -281,8 +290,7 @@ int print_result(const ncpm::engine::Result& res) {
       } else {
         std::printf("admits_popular yes\nsize %zu\n", report.size);
         if (report.count.has_value()) {
-          std::printf("popular_matchings %llu\n",
-                      static_cast<unsigned long long>(*report.count));
+          std::printf("popular_matchings %s\n", format_count(*report.count).c_str());
         }
       }
       return 0;
@@ -377,8 +385,7 @@ int run_batch(const Options& opts) {
         if (res.matching.has_value()) {
           std::printf("[%zu] ok size %zu\n", i, res.matching_size);
         } else if (res.count.has_value()) {
-          std::printf("[%zu] ok count %llu\n", i,
-                      static_cast<unsigned long long>(*res.count));
+          std::printf("[%zu] ok count %s\n", i, format_count(*res.count).c_str());
         } else {
           std::printf("[%zu] ok\n", i);
         }
@@ -498,7 +505,7 @@ int print_response(const ncpm::net::ResponseFrame& resp) {
     return 0;
   }
   if (resp.count.has_value()) {
-    std::printf("%llu\n", static_cast<unsigned long long>(*resp.count));
+    std::printf("%s\n", format_count(*resp.count).c_str());
     return 0;
   }
   if (resp.check.has_value()) {
@@ -510,7 +517,7 @@ int print_response(const ncpm::net::ResponseFrame& resp) {
     } else {
       std::printf("admits_popular yes\nsize %zu\n", report.size);
       if (report.count.has_value()) {
-        std::printf("popular_matchings %llu\n", static_cast<unsigned long long>(*report.count));
+        std::printf("popular_matchings %s\n", format_count(*report.count).c_str());
       }
     }
     // Like the local path, check reports statistics and exits 0 either way.

@@ -3,6 +3,7 @@
 #include "core/popular_matching.hpp"
 
 #include <atomic>
+#include <bit>
 #include <functional>
 #include <limits>
 #include <optional>
@@ -92,11 +93,16 @@ void SwitchingEngine::build(const Instance& inst, const ReducedGraph& rg,
   steps_ = pram::list_rank(broken_succ_, ws);
 
   // Binary-lifting tables for path marking: lift_[k][v] = broken_succ_^(2^k)(v).
-  const std::uint32_t levels = pram::ceil_log2(n_ext == 0 ? 1 : n_ext) + 1;
+  // apply() lifts by at most the longest step count, which bit_width(longest)
+  // levels cover.
+  const std::int64_t longest = ex.parallel_reduce(
+      n_ext, std::int64_t{0}, [&](std::size_t v) { return steps_.rank[v]; },
+      [](std::int64_t a, std::int64_t b) { return a > b ? a : b; });
+  ws.round(n_ext);
+  const auto levels = static_cast<std::size_t>(std::bit_width(static_cast<std::uint64_t>(longest)));
   lift_.resize(levels);
-  lift_[0] = broken_succ_;
-  for (std::uint32_t k = 1; k < levels; ++k) {
-    lift_[k] = pram::compose(lift_[k - 1], lift_[k - 1], ws);
+  for (std::size_t k = 0; k < levels; ++k) {
+    lift_[k] = k == 0 ? broken_succ_ : pram::compose(lift_[k - 1], lift_[k - 1], ws);
   }
 }
 

@@ -28,15 +28,17 @@ std::vector<std::int32_t> closed_successors(const DirectedPseudoforest& pf, pram
   return f;
 }
 
-/// On-cycle mask by pointer doubling over the closed successor map `f`.
+/// On-cycle mask by pointer doubling over the closed successor map `f`,
+/// where every weak component has at most `bound` vertices.
 std::vector<std::uint8_t> members(const DirectedPseudoforest& pf, std::span<const std::int32_t> f,
-                                  pram::Workspace& ws) {
+                                  std::size_t bound, pram::Workspace& ws) {
   const std::size_t n = pf.size();
   pram::Executor& ex = ws.exec();
-  // For K >= n the image of f^K is exactly {cycle vertices} ∪ {sinks}: any
-  // tree vertex is at distance < n from every start, so nothing maps onto it
-  // after n steps, while f^K restricted to a cycle is a bijection of the cycle.
-  const std::uint64_t k = std::uint64_t{1} << pram::ceil_log2(n == 0 ? 1 : n);
+  // For K >= bound the image of f^K is exactly {cycle vertices} ∪ {sinks}:
+  // a tree vertex has fewer than `bound` vertices above it in its
+  // component, so nothing maps onto it after `bound` steps, while f^K
+  // restricted to a cycle is a bijection of the cycle.
+  const std::uint64_t k = std::uint64_t{1} << pram::ceil_log2(bound == 0 ? 1 : bound);
   const auto fk = pram::kth_power(f, k, ws);
   std::vector<std::uint8_t> mark(n, 0);
   ex.parallel_for(n, [&](std::size_t v) {
@@ -65,11 +67,29 @@ std::vector<std::int32_t> weak_components(const DirectedPseudoforest& pf, pram::
   return connected_components(pf.size(), eu, ev, ws).label;
 }
 
+/// Vertex count of the largest weak component: a CRCW-add histogram over
+/// the labels, then a max-reduce.
+std::size_t largest_component(std::span<const std::int32_t> label, pram::Workspace& ws) {
+  const std::size_t n = label.size();
+  pram::Executor& ex = ws.exec();
+  auto size = ws.take<std::uint32_t>(n, 0U);
+  ex.parallel_for(n, [&](std::size_t v) {
+    std::atomic_ref<std::uint32_t>(size[static_cast<std::size_t>(label[v])])
+        .fetch_add(1, std::memory_order_relaxed);
+  });
+  ws.round(n);
+  const std::uint32_t largest = ex.parallel_reduce(
+      n, 0U, [&](std::size_t v) { return size[v]; },
+      [](std::uint32_t a, std::uint32_t b) { return a > b ? a : b; });
+  ws.round(n);
+  return largest;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> cycle_members(const DirectedPseudoforest& pf, pram::Workspace& ws) {
   validate(pf, ws.exec());
-  return members(pf, closed_successors(pf, ws.exec()), ws);
+  return members(pf, closed_successors(pf, ws.exec()), pf.size(), ws);
 }
 
 CycleAnalysis analyze_cycles(const DirectedPseudoforest& pf, pram::Workspace& ws) {
@@ -78,8 +98,10 @@ CycleAnalysis analyze_cycles(const DirectedPseudoforest& pf, pram::Workspace& ws
   validate(pf, ex);
   const auto f = closed_successors(pf, ex);
   CycleAnalysis out;
-  out.on_cycle = members(pf, f, ws);
+  // Every doubling below only has to reach across one weak component.
   out.component = weak_components(pf, ws);
+  const std::size_t bound = largest_component(out.component, ws);
+  out.on_cycle = members(pf, f, bound, ws);
   out.cycle_root.assign(n, pram::kNone);
   out.dist_to_root.assign(n, 0);
   out.cycle_length.assign(n, 0);
@@ -90,7 +112,7 @@ CycleAnalysis analyze_cycles(const DirectedPseudoforest& pf, pram::Workspace& ws
   std::vector<std::int64_t> key(n);
   ex.parallel_for(n, [&](std::size_t v) { key[v] = static_cast<std::int64_t>(v); });
   ws.round(n);
-  const auto wmin = pram::window_min(f, key, n, ws);
+  const auto wmin = pram::window_min(f, key, bound, ws);
   ex.parallel_for(n, [&](std::size_t v) {
     if (out.on_cycle[v] != 0) out.cycle_root[v] = static_cast<std::int32_t>(wmin[v]);
   });

@@ -13,14 +13,15 @@
 // (transitive closure, Theorem 5; GF(2) incidence rank, Lemma 6 + Theorem 7;
 // edge-removal connected components, Theorem 8). Algorithms 3 and 4 need only
 // one to keep their NC bounds, and this library implements one: pointer
-// doubling. With sinks made self-loops, the image of f^K for K >= n is
-// exactly the set of on-cycle vertices (plus the sinks), found in O(log n)
-// composition rounds.
+// doubling. With sinks made self-loops, the image of f^K for K >= s, s the
+// size of the largest weak component, is exactly the set of on-cycle
+// vertices (plus the sinks), found in O(log s) composition rounds.
 //
-// Post-processing: elect the minimum-id vertex of every cycle as its root via
-// windowed pointer-jumping min, compute each on-cycle vertex's distance to
-// its root by breaking the cycle at the root and list-ranking, and label weakly
-// connected components.
+// Post-processing: label weakly connected components (first, since their
+// largest size s bounds every doubling), elect the minimum-id vertex of
+// every cycle as its root via windowed pointer-jumping min over a window of
+// s, and compute each on-cycle vertex's distance to its root by breaking
+// the cycle at the root and list-ranking.
 
 #include <cstdint>
 #include <span>

@@ -6,12 +6,15 @@
 //
 //  * Wyllie list ranking (`list_rank`, `weighted_list_rank`): distance /
 //    weighted distance from every vertex to its terminal, plus the terminal
-//    reached. O(log n) doubling rounds. Used for maximal-path processing in
-//    Algorithm 2 and switching-path margins in Algorithm 3.
+//    reached. Doubling rounds run until converged, at most
+//    ceil(log2 n) + 1: a forest whose longest list has L steps stops after
+//    ceil(log2 L) + 1. Used for maximal-path processing in Algorithm 2 and
+//    switching-path margins in Algorithm 3.
 //  * Functional-graph powers (`kth_power`): the map f^K by binary
 //    exponentiation of the composition, O(log K) rounds. Used to find the
-//    cycles of directed pseudoforests (Section IV-A): for K >= n, the image
-//    of f^K is exactly the set of on-cycle vertices.
+//    cycles of directed pseudoforests (Section IV-A): for K at least the
+//    size of the largest weak component, the image of f^K is exactly the
+//    set of on-cycle vertices.
 //  * Windowed min reduction (`window_min`): min of {v, f(v), ..., f^(2^k-1)(v)}
 //    per vertex, used to pick canonical roots on cycles.
 //
@@ -28,6 +31,7 @@
 // kernels (AVX2 uses vpgather; scalar is a plain loop) — both tiers are
 // bit-exact, so results don't depend on NCPM_SIMD.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -99,6 +103,12 @@ namespace detail {
 /// the step weights from v to its terminal, where an empty `weight` weighs
 /// every step 1. Doubling scratch is leased from `ws`, so a warm workspace
 /// makes the whole pass allocation-free.
+///
+/// The loop stops once it has converged: each round's kernels report
+/// whether every head was already a terminal, and such a round changed
+/// nothing, so both buffers hold the result. A forest whose longest list has
+/// L steps therefore runs ceil(log2 L) + 1 doubling rounds; an input with a
+/// cycle never converges and runs the full ceil(log2 n) + 1.
 inline void rank_into(std::span<const std::int32_t> next, std::span<const std::int64_t> weight,
                       const ListRankingSpans& out, Workspace& ws) {
   const std::size_t n = next.size();
@@ -107,12 +117,6 @@ inline void rank_into(std::span<const std::int32_t> next, std::span<const std::i
   }
   obs::PhaseScope phase(ws.profiler(), obs::Phase::kListRank);
   Executor& ex = ws.exec();
-  // Validate outside the parallel region: a body must not throw.
-  const bool bad = ex.parallel_any(n, [&](std::size_t v) {
-    return next[v] < 0 || static_cast<std::size_t>(next[v]) >= n;
-  });
-  if (bad) throw std::out_of_range("list_rank: successor out of range");
-
   auto tmp_head = ws.take<std::int32_t>(n);
   auto tmp_rank = ws.take<std::int64_t>(n);
   std::span<std::int32_t> head_cur = out.head;
@@ -120,23 +124,45 @@ inline void rank_into(std::span<const std::int32_t> next, std::span<const std::i
   std::span<std::int64_t> rank_cur = out.rank;
   std::span<std::int64_t> rank_nxt = tmp_rank.span();
 
-  ex.parallel_for(n, [&](std::size_t v) {
-    const std::int32_t nx = next[v];
-    head_cur[v] = nx;
-    rank_cur[v] = static_cast<std::size_t>(nx) == v ? 0 : weight.empty() ? 1 : weight[v];
+  // Initialisation round, validating as it goes (a body must not throw).
+  // reaches_terminal starts all-ones, which is the answer if the loop
+  // converges; otherwise the final pass overwrites it.
+  std::atomic<bool> flagged{false};
+  for_blocks(ex, n, [&](std::size_t lo, std::size_t hi) {
+    bool bad = false;
+    for (std::size_t v = lo; v < hi; ++v) {
+      const std::int32_t nx = next[v];
+      bad |= nx < 0 || static_cast<std::size_t>(nx) >= n;
+      head_cur[v] = nx;
+      rank_cur[v] = static_cast<std::size_t>(nx) == v ? 0 : weight.empty() ? 1 : weight[v];
+      out.reaches_terminal[v] = 1;
+    }
+    if (bad) flagged.store(true, std::memory_order_relaxed);
   });
   ws.round(n);
-
-  const std::uint32_t rounds = ceil_log2(n) + 1;
-  for (std::uint32_t k = 0; k < rounds; ++k) {
-    for_blocks(ex, n, [&](std::size_t lo, std::size_t hi) {
-      simd::list_rank_round(head_cur.data(), rank_cur.data(), head_nxt.data(),
-                            rank_nxt.data(), lo, hi);
-    });
-    std::swap(head_cur, head_nxt);
-    std::swap(rank_cur, rank_nxt);
-    ws.round(n);
+  if (flagged.load(std::memory_order_relaxed)) {
+    throw std::out_of_range("list_rank: successor out of range");
   }
+
+  const std::uint32_t max_rounds = ceil_log2(n) + 1;
+  bool converged = false;
+  for (std::uint32_t k = 0; k < max_rounds && !converged; ++k) {
+    flagged.store(false, std::memory_order_relaxed);
+    for_blocks(ex, n, [&](std::size_t lo, std::size_t hi) {
+      if (!simd::list_rank_round(next.data(), head_cur.data(), rank_cur.data(),
+                                 head_nxt.data(), rank_nxt.data(), lo, hi)) {
+        flagged.store(true, std::memory_order_relaxed);
+      }
+    });
+    ws.round(n);
+    converged = !flagged.load(std::memory_order_relaxed);
+    if (!converged) {
+      std::swap(head_cur, head_nxt);
+      std::swap(rank_cur, rank_nxt);
+    }
+  }
+  if (converged) return;  // out.head / out.rank hold the result either way
+
   if (head_cur.data() != out.head.data()) {
     ex.parallel_for(n, [&](std::size_t v) {
       out.head[v] = head_cur[v];
@@ -144,7 +170,6 @@ inline void rank_into(std::span<const std::int32_t> next, std::span<const std::i
     });
     ws.round(n);
   }
-
   ex.parallel_for(n, [&](std::size_t v) {
     const auto h = static_cast<std::size_t>(out.head[v]);
     out.reaches_terminal[v] = (static_cast<std::size_t>(next[h]) == h) ? 1 : 0;
@@ -202,18 +227,36 @@ inline std::vector<std::int32_t> compose(std::span<const std::int32_t> g,
 }
 
 /// The map f^K (K >= 1 applications of `next`) via binary exponentiation of
-/// the composition; O(log K) composition rounds.
+/// the composition; O(log K) composition rounds. The powers f^(2^i) ping-pong
+/// between two workspace leases and the result is composed in place, so the
+/// result is the only allocation.
 inline std::vector<std::int32_t> kth_power(std::span<const std::int32_t> next, std::uint64_t k,
                                            Workspace& ws) {
   const std::size_t n = next.size();
+  Executor& ex = ws.exec();
   std::vector<std::int32_t> result(n);
-  ws.exec().parallel_for(n, [&](std::size_t v) { result[v] = static_cast<std::int32_t>(v); });
+  ex.parallel_for(n, [&](std::size_t v) { result[v] = static_cast<std::int32_t>(v); });
   ws.round(n);
-  std::vector<std::int32_t> base(next.begin(), next.end());
+  auto lease_a = ws.take<std::int32_t>(n);
+  auto lease_b = ws.take<std::int32_t>(n);
+  std::span<const std::int32_t> base = next;
+  std::span<std::int32_t> spare = lease_a.span();
+  std::span<std::int32_t> other = lease_b.span();
   while (k > 0) {
-    if ((k & 1U) != 0) result = compose(base, result, ws);
+    if ((k & 1U) != 0) {
+      // result = base ∘ result: each v reads and writes only result[v].
+      ex.parallel_for(n, [&](std::size_t v) {
+        result[v] = base[static_cast<std::size_t>(result[v])];
+      });
+      ws.round(n);
+    }
     k >>= 1U;
-    if (k > 0) base = compose(base, base, ws);
+    if (k > 0) {
+      ex.parallel_for(n, [&](std::size_t v) { spare[v] = base[static_cast<std::size_t>(base[v])]; });
+      ws.round(n);
+      base = spare;
+      std::swap(spare, other);
+    }
   }
   return result;
 }

@@ -138,16 +138,23 @@ void window_min_round_scalar(const std::int64_t* val, const std::int32_t* jump,
   }
 }
 
-void list_rank_round_scalar(const std::int32_t* head, const std::int64_t* rank,
-                            std::int32_t* nhead, std::int64_t* nrank,
-                            std::size_t lo, std::size_t hi) noexcept {
+bool list_rank_round_scalar(const std::int32_t* next, const std::int32_t* head,
+                            const std::int64_t* rank, std::int32_t* nhead,
+                            std::int64_t* nrank, std::size_t lo, std::size_t hi) noexcept {
+  bool settled = true;
   for (std::size_t v = lo; v < hi; ++v) {
     const std::int32_t h = head[v];
+    const std::int32_t hh = head[static_cast<std::size_t>(h)];
     nrank[v] = static_cast<std::int64_t>(
         static_cast<std::uint64_t>(rank[v]) +
         static_cast<std::uint64_t>(rank[static_cast<std::size_t>(h)]));
-    nhead[v] = head[static_cast<std::size_t>(h)];
+    nhead[v] = hh;
+    // Settled: the head did not move, and a vertex that is its own head is
+    // a terminal of `next` (not a cycle vertex whose length divides 2^k).
+    settled &= hh == h;
+    if (h == static_cast<std::int32_t>(v)) settled &= next[v] == h;
   }
+  return settled;
 }
 
 #if NCPM_SIMD_X86
@@ -275,10 +282,17 @@ void window_min_round_avx2(const std::int64_t* val, const std::int32_t* jump,
 }
 
 NCPM_TARGET_AVX2
-void list_rank_round_avx2(const std::int32_t* head, const std::int64_t* rank,
-                          std::int32_t* nhead, std::int64_t* nrank,
-                          std::size_t lo, std::size_t hi) noexcept {
+bool list_rank_round_avx2(const std::int32_t* next, const std::int32_t* head,
+                          const std::int64_t* rank, std::int32_t* nhead,
+                          std::int64_t* nrank, std::size_t lo, std::size_t hi) noexcept {
   std::size_t v = lo;
+  // All-ones lanes while every vertex seen so far is settled (see the
+  // scalar body); `self` holds the vertex ids v..v+3. `next` is read only
+  // for chunks where some vertex is its own head, which keeps long-list
+  // rounds at the memory traffic of the plain doubling step.
+  __m128i settled = _mm_set1_epi32(-1);
+  __m128i self = _mm_add_epi32(_mm_set1_epi32(static_cast<int>(lo)), _mm_setr_epi32(0, 1, 2, 3));
+  const __m128i four = _mm_set1_epi32(4);
   for (; v + 4 <= hi; v += 4) {
     __m128i h = _mm_loadu_si128(reinterpret_cast<const __m128i*>(head + v));
     __m256i r = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rank + v));
@@ -286,10 +300,18 @@ void list_rank_round_avx2(const std::int32_t* head, const std::int64_t* rank,
         reinterpret_cast<const long long*>(rank), h, 8);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(nrank + v),
                         _mm256_add_epi64(r, rh));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(nhead + v),
-                     _mm_i32gather_epi32(reinterpret_cast<const int*>(head), h, 4));
+    __m128i hh = _mm_i32gather_epi32(reinterpret_cast<const int*>(head), h, 4);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(nhead + v), hh);
+    settled = _mm_and_si128(settled, _mm_cmpeq_epi32(hh, h));
+    const __m128i fixed = _mm_cmpeq_epi32(h, self);
+    if (_mm_movemask_epi8(fixed) != 0) {
+      __m128i nx = _mm_loadu_si128(reinterpret_cast<const __m128i*>(next + v));
+      settled = _mm_andnot_si128(_mm_andnot_si128(_mm_cmpeq_epi32(nx, self), fixed), settled);
+    }
+    self = _mm_add_epi32(self, four);
   }
-  list_rank_round_scalar(head, rank, nhead, nrank, v, hi);
+  const bool tail = list_rank_round_scalar(next, head, rank, nhead, nrank, v, hi);
+  return tail && _mm_movemask_epi8(settled) == 0xFFFF;
 }
 
 #endif  // NCPM_SIMD_X86
@@ -350,10 +372,10 @@ void window_min_round(SimdTier tier, const std::int64_t* val,
   NCPM_DISPATCH(window_min_round, val, jump, nval, njump, lo, hi);
 }
 
-void list_rank_round(SimdTier tier, const std::int32_t* head,
+bool list_rank_round(SimdTier tier, const std::int32_t* next, const std::int32_t* head,
                      const std::int64_t* rank, std::int32_t* nhead,
                      std::int64_t* nrank, std::size_t lo, std::size_t hi) noexcept {
-  NCPM_DISPATCH(list_rank_round, head, rank, nhead, nrank, lo, hi);
+  NCPM_DISPATCH(list_rank_round, next, head, rank, nhead, nrank, lo, hi);
 }
 
 }  // namespace simd

@@ -152,14 +152,18 @@ inline void window_min_round(const std::int64_t* val, const std::int32_t* jump,
   window_min_round(active_simd_tier(), val, jump, nval, njump, lo, hi);
 }
 
-/// nrank[v] = rank[v] + rank[head[v]]; nhead[v] = head[head[v]].
-void list_rank_round(SimdTier tier, const std::int32_t* head, const std::int64_t* rank,
-                     std::int32_t* nhead, std::int64_t* nrank, std::size_t lo,
-                     std::size_t hi) noexcept;
-inline void list_rank_round(const std::int32_t* head, const std::int64_t* rank,
-                            std::int32_t* nhead, std::int64_t* nrank, std::size_t lo,
-                            std::size_t hi) noexcept {
-  list_rank_round(active_simd_tier(), head, rank, nhead, nrank, lo, hi);
+/// nrank[v] = rank[v] + rank[head[v]]; nhead[v] = head[head[v]]. Returns
+/// true iff every v in [lo, hi) is settled: head[head[v]] == head[v], and
+/// head[v] == v only where v is a terminal of `next` (next[v] == v). When
+/// every block is settled, every head is a terminal and the round was a
+/// no-op (nhead == head, nrank == rank for the terminal-rank-0 convention).
+bool list_rank_round(SimdTier tier, const std::int32_t* next, const std::int32_t* head,
+                     const std::int64_t* rank, std::int32_t* nhead, std::int64_t* nrank,
+                     std::size_t lo, std::size_t hi) noexcept;
+inline bool list_rank_round(const std::int32_t* next, const std::int32_t* head,
+                            const std::int64_t* rank, std::int32_t* nhead,
+                            std::int64_t* nrank, std::size_t lo, std::size_t hi) noexcept {
+  return list_rank_round(active_simd_tier(), next, head, rank, nhead, nrank, lo, hi);
 }
 
 // ---------------------------------------------------------------------------

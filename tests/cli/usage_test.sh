@@ -128,6 +128,42 @@ expect_exit 0 "check happy path"       -- check "$tmp/inst.txt"
 expect_exit 0 "solve pinned to cpu 0"  -- solve "$tmp/inst.txt" --pin-lanes 0
 expect_exit 0 "solve pinned auto"      -- solve "$tmp/inst.txt" --pin-lanes auto --threads 2
 
+# A saturated count prints as a lower bound. 65 independent components,
+# each two applicants ranking the same two posts (x y), hold 2 popular
+# matchings apiece: 2^65 saturates the u64 count.
+{
+  echo "ncpm-instance v1"
+  echo "applicants 130 posts 130 last_resorts 1"
+  for c in $(seq 0 64); do
+    echo "$((2*c)): $((2*c)) $((2*c+1))"
+    echo "$((2*c+1)): $((2*c)) $((2*c+1))"
+  done
+} > "$tmp/saturated.txt"
+saturated=">= 18446744073709551615 (saturated)"
+# expect_stdout <description> <want> -- <args...>
+expect_stdout() {
+  local desc="$1" want="$2"; shift 3
+  local out
+  out=$("$CLI" "$@" 2>/dev/null </dev/null)
+  if [ "$out" != "$want" ]; then
+    echo "FAIL [$desc]: stdout '$out', want '$want'"; failures=$((failures+1)); return
+  fi
+  echo "ok   [$desc]"
+}
+expect_stdout "count saturated" "$saturated" -- count "$tmp/saturated.txt"
+expect_stdout "check saturated" "$(printf 'applicants 130 posts 130 strict\nadmits_popular yes\nsize 130\npopular_matchings %s' "$saturated")" \
+  -- check "$tmp/saturated.txt"
+if "$CLI" pack "$tmp/saturated.bin" "$tmp/saturated.txt" >/dev/null 2>&1; then
+  expect_stdout "batch count saturated" "[0] ok count $saturated" \
+    -- batch "$tmp/saturated.bin" --mode count
+else
+  echo "FAIL [pack saturated instance]"; failures=$((failures+1))
+fi
+# Below the sentinel the count stays exact: 63 components give 2^63.
+head -n $((2 + 2*63)) "$tmp/saturated.txt" | sed 's/^applicants 130 posts 130/applicants 126 posts 126/' \
+  > "$tmp/exact.txt"
+expect_stdout "count exact below saturation" "9223372036854775808" -- count "$tmp/exact.txt"
+
 # NCPM_SIMD=sse2 (a retired tier) runs scalar: exit 0, one NCPM_SIMD warning.
 err=$(NCPM_SIMD=sse2 "$CLI" solve "$tmp/inst.txt" 2>&1 >/dev/null </dev/null)
 rc=$?

@@ -255,6 +255,49 @@ TEST(SwitchingGraph, ApplyPathMovesPrefixToSink) {
   EXPECT_FALSE(result.right_matched(8));  // p9 released
 }
 
+/// A single switching path of L steps (L even): posts p_0 -> ... -> p_L,
+/// applicant a_i matched to p_i. Odd-index posts are f-posts (a_i and
+/// a_{i-1} rank p_i first for odd i), even-index posts are s-posts, so a_i
+/// switches to p_{i+1} and p_0 starts a path with exactly L steps.
+struct PathInstance {
+  Instance inst;
+  matching::Matching m;
+};
+
+PathInstance switching_path(std::int32_t steps) {
+  std::vector<std::vector<std::int32_t>> lists;
+  for (std::int32_t i = 0; i < steps; ++i) {
+    lists.push_back(i % 2 == 0 ? std::vector<std::int32_t>{i + 1, i}
+                               : std::vector<std::int32_t>{i, i + 1});
+  }
+  PathInstance out{Instance::strict(steps + 1, std::move(lists)), {}};
+  out.m = matching::Matching(out.inst.num_applicants(), out.inst.total_posts());
+  for (std::int32_t i = 0; i < steps; ++i) out.m.match(i, i);
+  return out;
+}
+
+TEST(SwitchingGraph, ApplyPathWithPowerOfTwoSteps) {
+  // steps(q*) = 2^k is the largest lift apply() needs: it takes lifting
+  // level k, the last one the tables hold.
+  for (const std::int32_t steps : {2, 4, 8, 16, 64, 6, 62}) {
+    const auto [inst, m] = switching_path(steps);
+    pram::Workspace ws;
+    const auto rg = build_reduced_graph(inst, ws);
+    const SwitchingEngine engine(inst, rg, m, ws);
+    ASSERT_FALSE(engine.analysis().on_cycle[0]);
+    // Every even-index post starts a path; applicants from it onwards move.
+    for (std::int32_t start = 0; start < steps; start += 2) {
+      const auto result = engine.apply(std::vector<SwitchingEngine::Choice>{{start, false}}, ws);
+      EXPECT_TRUE(satisfies_popular_characterization(inst, rg, result))
+          << "steps=" << steps << " start=" << start;
+      for (std::int32_t a = 0; a < steps; ++a) {
+        EXPECT_EQ(result.right_of(a), a < start ? a : a + 1)
+            << "steps=" << steps << " start=" << start << " a=" << a;
+      }
+    }
+  }
+}
+
 TEST(SwitchingGraph, ApplyRejectsBadChoices) {
   pram::Workspace ws;
   const auto inst = ncpm::test::fig1_instance();

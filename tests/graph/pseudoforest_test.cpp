@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <random>
 
 namespace ncpm::graph {
@@ -163,6 +164,88 @@ TEST_P(PseudoforestAnalysisRandom, DistancesAndLengthsMatchWalks) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PseudoforestAnalysisRandom, ::testing::Values(10, 20, 30, 40));
+
+// The doublings are bounded by the largest weak component s, not by n. One
+// large component (a tail of `tail` vertices into a cycle of `len`, or into
+// a sink when len == 0) among many tiny ones puts the deepest tree vertex
+// at exactly s - 1 steps from the cycle and the longest cycle at s.
+struct BigParam {
+  std::size_t len;
+  std::size_t tail;
+};
+
+class PseudoforestOneLargeComponent : public ::testing::TestWithParam<BigParam> {};
+
+TEST_P(PseudoforestOneLargeComponent, AgreesWithOracle) {
+  const auto [len, tail] = GetParam();
+  std::mt19937_64 rng(len * 131 + tail);
+  DirectedPseudoforest pf;
+  const std::size_t big = len + tail + (len == 0 ? 1 : 0);
+  // Vertices 0..len-1 form the cycle (or vertex 0 is the sink); the tail is
+  // one path hanging into it, so its far end is s - 1 steps away.
+  pf.next.resize(big);
+  for (std::size_t v = 0; v < len; ++v) pf.next[v] = static_cast<std::int32_t>((v + 1) % len);
+  if (len == 0) pf.next[0] = pram::kNone;
+  const std::size_t first_tail = len == 0 ? 1 : len;
+  for (std::size_t v = first_tail; v < big; ++v) pf.next[v] = static_cast<std::int32_t>(v - 1);
+  // Many tiny components: isolated sinks, self-loops, 2-cycles, v -> sink.
+  for (int c = 0; c < 200; ++c) {
+    const auto base = static_cast<std::int32_t>(pf.next.size());
+    switch (rng() % 4) {
+      case 0: pf.next.push_back(pram::kNone); break;
+      case 1: pf.next.push_back(base); break;
+      case 2: pf.next.insert(pf.next.end(), {base + 1, base}); break;
+      default: pf.next.insert(pf.next.end(), {base + 1, pram::kNone}); break;
+    }
+  }
+  // Shuffle the vertex ids so the large component is spread out.
+  const std::size_t n = pf.size();
+  std::vector<std::int32_t> id(n);
+  std::iota(id.begin(), id.end(), 0);
+  std::shuffle(id.begin(), id.end(), rng);
+  DirectedPseudoforest shuffled;
+  shuffled.next.assign(n, pram::kNone);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (pf.next[v] != pram::kNone) {
+      shuffled.next[static_cast<std::size_t>(id[v])] = id[static_cast<std::size_t>(pf.next[v])];
+    }
+  }
+
+  const auto oracle = oracle_on_cycle(shuffled);
+  for (const int lanes : {1, 4}) {
+    pram::Executor ex(lanes);
+    pram::Workspace ws(ex);
+    const auto analysis = analyze_cycles(shuffled, ws);
+    EXPECT_EQ(analysis.on_cycle, oracle) << "lanes=" << lanes;
+    EXPECT_EQ(cycle_members(shuffled, ws), oracle) << "lanes=" << lanes;
+    // Every cycle is complete: its walk closes after cycle_length steps,
+    // through vertices that all name the minimum id as root.
+    for (const auto& cycle : analysis.cycles) {
+      EXPECT_EQ(cycle[0], *std::min_element(cycle.begin(), cycle.end()));
+      std::int32_t u = cycle[0];
+      for (std::size_t i = 0; i < cycle.size(); ++i) {
+        const auto v = static_cast<std::size_t>(cycle[i]);
+        EXPECT_EQ(u, cycle[i]);
+        EXPECT_EQ(analysis.cycle_root[v], cycle[0]);
+        EXPECT_EQ(analysis.cycle_length[v], static_cast<std::int64_t>(cycle.size()));
+        u = shuffled.next[v];
+      }
+      EXPECT_EQ(u, cycle[0]);
+    }
+    std::size_t on = 0;
+    for (const auto b : analysis.on_cycle) on += b;
+    std::size_t listed = 0;
+    for (const auto& cycle : analysis.cycles) listed += cycle.size();
+    EXPECT_EQ(listed, on);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, PseudoforestOneLargeComponent,
+    ::testing::Values(BigParam{0, 63}, BigParam{0, 64}, BigParam{0, 100}, BigParam{1, 63},
+                      BigParam{1, 64}, BigParam{2, 62}, BigParam{3, 61}, BigParam{64, 0},
+                      BigParam{65, 0}, BigParam{100, 0}, BigParam{128, 0}, BigParam{7, 120},
+                      BigParam{16, 48}));
 
 }  // namespace
 }  // namespace ncpm::graph

@@ -144,12 +144,59 @@ TEST_P(SimdKernelParity, DoublingRoundsMatchScalar) {
     std::vector<std::int64_t> rank = val;
     std::vector<std::int64_t> nrank_got(n, -1), nrank_want(n, -1);
     std::vector<std::int32_t> nhead_got(n, -1), nhead_want(n, -1);
-    simd::list_rank_round(tier, jump.data(), rank.data(), nhead_got.data(),
-                          nrank_got.data(), lo, hi);
-    simd::list_rank_round(SimdTier::kScalar, jump.data(), rank.data(), nhead_want.data(),
-                          nrank_want.data(), lo, hi);
+    const bool settled_got = simd::list_rank_round(tier, jump.data(), jump.data(), rank.data(),
+                                                   nhead_got.data(), nrank_got.data(), lo, hi);
+    const bool settled_want =
+        simd::list_rank_round(SimdTier::kScalar, jump.data(), jump.data(), rank.data(),
+                              nhead_want.data(), nrank_want.data(), lo, hi);
     EXPECT_EQ(nrank_got, nrank_want) << "n=" << n;
     EXPECT_EQ(nhead_got, nhead_want) << "n=" << n;
+    EXPECT_EQ(settled_got, settled_want) << "n=" << n;
+  }
+}
+
+TEST_P(SimdKernelParity, ListRankRoundSettledFlag) {
+  // One unsettled vertex u, placed at every position of [lo, n): in the
+  // vector body and in the scalar tail. The base is a star already at its
+  // fixed point: every vertex's next and head is terminal 0.
+  const SimdTier tier = GetParam();
+  for (const std::size_t n : {1UL, 3UL, 4UL, 7UL, 8UL, 13UL, 64UL}) {
+    const std::vector<std::int32_t> next(n, 0);
+    const std::vector<std::int32_t> head(n, 0);
+    std::vector<std::int64_t> rank(n, 1);
+    rank[0] = 0;
+    std::vector<std::int32_t> nhead(n);
+    std::vector<std::int64_t> nrank(n);
+    for (const std::size_t lo : {0UL, 1UL}) {
+      if (lo >= n) continue;
+      EXPECT_TRUE(simd::list_rank_round(tier, next.data(), head.data(), rank.data(),
+                                        nhead.data(), nrank.data(), lo, n))
+          << "n=" << n << " lo=" << lo;
+      for (std::size_t u = std::max<std::size_t>(lo, 1); u < n; ++u) {
+        const auto ui = static_cast<std::int32_t>(u);
+        // A head that still moves: head[u] = w, whose own head is 0.
+        auto moving = head;
+        moving[u] = u == 1 ? 2 : 1;
+        if (static_cast<std::size_t>(moving[u]) < n) {
+          EXPECT_FALSE(simd::list_rank_round(tier, next.data(), moving.data(), rank.data(),
+                                             nhead.data(), nrank.data(), lo, n))
+              << "n=" << n << " lo=" << lo << " u=" << u;
+        }
+        // A fixed point that is not a terminal (u on a cycle whose length
+        // divides the jump so far): head[u] == u but next[u] != u.
+        auto fixed = head;
+        fixed[u] = ui;
+        EXPECT_FALSE(simd::list_rank_round(tier, next.data(), fixed.data(), rank.data(),
+                                           nhead.data(), nrank.data(), lo, n))
+            << "n=" << n << " lo=" << lo << " u=" << u;
+        // ... unlike a terminal, which is settled.
+        auto terminal_next = next;
+        terminal_next[u] = ui;
+        EXPECT_TRUE(simd::list_rank_round(tier, terminal_next.data(), fixed.data(),
+                                          rank.data(), nhead.data(), nrank.data(), lo, n))
+            << "n=" << n << " lo=" << lo << " u=" << u;
+      }
+    }
   }
 }
 
