@@ -117,10 +117,9 @@ void BM_TwoRegularMatching(benchmark::State& state) {
     eu[v] = static_cast<std::int32_t>(v);
     ev[v] = static_cast<std::int32_t>((v + 1) % n);
   }
-  const std::vector<std::uint8_t> alive(n, 1);
   for (auto _ : state) {
     ncpm::pram::Workspace ws;
-    auto m = ncpm::matching::two_regular_perfect_matching(n, eu, ev, alive, ws);
+    auto m = ncpm::matching::two_regular_perfect_matching(n, eu, ev, ws);
     benchmark::DoNotOptimize(m);
   }
 }

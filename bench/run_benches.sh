@@ -52,14 +52,12 @@ except ValueError:
     threads = 0
 ctx["threads"] = threads or os.cpu_count()
 ctx["hardware_concurrency"] = os.cpu_count()
-# SIMD tier cap and lane pinning, as configured for this run. The cap is
-# the one the library applies: "sse2" runs scalar, and an unset or
-# unrecognised NCPM_SIMD leaves runtime dispatch in charge ("auto"; the
-# per-series tiers live in each bench's "simd_tier" counter). Pinning only
-# happens when the bench opts in via NCPM_BENCH_PIN_LANES.
+# SIMD tier cap, as configured for this run. The cap is the one the
+# library applies: an unset or unrecognised NCPM_SIMD leaves runtime
+# dispatch in charge ("auto"; the per-series tiers live in each bench's
+# "simd_tier" counter).
 simd_cap = os.environ.get("NCPM_SIMD", "")
-ctx["simd"] = {"avx2": "avx2", "scalar": "scalar", "sse2": "scalar"}.get(simd_cap, "auto")
-ctx["pin_lanes"] = os.environ.get("NCPM_BENCH_PIN_LANES", "") not in ("", "0")
+ctx["simd"] = {"avx2": "avx2", "scalar": "scalar"}.get(simd_cap, "auto")
 # Solver-phase profiler state for the run. "default" = each bench's own
 # EngineConfig.profile_phases (on unless the bench A/Bs it, e.g.
 # BM_MetricsOverhead's per-series profile_phases counter).

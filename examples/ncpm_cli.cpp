@@ -38,7 +38,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -74,16 +73,15 @@ int usage(const char* line = kTopUsage) {
 }
 
 constexpr const char* kSolveUsage =
-    "solve|max-card|fair|rank-maximal|count|check|next-stable [file] [--threads N] "
-    "[--pin-lanes CPUS]";
+    "solve|max-card|fair|rank-maximal|count|check|next-stable [file] [--threads N]";
 constexpr const char* kRotationsUsage = "rotations [file]";
-constexpr const char* kBatchUsage = "batch FILE [--threads N] [--mode M] [--pin-lanes CPUS]";
+constexpr const char* kBatchUsage = "batch FILE [--threads N] [--mode M]";
 constexpr const char* kPackUsage = "pack OUT.bin IN.txt [IN2.txt ...]";
 constexpr const char* kGenPopularUsage = "gen-popular N_APPLICANTS N_POSTS SEED";
 constexpr const char* kGenStableUsage = "gen-stable N SEED";
 constexpr const char* kGenBatchUsage = "gen-batch COUNT N_APPLICANTS N_POSTS SEED OUT.bin";
 constexpr const char* kServeUsage =
-    "serve [--port P] [--bind ADDR] [--workers W] [--threads LANES] [--pin-lanes CPUS] "
+    "serve [--port P] [--bind ADDR] [--workers W] [--threads LANES] "
     "[--max-in-flight K] [--max-in-flight-global G] "
     "[--idle-timeout-ms T] [--hello-timeout-ms T] [--metrics-port P] [--trace-sample-n N] "
     "[--slow-request-ms N] [--log-json]";
@@ -112,8 +110,6 @@ int help() {
 struct Options {
   std::vector<std::string> positional;
   int threads = 0;             // 0 = unset (mode-dependent default)
-  bool pin_lanes = false;      // pin executor lanes to CPUs
-  std::vector<int> pin_cpus;   // empty = every allowed CPU ("auto")
   std::string mode = "solve";  // batch submode
   int port = 0;                // serve: 0 = ephemeral
   std::string bind = "127.0.0.1";
@@ -151,16 +147,6 @@ bool parse_flags(int argc, char** argv, Options& opts) {
     const std::string arg = argv[i];
     if (arg == "--threads") {
       if (++i >= argc || !parse_int(argv[i], 1, opts.threads)) return false;
-    } else if (arg == "--pin-lanes") {
-      // Value is "auto" (pin across every CPU the process may run on) or a
-      // taskset-style list like "0,2-4"; malformed lists are a usage error.
-      if (++i >= argc) return false;
-      opts.pin_lanes = true;
-      if (std::strcmp(argv[i], "auto") != 0) {
-        const auto cpus = ncpm::pram::parse_cpu_list(argv[i]);
-        if (!cpus.has_value()) return false;
-        opts.pin_cpus = *cpus;
-      }
     } else if (arg == "--mode") {
       if (++i >= argc) return false;
       opts.mode = argv[i];
@@ -322,10 +308,7 @@ int run_engine_mode(ncpm::engine::Mode mode, const Options& opts) {
   // One request: the whole --threads budget goes to intra-solve lanes
   // (ThreadBudget::single), defaulting to every hardware thread.
   const int total = opts.threads > 0 ? opts.threads : ncpm::pram::default_lanes();
-  ncpm::engine::EngineConfig cfg(ncpm::engine::ThreadBudget::single(total));
-  cfg.pin_lanes = opts.pin_lanes;
-  cfg.cpu_set = opts.pin_cpus;
-  ncpm::engine::Engine engine(cfg);
+  ncpm::engine::Engine engine(ncpm::engine::ThreadBudget::single(total));
   return print_result(engine.submit(std::move(request)).get());
 }
 
@@ -362,10 +345,7 @@ int run_batch(const Options& opts) {
   // (N x 1), a shallow one gives the spare threads to each solve.
   const auto budget = ncpm::engine::ThreadBudget::split(opts.threads > 0 ? opts.threads : 1,
                                                         instances.size());
-  ncpm::engine::EngineConfig cfg(budget);
-  cfg.pin_lanes = opts.pin_lanes;
-  cfg.cpu_set = opts.pin_cpus;
-  ncpm::engine::Engine engine(cfg);
+  ncpm::engine::Engine engine(budget);
   std::vector<ncpm::engine::Request> requests;
   requests.reserve(instances.size());
   for (auto& inst : instances) {
@@ -788,8 +768,6 @@ int run_serve(const Options& opts) {
   cfg.hello_timeout = std::chrono::milliseconds(opts.hello_timeout_ms);
   cfg.engine.num_workers = opts.workers > 0 ? opts.workers : ncpm::pram::default_lanes();
   cfg.engine.lanes_per_worker = opts.threads > 0 ? opts.threads : 1;
-  cfg.engine.pin_lanes = opts.pin_lanes;
-  cfg.engine.cpu_set = opts.pin_cpus;
   if (opts.metrics_port >= 0) cfg.metrics_port = static_cast<std::uint16_t>(opts.metrics_port);
   cfg.trace_sample_n = static_cast<std::uint64_t>(opts.trace_sample_n);
   cfg.slow_request_ns = static_cast<std::uint64_t>(opts.slow_request_ms) * 1'000'000;
@@ -815,7 +793,6 @@ int run_serve(const Options& opts) {
   if (cfg.slow_request_ns > 0) {
     extras += " slow-request-ms=" + std::to_string(opts.slow_request_ms);
   }
-  if (cfg.engine.pin_lanes) extras += " pin-lanes=on";
   if (cfg.log_json) extras += " log-json=on";
   std::fprintf(stderr,
                "ncpm_cli serve: up port=%u core=epoll workers=%d lanes=%d "

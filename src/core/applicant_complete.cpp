@@ -188,7 +188,7 @@ ApplicantCompleteResult applicant_complete_matching(const Instance& inst, const 
   if (applicants_left > 0) {
     obs::PhaseScope phase(ws.profiler(), obs::Phase::kTwoRegular);
     const auto cycle_edges = matching::two_regular_perfect_matching(
-        n_vertices, eu.first(ma), ev.first(ma), {}, ws);
+        n_vertices, eu.first(ma), ev.first(ma), ws);
     if (!cycle_edges.has_value()) {
       throw std::logic_error("applicant_complete_matching: odd cycle in bipartite residual");
     }

@@ -185,10 +185,6 @@ struct Engine::ObsHandles {
 Engine::Engine(EngineConfig config) : config_(config), start_(std::chrono::steady_clock::now()) {
   if (config_.num_workers < 1) config_.num_workers = 1;
   if (config_.lanes_per_worker < 1) config_.lanes_per_worker = 1;
-  // Resolve the CPU set once here rather than per worker: every worker then
-  // indexes one stable list, and worker w's lanes start at offset
-  // w * lanes_per_worker so distinct workers land on distinct CPUs.
-  if (config_.pin_lanes && config_.cpu_set.empty()) config_.cpu_set = pram::allowed_cpus();
   if (config_.registry == nullptr) {
     own_registry_ = std::make_unique<obs::Registry>();
     config_.registry = own_registry_.get();
@@ -230,8 +226,6 @@ Engine::Engine(EngineConfig config) : config_(config), start_(std::chrono::stead
       .set(config_.lanes_per_worker);
   reg.gauge("ncpm_engine_simd_tier", "Active SIMD dispatch tier (0 = scalar, 2 = avx2)")
       .set(static_cast<std::int64_t>(pram::active_simd_tier()));
-  reg.gauge("ncpm_engine_pin_lanes", "1 when worker lanes are pinned to CPUs")
-      .set(config_.pin_lanes ? 1 : 0);
   reg.gauge_callback(this, "ncpm_engine_queue_depth", "Requests queued but not yet picked up",
                      {}, [this] { return static_cast<std::int64_t>(queue_depth()); });
   reg.gauge_callback(this, "ncpm_engine_outstanding",
@@ -373,16 +367,8 @@ void Engine::fulfill(Task& task, Result&& result) {
 void Engine::worker_main(int worker_id) {
   // Each worker owns a private executor of lanes_per_worker lanes and a
   // long-lived workspace bound to it: intra-solve parallelism composes with
-  // worker concurrency without any shared thread state. The executor is
-  // built on this thread, so under pin_lanes lane 0 (this thread) pins
-  // itself in the constructor, and worker w's lanes occupy the cpu_set
-  // slice starting at w * lanes_per_worker.
-  pram::ExecutorConfig exec_config;
-  exec_config.lanes = config_.lanes_per_worker;
-  exec_config.pin_lanes = config_.pin_lanes;
-  exec_config.cpu_set = config_.cpu_set;
-  exec_config.cpu_offset = worker_id * config_.lanes_per_worker;
-  pram::Executor exec(exec_config);
+  // worker concurrency without any shared thread state.
+  pram::Executor exec(config_.lanes_per_worker);
   pram::Workspace ws(exec);
   // The worker's private phase accumulator: solver layers below record
   // into it through the workspace's profiler pointer; each task resets it
@@ -446,7 +432,6 @@ EngineStats Engine::stats() const {
   EngineStats snapshot;
   snapshot.num_workers = config_.num_workers;
   snapshot.lanes_per_worker = config_.lanes_per_worker;
-  snapshot.pin_lanes = config_.pin_lanes;
   snapshot.simd_tier = std::string(pram::simd_tier_name(pram::active_simd_tier()));
   // Outcomes first, submissions second (see the constructor): a request is
   // counted submitted before it can complete, so this order keeps

@@ -178,17 +178,13 @@ struct ThreadBudget {
   static ThreadBudget single(int total_threads) {
     return {1, total_threads < 1 ? 1 : total_threads};
   }
-  /// All of the budget into worker concurrency (total x 1).
-  static ThreadBudget wide(int total_threads) {
-    return {total_threads < 1 ? 1 : total_threads, 1};
-  }
   /// Split `total_threads` for an expected number of in-flight requests:
   /// start from workers = min(total, expected), give each worker
   /// total / workers lanes, then fold any remainder back into extra
   /// workers so the budget is used as fully as a uniform workers x lanes
   /// grid allows (at most lanes - 1 threads go unused, only when lanes
-  /// does not divide total). A deep queue degenerates to `wide`, a single
-  /// request to `single`.
+  /// does not divide total). A deep queue degenerates to total x 1, a
+  /// single request to `single`.
   static ThreadBudget split(int total_threads, std::size_t expected_in_flight) {
     const int total = total_threads < 1 ? 1 : total_threads;
     const auto want = expected_in_flight < 1 ? std::size_t{1} : expected_in_flight;
@@ -202,19 +198,11 @@ struct ThreadBudget {
 struct EngineConfig {
   int num_workers = 1;      ///< clamped to >= 1
   int lanes_per_worker = 1; ///< width of each worker's private Executor (clamped to >= 1)
-  /// Pin every worker's executor lanes to CPUs (best-effort, Linux-only;
-  /// see pram::ExecutorConfig). Worker w's lanes start at offset
-  /// w * lanes_per_worker into the cpu set, so workers stagger onto
-  /// disjoint CPUs when the set is large enough.
-  bool pin_lanes = false;
-  /// CPUs to pin onto; empty = every CPU the process may run on
-  /// (pram::allowed_cpus), resolved once at engine construction.
-  std::vector<int> cpu_set;
   /// Registry the engine keeps its books in; null = a private one the
   /// engine owns. The engine registers per-mode submitted, completed
   /// (labelled by status) and rejected counters, queue/solve latency
   /// histograms, and queue-depth/outstanding callback gauges (removed again
-  /// on destruction), plus SIMD-tier and pinning gauges. stats() reads
+  /// on destruction), plus worker, lane and SIMD-tier gauges. stats() reads
   /// these series, so engines sharing one registry share their counts. A
   /// supplied registry must outlive the engine.
   obs::Registry* registry = nullptr;
@@ -246,7 +234,6 @@ struct ModeStats {
 struct EngineStats {
   int num_workers = 0;
   int lanes_per_worker = 0;  ///< executor width inside each worker
-  bool pin_lanes = false;    ///< lane pinning requested and supported
   /// Active SIMD kernel tier ("avx2" / "scalar") at snapshot time
   /// — detected at startup, capped by NCPM_SIMD.
   std::string simd_tier;

@@ -3,106 +3,33 @@
 // pointer jumping ("extend these paths by the doubling trick in polylog time
 // to find maximal paths consisting of degree 2 vertices" — Algorithm 2).
 //
-// Given an undirected graph with an alive-edge mask, every edge contributes
-// two half-edges (one per direction). The successor of half-edge u→v is the
-// half-edge v→w continuing through v when v has alive degree exactly 2; the
-// half-edge is terminal otherwise. Chains of successors are precisely the
-// directed traversals of the maximal paths whose internal vertices all have
-// degree 2; one Wyllie list-ranking pass over all half-edges simultaneously
+// Given an undirected graph, every edge contributes two half-edges (one per
+// direction). The successor of half-edge u→v is the half-edge v→w
+// continuing through v when v has degree exactly 2; the half-edge is
+// terminal otherwise. Chains of successors are precisely the directed
+// traversals of the maximal paths whose internal vertices all have degree
+// 2; one Wyllie list-ranking pass over all half-edges simultaneously
 // yields, for every half-edge, the terminal of its traversal and its
 // distance to it — everything Algorithm 2's per-round matching rule needs.
-// Half-edges on all-degree-2 cycles never reach a terminal; `ranking.
-// reaches_terminal` distinguishes them (they are the even cycles left for
-// the final phase of Algorithm 2).
+// Half-edges on all-degree-2 cycles never reach a terminal;
+// `reaches_terminal()` distinguishes them (they are the even cycles left
+// for the final phase of Algorithm 2).
 //
-// Two containers live here:
-//
-//  * `HalfEdgeStructure` — the full structure with CSR incidence lists,
-//    built over an edge array with an alive mask. Reusable: `rebuild()`
-//    reconstructs it in place, retaining the capacity of every internal
-//    array, with scratch leased from a caller-provided Workspace. The
-//    round engines below no longer need the CSR, so this stays as the
-//    reference implementation: the cross-checking tests exercise it, and
-//    it is the public utility for any pass that needs full `incident()`
-//    lists rather than the two-slot degree-2 view.
-//  * `AliveEdgePaths` — the lean per-round engine. It operates on a
-//    *compacted* alive-edge array (every edge alive by construction) and
-//    rebuilds degrees, the two-slot incidence needed for degree-2
-//    continuation, successors and the ranking in work proportional to the
-//    number of surviving edges: full-size per-vertex arrays are only ever
-//    reset at the endpoints the alive edges touch. Zero heap allocation
-//    once the owning workspace is warm.
+// `AliveEdgePaths` is the one engine. Algorithm 2 compacts the surviving
+// edges every round, so it works on an edge array in which every edge is
+// alive and rebuilds degrees, the two-slot incidence needed for degree-2
+// continuation, successors and the ranking in work proportional to the
+// number of surviving edges: full-size per-vertex arrays are only ever
+// reset at the endpoints those edges touch. Zero heap allocation once the
+// owning workspace is warm.
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "pram/list_ranking.hpp"
 #include "pram/workspace.hpp"
 
 namespace ncpm::graph {
-
-class HalfEdgeStructure {
- public:
-  HalfEdgeStructure() = default;
-  /// Build the structure over alive edges. Self-loops are rejected.
-  HalfEdgeStructure(std::size_t n_vertices, std::span<const std::int32_t> eu,
-                    std::span<const std::int32_t> ev, std::span<const std::uint8_t> edge_alive,
-                    pram::Workspace& ws);
-
-  /// Rebuild in place over a new edge set, reusing the capacity of every
-  /// internal array; scratch comes from `ws`. With a warm workspace and
-  /// non-growing sizes this performs no heap allocation.
-  void rebuild(std::size_t n_vertices, std::span<const std::int32_t> eu,
-               std::span<const std::int32_t> ev, std::span<const std::uint8_t> edge_alive,
-               pram::Workspace& ws);
-
-  std::size_t n_vertices() const noexcept { return n_; }
-  std::size_t n_edges() const noexcept { return eu_.size(); }
-  std::size_t n_half_edges() const noexcept { return 2 * eu_.size(); }
-
-  static std::int32_t rev(std::int32_t h) noexcept { return h ^ 1; }
-  static std::int32_t edge_of(std::int32_t h) noexcept { return h >> 1; }
-  std::int32_t source(std::int32_t h) const {
-    const auto e = static_cast<std::size_t>(h >> 1);
-    return (h & 1) != 0 ? ev_[e] : eu_[e];
-  }
-  std::int32_t target(std::int32_t h) const {
-    const auto e = static_cast<std::size_t>(h >> 1);
-    return (h & 1) != 0 ? eu_[e] : ev_[e];
-  }
-  /// The half-edge leaving vertex x along edge e (x must be an endpoint of e).
-  std::int32_t out_of(std::int32_t x, std::int32_t e) const {
-    return eu_[static_cast<std::size_t>(e)] == x ? 2 * e : 2 * e + 1;
-  }
-
-  /// Alive degree of a vertex.
-  std::int64_t degree(std::int32_t v) const { return degree_[static_cast<std::size_t>(v)]; }
-  /// Alive edge ids incident to v.
-  std::span<const std::int32_t> incident(std::int32_t v) const {
-    const auto i = static_cast<std::size_t>(v);
-    return {incident_.data() + offset_[i], offset_[i + 1] - offset_[i]};
-  }
-
-  /// succ[h] = next half-edge of h's traversal (h itself when terminal or dead).
-  std::span<const std::int32_t> succ() const noexcept { return succ_; }
-  /// List ranking of the successor chains: head (terminal half-edge), rank
-  /// (#edges to terminal), reaches_terminal (0 for all-degree-2 cycles).
-  const pram::ListRanking& ranking() const noexcept { return ranking_; }
-
-  bool edge_alive(std::size_t e) const { return alive_[e] != 0; }
-
- private:
-  std::size_t n_ = 0;
-  std::vector<std::int32_t> eu_, ev_;
-  std::vector<std::uint8_t> alive_;
-  std::vector<std::int64_t> degree_;
-  std::vector<std::size_t> offset_;
-  std::vector<std::int32_t> incident_;
-  std::vector<std::int32_t> succ_;
-  pram::ListRanking ranking_;
-};
 
 /// The per-round path engine over a compacted alive-edge array. All storage
 /// is leased once from the owning workspace (sized for `max_edges` /
@@ -121,16 +48,15 @@ class AliveEdgePaths {
   /// guarantees it, so this is not re-validated here).
   void rebuild(std::span<const std::int32_t> eu, std::span<const std::int32_t> ev,
                pram::Workspace& ws) {
-    rebuild_links(eu, ev, {}, ws);
+    rebuild_links(eu, ev, ws);
     rank(ws);
   }
 
-  /// Stage 1 only: degrees, two-slot incidence and successors. An empty
-  /// `edge_alive` means every edge is alive (the compacted shape); with a
-  /// mask, dead half-edges become terminals. For callers that do their own
-  /// ranking over `succ()` (e.g. two_regular's cycle labelling).
+  /// Stage 1 only: degrees, two-slot incidence and successors. For callers
+  /// that do their own ranking over `succ()` (e.g. two_regular's cycle
+  /// labelling).
   void rebuild_links(std::span<const std::int32_t> eu, std::span<const std::int32_t> ev,
-                     std::span<const std::uint8_t> edge_alive, pram::Workspace& ws);
+                     pram::Workspace& ws);
 
   /// Stage 2: list-rank the successor chains; head()/rank()/
   /// reaches_terminal() are valid afterwards.

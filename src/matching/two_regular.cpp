@@ -9,45 +9,39 @@ namespace ncpm::matching {
 
 std::optional<std::vector<std::int32_t>> two_regular_perfect_matching(
     std::size_t n_vertices, std::span<const std::int32_t> eu, std::span<const std::int32_t> ev,
-    std::span<const std::uint8_t> edge_alive, pram::Workspace& ws) {
+    pram::Workspace& ws) {
   const std::size_t m = eu.size();
-  if (ev.size() != m || (!edge_alive.empty() && edge_alive.size() != m)) {
+  if (ev.size() != m) {
     throw std::invalid_argument("two_regular_perfect_matching: edge array size mismatch");
   }
-  const auto alive = [&](std::size_t e) { return edge_alive.empty() || edge_alive[e] != 0; };
   pram::Executor& ex = ws.exec();
   const bool bad = ex.parallel_any(m, [&](std::size_t e) {
-    if (!alive(e)) return false;
     return eu[e] < 0 || ev[e] < 0 || static_cast<std::size_t>(eu[e]) >= n_vertices ||
            static_cast<std::size_t>(ev[e]) >= n_vertices || eu[e] == ev[e];
   });
   if (bad) {
-    throw std::invalid_argument("two_regular_perfect_matching: bad alive edge");
+    throw std::invalid_argument("two_regular_perfect_matching: bad edge");
   }
   const std::size_t nh = 2 * m;
 
   // Degrees, two-slot incidence and successors for the touched vertices
-  // only — a 2-regular graph never needs the full CSR, and the cycle
-  // labelling below does its own ranking, so only the links stage runs.
+  // only: the cycle labelling below does its own ranking, so only the
+  // links stage runs.
   graph::AliveEdgePaths paths(n_vertices, m, ws);
-  paths.rebuild_links(eu, ev, edge_alive, ws);
+  paths.rebuild_links(eu, ev, ws);
   const std::span<const std::int32_t> succ = paths.succ();
 
-  // Dead or blocked half-edges are terminal. In a 2-regular graph no alive
-  // traversal may terminate, which stands in for the degree check.
-  const bool terminal = ex.parallel_any(nh, [&](std::size_t h) {
-    return alive(h >> 1) && succ[h] == static_cast<std::int32_t>(h);
-  });
+  // Blocked half-edges are terminal. In a 2-regular graph no traversal may
+  // terminate, which stands in for the degree check.
+  const bool terminal = ex.parallel_any(
+      nh, [&](std::size_t h) { return succ[h] == static_cast<std::int32_t>(h); });
   if (terminal) {
     throw std::invalid_argument("two_regular_perfect_matching: a vertex has degree != 2");
   }
 
-  // Label every *directed* cycle with its minimum alive half-edge id.
+  // Label every *directed* cycle with its minimum half-edge id.
   auto key = ws.take<std::int64_t>(nh);
-  ex.parallel_for(nh, [&](std::size_t h) {
-    key[h] = alive(h >> 1) ? static_cast<std::int64_t>(h)
-                           : static_cast<std::int64_t>(nh);  // dead: +inf
-  });
+  ex.parallel_for(nh, [&](std::size_t h) { key[h] = static_cast<std::int64_t>(h); });
   ws.round(nh);
   auto label = ws.take<std::int64_t>(nh);
   pram::window_min_into(succ, key.span(), nh, label.span(), ws);
@@ -67,14 +61,14 @@ std::optional<std::vector<std::int32_t>> two_regular_perfect_matching(
   // Cycle lengths, published at each root.
   auto len_at = ws.take<std::int64_t>(nh, std::int64_t{0});
   ex.parallel_for(nh, [&](std::size_t h) {
-    if (alive(h >> 1) && label[h] == static_cast<std::int64_t>(h)) {
+    if (label[h] == static_cast<std::int64_t>(h)) {
       len_at[h] = rank[static_cast<std::size_t>(succ[h])] + 1;
     }
   });
   ws.round(nh);
 
   const bool odd = ex.parallel_any(nh, [&](std::size_t h) {
-    return alive(h >> 1) && label[h] == static_cast<std::int64_t>(h) && (len_at[h] & 1) != 0;
+    return label[h] == static_cast<std::int64_t>(h) && (len_at[h] & 1) != 0;
   });
   if (odd) return std::nullopt;
 
@@ -82,7 +76,6 @@ std::optional<std::vector<std::int32_t>> two_regular_perfect_matching(
   // smaller label selects edges; it picks those at even distance from the root.
   auto selected = ws.take<std::uint8_t>(m, std::uint8_t{0});
   ex.parallel_for(nh, [&](std::size_t h) {
-    if (!alive(h >> 1)) return;
     const auto mine = label[h];
     const auto other = label[h ^ 1];
     if (mine >= other) return;

@@ -5,7 +5,7 @@
 // union of even cycles; "choosing all edges of even distance yields a perfect
 // matching". This module implements exactly that in O(log n) pointer-jumping
 // rounds over half-edges:
-//   * every alive half-edge lies on a directed traversal cycle;
+//   * every half-edge lies on a directed traversal cycle;
 //   * elect the minimum half-edge id of each directed cycle as its label;
 //   * of the two opposite traversals of an undirected cycle, only the one
 //     holding the globally smaller label proceeds (so each edge is decided
@@ -25,15 +25,14 @@
 
 namespace ncpm::matching {
 
-/// Edge ids of a perfect matching of the alive subgraph, where every vertex
-/// incident to an alive edge has alive-degree exactly 2. Throws
+/// Edge ids of a perfect matching of the graph with edges (eu[i], ev[i]),
+/// where every vertex incident to an edge has degree exactly 2. Throws
 /// std::invalid_argument if some such vertex has a different degree; returns
-/// std::nullopt if some cycle is odd. An empty `edge_alive` means every edge
-/// is alive — the shape the compacted round engine hands in. All scratch is
+/// std::nullopt if some cycle is odd. All scratch is
 /// leased from `ws`, so a warm workspace makes the whole pass
 /// allocation-free (except for the returned edge list).
 std::optional<std::vector<std::int32_t>> two_regular_perfect_matching(
     std::size_t n_vertices, std::span<const std::int32_t> eu, std::span<const std::int32_t> ev,
-    std::span<const std::uint8_t> edge_alive, pram::Workspace& ws);
+    pram::Workspace& ws);
 
 }  // namespace ncpm::matching

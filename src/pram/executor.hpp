@@ -43,40 +43,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace ncpm::pram {
-
-class Executor;
-
-/// Construction-time configuration for an Executor with optional lane
-/// affinity. Pinning is best-effort Linux-only (`pthread_setaffinity_np`);
-/// elsewhere `pin_lanes` is ignored and the executor reports unpinned.
-///
-/// Lane l is pinned to `cpu_set[(cpu_offset + l) % cpu_set.size()]`; lane 0
-/// is the constructing/dispatching thread and is pinned in the constructor,
-/// so build the executor ON the thread that will dispatch its rounds (the
-/// engine builds each worker's executor inside the worker itself). The
-/// offset lets workers sharing one cpu_set stagger onto disjoint CPUs.
-struct ExecutorConfig {
-  int lanes = 0;             ///< pool width; 0 = default_lanes()
-  bool pin_lanes = false;    ///< pin each lane thread to one CPU
-  std::vector<int> cpu_set;  ///< CPUs to pin onto; empty = allowed_cpus()
-  int cpu_offset = 0;        ///< rotation offset into cpu_set
-};
-
-/// CPUs this process may run on, in id order (sched_getaffinity on Linux;
-/// falls back to 0..hardware_concurrency-1). Never empty.
-std::vector<int> allowed_cpus();
-
-/// Parse a taskset-style cpu list ("0", "0,2-4,7") into explicit CPU ids.
-/// Returns nullopt on malformed input (empty, stray separators, reversed
-/// or unterminated ranges).
-std::optional<std::vector<int>> parse_cpu_list(std::string_view text);
 
 namespace detail {
 
@@ -138,31 +109,15 @@ void check_reduce_contract(std::size_t n, const T& identity, Map& map, Combine& 
 /// inline. Move- and copy-less: share by reference (e.g. via Workspace).
 class Executor {
  public:
-  /// Pool of `default_lanes()` lanes (hardware concurrency, overridable
-  /// with the NCPM_LANES environment variable).
-  Executor();
   /// Pool of `lanes` lanes (clamped to >= 1). Lane 0 is the calling
   /// thread; lanes - 1 worker threads are spawned up front and persist.
   explicit Executor(int lanes);
-  /// Pool per `config`, optionally pinning every lane (see ExecutorConfig).
-  explicit Executor(const ExecutorConfig& config);
   ~Executor();
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
   /// Width of the pool.
   int lanes() const noexcept { return lanes_; }
-
-  /// True when lane pinning was requested, supported, and a cpu set was
-  /// resolved (individual setaffinity calls are still best-effort).
-  bool pinned() const noexcept { return pin_; }
-  /// CPU id lane `lane` targets, or -1 when pinning is off.
-  int lane_cpu(int lane) const noexcept;
-
-  /// Rebuild the pool at a new width, in place: references to this
-  /// executor (e.g. from Workspaces) stay valid. Joins the old worker
-  /// threads first; must not race with rounds running on this executor.
-  void resize(int lanes);
 
   /// One synchronous parallel round: apply `f(i)` for every i in [0, n).
   template <typename F>
@@ -299,13 +254,8 @@ class Executor {
   /// Fan `fn(ctx, lane, nlanes)` across lanes 0..nlanes-1 (lane 0 = caller)
   /// and barrier. Serializes concurrent dispatchers.
   void run_task(int nlanes, TaskFn fn, void* ctx);
-  void start_pool();
-  void stop_pool();
 
   int lanes_ = 1;
-  bool pin_ = false;
-  std::vector<int> cpus_;  // resolved pin targets; empty when pin_ is false
-  int cpu_offset_ = 0;
   std::unique_ptr<Pool> pool_;  // null when lanes_ == 1
 };
 

@@ -23,11 +23,6 @@ SimdTier env_capped_tier() noexcept {
     const char* env = std::getenv("NCPM_SIMD");
     if (env == nullptr) return detected_simd_tier();
     const std::string_view value = env;
-    if (value == "sse2") {
-      // A request for SSE2 is a request for no AVX2: honour it with scalar.
-      std::fprintf(stderr, "ncpm: NCPM_SIMD=sse2 is an alias for scalar\n");
-      return SimdTier::kScalar;
-    }
     if (const auto parsed = parse_simd_tier(value)) return clamp_simd_tier(*parsed);
     std::fprintf(stderr,
                  "ncpm: ignoring unknown NCPM_SIMD value '%s' "
@@ -119,11 +114,6 @@ std::uint64_t exscan_u64_scalar(const std::uint64_t* in, std::uint64_t* out,
     carry += v;
   }
   return carry;
-}
-
-void mask_to_flags_scalar(const std::uint8_t* mask, std::uint32_t* flags,
-                          std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) flags[i] = mask[i] != 0 ? 1u : 0u;
 }
 
 void window_min_round_scalar(const std::int64_t* val, const std::int32_t* jump,
@@ -245,22 +235,6 @@ std::uint64_t exscan_u64_avx2(const std::uint64_t* in, std::uint64_t* out,
 }
 
 NCPM_TARGET_AVX2
-void mask_to_flags_avx2(const std::uint8_t* mask, std::uint32_t* flags,
-                        std::size_t n) noexcept {
-  const __m128i one = _mm_set1_epi8(1);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(mask + i));
-    __m128i v = _mm_min_epu8(b, one);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(flags + i),
-                        _mm256_cvtepu8_epi32(v));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(flags + i + 8),
-                        _mm256_cvtepu8_epi32(_mm_srli_si128(v, 8)));
-  }
-  mask_to_flags_scalar(mask + i, flags + i, n - i);
-}
-
-NCPM_TARGET_AVX2
 void window_min_round_avx2(const std::int64_t* val, const std::int32_t* jump,
                            std::int64_t* nval, std::int32_t* njump,
                            std::size_t lo, std::size_t hi) noexcept {
@@ -359,11 +333,6 @@ std::int64_t exscan_i64(SimdTier tier, const std::int64_t* in, std::int64_t* out
       exscan_u64(tier, reinterpret_cast<const std::uint64_t*>(in),
                  reinterpret_cast<std::uint64_t*>(out), n,
                  static_cast<std::uint64_t>(carry)));
-}
-
-void mask_to_flags(SimdTier tier, const std::uint8_t* mask, std::uint32_t* flags,
-                   std::size_t n) noexcept {
-  NCPM_DISPATCH(mask_to_flags, mask, flags, n);
 }
 
 void window_min_round(SimdTier tier, const std::int64_t* val,

@@ -4,19 +4,17 @@
 // PR 2 made the per-round work proportional to the surviving edges; the
 // remaining constant factor is memory layout and instruction throughput.
 // This header is the seam between the two: every element-level hot loop
-// in the tree (blocked sums and scans, mask-to-flag conversion, and the
-// list-rank and window-min doubling rounds, all here in pram/) funnels
-// through a kernel that exists in two tiers — AVX2 and portable scalar —
-// selected once at runtime.
+// in the tree (blocked sums and scans, and the list-rank and window-min
+// doubling rounds, all here in pram/) funnels through a kernel that exists
+// in two tiers — AVX2 and portable scalar — selected once at runtime.
 //
 // Tier selection:
 //   * `detected_simd_tier()` probes the CPU once (CPUID via
 //     __builtin_cpu_supports on x86-64): AVX2 if present, else scalar —
 //     also on an x86-64 CPU without AVX2.
 //   * `NCPM_SIMD=avx2|scalar` caps the tier from the environment (read
-//     once, clamped to what the CPU supports). `sse2`, the name of a tier
-//     that no longer exists, caps at scalar with one warning on stderr;
-//     other values warn once and are ignored.
+//     once, clamped to what the CPU supports). Any other value warns once
+//     on stderr and is ignored.
 //   * `force_simd_tier()` / `clear_forced_simd_tier()` override both at
 //     runtime — the dispatch-parity tests and the A/B benches sweep tiers
 //     with it. The active tier is one relaxed atomic load on the hot path.
@@ -71,8 +69,8 @@ std::optional<SimdTier> parse_simd_tier(std::string_view name) noexcept;
 // Cache-line-aligned scratch
 //
 // Tiled kernels want their spans to start on a cache-line boundary so a
-// vector never straddles two lines (and two pinned lanes never share a
-// line at a block seam). Workspace pools allocate through this allocator,
+// vector never straddles two lines (and two lanes never share a line at a
+// block seam). Workspace pools allocate through this allocator,
 // so every leased buffer is 64-byte aligned.
 
 inline constexpr std::size_t kCacheLineBytes = 64;
@@ -126,15 +124,6 @@ std::int64_t exscan_i64(SimdTier tier, const std::int64_t* in, std::int64_t* out
                         std::size_t n, std::int64_t carry) noexcept;
 std::uint64_t exscan_u64(SimdTier tier, const std::uint64_t* in, std::uint64_t* out,
                          std::size_t n, std::uint64_t carry) noexcept;
-
-/// flags[i] = mask[i] != 0 ? 1 : 0, widened to u32 (the compaction
-/// front-half: byte mask -> scan-ready flag array).
-void mask_to_flags(SimdTier tier, const std::uint8_t* mask, std::uint32_t* flags,
-                   std::size_t n) noexcept;
-inline void mask_to_flags(const std::uint8_t* mask, std::uint32_t* flags,
-                          std::size_t n) noexcept {
-  mask_to_flags(active_simd_tier(), mask, flags, n);
-}
 
 // ---------------------------------------------------------------------------
 // Doubling-round kernels (pointer jumping)

@@ -31,11 +31,7 @@
 //
 // Placement: pool storage allocates through CacheAlignedAllocator, so every
 // leased buffer starts on a 64-byte boundary and tiled SIMD kernels never
-// split a cache line at a lane's block seam. When the bound executor pins
-// its lanes, the `take(n, fill)` overload (and `prefault`) doubles as
-// first-touch placement: the fill round writes each lane's block from the
-// lane that owns it under the static schedule, so the backing pages fault
-// on — and stay local to — the CPU that will process them.
+// split a cache line at a lane's block seam.
 
 #include <cstddef>
 #include <cstdint>
@@ -168,15 +164,6 @@ class Workspace {
     T* const data = out.data();
     ex_->parallel_for(n, [&](std::size_t i) { data[i] = fill; });
     return out;
-  }
-
-  /// Warm and place one pool buffer of `n` elements: lease it, zero-fill
-  /// in a parallel round (each lane first-faults the pages of the block it
-  /// will later own under the static schedule — on a pinned executor that
-  /// is first-touch NUMA placement), and return it to the pool.
-  template <typename T>
-  void prefault(std::size_t n) {
-    take<T>(n, T{});
   }
 
   /// Number of heap growths this workspace has performed (buffer and pool

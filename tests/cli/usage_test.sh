@@ -46,14 +46,6 @@ expect_usage "solve two positionals"   -- solve a.txt b.txt
 expect_usage "solve --threads junk"    -- solve --threads banana
 expect_usage "solve --threads 0"       -- solve --threads 0
 expect_usage "solve --threads missing" -- solve --threads
-expect_usage "solve pin-lanes missing" -- solve --pin-lanes
-expect_usage "solve pin-lanes open range" -- solve --pin-lanes 0-
-expect_usage "solve pin-lanes double comma" -- solve --pin-lanes 1,,2
-expect_usage "solve pin-lanes reversed" -- solve --pin-lanes 3-1
-expect_usage "solve pin-lanes junk"    -- solve --pin-lanes zero
-expect_usage "batch pin-lanes junk"    -- batch a.bin --pin-lanes 1,
-expect_usage "serve pin-lanes missing" -- serve --pin-lanes
-expect_usage "serve pin-lanes junk"    -- serve --pin-lanes -3
 expect_usage "batch no file"           -- batch
 expect_usage "batch two files"         -- batch a.bin b.bin
 expect_usage "pack no inputs"          -- pack out.bin
@@ -125,8 +117,7 @@ if ! "$CLI" gen-popular 6 6 1 > "$tmp/inst.txt" 2>/dev/null; then
 fi
 expect_exit 0 "solve happy path"       -- solve "$tmp/inst.txt"
 expect_exit 0 "check happy path"       -- check "$tmp/inst.txt"
-expect_exit 0 "solve pinned to cpu 0"  -- solve "$tmp/inst.txt" --pin-lanes 0
-expect_exit 0 "solve pinned auto"      -- solve "$tmp/inst.txt" --pin-lanes auto --threads 2
+expect_usage "solve retired pin-lanes flag" -- solve "$tmp/inst.txt" --pin-lanes 0
 
 # A saturated count prints as a lower bound. 65 independent components,
 # each two applicants ranking the same two posts (x y), hold 2 popular
@@ -164,7 +155,8 @@ head -n $((2 + 2*63)) "$tmp/saturated.txt" | sed 's/^applicants 130 posts 130/ap
   > "$tmp/exact.txt"
 expect_stdout "count exact below saturation" "9223372036854775808" -- count "$tmp/exact.txt"
 
-# NCPM_SIMD=sse2 (a retired tier) runs scalar: exit 0, one NCPM_SIMD warning.
+# NCPM_SIMD=sse2 names a retired tier, so it is an unknown value: exit 0,
+# one NCPM_SIMD warning.
 err=$(NCPM_SIMD=sse2 "$CLI" solve "$tmp/inst.txt" 2>&1 >/dev/null </dev/null)
 rc=$?
 if [ "$rc" -ne 0 ]; then

@@ -320,8 +320,9 @@ TEST(ThreadBudget, SplitUsesTheBudget) {
   EXPECT_EQ(ThreadBudget::split(7, 2).total(), 6);
   EXPECT_EQ(ThreadBudget::single(6).workers, 1);
   EXPECT_EQ(ThreadBudget::single(6).lanes, 6);
-  EXPECT_EQ(ThreadBudget::wide(6).workers, 6);
-  EXPECT_EQ(ThreadBudget::wide(6).lanes, 1);
+  // A queue deeper than the budget puts all of it into workers (total x 1).
+  EXPECT_EQ(ThreadBudget::split(6, 100).workers, 6);
+  EXPECT_EQ(ThreadBudget::split(6, 100).lanes, 1);
   // Degenerate inputs clamp to one worker / one lane.
   EXPECT_EQ(ThreadBudget::split(4, 0).workers, 1);
   EXPECT_EQ(ThreadBudget::split(4, 0).lanes, 4);

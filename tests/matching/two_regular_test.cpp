@@ -36,8 +36,7 @@ TEST(TwoRegular, SingleEvenCycle) {
   pram::Workspace ws;
   std::vector<std::int32_t> eu, ev;
   add_cycle({0, 1, 2, 3}, eu, ev);
-  const std::vector<std::uint8_t> alive(eu.size(), 1);
-  const auto result = two_regular_perfect_matching(4, eu, ev, alive, ws);
+  const auto result = two_regular_perfect_matching(4, eu, ev, ws);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->size(), 2u);
   expect_perfect_on({0, 1, 2, 3}, eu, ev, *result);
@@ -47,8 +46,7 @@ TEST(TwoRegular, OddCycleReturnsNullopt) {
   pram::Workspace ws;
   std::vector<std::int32_t> eu, ev;
   add_cycle({0, 1, 2}, eu, ev);
-  const std::vector<std::uint8_t> alive(eu.size(), 1);
-  EXPECT_FALSE(two_regular_perfect_matching(3, eu, ev, alive, ws).has_value());
+  EXPECT_FALSE(two_regular_perfect_matching(3, eu, ev, ws).has_value());
 }
 
 TEST(TwoRegular, DegreeViolationThrows) {
@@ -56,8 +54,7 @@ TEST(TwoRegular, DegreeViolationThrows) {
   // A path is not 2-regular.
   const std::vector<std::int32_t> eu{0, 1};
   const std::vector<std::int32_t> ev{1, 2};
-  const std::vector<std::uint8_t> alive{1, 1};
-  EXPECT_THROW(two_regular_perfect_matching(3, eu, ev, alive, ws), std::invalid_argument);
+  EXPECT_THROW(two_regular_perfect_matching(3, eu, ev, ws), std::invalid_argument);
 }
 
 TEST(TwoRegular, MultipleCyclesAndDeadEdges) {
@@ -65,12 +62,8 @@ TEST(TwoRegular, MultipleCyclesAndDeadEdges) {
   std::vector<std::int32_t> eu, ev;
   add_cycle({0, 1, 2, 3, 4, 5}, eu, ev);
   add_cycle({6, 7, 8, 9}, eu, ev);
-  // A dead distraction edge.
-  eu.push_back(0);
-  ev.push_back(6);
-  std::vector<std::uint8_t> alive(eu.size(), 1);
-  alive.back() = 0;
-  const auto result = two_regular_perfect_matching(10, eu, ev, alive, ws);
+  // Dead edges never reach this pass: Algorithm 2 compacts them away first.
+  const auto result = two_regular_perfect_matching(10, eu, ev, ws);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->size(), 5u);
   expect_perfect_on({0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, eu, ev, *result);
@@ -81,15 +74,14 @@ TEST(TwoRegular, TwoCycleOfParallelEdges) {
   // Two vertices joined by two parallel edges: a 2-cycle, matching picks one.
   const std::vector<std::int32_t> eu{0, 1};
   const std::vector<std::int32_t> ev{1, 0};
-  const std::vector<std::uint8_t> alive{1, 1};
-  const auto result = two_regular_perfect_matching(2, eu, ev, alive, ws);
+  const auto result = two_regular_perfect_matching(2, eu, ev, ws);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->size(), 1u);
 }
 
 TEST(TwoRegular, EmptyGraph) {
   pram::Workspace ws;
-  const auto result = two_regular_perfect_matching(0, {}, {}, {}, ws);
+  const auto result = two_regular_perfect_matching(0, {}, {}, ws);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->empty());
 }
@@ -111,9 +103,8 @@ TEST_P(TwoRegularRandom, RandomEvenCycleUnionsGetPerfectMatchings) {
     add_cycle(vs, eu, ev);
     all.insert(all.end(), vs.begin(), vs.end());
   }
-  const std::vector<std::uint8_t> alive(eu.size(), 1);
   const auto result =
-      two_regular_perfect_matching(static_cast<std::size_t>(next_vertex), eu, ev, alive, ws);
+      two_regular_perfect_matching(static_cast<std::size_t>(next_vertex), eu, ev, ws);
   ASSERT_TRUE(result.has_value());
   expect_perfect_on(all, eu, ev, *result);
 }

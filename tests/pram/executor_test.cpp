@@ -121,16 +121,6 @@ TEST(Executor, ConcurrentDispatchFromManyThreadsIsSerialized) {
   for (const auto s : sums) EXPECT_EQ(s, expected);
 }
 
-TEST(Executor, ResizeKeepsReferencesValid) {
-  Executor& ex = default_executor();
-  const int original = ex.lanes();
-  default_executor().resize(3);
-  EXPECT_EQ(ex.lanes(), 3);  // same object, resized in place
-  EXPECT_EQ(ex.parallel_count(10'000, [](std::size_t) { return true; }), 10'000u);
-  default_executor().resize(original);
-  EXPECT_EQ(ex.lanes(), original);
-}
-
 TEST(Executor, DefaultLanesHonoursOnlyWholeIntegers) {
   // Runs under whatever NCPM_LANES the process was started with: CTest
   // registers a second run under NCPM_LANES=17x, which must fall back to

@@ -1,4 +1,4 @@
-// Parallel prefix sums and compaction: correctness against serial scans,
+// Parallel prefix sums: correctness against serial scans,
 // degenerate sizes, and executor-width independence.
 
 #include "pram/scan.hpp"
@@ -25,19 +25,6 @@ TEST(Scan, ExclusiveMatchesSerialDefinition) {
   for (std::size_t i = 0; i < in.size(); ++i) {
     EXPECT_EQ(out[i], acc) << "index " << i;
     acc += in[i];
-  }
-}
-
-TEST(Scan, InclusiveMatchesSerialDefinition) {
-  const std::vector<std::int64_t> in{2, 7, 1, 8, 2, 8};
-  std::vector<std::int64_t> out(in.size());
-  Workspace ws;
-  const auto total = inclusive_scan<std::int64_t>(in, out, ws);
-  EXPECT_EQ(total, 28);
-  std::int64_t acc = 0;
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    acc += in[i];
-    EXPECT_EQ(out[i], acc);
   }
 }
 
@@ -90,29 +77,6 @@ TEST(Scan, CountersRecordRounds) {
   const NcCounters& counters = ws.counters();
   EXPECT_GE(counters.rounds, 3u);  // map, block scan, fix-up
   EXPECT_GT(counters.work, 0u);
-}
-
-TEST(Compact, IndicesSelectsFlaggedPositions) {
-  const std::vector<std::uint8_t> keep{1, 0, 0, 1, 1, 0, 1};
-  Workspace ws;
-  const auto idx = compact_indices(keep, ws);
-  EXPECT_EQ(idx, (std::vector<std::uint32_t>{0, 3, 4, 6}));
-}
-
-TEST(Compact, ValuesPreserveOrder) {
-  const std::vector<std::int32_t> values{10, 20, 30, 40, 50};
-  const std::vector<std::uint8_t> keep{0, 1, 0, 1, 1};
-  Workspace ws;
-  const auto out = compact<std::int32_t>(values, keep, ws);
-  EXPECT_EQ(out, (std::vector<std::int32_t>{20, 40, 50}));
-}
-
-TEST(Compact, AllAndNone) {
-  Workspace ws;
-  const std::vector<std::uint8_t> none(5, 0);
-  EXPECT_TRUE(compact_indices(none, ws).empty());
-  const std::vector<std::uint8_t> all(5, 1);
-  EXPECT_EQ(compact_indices(all, ws).size(), 5u);
 }
 
 TEST(ParallelPrimitives, ReduceAnyCount) {

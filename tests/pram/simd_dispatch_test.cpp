@@ -3,8 +3,8 @@
 // single vector, one-past-a-vector, non-multiples of the word count) and
 // randomized content. The explicit-tier kernel forms are exercised directly;
 // the full-path cases force a tier via force_simd_tier and run the public
-// entry points (exclusive_scan, compact_indices, list_rank_into,
-// window_min_into) across executor widths. An AVX2 request on a
+// entry points (exclusive_scan, list_rank_into, window_min_into) across
+// executor widths. An AVX2 request on a
 // CPU without AVX2 clamps to scalar, so the sweep is safe on any machine —
 // on an AVX2 box it is a genuine AVX2-vs-scalar parity check.
 
@@ -24,23 +24,8 @@
 #include "pram/scan.hpp"
 #include "pram/workspace.hpp"
 
-#if defined(__linux__)
-#include <sched.h>
-#endif
-
 namespace ncpm::pram {
 namespace {
-
-/// Pinned-executor constructors pin the calling (test) thread as lane 0;
-/// restore this thread's original affinity mask when the test ends so the
-/// rest of the binary keeps the full CPU set.
-struct AffinityRestorer {
-#if defined(__linux__)
-  cpu_set_t saved;
-  AffinityRestorer() { sched_getaffinity(0, sizeof(saved), &saved); }
-  ~AffinityRestorer() { sched_setaffinity(0, sizeof(saved), &saved); }
-#endif
-};
 
 // Lengths straddling every vector width in play: 32-byte AVX2 vectors hold
 // 4x u64 / 8x u32 / 32x u8, so 63/64/65 and 127/128/129 cross both the
@@ -101,19 +86,6 @@ TEST_P(SimdKernelParity, ExclusiveScansMatchScalar) {
     EXPECT_EQ(tot64, ref64) << "n=" << n;
     EXPECT_EQ(got32, want32) << "n=" << n;
     EXPECT_EQ(got64, want64) << "n=" << n;
-  }
-}
-
-TEST_P(SimdKernelParity, MaskToFlagsMatchesScalar) {
-  const SimdTier tier = GetParam();
-  std::mt19937_64 rng(44);
-  for (const std::size_t n : kLengths) {
-    std::vector<std::uint8_t> mask(n);
-    for (auto& m : mask) m = static_cast<std::uint8_t>(rng() % 3 == 0 ? rng() : 0);
-    std::vector<std::uint32_t> got(n, 7), want(n, 9);
-    simd::mask_to_flags(tier, mask.data(), got.data(), n);
-    simd::mask_to_flags(SimdTier::kScalar, mask.data(), want.data(), n);
-    EXPECT_EQ(got, want) << "n=" << n;
   }
 }
 
@@ -255,21 +227,19 @@ TEST(SimdDispatch, TierNamesRoundTrip) {
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, tier);
   }
-  // "sse2" is only an NCPM_SIMD alias for scalar (see EnvCap), not a tier.
+  // "sse2" names a retired tier: NCPM_SIMD=sse2 warns and is ignored.
   EXPECT_FALSE(parse_simd_tier("sse2").has_value());
   EXPECT_FALSE(parse_simd_tier("avx512").has_value());
   EXPECT_FALSE(parse_simd_tier("").has_value());
 }
 
 TEST(SimdDispatch, EnvCap) {
-  // Runs under whatever NCPM_SIMD the process was started with: CTest
-  // registers a second run under NCPM_SIMD=sse2, CI runs it unset and under
-  // NCPM_SIMD=scalar. A cap at or above the CPU's tier leaves detection in
-  // charge; "sse2" must not leave AVX2 on.
+  // Runs under whatever NCPM_SIMD the process was started with: CI runs it
+  // unset and under NCPM_SIMD=scalar. A cap at or above the CPU's tier, or
+  // an unknown value, leaves detection in charge.
   const char* env = std::getenv("NCPM_SIMD");
   const std::string_view cap = env == nullptr ? "" : env;
-  const SimdTier want =
-      cap == "scalar" || cap == "sse2" ? SimdTier::kScalar : detected_simd_tier();
+  const SimdTier want = cap == "scalar" ? SimdTier::kScalar : detected_simd_tier();
   EXPECT_EQ(active_simd_tier(), want) << "NCPM_SIMD=" << cap;
 }
 
@@ -278,8 +248,6 @@ TEST(SimdDispatch, FullPathsBitExactAcrossTiersAndWidths) {
   const std::size_t n = 1000;
   std::vector<std::uint32_t> scan_in(n);
   for (auto& v : scan_in) v = static_cast<std::uint32_t>(rng() % 1000);
-  std::vector<std::uint8_t> keep(n);
-  for (auto& k : keep) k = static_cast<std::uint8_t>(rng() % 2);
   std::vector<std::int32_t> next(n);
   for (std::size_t v = 0; v < n; ++v) {
     // A forest with a few roots: Wyllie terminates and ranks are defined.
@@ -291,7 +259,6 @@ TEST(SimdDispatch, FullPathsBitExactAcrossTiersAndWidths) {
 
   // Scalar single-lane reference.
   std::vector<std::uint32_t> ref_scan(n);
-  std::vector<std::uint32_t> ref_compact;
   std::vector<std::int32_t> ref_head(n);
   std::vector<std::int64_t> ref_rank(n);
   std::vector<std::uint8_t> ref_reach(n);
@@ -302,7 +269,6 @@ TEST(SimdDispatch, FullPathsBitExactAcrossTiersAndWidths) {
     Executor ex(1);
     Workspace ws(ex);
     ref_total = exclusive_scan<std::uint32_t>(scan_in, ref_scan, ws);
-    ref_compact = compact_indices(keep, ws);
     list_rank_into(next, {ref_head, ref_rank, ref_reach}, ws);
     window_min_into(next, key, 64, ref_win, ws);
   }
@@ -315,8 +281,6 @@ TEST(SimdDispatch, FullPathsBitExactAcrossTiersAndWidths) {
       std::vector<std::uint32_t> scan_out(n);
       EXPECT_EQ(exclusive_scan<std::uint32_t>(scan_in, scan_out, ws), ref_total);
       EXPECT_EQ(scan_out, ref_scan) << simd_tier_name(tier) << " lanes=" << lanes;
-      EXPECT_EQ(compact_indices(keep, ws), ref_compact)
-          << simd_tier_name(tier) << " lanes=" << lanes;
       std::vector<std::int32_t> head(n);
       std::vector<std::int64_t> rank(n);
       std::vector<std::uint8_t> reach(n);
@@ -336,104 +300,6 @@ TEST(SimdDispatch, AlignedVectorIsCacheLineAligned) {
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % kCacheLineBytes, 0U);
   AlignedVector<std::uint8_t> b(3);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % kCacheLineBytes, 0U);
-}
-
-// --------------------------------------------------------------------------
-// Affinity plumbing (best-effort pinning: assert the bookkeeping, not the
-// kernel's scheduling).
-
-TEST(ExecutorAffinity, ParseCpuList) {
-  const auto single = parse_cpu_list("0");
-  ASSERT_TRUE(single.has_value());
-  EXPECT_EQ(*single, (std::vector<int>{0}));
-
-  const auto mixed = parse_cpu_list("0,2-4,7");
-  ASSERT_TRUE(mixed.has_value());
-  EXPECT_EQ(*mixed, (std::vector<int>{0, 2, 3, 4, 7}));
-
-  EXPECT_FALSE(parse_cpu_list("").has_value());
-  EXPECT_FALSE(parse_cpu_list("0-").has_value());
-  EXPECT_FALSE(parse_cpu_list("-3").has_value());
-  EXPECT_FALSE(parse_cpu_list("1,,2").has_value());
-  EXPECT_FALSE(parse_cpu_list("3-1").has_value());
-  EXPECT_FALSE(parse_cpu_list("1,2,").has_value());
-  EXPECT_FALSE(parse_cpu_list("a").has_value());
-  EXPECT_FALSE(parse_cpu_list("1-2-3").has_value());
-}
-
-TEST(ExecutorAffinity, AllowedCpusNonEmpty) {
-  const auto cpus = allowed_cpus();
-  ASSERT_FALSE(cpus.empty());
-  for (const int c : cpus) EXPECT_GE(c, 0);
-}
-
-TEST(ExecutorAffinity, UnpinnedByDefault) {
-  Executor ex(2);
-  EXPECT_FALSE(ex.pinned());
-  EXPECT_EQ(ex.lane_cpu(0), -1);
-}
-
-TEST(ExecutorAffinity, PinnedExecutorMapsLanesRoundRobin) {
-  AffinityRestorer restore;
-  ExecutorConfig config;
-  config.lanes = 4;
-  config.pin_lanes = true;
-  config.cpu_set = {0};  // CPU 0 always exists
-  Executor ex(config);
-#if defined(__linux__)
-  EXPECT_TRUE(ex.pinned());
-  for (int lane = 0; lane < 4; ++lane) EXPECT_EQ(ex.lane_cpu(lane), 0);
-#else
-  EXPECT_FALSE(ex.pinned());
-#endif
-  // Pinned or not, rounds still produce correct results.
-  std::vector<std::uint32_t> in(257, 1);
-  std::vector<std::uint32_t> out(in.size());
-  Workspace ws(ex);
-  EXPECT_EQ(exclusive_scan<std::uint32_t>(in, out, ws), 257U);
-  EXPECT_EQ(out[256], 256U);
-}
-
-TEST(ExecutorAffinity, CpuOffsetRotatesAssignment) {
-  AffinityRestorer restore;
-  ExecutorConfig config;
-  config.lanes = 2;
-  config.pin_lanes = true;
-  config.cpu_set = {0, 0, 0};
-  config.cpu_offset = 2;
-#if defined(__linux__)
-  Executor ex(config);
-  EXPECT_EQ(ex.lane_cpu(0), config.cpu_set[2 % 3]);
-  EXPECT_EQ(ex.lane_cpu(1), config.cpu_set[(2 + 1) % 3]);
-#endif
-}
-
-TEST(ExecutorAffinity, ResizeKeepsPinning) {
-  AffinityRestorer restore;
-  ExecutorConfig config;
-  config.lanes = 2;
-  config.pin_lanes = true;
-  config.cpu_set = {0};
-  Executor ex(config);
-  ex.resize(3);
-#if defined(__linux__)
-  EXPECT_TRUE(ex.pinned());
-  EXPECT_EQ(ex.lane_cpu(2), 0);
-#endif
-  std::vector<std::uint32_t> in(64, 2);
-  std::vector<std::uint32_t> out(in.size());
-  Workspace ws(ex);
-  EXPECT_EQ(exclusive_scan<std::uint32_t>(in, out, ws), 128U);
-}
-
-TEST(ExecutorAffinity, WorkspacePrefaultWarmsPool) {
-  Executor ex(2);
-  Workspace ws(ex);
-  ws.prefault<std::int64_t>(4096);
-  const auto before = ws.heap_allocations();
-  auto buf = ws.take<std::int64_t>(4096, std::int64_t{1});
-  EXPECT_EQ(ws.heap_allocations(), before);  // reuses the prefaulted buffer
-  EXPECT_EQ(buf[4095], 1);
 }
 
 }  // namespace
