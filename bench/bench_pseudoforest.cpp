@@ -1,6 +1,6 @@
 // Experiment C4 (Section IV-A): NC cycle finding on random directed
 // pseudoforests by pointer doubling, O(n log n) work in O(log n) rounds —
-// the bare on-cycle mask, and the full analysis Algorithms 3 and 4 consume.
+// the full analysis Algorithms 3 and 4 consume.
 
 #include <benchmark/benchmark.h>
 
@@ -19,21 +19,6 @@ ncpm::graph::DirectedPseudoforest random_pf(std::size_t n, std::uint64_t seed) {
   }
   return pf;
 }
-
-void BM_Cycles_PointerDoubling(benchmark::State& state) {
-  const auto pf = random_pf(static_cast<std::size_t>(state.range(0)), 5);
-  std::size_t cycle_vertices = 0;
-  for (auto _ : state) {
-    ncpm::pram::Workspace ws;
-    auto mask = ncpm::graph::cycle_members(pf, ws);
-    cycle_vertices = 0;
-    for (const auto b : mask) cycle_vertices += b;
-    benchmark::DoNotOptimize(mask);
-  }
-  state.counters["cycle_vertices"] = static_cast<double>(cycle_vertices);
-}
-BENCHMARK(BM_Cycles_PointerDoubling)->RangeMultiplier(4)->Range(1 << 8, 1 << 20)
-    ->Unit(benchmark::kMillisecond);
 
 // Full analysis (roots, distances, lengths, ordered cycles) at scale —
 // what Algorithms 3 and 4 actually consume.

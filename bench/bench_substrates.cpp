@@ -12,23 +12,8 @@
 #include "matching/two_regular.hpp"
 #include "pram/list_ranking.hpp"
 #include "pram/scan.hpp"
-#include "pram/simd.hpp"
 
 namespace {
-
-// A/B harness for the SIMD substrate: arg "simd" = 0 forces the scalar tier
-// for the duration of the benchmark, 1 leaves runtime dispatch in charge.
-// The active tier lands in the "simd_tier" counter (0 scalar / 2 avx2) so
-// result JSON self-describes which series is which; on a machine without
-// AVX2 both series legitimately coincide.
-struct SimdAB {
-  explicit SimdAB(benchmark::State& state) {
-    if (state.range(1) == 0) ncpm::pram::force_simd_tier(ncpm::pram::SimdTier::kScalar);
-    state.counters["simd_tier"] =
-        static_cast<double>(ncpm::pram::active_simd_tier());
-  }
-  ~SimdAB() { ncpm::pram::clear_forced_simd_tier(); }
-};
 
 void BM_ExclusiveScan(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -126,11 +111,10 @@ void BM_TwoRegularMatching(benchmark::State& state) {
 BENCHMARK(BM_TwoRegularMatching)->RangeMultiplier(8)->Range(1 << 10, 1 << 22)
     ->Unit(benchmark::kMillisecond);
 
-// The blocked-scan substrate (sum + exclusive_scan_carry per block), scalar
-// vs dispatched, single lane so the series isolates the kernels rather than
-// the barrier.
+// The blocked scan's per-block loops (plain portable C++, no SIMD tier) on
+// a warm workspace, single lane so the series isolates the loops rather
+// than the barrier.
 void BM_ScanTiled(benchmark::State& state) {
-  SimdAB ab(state);
   const auto n = static_cast<std::size_t>(state.range(0));
   ncpm::pram::Executor ex(1);
   ncpm::pram::Workspace ws(ex);
@@ -143,8 +127,7 @@ void BM_ScanTiled(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(n) *
                           static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_ScanTiled)
-    ->ArgsProduct({{1 << 10, 1 << 14, 1 << 18, 1 << 22}, {0, 1}});
+BENCHMARK(BM_ScanTiled)->RangeMultiplier(16)->Range(1 << 10, 1 << 22);
 
 // Dispatch + barrier cost of one executor round over a trivial body, per
 // lane count: the fixed price every synchronous PRAM round pays on this

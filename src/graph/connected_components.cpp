@@ -7,13 +7,6 @@
 
 namespace ncpm::graph {
 
-namespace {
-
-/// Grain for the very cheap per-vertex loops (a load, a compare, a store).
-constexpr std::size_t kGrain = 2048;
-
-}  // namespace
-
 ComponentLabels connected_components(std::size_t n, std::span<const std::int32_t> eu,
                                      std::span<const std::int32_t> ev, pram::Workspace& ws) {
   if (eu.size() != ev.size()) {
@@ -30,7 +23,7 @@ ComponentLabels connected_components(std::size_t n, std::span<const std::int32_t
   // with them equal (its last jump changed nothing). So a hook round can
   // read `parent` as the previous round's snapshot while its CRCW-min
   // writes land in `next_parent`.
-  ex.parallel_for_grain(n, kGrain, [&](std::size_t v) {
+  ex.parallel_for(n, [&](std::size_t v) {
     parent[v] = static_cast<std::int32_t>(v);
     next_parent[v] = static_cast<std::int32_t>(v);
   });
@@ -55,7 +48,7 @@ ComponentLabels connected_components(std::size_t n, std::span<const std::int32_t
     // Shortcut: full pointer jumping until every vertex points at a root.
     bool shortcutting = true;
     while (shortcutting) {
-      ex.parallel_for_grain(n, kGrain, [&](std::size_t v) {
+      ex.parallel_for(n, [&](std::size_t v) {
         next_parent[v] = parent[static_cast<std::size_t>(parent[v])];
       });
       shortcutting =

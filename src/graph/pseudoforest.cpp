@@ -28,43 +28,15 @@ std::vector<std::int32_t> closed_successors(const DirectedPseudoforest& pf, pram
   return f;
 }
 
-/// On-cycle mask by pointer doubling over the closed successor map `f`,
-/// where every weak component has at most `bound` vertices.
-std::vector<std::uint8_t> members(const DirectedPseudoforest& pf, std::span<const std::int32_t> f,
-                                  std::size_t bound, pram::Workspace& ws) {
-  const std::size_t n = pf.size();
-  pram::Executor& ex = ws.exec();
-  // For K >= bound the image of f^K is exactly {cycle vertices} ∪ {sinks}:
-  // a tree vertex has fewer than `bound` vertices above it in its
-  // component, so nothing maps onto it after `bound` steps, while f^K
-  // restricted to a cycle is a bijection of the cycle.
-  const std::uint64_t k = std::uint64_t{1} << pram::ceil_log2(bound == 0 ? 1 : bound);
-  const auto fk = pram::kth_power(f, k, ws);
-  std::vector<std::uint8_t> mark(n, 0);
-  ex.parallel_for(n, [&](std::size_t v) {
-    // CRCW common-value write, realised with relaxed atomics.
-    std::atomic_ref<std::uint8_t>(mark[static_cast<std::size_t>(fk[v])])
-        .store(1, std::memory_order_relaxed);
-  });
-  ws.round(n);
-  ex.parallel_for(n, [&](std::size_t v) {
-    if (pf.is_sink(v)) mark[v] = 0;
-  });
-  ws.round(n);
-  return mark;
-}
-
 /// Weak-component labels: connected components of the underlying undirected
-/// multigraph (one edge per non-sink).
-std::vector<std::int32_t> weak_components(const DirectedPseudoforest& pf, pram::Workspace& ws) {
-  std::vector<std::int32_t> eu, ev;
-  for (std::size_t v = 0; v < pf.size(); ++v) {
-    if (!pf.is_sink(v)) {
-      eu.push_back(static_cast<std::int32_t>(v));
-      ev.push_back(pf.next[v]);
-    }
-  }
-  return connected_components(pf.size(), eu, ev, ws).label;
+/// multigraph, one edge (v, f[v]) per vertex of the closed successor map.
+/// A sink's edge is a self-loop, which connected_components ignores.
+std::vector<std::int32_t> weak_components(std::span<const std::int32_t> f, pram::Workspace& ws) {
+  const std::size_t n = f.size();
+  auto self = ws.take<std::int32_t>(n);
+  ws.exec().parallel_for(n, [&](std::size_t v) { self[v] = static_cast<std::int32_t>(v); });
+  ws.round(n);
+  return connected_components(n, self.span(), f, ws).label;
 }
 
 /// Vertex count of the largest weak component: a CRCW-add histogram over
@@ -87,11 +59,6 @@ std::size_t largest_component(std::span<const std::int32_t> label, pram::Workspa
 
 }  // namespace
 
-std::vector<std::uint8_t> cycle_members(const DirectedPseudoforest& pf, pram::Workspace& ws) {
-  validate(pf, ws.exec());
-  return members(pf, closed_successors(pf, ws.exec()), pf.size(), ws);
-}
-
 CycleAnalysis analyze_cycles(const DirectedPseudoforest& pf, pram::Workspace& ws) {
   const std::size_t n = pf.size();
   pram::Executor& ex = ws.exec();
@@ -99,22 +66,38 @@ CycleAnalysis analyze_cycles(const DirectedPseudoforest& pf, pram::Workspace& ws
   const auto f = closed_successors(pf, ex);
   CycleAnalysis out;
   // Every doubling below only has to reach across one weak component.
-  out.component = weak_components(pf, ws);
+  out.component = weak_components(f, ws);
   const std::size_t bound = largest_component(out.component, ws);
-  out.on_cycle = members(pf, f, bound, ws);
   out.cycle_root.assign(n, pram::kNone);
   out.dist_to_root.assign(n, 0);
   out.cycle_length.assign(n, 0);
   if (n == 0) return out;
 
-  // Root election: windowed min over vertex ids along the cycle. Off-cycle
-  // vertices participate harmlessly (their window min is never read).
+  // One doubling pass over the ids: the window min elects each cycle's
+  // root (off-cycle vertices participate harmlessly; their window min is
+  // never read), and the final jump array is f^K for K = 2^ceil(log2
+  // bound) >= bound. The image of f^K is exactly {cycle vertices} ∪
+  // {sinks}: a tree vertex has fewer than `bound` vertices above it in its
+  // component, so nothing maps onto it after `bound` steps, while f^K
+  // restricted to a cycle is a bijection of the cycle.
   std::vector<std::int64_t> key(n);
   ex.parallel_for(n, [&](std::size_t v) { key[v] = static_cast<std::int64_t>(v); });
   ws.round(n);
-  const auto wmin = pram::window_min(f, key, bound, ws);
+  std::vector<std::int64_t> wmin(n);
+  const auto fk = pram::window_min_into(f, key, bound, wmin, ws);
+  out.on_cycle.assign(n, 0);
   ex.parallel_for(n, [&](std::size_t v) {
-    if (out.on_cycle[v] != 0) out.cycle_root[v] = static_cast<std::int32_t>(wmin[v]);
+    // CRCW common-value write, realised with relaxed atomics.
+    std::atomic_ref<std::uint8_t>(out.on_cycle[static_cast<std::size_t>(fk[v])])
+        .store(1, std::memory_order_relaxed);
+  });
+  ws.round(n);
+  ex.parallel_for(n, [&](std::size_t v) {
+    if (pf.is_sink(v)) {
+      out.on_cycle[v] = 0;
+    } else if (out.on_cycle[v] != 0) {
+      out.cycle_root[v] = static_cast<std::int32_t>(wmin[v]);
+    }
   });
   ws.round(n);
 

@@ -15,13 +15,15 @@
 // one to keep their NC bounds, and this library implements one: pointer
 // doubling. With sinks made self-loops, the image of f^K for K >= s, s the
 // size of the largest weak component, is exactly the set of on-cycle
-// vertices (plus the sinks), found in O(log s) composition rounds.
+// vertices (plus the sinks), found in O(log s) doubling rounds.
 //
-// Post-processing: label weakly connected components (first, since their
-// largest size s bounds every doubling), elect the minimum-id vertex of
-// every cycle as its root via windowed pointer-jumping min over a window of
-// s, and compute each on-cycle vertex's distance to its root by breaking
-// the cycle at the root and list-ranking.
+// The analysis labels weakly connected components first (one edge
+// (v, f(v)) per vertex, sinks' self-loops ignored), since their largest
+// size s bounds every doubling. One windowed pointer-jumping min over a
+// window of s then does two jobs: its minima elect the minimum-id vertex
+// of every cycle as the cycle's root, and its final jump array is that
+// map f^K, K = 2^ceil(log2 s). Each on-cycle vertex's distance to its root
+// comes from breaking the cycle at the root and list-ranking.
 
 #include <cstdint>
 #include <span>
@@ -53,8 +55,5 @@ struct CycleAnalysis {
 /// Full cycle analysis of a directed pseudoforest. Throws std::invalid_argument
 /// if some vertex has next[v] outside [0, n) ∪ {kNone}.
 CycleAnalysis analyze_cycles(const DirectedPseudoforest& pf, pram::Workspace& ws);
-
-/// Just the on-cycle mask (cheaper than the full analysis). Same contract.
-std::vector<std::uint8_t> cycle_members(const DirectedPseudoforest& pf, pram::Workspace& ws);
 
 }  // namespace ncpm::graph

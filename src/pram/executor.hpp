@@ -23,6 +23,10 @@
 // elements), because lane partials are formed over width-dependent index
 // blocks before being combined in lane order.
 //
+// Schedule: every round splits [0, n) into one contiguous block per lane
+// (detail::lane_ranges). There is one schedule; cheap per-item bodies
+// take the same blocks as expensive ones.
+//
 // Re-entrancy: calling a parallel primitive from inside one of the same
 // executor's parallel bodies runs the nested call serially inline (the
 // lanes are already busy). Distinct executors nest freely. Concurrent
@@ -51,25 +55,16 @@ namespace ncpm::pram {
 
 namespace detail {
 
-/// The static schedule shared by every lane count: contiguous blocks when
-/// `grain` == 0, round-robin chunks of `grain` elements otherwise
-/// (mirroring OpenMP's schedule(static) / schedule(static, grain)).
+/// The static schedule shared by every lane count: lane `lane` of
+/// `nlanes` gets one contiguous block of [0, n) (OpenMP's
+/// schedule(static)), or nothing when the blocks run out first.
 template <typename Body>
-void lane_ranges(std::size_t n, std::size_t grain, int lane, int nlanes, Body&& body) {
+void lane_ranges(std::size_t n, int lane, int nlanes, Body&& body) {
   const auto nl = static_cast<std::size_t>(nlanes);
-  const auto l = static_cast<std::size_t>(lane);
-  if (grain == 0) {
-    const std::size_t block = (n + nl - 1) / nl;
-    const std::size_t lo = l * block;
-    if (lo >= n) return;
-    const std::size_t hi = n - lo < block ? n : lo + block;
-    body(lo, hi);
-    return;
-  }
-  const std::size_t stride = nl * grain;
-  for (std::size_t lo = l * grain; lo < n; lo += stride) {
-    body(lo, n - lo < grain ? n : lo + grain);
-  }
+  const std::size_t block = (n + nl - 1) / nl;
+  const std::size_t lo = static_cast<std::size_t>(lane) * block;
+  if (lo >= n) return;
+  body(lo, n - lo < block ? n : lo + block);
 }
 
 /// Debug-only spot check of the parallel_reduce contract: `combine` must be
@@ -122,13 +117,6 @@ class Executor {
   /// One synchronous parallel round: apply `f(i)` for every i in [0, n).
   template <typename F>
   void parallel_for(std::size_t n, F&& f) {
-    parallel_for_grain(n, 0, std::forward<F>(f));
-  }
-
-  /// Parallel round with a grain hint for very cheap bodies (round-robin
-  /// chunks of `grain` elements per lane).
-  template <typename F>
-  void parallel_for_grain(std::size_t n, std::size_t grain, F&& f) {
     const int nl = plan_lanes(n);
     if (nl <= 1) {
       for (std::size_t i = 0; i < n; ++i) f(i);
@@ -138,13 +126,12 @@ class Executor {
     struct Ctx {
       Fn* f;
       std::size_t n;
-      std::size_t grain;
-    } ctx{std::addressof(f), n, grain};
+    } ctx{std::addressof(f), n};
     run_task(
         nl,
         [](void* c, int lane, int nlanes) {
           auto& s = *static_cast<Ctx*>(c);
-          detail::lane_ranges(s.n, s.grain, lane, nlanes, [&](std::size_t lo, std::size_t hi) {
+          detail::lane_ranges(s.n, lane, nlanes, [&](std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i) (*s.f)(i);
           });
         },
@@ -228,7 +215,7 @@ class Executor {
         [](void* c, int lane, int nlanes) {
           auto& s = *static_cast<Ctx*>(c);
           T local = static_cast<T>(std::move(s.partial[lane]));
-          detail::lane_ranges(s.n, 0, lane, nlanes, [&](std::size_t lo, std::size_t hi) {
+          detail::lane_ranges(s.n, lane, nlanes, [&](std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i) {
               local = (*s.combine)(std::move(local), (*s.map)(i));
             }
@@ -247,9 +234,7 @@ class Executor {
   /// Lanes this round actually uses: 1 when the pool is serial or the call
   /// nests inside one of this executor's own bodies, else min(lanes, n).
   /// There is deliberately no small-n inline cutoff beyond n <= 1: per-item
-  /// cost varies too widely across call sites (bit rows vs. whole
-  /// components) to pick one here — callers with provably cheap tiny
-  /// rounds pass a grain instead.
+  /// cost varies too widely across call sites to pick one here.
   int plan_lanes(std::size_t n) const noexcept;
   /// Fan `fn(ctx, lane, nlanes)` across lanes 0..nlanes-1 (lane 0 = caller)
   /// and barrier. Serializes concurrent dispatchers.
@@ -257,14 +242,6 @@ class Executor {
 
   int lanes_ = 1;
   std::unique_ptr<Pool> pool_;  // null when lanes_ == 1
-};
-
-/// An Executor fixed at one lane: everything runs inline on the calling
-/// thread, no threads are ever spawned. The baseline for the determinism
-/// oracles and the cheapest executor for callers that want no parallelism.
-class SerialExecutor : public Executor {
- public:
-  SerialExecutor() : Executor(1) {}
 };
 
 /// Default width for new executors: the NCPM_LANES environment variable

@@ -2,7 +2,7 @@
 // Pointer jumping ("the doubling trick" of Algorithm 2) over successor arrays.
 //
 // A successor array encodes a functional structure `next[v]`; `next[v] == v`
-// marks a terminal. Three families of primitives live here:
+// marks a terminal. Two doubling loops live here:
 //
 //  * Wyllie list ranking (`list_rank`, `weighted_list_rank`): distance /
 //    weighted distance from every vertex to its terminal, plus the terminal
@@ -10,22 +10,21 @@
 //    ceil(log2 n) + 1: a forest whose longest list has L steps stops after
 //    ceil(log2 L) + 1. Used for maximal-path processing in Algorithm 2 and
 //    switching-path margins in Algorithm 3.
-//  * Functional-graph powers (`kth_power`): the map f^K by binary
-//    exponentiation of the composition, O(log K) rounds. Used to find the
-//    cycles of directed pseudoforests (Section IV-A): for K at least the
-//    size of the largest weak component, the image of f^K is exactly the
-//    set of on-cycle vertices.
-//  * Windowed min reduction (`window_min`): min of {v, f(v), ..., f^(2^k-1)(v)}
-//    per vertex, used to pick canonical roots on cycles.
+//  * Windowed min reduction (`window_min_into`): min of
+//    {v, f(v), ..., f^(2^r-1)(v)} per vertex, used to pick canonical roots
+//    on cycles. Its jump array ends as the map f^(2^r), which it hands back:
+//    for 2^r at least the size of the largest weak component, the image of
+//    that map is exactly the set of on-cycle vertices (Section IV-A), so one
+//    doubling pass both finds the cycles and elects their roots.
 //
 // All functions tolerate cycles: ranking values are only meaningful for
 // vertices whose `head` is a terminal; `reaches_terminal` distinguishes them.
 //
 // Every entry runs its rounds on the executor of the pram::Workspace it is
 // handed, leases its doubling scratch from it and charges its rounds to its
-// counters. Ranking and window-min each have one doubling loop
-// (`detail::rank_into`, `window_min_into`); the other entries of each
-// family are thin wrappers that allocate results or pick the weights.
+// counters. Ranking has one doubling loop (`detail::rank_into`); the other
+// ranking entries are thin wrappers that allocate results or pick the
+// weights.
 //
 // The doubling rounds themselves run through the pram/simd.hpp gather
 // kernels (AVX2 uses vpgather; scalar is a plain loop) — both tiers are
@@ -226,47 +225,15 @@ inline std::vector<std::int32_t> compose(std::span<const std::int32_t> g,
   return out;
 }
 
-/// The map f^K (K >= 1 applications of `next`) via binary exponentiation of
-/// the composition; O(log K) composition rounds. The powers f^(2^i) ping-pong
-/// between two workspace leases and the result is composed in place, so the
-/// result is the only allocation.
-inline std::vector<std::int32_t> kth_power(std::span<const std::int32_t> next, std::uint64_t k,
-                                           Workspace& ws) {
-  const std::size_t n = next.size();
-  Executor& ex = ws.exec();
-  std::vector<std::int32_t> result(n);
-  ex.parallel_for(n, [&](std::size_t v) { result[v] = static_cast<std::int32_t>(v); });
-  ws.round(n);
-  auto lease_a = ws.take<std::int32_t>(n);
-  auto lease_b = ws.take<std::int32_t>(n);
-  std::span<const std::int32_t> base = next;
-  std::span<std::int32_t> spare = lease_a.span();
-  std::span<std::int32_t> other = lease_b.span();
-  while (k > 0) {
-    if ((k & 1U) != 0) {
-      // result = base ∘ result: each v reads and writes only result[v].
-      ex.parallel_for(n, [&](std::size_t v) {
-        result[v] = base[static_cast<std::size_t>(result[v])];
-      });
-      ws.round(n);
-    }
-    k >>= 1U;
-    if (k > 0) {
-      ex.parallel_for(n, [&](std::size_t v) { spare[v] = base[static_cast<std::size_t>(base[v])]; });
-      ws.round(n);
-      base = spare;
-      std::swap(spare, other);
-    }
-  }
-  return result;
-}
-
 /// out[v] = min over {key[v], key[f(v)], ..., key[f^(w-1)(v)]} where the
-/// window size w is the smallest power of two >= `window`. Used to elect the
-/// minimum-key vertex of every cycle (window >= cycle length covers the
-/// cycle). Doubling scratch is leased from `ws`.
-inline void window_min_into(std::span<const std::int32_t> next, std::span<const std::int64_t> key,
-                            std::uint64_t window, std::span<std::int64_t> out, Workspace& ws) {
+/// window size w = 2^r is the smallest power of two >= `window`. Used to
+/// elect the minimum-key vertex of every cycle (window >= cycle length
+/// covers the cycle). Doubling scratch is leased from `ws`; the returned
+/// lease holds the final jump array, the map f^w.
+inline WsBuffer<std::int32_t> window_min_into(std::span<const std::int32_t> next,
+                                              std::span<const std::int64_t> key,
+                                              std::uint64_t window, std::span<std::int64_t> out,
+                                              Workspace& ws) {
   const std::size_t n = next.size();
   if (key.size() != n || out.size() != n) {
     throw std::invalid_argument("window_min: size mismatch");
@@ -299,15 +266,7 @@ inline void window_min_into(std::span<const std::int32_t> next, std::span<const 
     ex.parallel_for(n, [&](std::size_t v) { out[v] = val_cur[v]; });
     ws.round(n);
   }
-}
-
-/// window_min_into with a freshly allocated result.
-inline std::vector<std::int64_t> window_min(std::span<const std::int32_t> next,
-                                            std::span<const std::int64_t> key,
-                                            std::uint64_t window, Workspace& ws) {
-  std::vector<std::int64_t> out(next.size());
-  window_min_into(next, key, window, out, ws);
-  return out;
+  return jump_cur.data() == jump_a.data() ? std::move(jump_a) : std::move(jump_b);
 }
 
 }  // namespace ncpm::pram

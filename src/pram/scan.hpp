@@ -14,25 +14,27 @@
 // addition is exact, so results are bit-identical for every executor width
 // even though the internal blocking follows the lane count.
 //
-// The per-block loops run through the pram/simd.hpp kernels (AVX2 or
-// scalar, runtime-dispatched); the AVX2 tier is bit-exact against scalar,
-// so results are also identical across SIMD tiers and NCPM_SIMD settings.
+// The per-block fold and carry pass are plain loops in the unsigned type
+// of T, so overflow wraps mod 2^w instead of being undefined for signed T.
+// There is no SIMD tier here, so results cannot depend on NCPM_SIMD.
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 
 #include "pram/executor.hpp"
-#include "pram/simd.hpp"
 #include "pram/workspace.hpp"
 
 namespace ncpm::pram {
 
-/// Exclusive prefix sum of `in` into `out` (same length). Returns the
-/// total. `out[i] = in[0] + ... + in[i-1]`, `out[0] = 0`. The per-block
-/// partial sums are leased from `ws`: allocation-free once it is warm.
+/// Exclusive prefix sum of `in` into `out` (same length) for an integer
+/// type T. Returns the total. `out[i] = in[0] + ... + in[i-1]`, `out[0] =
+/// 0`, all mod 2^w. The per-block partial sums are leased from `ws`:
+/// allocation-free once it is warm.
 template <typename T>
 T exclusive_scan(std::span<const T> in, std::span<T> out, Workspace& ws) {
+  using U = std::make_unsigned_t<T>;
   const std::size_t n = in.size();
   if (n == 0) return T{};
   Executor& ex = ws.exec();
@@ -44,26 +46,32 @@ T exclusive_scan(std::span<const T> in, std::span<T> out, Workspace& ws) {
   ex.parallel_for(nblocks, [&](std::size_t b) {
     const std::size_t lo = b * block;
     const std::size_t hi = lo + block < n ? lo + block : n;
-    block_sum[b] = simd::sum<T>(in.data() + lo, hi - lo);
+    U acc = 0;
+    for (std::size_t i = lo; i < hi; ++i) acc += static_cast<U>(in[i]);
+    block_sum[b] = static_cast<T>(acc);
   });
   ws.round(n);
 
-  T total{};
+  U total = 0;
   for (std::size_t b = 0; b < nblocks; ++b) {
-    const T s = block_sum[b];
-    block_sum[b] = total;
-    total = total + s;
+    const U s = static_cast<U>(block_sum[b]);
+    block_sum[b] = static_cast<T>(total);
+    total += s;
   }
   ws.round(nblocks);
 
   ex.parallel_for(nblocks, [&](std::size_t b) {
     const std::size_t lo = b * block;
     const std::size_t hi = lo + block < n ? lo + block : n;
-    simd::exclusive_scan_carry<T>(in.data() + lo, out.data() + lo, hi - lo,
-                                  block_sum[b]);
+    U carry = static_cast<U>(block_sum[b]);
+    for (std::size_t i = lo; i < hi; ++i) {
+      const U v = static_cast<U>(in[i]);  // tolerate in == out aliasing
+      out[i] = static_cast<T>(carry);
+      carry += v;
+    }
   });
   ws.round(n);
-  return total;
+  return static_cast<T>(total);
 }
 
 }  // namespace ncpm::pram

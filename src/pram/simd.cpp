@@ -4,7 +4,29 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "pram/simd_kernel.hpp"
+// Each kernel `fn` has a portable `fn_scalar` body (the reference
+// semantics) and, on x86-64, an `fn_avx2` body marked NCPM_TARGET_AVX2:
+// the per-function target attribute lets the file compile without -mavx2,
+// and the dispatcher only reaches the body after the CPUID check.
+//
+// NCPM_DISPATCH(fn, args...) is the one dispatch rule: inside a function
+// whose `SimdTier tier` parameter names the requested tier, it returns
+// `fn_avx2(args...)` when that tier resolves to AVX2 on this CPU and
+// `fn_scalar(args...)` otherwise.
+#if defined(__x86_64__) || defined(_M_X64)
+#define NCPM_SIMD_X86 1
+#include <immintrin.h>
+#define NCPM_TARGET_AVX2 __attribute__((target("avx2")))
+#define NCPM_DISPATCH(fn, ...)                  \
+  if (clamp_simd_tier(tier) == SimdTier::kAvx2) \
+    return fn##_avx2(__VA_ARGS__);              \
+  return fn##_scalar(__VA_ARGS__)
+#else
+#define NCPM_SIMD_X86 0
+#define NCPM_DISPATCH(fn, ...) \
+  (void)tier;                  \
+  return fn##_scalar(__VA_ARGS__)
+#endif
 
 namespace ncpm::pram {
 
@@ -14,6 +36,12 @@ namespace ncpm::pram {
 namespace {
 
 std::atomic<int> g_forced{-1};  // -1 = no force_simd_tier() override
+
+/// `tier` capped at detected_simd_tier(): an explicit tier this CPU lacks
+/// runs scalar (parity, not speed, is the contract for a requested tier).
+SimdTier clamp_simd_tier(SimdTier tier) noexcept {
+  return detected_simd_tier() == SimdTier::kAvx2 ? tier : SimdTier::kScalar;
+}
 
 // The detected tier capped by NCPM_SIMD, resolved on first use. The
 // function-local static makes that resolution, and its warning, happen
@@ -43,10 +71,6 @@ SimdTier detected_simd_tier() noexcept {
 #else
   return SimdTier::kScalar;
 #endif
-}
-
-SimdTier clamp_simd_tier(SimdTier tier) noexcept {
-  return detected_simd_tier() == SimdTier::kAvx2 ? tier : SimdTier::kScalar;
 }
 
 SimdTier active_simd_tier() noexcept {
@@ -80,41 +104,7 @@ namespace {
 // Scalar tier
 //
 // These are the reference semantics the AVX2 tier must reproduce
-// bit-for-bit. Sums and scans run in the corresponding unsigned type so
-// overflow wraps mod 2^w in every tier (and matches what the signed
-// wrappers produce on this target).
-
-std::uint32_t sum_u32_scalar(const std::uint32_t* x, std::size_t n) noexcept {
-  std::uint32_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) acc += x[i];
-  return acc;
-}
-
-std::uint64_t sum_u64_scalar(const std::uint64_t* x, std::size_t n) noexcept {
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) acc += x[i];
-  return acc;
-}
-
-std::uint32_t exscan_u32_scalar(const std::uint32_t* in, std::uint32_t* out,
-                                std::size_t n, std::uint32_t carry) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t v = in[i];  // tolerate in == out aliasing
-    out[i] = carry;
-    carry += v;
-  }
-  return carry;
-}
-
-std::uint64_t exscan_u64_scalar(const std::uint64_t* in, std::uint64_t* out,
-                                std::size_t n, std::uint64_t carry) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t v = in[i];
-    out[i] = carry;
-    carry += v;
-  }
-  return carry;
-}
+// bit-for-bit.
 
 void window_min_round_scalar(const std::int64_t* val, const std::int32_t* jump,
                              std::int64_t* nval, std::int32_t* njump,
@@ -151,88 +141,6 @@ bool list_rank_round_scalar(const std::int32_t* next, const std::int32_t* head,
 
 // ---------------------------------------------------------------------------
 // AVX2 tier
-
-NCPM_TARGET_AVX2
-std::uint32_t sum_u32_avx2(const std::uint32_t* x, std::size_t n) noexcept {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm256_add_epi32(
-        acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i)));
-  }
-  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                            _mm256_extracti128_si256(acc, 1));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  std::uint32_t r = static_cast<std::uint32_t>(_mm_cvtsi128_si32(s));
-  for (; i < n; ++i) r += x[i];
-  return r;
-}
-
-NCPM_TARGET_AVX2
-std::uint64_t sum_u64_avx2(const std::uint64_t* x, std::size_t n) noexcept {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_epi64(
-        acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i)));
-  }
-  __m128i s = _mm_add_epi64(_mm256_castsi256_si128(acc),
-                            _mm256_extracti128_si256(acc, 1));
-  std::uint64_t r =
-      static_cast<std::uint64_t>(_mm_cvtsi128_si64(s)) +
-      static_cast<std::uint64_t>(_mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s)));
-  for (; i < n; ++i) r += x[i];
-  return r;
-}
-
-NCPM_TARGET_AVX2
-std::uint32_t exscan_u32_avx2(const std::uint32_t* in, std::uint32_t* out,
-                              std::size_t n, std::uint32_t carry) noexcept {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i bcast3 = _mm256_set1_epi32(3);
-  const __m256i rot1 = _mm256_setr_epi32(7, 0, 1, 2, 3, 4, 5, 6);
-  __m256i vcarry = _mm256_set1_epi32(static_cast<int>(carry));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
-    // In-lane inclusive prefix, then propagate the low lane's total.
-    __m256i s = _mm256_add_epi32(x, _mm256_slli_si256(x, 4));
-    s = _mm256_add_epi32(s, _mm256_slli_si256(s, 8));
-    __m256i low_total = _mm256_permutevar8x32_epi32(s, bcast3);
-    low_total = _mm256_blend_epi32(zero, low_total, 0xF0);
-    s = _mm256_add_epi32(s, low_total);  // inclusive prefix of the block
-    __m256i excl = _mm256_permutevar8x32_epi32(s, rot1);  // rotate right by 1
-    excl = _mm256_blend_epi32(excl, zero, 0x01);          // element 0 -> 0
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_add_epi32(excl, vcarry));
-    carry += static_cast<std::uint32_t>(_mm256_extract_epi32(s, 7));
-    vcarry = _mm256_set1_epi32(static_cast<int>(carry));
-  }
-  return exscan_u32_scalar(in + i, out + i, n - i, carry);
-}
-
-NCPM_TARGET_AVX2
-std::uint64_t exscan_u64_avx2(const std::uint64_t* in, std::uint64_t* out,
-                              std::size_t n, std::uint64_t carry) noexcept {
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i vcarry = _mm256_set1_epi64x(static_cast<long long>(carry));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
-    __m256i s = _mm256_add_epi64(x, _mm256_slli_si256(x, 8));  // [a,a+b | c,c+d]
-    __m256i low_total = _mm256_permute4x64_epi64(s, _MM_SHUFFLE(1, 1, 1, 1));
-    low_total = _mm256_blend_epi32(zero, low_total, 0xF0);
-    s = _mm256_add_epi64(s, low_total);  // inclusive prefix of the block
-    __m256i excl = _mm256_permute4x64_epi64(s, _MM_SHUFFLE(2, 1, 0, 0));
-    excl = _mm256_blend_epi32(excl, zero, 0x03);  // element 0 -> 0
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_add_epi64(excl, vcarry));
-    carry += static_cast<std::uint64_t>(_mm256_extract_epi64(s, 3));
-    vcarry = _mm256_set1_epi64x(static_cast<long long>(carry));
-  }
-  return exscan_u64_scalar(in + i, out + i, n - i, carry);
-}
 
 NCPM_TARGET_AVX2
 void window_min_round_avx2(const std::int64_t* val, const std::int32_t* jump,
@@ -294,46 +202,6 @@ bool list_rank_round_avx2(const std::int32_t* next, const std::int32_t* head,
 
 // ---------------------------------------------------------------------------
 // Dispatch (AVX2 when `tier` resolves to it on this CPU, else scalar)
-
-std::uint32_t sum_u32(SimdTier tier, const std::uint32_t* x, std::size_t n) noexcept {
-  NCPM_DISPATCH(sum_u32, x, n);
-}
-std::uint64_t sum_u64(SimdTier tier, const std::uint64_t* x, std::size_t n) noexcept {
-  NCPM_DISPATCH(sum_u64, x, n);
-}
-// Signed variants run the unsigned kernels on the same bits: int32/uint32
-// (and int64/uint64) may alias, and wrap-around addition is bit-identical.
-std::int32_t sum_i32(SimdTier tier, const std::int32_t* x, std::size_t n) noexcept {
-  return static_cast<std::int32_t>(
-      sum_u32(tier, reinterpret_cast<const std::uint32_t*>(x), n));
-}
-std::int64_t sum_i64(SimdTier tier, const std::int64_t* x, std::size_t n) noexcept {
-  return static_cast<std::int64_t>(
-      sum_u64(tier, reinterpret_cast<const std::uint64_t*>(x), n));
-}
-
-std::uint32_t exscan_u32(SimdTier tier, const std::uint32_t* in, std::uint32_t* out,
-                         std::size_t n, std::uint32_t carry) noexcept {
-  NCPM_DISPATCH(exscan_u32, in, out, n, carry);
-}
-std::uint64_t exscan_u64(SimdTier tier, const std::uint64_t* in, std::uint64_t* out,
-                         std::size_t n, std::uint64_t carry) noexcept {
-  NCPM_DISPATCH(exscan_u64, in, out, n, carry);
-}
-std::int32_t exscan_i32(SimdTier tier, const std::int32_t* in, std::int32_t* out,
-                        std::size_t n, std::int32_t carry) noexcept {
-  return static_cast<std::int32_t>(
-      exscan_u32(tier, reinterpret_cast<const std::uint32_t*>(in),
-                 reinterpret_cast<std::uint32_t*>(out), n,
-                 static_cast<std::uint32_t>(carry)));
-}
-std::int64_t exscan_i64(SimdTier tier, const std::int64_t* in, std::int64_t* out,
-                        std::size_t n, std::int64_t carry) noexcept {
-  return static_cast<std::int64_t>(
-      exscan_u64(tier, reinterpret_cast<const std::uint64_t*>(in),
-                 reinterpret_cast<std::uint64_t*>(out), n,
-                 static_cast<std::uint64_t>(carry)));
-}
 
 void window_min_round(SimdTier tier, const std::int64_t* val,
                       const std::int32_t* jump, std::int64_t* nval,

@@ -1,12 +1,13 @@
 #pragma once
-// Runtime-dispatched SIMD substrate for the round kernels.
+// Runtime-dispatched SIMD substrate for the doubling rounds.
 //
-// PR 2 made the per-round work proportional to the surviving edges; the
-// remaining constant factor is memory layout and instruction throughput.
-// This header is the seam between the two: every element-level hot loop
-// in the tree (blocked sums and scans, and the list-rank and window-min
-// doubling rounds, all here in pram/) funnels through a kernel that exists
-// in two tiers — AVX2 and portable scalar — selected once at runtime.
+// Two kernels carry an AVX2 body: the list-rank and window-min rounds of
+// pointer jumping (pram/list_ranking.hpp), whose gathers the vector unit
+// speeds up measurably. Everything else, the blocked prefix sums of
+// pram/scan.hpp included, is plain portable C++ that the compiler
+// vectorises as it can: a hand-written AVX2 scan tier measured no faster
+// end to end. Each kernel exists in two tiers, AVX2 and portable scalar,
+// selected once at runtime.
 //
 // Tier selection:
 //   * `detected_simd_tier()` probes the CPU once (CPUID via
@@ -21,12 +22,11 @@
 //
 // Contract: the AVX2 tier of every kernel is BIT-EXACT against the scalar
 // tier — the kernels only reorder exact integer operations (wrap-around
-// addition is associative and commutative mod 2^w; min is exact), never
-// floating point. tests/pram/simd_dispatch_test.cpp
-// enforces this per tier on adversarial lengths, and the oracle grids
-// sweep tiers end-to-end. Vector bodies use unaligned loads and hand the
-// tail (< one vector) to the scalar loop, so no kernel ever reads past
-// its spans (the ASan CI job gates this).
+// addition and min), never floating point.
+// tests/pram/simd_dispatch_test.cpp enforces this per tier on adversarial
+// lengths, and the oracle grids sweep tiers end-to-end. Vector bodies use
+// unaligned loads and hand the tail (< one vector) to the scalar loop, so
+// no kernel ever reads past its spans (the ASan CI job gates this).
 //
 // Every kernel has two forms: `kernel(args...)` runs on the active tier;
 // `kernel(tier, args...)` runs an explicit tier (tests, benches). An AVX2
@@ -38,7 +38,6 @@
 #include <new>
 #include <optional>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 namespace ncpm::pram {
@@ -104,28 +103,6 @@ using AlignedVector = std::vector<T, CacheAlignedAllocator<T>>;
 namespace simd {
 
 // ---------------------------------------------------------------------------
-// Blocked-scan kernels (the substrate under pram/scan.hpp)
-//
-// `sum`: fold a block. `exclusive_scan_carry`: out[i] = carry + in[0] +
-// ... + in[i-1] over one block; returns carry + sum(block) — exactly the
-// fix-up pass of the blocked two-pass scan, so the whole scan is these
-// two kernels plus a serial pass over the per-block sums.
-
-std::int32_t sum_i32(SimdTier tier, const std::int32_t* x, std::size_t n) noexcept;
-std::uint32_t sum_u32(SimdTier tier, const std::uint32_t* x, std::size_t n) noexcept;
-std::int64_t sum_i64(SimdTier tier, const std::int64_t* x, std::size_t n) noexcept;
-std::uint64_t sum_u64(SimdTier tier, const std::uint64_t* x, std::size_t n) noexcept;
-
-std::int32_t exscan_i32(SimdTier tier, const std::int32_t* in, std::int32_t* out,
-                        std::size_t n, std::int32_t carry) noexcept;
-std::uint32_t exscan_u32(SimdTier tier, const std::uint32_t* in, std::uint32_t* out,
-                         std::size_t n, std::uint32_t carry) noexcept;
-std::int64_t exscan_i64(SimdTier tier, const std::int64_t* in, std::int64_t* out,
-                        std::size_t n, std::int64_t carry) noexcept;
-std::uint64_t exscan_u64(SimdTier tier, const std::uint64_t* in, std::uint64_t* out,
-                         std::size_t n, std::uint64_t carry) noexcept;
-
-// ---------------------------------------------------------------------------
 // Doubling-round kernels (pointer jumping)
 //
 // One round over v in [lo, hi); the index arrays (`jump` / `head`) may
@@ -153,63 +130,6 @@ inline bool list_rank_round(const std::int32_t* next, const std::int32_t* head,
                             const std::int64_t* rank, std::int32_t* nhead,
                             std::int64_t* nrank, std::size_t lo, std::size_t hi) noexcept {
   return list_rank_round(active_simd_tier(), next, head, rank, nhead, nrank, lo, hi);
-}
-
-// ---------------------------------------------------------------------------
-// Typed dispatch for the templated scan entry points
-
-template <typename T>
-inline constexpr bool has_simd_scan_kernel =
-    std::is_same_v<T, std::int32_t> || std::is_same_v<T, std::uint32_t> ||
-    std::is_same_v<T, std::int64_t> || std::is_same_v<T, std::uint64_t>;
-
-/// Block fold on an explicit tier; scalar left-fold for types without a
-/// typed kernel (exact regardless: integer addition wraps consistently).
-template <typename T>
-T sum(SimdTier tier, const T* x, std::size_t n) noexcept {
-  if constexpr (std::is_same_v<T, std::int32_t>) {
-    return sum_i32(tier, x, n);
-  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
-    return sum_u32(tier, x, n);
-  } else if constexpr (std::is_same_v<T, std::int64_t>) {
-    return sum_i64(tier, x, n);
-  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
-    return sum_u64(tier, x, n);
-  } else {
-    T acc{};
-    for (std::size_t i = 0; i < n; ++i) acc = acc + x[i];
-    return acc;
-  }
-}
-template <typename T>
-T sum(const T* x, std::size_t n) noexcept {
-  return sum<T>(active_simd_tier(), x, n);
-}
-
-template <typename T>
-T exclusive_scan_carry(SimdTier tier, const T* in, T* out, std::size_t n,
-                       T carry) noexcept {
-  if constexpr (std::is_same_v<T, std::int32_t>) {
-    return exscan_i32(tier, in, out, n, carry);
-  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
-    return exscan_u32(tier, in, out, n, carry);
-  } else if constexpr (std::is_same_v<T, std::int64_t>) {
-    return exscan_i64(tier, in, out, n, carry);
-  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
-    return exscan_u64(tier, in, out, n, carry);
-  } else {
-    T acc = carry;
-    for (std::size_t i = 0; i < n; ++i) {
-      const T v = in[i];
-      out[i] = acc;
-      acc = acc + v;
-    }
-    return acc;
-  }
-}
-template <typename T>
-T exclusive_scan_carry(const T* in, T* out, std::size_t n, T carry) noexcept {
-  return exclusive_scan_carry<T>(active_simd_tier(), in, out, n, carry);
 }
 
 }  // namespace simd

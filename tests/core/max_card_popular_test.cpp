@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <set>
+#include <type_traits>
 
 #include "core/popular_matching.hpp"
 #include "core/reduced_graph.hpp"
@@ -54,8 +55,12 @@ TEST(MaxCardPopular, PromotesAwayFromLastResorts) {
 
 struct OracleParam {
   std::uint64_t seed;
-  std::int32_t n_a, n_p, list_max;
+  std::int32_t n_a, n_p;
+  // 64-bit, so the struct has no padding: CTest names these cases by the
+  // parameter's bytes, which are then the same in every build.
+  std::int64_t list_max;
 };
+static_assert(std::has_unique_object_representations_v<OracleParam>);
 
 class MaxCardOracle : public ::testing::TestWithParam<OracleParam> {};
 

@@ -82,7 +82,7 @@ TEST(NcCounters, RoundsAreLaneIndependent) {
 // this instance, not ceil(log2 n) + 1.)
 TEST(NcCounters, SolveGolden) {
   const Instance inst = strict_instance(1);
-  pram::SerialExecutor serial;
+  pram::Executor serial(1);
   pram::Workspace ws(serial);
   ASSERT_TRUE(find_popular_matching(inst, ws).has_value());
   EXPECT_EQ(ws.counters().rounds, 32u);

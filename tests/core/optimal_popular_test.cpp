@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
 
 #include "core/max_card_popular.hpp"
 #include "core/reduced_graph.hpp"
@@ -19,8 +20,12 @@ namespace {
 
 struct Param {
   std::uint64_t seed;
-  std::int32_t n_a, n_p, list_max;
+  std::int32_t n_a, n_p;
+  // 64-bit, so the struct has no padding: CTest names these cases by the
+  // parameter's bytes, which are then the same in every build.
+  std::int64_t list_max;
 };
+static_assert(std::has_unique_object_representations_v<Param>);
 
 class OptimalOracle : public ::testing::TestWithParam<Param> {};
 

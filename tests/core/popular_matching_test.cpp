@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/abraham_baseline.hpp"
 #include "core/reduced_graph.hpp"
 #include "core/verify.hpp"
@@ -70,8 +72,12 @@ TEST(PopularMatching, NcStatsReportRounds) {
 
 struct SmallParam {
   std::uint64_t seed;
-  std::int32_t n_a, n_p, list_max;
+  std::int32_t n_a, n_p;
+  // 64-bit, so the struct has no padding: CTest names these cases by the
+  // parameter's bytes, which are then the same in every build.
+  std::int64_t list_max;
 };
+static_assert(std::has_unique_object_representations_v<SmallParam>);
 
 class PopularBruteForce : public ::testing::TestWithParam<SmallParam> {};
 

@@ -47,9 +47,13 @@ TEST(Ties, TieOnFirstChoicesRescuesContention) {
 
 struct TiesParam {
   std::uint64_t seed;
-  std::int32_t n_a, n_p, list_max;
+  std::int32_t n_a, n_p;
+  // 64-bit, so the struct has no padding: CTest names these cases by the
+  // parameter's bytes, which are then the same in every build.
+  std::int64_t list_max;
   double tie_prob;
 };
+static_assert(sizeof(TiesParam) == 32, "TiesParam must have no padding bytes");
 
 class TiesBruteForce : public ::testing::TestWithParam<TiesParam> {};
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/switching_graph.hpp"
 #include "core/ties.hpp"
 #include "gen/generators.hpp"
@@ -65,8 +67,12 @@ TEST(Verify, CharacterizationRequiresCompleteness) {
 
 struct CountParam {
   std::uint64_t seed;
-  std::int32_t n_a, n_p, list_max;
+  std::int32_t n_a, n_p;
+  // 64-bit, so the struct has no padding: CTest names these cases by the
+  // parameter's bytes, which are then the same in every build.
+  std::int64_t list_max;
 };
+static_assert(std::has_unique_object_representations_v<CountParam>);
 
 class CountPopular : public ::testing::TestWithParam<CountParam> {};
 

@@ -144,7 +144,7 @@ TEST(ConnectedComponents, HookRoundsLaneIndependent) {
     eu[j] = static_cast<std::int32_t>(rng() % n);
     ev[j] = static_cast<std::int32_t>(rng() % n);
   }
-  pram::SerialExecutor serial;
+  pram::Executor serial(1);
   pram::Workspace ref_ws(serial);
   const auto ref = connected_components(n, eu, ev, ref_ws);
   for (const int lanes : {1, 2, 4}) {

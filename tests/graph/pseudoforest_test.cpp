@@ -39,7 +39,7 @@ std::vector<std::uint8_t> oracle_on_cycle(const DirectedPseudoforest& pf) {
 TEST(Pseudoforest, SingleCycle) {
   pram::Workspace ws;
   DirectedPseudoforest pf{{1, 2, 0}};
-  const auto on = cycle_members(pf, ws);
+  const auto on = analyze_cycles(pf, ws).on_cycle;
   EXPECT_EQ(on, (std::vector<std::uint8_t>{1, 1, 1}));
   EXPECT_EQ(on, oracle_on_cycle(pf));
 }
@@ -48,7 +48,7 @@ TEST(Pseudoforest, TreeIntoSinkHasNoCycle) {
   pram::Workspace ws;
   // 0 -> 1 -> 2(sink), 3 -> 1.
   DirectedPseudoforest pf{{1, 2, pram::kNone, 1}};
-  const auto on = cycle_members(pf, ws);
+  const auto on = analyze_cycles(pf, ws).on_cycle;
   EXPECT_EQ(on, (std::vector<std::uint8_t>{0, 0, 0, 0}));
   EXPECT_EQ(on, oracle_on_cycle(pf));
 }
@@ -56,7 +56,7 @@ TEST(Pseudoforest, TreeIntoSinkHasNoCycle) {
 TEST(Pseudoforest, SelfLoopIsACycleOfLengthOne) {
   pram::Workspace ws;
   DirectedPseudoforest pf{{0, pram::kNone}};
-  const auto on = cycle_members(pf, ws);
+  const auto on = analyze_cycles(pf, ws).on_cycle;
   EXPECT_EQ(on, (std::vector<std::uint8_t>{1, 0}));
   EXPECT_EQ(on, oracle_on_cycle(pf));
 }
@@ -65,7 +65,7 @@ TEST(Pseudoforest, TwoCycleWithTails) {
   pram::Workspace ws;
   // 0 <-> 1, tails 2 -> 0, 3 -> 2; separate sink 4.
   DirectedPseudoforest pf{{1, 0, 0, 2, pram::kNone}};
-  const auto on = cycle_members(pf, ws);
+  const auto on = analyze_cycles(pf, ws).on_cycle;
   EXPECT_EQ(on, (std::vector<std::uint8_t>{1, 1, 0, 0, 0}));
   EXPECT_EQ(on, oracle_on_cycle(pf));
 }
@@ -92,7 +92,6 @@ TEST(Pseudoforest, OutOfRangeSuccessorThrows) {
   pram::Workspace ws;
   DirectedPseudoforest pf{{5}};
   EXPECT_THROW(analyze_cycles(pf, ws), std::invalid_argument);
-  EXPECT_THROW(cycle_members(pf, ws), std::invalid_argument);
 }
 
 TEST(Pseudoforest, EmptyGraph) {
@@ -120,10 +119,7 @@ TEST_P(PseudoforestRandom, AllMethodsAgreeWithOracle) {
   for (std::size_t v = 0; v < n; ++v) {
     pf.next[v] = unif(rng) < sink_prob ? pram::kNone : static_cast<std::int32_t>(rng() % n);
   }
-  // Both entry points, the bare mask and the full analysis, match the walk.
-  const auto oracle = oracle_on_cycle(pf);
-  EXPECT_EQ(cycle_members(pf, ws), oracle);
-  EXPECT_EQ(analyze_cycles(pf, ws).on_cycle, oracle);
+  EXPECT_EQ(analyze_cycles(pf, ws).on_cycle, oracle_on_cycle(pf));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomPseudoforests, PseudoforestRandom,
@@ -217,7 +213,6 @@ TEST_P(PseudoforestOneLargeComponent, AgreesWithOracle) {
     pram::Workspace ws(ex);
     const auto analysis = analyze_cycles(shuffled, ws);
     EXPECT_EQ(analysis.on_cycle, oracle) << "lanes=" << lanes;
-    EXPECT_EQ(cycle_members(shuffled, ws), oracle) << "lanes=" << lanes;
     // Every cycle is complete: its walk closes after cycle_length steps,
     // through vertices that all name the minimum id as root.
     for (const auto& cycle : analysis.cycles) {

@@ -69,7 +69,9 @@ TEST(HistogramBuckets, BoundIsInclusiveUpperEdge) {
   for (std::uint64_t v : {0ull, 1ull, 5ull, 100ull, 1ull << 40}) {
     const unsigned b = histogram_bucket(v);
     EXPECT_LE(v, histogram_bucket_bound(b));
-    if (b > 0) EXPECT_GT(v, histogram_bucket_bound(b - 1));
+    if (b > 0) {
+      EXPECT_GT(v, histogram_bucket_bound(b - 1));
+    }
   }
 }
 

@@ -1,9 +1,9 @@
 // Nested parallelism oracle: the engine's two axes — worker concurrency x
 // executor lanes per worker — must compose without changing a single byte
 // of output. For every workers ∈ {1,2,4} x lanes ∈ {1,2,4} the same mixed
-// batch must produce matchings identical to the sequential baseline
-// (SerialExecutor, one call at a time), and once the per-worker workspaces
-// are warm, further identical rounds must allocate nothing
+// batch must produce matchings identical to the sequential baseline (a
+// one-lane Executor, one call at a time), and once the per-worker
+// workspaces are warm, further identical rounds must allocate nothing
 // (ws_allocs_steady == 0). This binary is part of the ThreadSanitizer CI
 // gate: two workers running internally-parallel solves concurrently is
 // exactly the surface the old process-global OpenMP state could not serve.
@@ -63,9 +63,9 @@ struct Reference {
 };
 
 /// Sequential baseline: every request solved one at a time on a
-/// SerialExecutor-bound workspace.
+/// workspace bound to a one-lane Executor.
 std::vector<Reference> sequential_reference(const std::vector<core::Instance>& instances) {
-  pram::SerialExecutor serial;
+  pram::Executor serial(1);
   pram::Workspace ws(serial);
   std::vector<Reference> refs;
   for (std::size_t i = 0; i < instances.size(); ++i) {
@@ -175,7 +175,7 @@ struct StableCase {
 /// Random and cyclic instances at n = 512, each at the man-optimal matching
 /// and at its first successor.
 std::vector<StableCase> stable_cases() {
-  pram::SerialExecutor serial;
+  pram::Executor serial(1);
   pram::Workspace ws(serial);
   std::vector<StableCase> cases;
   for (auto inst : {gen::random_stable_instance(512, 31), gen::cyclic_stable_instance(512)}) {
@@ -203,7 +203,7 @@ void expect_same_next_stable(const stable::NextStableResult& got,
 TEST(NestedComposition, NextStableByteIdenticalAcrossWorkerLaneGrid) {
   const auto cases = stable_cases();
   std::vector<stable::NextStableResult> refs;
-  pram::SerialExecutor serial;
+  pram::Executor serial(1);
   pram::Workspace serial_ws(serial);
   for (const auto& c : cases) refs.push_back(stable::next_stable_matchings(c.inst, c.m, serial_ws));
 

@@ -1,5 +1,5 @@
 // The Executor substrate: correctness of the primitives across widths,
-// grain schedules, nesting, concurrent dispatch, in-place resizing, and
+// nesting, concurrent dispatch, and
 // the documented parallel_reduce contract (associative + commutative
 // combine — enforced by a debug assertion).
 
@@ -28,16 +28,6 @@ TEST(Executor, ParallelForCoversEveryIndexOnce) {
     EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), static_cast<std::int32_t>(n))
         << "lanes=" << lanes;
     for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i], 1) << "i=" << i;
-  }
-}
-
-TEST(Executor, GrainScheduleCoversEveryIndexOnce) {
-  Executor ex(4);
-  for (const std::size_t grain : {std::size_t{1}, std::size_t{7}, std::size_t{2048}}) {
-    const std::size_t n = 5'000;
-    std::vector<std::int32_t> hits(n, 0);
-    ex.parallel_for_grain(n, grain, [&](std::size_t i) { ++hits[i]; });
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i], 1) << "grain=" << grain;
   }
 }
 
@@ -139,7 +129,7 @@ TEST(Executor, DefaultLanesHonoursOnlyWholeIntegers) {
 }
 
 TEST(Executor, SerialExecutorSpawnsNoLanes) {
-  SerialExecutor serial;
+  Executor serial(1);
   EXPECT_EQ(serial.lanes(), 1);
   const auto tid = std::this_thread::get_id();
   bool all_inline = true;

@@ -82,16 +82,22 @@ TEST(WeightedListRank, SizeMismatchThrows) {
   EXPECT_THROW(weighted_list_rank(next, w, ws), std::invalid_argument);
 }
 
+// window_min_into hands back its final jump array: the map f^K for K the
+// window rounded up to a power of two.
 TEST(KthPower, MatchesIteratedApplication) {
   Workspace ws;
   // Functional graph with a 3-cycle and a tail.
   const std::vector<std::int32_t> next{1, 2, 0, 1, 3};
-  for (const std::uint64_t k : {1ULL, 2ULL, 3ULL, 5ULL, 16ULL}) {
-    const auto p = kth_power(next, k, ws);
+  const std::vector<std::int64_t> key{4, 3, 2, 1, 0};
+  std::vector<std::int64_t> wm(next.size());
+  for (const std::uint64_t window : {0ULL, 1ULL, 2ULL, 3ULL, 5ULL, 16ULL}) {
+    const auto p = window_min_into(next, key, window, wm, ws);
+    const std::uint64_t k = std::uint64_t{1} << ceil_log2(window == 0 ? 1 : window);
+    ASSERT_EQ(p.size(), next.size());
     for (std::size_t v = 0; v < next.size(); ++v) {
       std::int32_t u = static_cast<std::int32_t>(v);
       for (std::uint64_t i = 0; i < k; ++i) u = next[static_cast<std::size_t>(u)];
-      EXPECT_EQ(p[v], u) << "k=" << k << " v=" << v;
+      EXPECT_EQ(p[v], u) << "window=" << window << " v=" << v;
     }
   }
 }
@@ -101,7 +107,8 @@ TEST(WindowMin, CoversTheWindow) {
   // Cycle 0->1->2->3->0 with keys = ids; window >= 4 sees the whole cycle.
   const std::vector<std::int32_t> next{1, 2, 3, 0};
   const std::vector<std::int64_t> key{0, 1, 2, 3};
-  const auto wm = window_min(next, key, 4, ws);
+  std::vector<std::int64_t> wm(4);
+  window_min_into(next, key, 4, wm, ws);
   for (std::size_t v = 0; v < 4; ++v) EXPECT_EQ(wm[v], 0);
 }
 
@@ -348,9 +355,11 @@ TEST_P(KthPowerRandom, ImageOfLargePowerIsClosedUnderNext) {
   const std::size_t n = 200;
   std::vector<std::int32_t> next(n);
   for (std::size_t v = 0; v < n; ++v) next[v] = static_cast<std::int32_t>(rng() % n);
-  const std::uint64_t k = std::uint64_t{1} << ceil_log2(n);
-  const auto p = kth_power(next, k, ws);
-  // Every image vertex lies on a cycle: following `next` from it must return.
+  const std::vector<std::int64_t> key(n, 0);
+  std::vector<std::int64_t> wm(n);
+  const auto p = window_min_into(next, key, n, wm, ws);
+  // Every image vertex of f^(2^ceil(log2 n)) lies on a cycle: following
+  // `next` from it must return.
   for (std::size_t v = 0; v < n; ++v) {
     std::int32_t u = p[v];
     std::int32_t walker = next[static_cast<std::size_t>(u)];

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 #include <random>
 
@@ -57,7 +58,7 @@ TEST(Scan, ResultIndependentOfExecutorWidth) {
   std::vector<std::int64_t> in(5000);
   for (auto& v : in) v = static_cast<std::int64_t>(rng() % 1000);
   std::vector<std::int64_t> ref(in.size());
-  SerialExecutor serial;
+  Executor serial(1);
   Workspace serial_ws(serial);
   exclusive_scan<std::int64_t>(in, ref, serial_ws);
   for (const int lanes : {2, 3, 8}) {
@@ -66,6 +67,37 @@ TEST(Scan, ResultIndependentOfExecutorWidth) {
     std::vector<std::int64_t> out(in.size());
     exclusive_scan<std::int64_t>(in, out, ws);
     EXPECT_EQ(out, ref) << "lanes=" << lanes;
+  }
+}
+
+TEST(Scan, WrapsModTwoToTheWidth) {
+  // Full-range values overflow every prefix; the scan must wrap mod 2^w
+  // (as unsigned arithmetic does) at every executor width, and in-place
+  // (in == out) must give the same result.
+  std::mt19937_64 rng(13);
+  std::vector<std::int32_t> in32(1001);
+  std::vector<std::int64_t> in64(1001);
+  for (auto& v : in32) v = static_cast<std::int32_t>(rng());
+  for (auto& v : in64) v = static_cast<std::int64_t>(rng());
+  std::vector<std::int32_t> want32(in32.size());
+  std::vector<std::int64_t> want64(in64.size());
+  std::uint32_t acc32 = 0;
+  std::uint64_t acc64 = 0;
+  for (std::size_t i = 0; i < in32.size(); ++i) {
+    want32[i] = static_cast<std::int32_t>(acc32);
+    want64[i] = static_cast<std::int64_t>(acc64);
+    acc32 += static_cast<std::uint32_t>(in32[i]);
+    acc64 += static_cast<std::uint64_t>(in64[i]);
+  }
+  for (const int lanes : {1, 3, 4}) {
+    Executor ex(lanes);
+    Workspace ws(ex);
+    std::vector<std::int32_t> out32(in32.size());
+    EXPECT_EQ(exclusive_scan<std::int32_t>(in32, out32, ws), static_cast<std::int32_t>(acc32));
+    EXPECT_EQ(out32, want32) << "lanes=" << lanes;
+    std::vector<std::int64_t> inout = in64;
+    EXPECT_EQ(exclusive_scan<std::int64_t>(inout, inout, ws), static_cast<std::int64_t>(acc64));
+    EXPECT_EQ(inout, want64) << "lanes=" << lanes;
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <set>
+#include <type_traits>
 
 #include "gen/stable_generators.hpp"
 #include "stable/gale_shapley.hpp"
@@ -132,8 +133,11 @@ TEST(NextStable, SizeOneInstance) {
 
 struct Param {
   std::uint64_t seed;
-  std::int32_t n;
+  // 64-bit, so the struct has no padding: CTest names these cases by the
+  // parameter's bytes, which are then the same in every build.
+  std::int64_t n;
 };
+static_assert(std::has_unique_object_representations_v<Param>);
 
 class NextStableVsSequential : public ::testing::TestWithParam<Param> {};
 
