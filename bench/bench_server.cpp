@@ -350,13 +350,10 @@ BENCHMARK(BM_ServerConnectionSweep)->Arg(64)->Arg(256)->Arg(1024)->UseRealTime()
 
 void BM_MetricsOverhead(benchmark::State& state) {
   // The observability tax on the serving hot path, same pipelined workload
-  // at three points:
-  //   /0 — metrics registry only, solver-phase profiler OFF
-  //        (engine.profile_phases = false): every PhaseScope in the solver
-  //        takes the detached no-op path. The true floor.
-  //   /1 — phase profiler ON (the default): per-lane PhaseAccum attach,
-  //        RAII scope timing in every solver stage, per-phase histogram
-  //        flush per request. Acceptance: req/s within ~2% of /0.
+  // at two points:
+  //   /1 — the serving default: metrics registry and the solver-phase
+  //        profiler (RAII scope timing in every solver stage, per-phase
+  //        histogram flush per request), which is always on.
   //   /2 — everything else on top: every request traced (sample_every = 1),
   //        a live scraper pulling stats frames every 25 ms on its own
   //        connection (hundreds of times a real Prometheus cadence), and
@@ -365,15 +362,12 @@ void BM_MetricsOverhead(benchmark::State& state) {
   //        rendering a snapshot is not free, so a scraper spinning with no
   //        sleep measures CPU theft by the scraper loop itself, not the
   //        serving path's tax.
-  const int level = static_cast<int>(state.range(0));
-  const bool profile_phases = level >= 1;
-  const bool full_obs = level >= 2;
+  const bool full_obs = state.range(0) >= 2;
   constexpr int kConnections = 4;
   constexpr std::size_t kBatchPerConnection = 64;
 
   ncpm::net::ServerConfig cfg;
   cfg.engine = ncpm::engine::EngineConfig{4, 1};
-  cfg.engine.profile_phases = profile_phases;
   if (full_obs) {
     cfg.trace_sample_n = 1;
     cfg.metrics_port = 0;
@@ -422,7 +416,6 @@ void BM_MetricsOverhead(benchmark::State& state) {
   }
   state.counters["req/s"] =
       benchmark::Counter(static_cast<double>(total_requests), benchmark::Counter::kIsRate);
-  state.counters["profile_phases"] = profile_phases ? 1.0 : 0.0;
 
   if (full_obs) {
     stop_scraper.store(true, std::memory_order_release);
@@ -431,7 +424,7 @@ void BM_MetricsOverhead(benchmark::State& state) {
   for (auto& client : clients) client.close();
   server.stop();
 }
-BENCHMARK(BM_MetricsOverhead)->Arg(0)->Arg(1)->Arg(2)->UseRealTime()
+BENCHMARK(BM_MetricsOverhead)->Arg(1)->Arg(2)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -58,10 +58,6 @@ ctx["hardware_concurrency"] = os.cpu_count()
 # "simd_tier" counter).
 simd_cap = os.environ.get("NCPM_SIMD", "")
 ctx["simd"] = {"avx2": "avx2", "scalar": "scalar"}.get(simd_cap, "auto")
-# Solver-phase profiler state for the run. "default" = each bench's own
-# EngineConfig.profile_phases (on unless the bench A/Bs it, e.g.
-# BM_MetricsOverhead's per-series profile_phases counter).
-ctx["profile_phases"] = os.environ.get("NCPM_PROFILE_PHASES", "default")
 cpu = platform.processor() or "unknown"
 try:
     with open("/proc/cpuinfo") as f:

@@ -247,8 +247,6 @@ int print_result(const ncpm::engine::Result& res) {
       std::fprintf(stderr, "error: %s\n", res.error.c_str());
       return 2;
     case Status::kDeadlineExpired:
-    case Status::kCancelled:
-    case Status::kRejected:
       std::fprintf(stderr, "error: request %s\n",
                    std::string(ncpm::engine::status_name(res.status)).c_str());
       return 2;

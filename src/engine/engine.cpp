@@ -21,14 +21,12 @@ namespace {
 constexpr std::string_view kModeNames[kNumModes] = {
     "solve", "max-card", "fair", "rank-maximal", "count", "check", "next-stable"};
 
-/// Statuses a request can end in once it reached a worker: every Status
-/// before kRejected.
-constexpr std::size_t kCompletedStatuses = static_cast<std::size_t>(Status::kRejected);
+constexpr std::size_t kNumStatuses = static_cast<std::size_t>(Status::kError) + 1;
 
-/// The ModeStats field each completed status is counted in.
-constexpr std::uint64_t ModeStats::*kStatusFields[kCompletedStatuses] = {
-    &ModeStats::ok,        &ModeStats::no_solution, &ModeStats::deadline_expired,
-    &ModeStats::cancelled, &ModeStats::invalid,     &ModeStats::errors};
+/// The ModeStats field each status is counted in.
+constexpr std::uint64_t ModeStats::*kStatusFields[kNumStatuses] = {
+    &ModeStats::ok, &ModeStats::no_solution, &ModeStats::deadline_expired, &ModeStats::invalid,
+    &ModeStats::errors};
 
 /// Modes whose algorithms are defined only for strict preference lists.
 bool requires_strict(Mode mode) {
@@ -163,10 +161,8 @@ std::string_view status_name(Status status) {
     case Status::kOk: return "ok";
     case Status::kNoSolution: return "no-solution";
     case Status::kDeadlineExpired: return "deadline-expired";
-    case Status::kCancelled: return "cancelled";
     case Status::kInvalid: return "invalid";
     case Status::kError: return "error";
-    case Status::kRejected: return "rejected";
   }
   return "unknown";
 }
@@ -175,8 +171,7 @@ std::string_view status_name(Status status) {
 /// forward declaration of obs::Registry.
 struct Engine::ObsHandles {
   obs::Counter* submitted[kNumModes];
-  obs::Counter* completed[kNumModes][kCompletedStatuses];  ///< [mode][status]
-  obs::Counter* rejected[kNumModes];
+  obs::Counter* completed[kNumModes][kNumStatuses];  ///< [mode][status]
   obs::Histogram* queue_ns[kNumModes];
   obs::Histogram* solve_ns[kNumModes];
   obs::Histogram* phase_ns[obs::kNumPhases];
@@ -192,20 +187,17 @@ Engine::Engine(EngineConfig config) : config_(config), start_(std::chrono::stead
   obs::Registry& reg = *config_.registry;
   obs_ = std::make_unique<ObsHandles>();
   // Every series is registered up front so the hot path never takes the
-  // registry mutex. Completions and rejections register before submissions:
-  // snapshot() reads series in registration order, and reading a request's
-  // outcome before its submission keeps submitted >= completed + rejected in
-  // any snapshot taken mid-flight.
+  // registry mutex. Completions register before submissions: snapshot()
+  // reads series in registration order, and reading a request's outcome
+  // before its submission keeps submitted >= completed in any snapshot
+  // taken mid-flight.
   for (std::size_t m = 0; m < kNumModes; ++m) {
     const std::string mode(kModeNames[m]);
-    for (std::size_t s = 0; s < kCompletedStatuses; ++s) {
+    for (std::size_t s = 0; s < kNumStatuses; ++s) {
       obs_->completed[m][s] = &reg.counter(
           "ncpm_engine_completed_total", "Requests that reached a worker, by final status",
           {{"mode", mode}, {"status", std::string(status_name(static_cast<Status>(s)))}});
     }
-    obs_->rejected[m] = &reg.counter("ncpm_engine_rejected_total",
-                                     "Requests abandoned at shutdown without a worker",
-                                     {{"mode", mode}});
   }
   for (std::size_t m = 0; m < kNumModes; ++m) {
     const obs::Labels labels{{"mode", std::string(kModeNames[m])}};
@@ -243,33 +235,22 @@ Engine::Engine(EngineConfig config) : config_(config), start_(std::chrono::stead
 }
 
 Engine::~Engine() {
-  shutdown(ShutdownMode::kDrain);
+  shutdown();
   // The callback gauges capture `this`; drop them before the engine's
   // storage goes away (a supplied registry outlives the engine by contract).
   config_.registry->remove_callbacks(this);
 }
 
-void Engine::shutdown(ShutdownMode mode) {
+void Engine::shutdown() {
   // Serialise concurrent shutdown() calls (including the destructor): only
-  // one caller may abandon the queue and join the worker threads.
+  // one caller may join the worker threads. Workers exit only once the
+  // queue is empty, so every queued request still runs.
   std::lock_guard<std::mutex> shutdown_lock(shutdown_mu_);
-  std::deque<Task> abandoned;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
-    if (mode == ShutdownMode::kAbandon) {
-      abandoned.swap(queue_);
-      queue_depth_.fetch_sub(abandoned.size(), std::memory_order_relaxed);
-    }
   }
   cv_.notify_all();
-  for (auto& task : abandoned) {
-    Result result;
-    result.mode = task.request.mode;
-    result.status = Status::kRejected;
-    result.error = "engine shut down before the request reached a worker";
-    fulfill(task, std::move(result));
-  }
   for (auto& w : workers_) {
     if (w->thread.joinable()) w->thread.join();
   }
@@ -335,12 +316,6 @@ void Engine::wait_idle() {
 
 void Engine::record(const Result& result) {
   const auto m = static_cast<std::size_t>(result.mode);
-  if (result.status == Status::kRejected) {
-    // Never reached a worker: counts as rejected, not completed, and
-    // contributes no latency.
-    obs_->rejected[m]->add(1);
-    return;
-  }
   obs_->completed[m][static_cast<std::size_t>(result.status)]->add(1);
   obs_->queue_ns[m]->observe(static_cast<std::uint64_t>(result.queue_latency.count()));
   obs_->solve_ns[m]->observe(static_cast<std::uint64_t>(result.solve_time.count()));
@@ -374,7 +349,7 @@ void Engine::worker_main(int worker_id) {
   // into it through the workspace's profiler pointer; each task resets it
   // and snapshots the totals into its Result.
   obs::PhaseAccum phase_accum;
-  if (config_.profile_phases) ws.attach_profiler(&phase_accum);
+  ws.attach_profiler(&phase_accum);
   Worker& self = *workers_[static_cast<std::size_t>(worker_id)];
   for (;;) {
     Task task;
@@ -396,16 +371,12 @@ void Engine::worker_main(int worker_id) {
     result.mode = task.request.mode;
     result.worker_id = worker_id;
     result.queue_latency = dequeued - task.enqueued;
-    if (task.request.cancel.has_value() && task.request.cancel->cancelled()) {
-      result.status = Status::kCancelled;
-    } else if (task.request.deadline.has_value() && dequeued > *task.request.deadline) {
+    if (task.request.deadline.has_value() && dequeued > *task.request.deadline) {
       result.status = Status::kDeadlineExpired;
     } else {
-      if (config_.profile_phases) {
-        phase_accum.reset();
-        if (task.request.decode_ns != 0) {
-          phase_accum.add(obs::Phase::kDecode, task.request.decode_ns);
-        }
+      phase_accum.reset();
+      if (task.request.decode_ns != 0) {
+        phase_accum.add(obs::Phase::kDecode, task.request.decode_ns);
       }
       try {
         execute(task.request, ws, result);
@@ -413,7 +384,7 @@ void Engine::worker_main(int worker_id) {
         result.status = Status::kError;
         result.error = e.what();
       }
-      if (config_.profile_phases) result.phase_ns = phase_accum.snapshot();
+      result.phase_ns = phase_accum.snapshot();
     }
     result.solve_time = std::chrono::steady_clock::now() - dequeued;
 
@@ -435,14 +406,13 @@ EngineStats Engine::stats() const {
   snapshot.simd_tier = std::string(pram::simd_tier_name(pram::active_simd_tier()));
   // Outcomes first, submissions second (see the constructor): a request is
   // counted submitted before it can complete, so this order keeps
-  // submitted >= completed + rejected in a snapshot taken mid-flight.
+  // submitted >= completed in a snapshot taken mid-flight.
   for (std::size_t m = 0; m < kNumModes; ++m) {
     ModeStats& mode = snapshot.per_mode[m];
-    for (std::size_t s = 0; s < kCompletedStatuses; ++s) {
+    for (std::size_t s = 0; s < kNumStatuses; ++s) {
       mode.*kStatusFields[s] = obs_->completed[m][s]->value();
       mode.completed += mode.*kStatusFields[s];
     }
-    mode.rejected = obs_->rejected[m]->value();
     mode.queue_ns_total = obs_->queue_ns[m]->sum();
     mode.solve_ns_total = obs_->solve_ns[m]->sum();
   }
@@ -451,14 +421,12 @@ EngineStats Engine::stats() const {
     mode.submitted = obs_->submitted[m]->value();
     snapshot.submitted += mode.submitted;
     snapshot.completed += mode.completed;
-    snapshot.rejected += mode.rejected;
     snapshot.queue_ns_total += mode.queue_ns_total;
     snapshot.solve_ns_total += mode.solve_ns_total;
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
     snapshot.queue_depth = queue_.size();
-    snapshot.active_workers = active_;
   }
   snapshot.uptime_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -

@@ -12,15 +12,16 @@
 // millions of calls).
 //
 // Submission is future-based: `submit` / `submit_batch` enqueue and return
-// immediately; workers drain the queue FIFO. Deadlines and cancellation
-// are cooperative — both are checked when a request reaches a worker, so
-// an expired or cancelled request is dropped without paying for its solve
-// (a solve already running is never preempted). Results carry per-request
-// timing (queue latency, solve time) plus the Algorithm 2 round/allocation
-// stats. The engine keeps one set of books, its obs::Registry series
-// (per-mode submitted, completed-by-status and rejected counters, and
-// queue/solve latency histograms); `stats()` reads them back into an
-// EngineStats snapshot.
+// immediately; workers drain the queue FIFO. A request's deadline is
+// checked when it reaches a worker, so an expired request is dropped
+// without paying for its solve (a solve already running is never
+// preempted). Shutdown always drains: every queued request runs before the
+// workers join. Results carry per-request timing (queue latency, solve
+// time), the per-phase solver breakdown, and the Algorithm 2
+// round/allocation stats. The engine keeps one set of books, its
+// obs::Registry series (per-mode submitted and completed-by-status
+// counters, and queue/solve latency histograms); `stats()` reads them back
+// into an EngineStats snapshot.
 //
 // Parallelism composes along two axes under one hardware budget: worker
 // count (batch concurrency) x executor lanes per worker (intra-solve
@@ -79,24 +80,11 @@ enum class Status : std::uint8_t {
   kOk = 0,           ///< solved; payload fields are populated
   kNoSolution,       ///< well-formed instance admitting no popular matching
   kDeadlineExpired,  ///< deadline passed before a worker picked the request up
-  kCancelled,        ///< cancel token fired before a worker picked the request up
   kInvalid,          ///< request malformed (missing instance, mode/instance mismatch)
   kError,            ///< solver threw; Result::error carries the message
-  kRejected,         ///< engine shut down (abandon) while the request was queued
 };
 
 std::string_view status_name(Status status);
-
-/// Shared cooperative cancellation flag; copies observe the same token.
-class CancelToken {
- public:
-  CancelToken() : flag_(std::make_shared<std::atomic<bool>>(false)) {}
-  void cancel() const noexcept { flag_->store(true, std::memory_order_relaxed); }
-  bool cancelled() const noexcept { return flag_->load(std::memory_order_relaxed); }
-
- private:
-  std::shared_ptr<std::atomic<bool>> flag_;
-};
 
 struct Request {
   Mode mode = Mode::kSolve;
@@ -105,7 +93,6 @@ struct Request {
   /// kNextStable only.
   std::optional<stable::StableInstance> stable_instance;
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  std::optional<CancelToken> cancel;
   /// Time the submitter spent decoding the wire payload into the instance,
   /// charged to the obs::Phase::kDecode bucket of the request's phase
   /// breakdown (the decode happens before the engine sees the request).
@@ -122,14 +109,6 @@ struct Request {
     r.mode = Mode::kNextStable;
     r.stable_instance = std::move(inst);
     return r;
-  }
-  Request&& with_deadline_after(std::chrono::nanoseconds budget) && {
-    deadline = std::chrono::steady_clock::now() + budget;
-    return std::move(*this);
-  }
-  Request&& with_cancel(CancelToken token) && {
-    cancel = std::move(token);
-    return std::move(*this);
   }
 };
 
@@ -162,8 +141,8 @@ struct Result {
   std::chrono::nanoseconds solve_time{0};     ///< dequeue -> result ready
   int worker_id = -1;
   /// Per-phase solver time (obs::Phase index -> exclusive ns), including
-  /// the submitter-charged decode bucket. All zero when the engine runs
-  /// with profile_phases off or the request never reached a solve.
+  /// the submitter-charged decode bucket. All zero when the request never
+  /// reached a solve.
   std::array<std::uint64_t, obs::kNumPhases> phase_ns{};
 };
 
@@ -199,17 +178,13 @@ struct EngineConfig {
   int num_workers = 1;      ///< clamped to >= 1
   int lanes_per_worker = 1; ///< width of each worker's private Executor (clamped to >= 1)
   /// Registry the engine keeps its books in; null = a private one the
-  /// engine owns. The engine registers per-mode submitted, completed
-  /// (labelled by status) and rejected counters, queue/solve latency
+  /// engine owns. The engine registers per-mode submitted and completed
+  /// (labelled by status) counters, queue/solve latency and per-phase
   /// histograms, and queue-depth/outstanding callback gauges (removed again
   /// on destruction), plus worker, lane and SIMD-tier gauges. stats() reads
   /// these series, so engines sharing one registry share their counts. A
   /// supplied registry must outlive the engine.
   obs::Registry* registry = nullptr;
-  /// Attach a per-worker obs::PhaseAccum so solver layers record phase
-  /// timings (Result::phase_ns, ncpm_solve_phase_ns histograms). Off, every
-  /// PhaseScope in the solver is a no-op (no clock reads, no atomics).
-  bool profile_phases = true;
 
   EngineConfig() = default;
   EngineConfig(int workers, int lanes) : num_workers(workers), lanes_per_worker(lanes) {}
@@ -223,10 +198,8 @@ struct ModeStats {
   std::uint64_t ok = 0;
   std::uint64_t no_solution = 0;
   std::uint64_t deadline_expired = 0;
-  std::uint64_t cancelled = 0;
   std::uint64_t invalid = 0;
   std::uint64_t errors = 0;
-  std::uint64_t rejected = 0;  ///< abandoned at shutdown without reaching a worker
   std::uint64_t queue_ns_total = 0;
   std::uint64_t solve_ns_total = 0;
 };
@@ -239,11 +212,9 @@ struct EngineStats {
   std::string simd_tier;
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
-  std::uint64_t rejected = 0;  ///< abandoned at shutdown, futures fulfilled kRejected
   std::uint64_t queue_ns_total = 0;
   std::uint64_t solve_ns_total = 0;
   std::uint64_t queue_depth = 0;  ///< requests waiting at snapshot time
-  int active_workers = 0;         ///< workers mid-solve at snapshot time
   std::uint64_t uptime_ns = 0;  ///< since engine construction
   std::array<ModeStats, kNumModes> per_mode{};
   /// Workspace buffer growths per worker since engine start. Flat between
@@ -255,15 +226,8 @@ struct EngineStats {
 
 class Engine {
  public:
-  /// What happens to requests still queued when the engine shuts down.
-  enum class ShutdownMode : std::uint8_t {
-    kDrain = 0,  ///< run every queued request to completion before joining
-    kAbandon,    ///< fulfil queued requests with Status::kRejected, join after in-flight
-  };
-
   /// Completion hook alternative to futures: invoked exactly once per
-  /// request, on the worker thread that solved it (or on the thread calling
-  /// shutdown(kAbandon) for abandoned requests). Keep it cheap and never
+  /// request, on the worker thread that solved it. Keep it cheap and never
   /// block — it runs inline in the serving path, and blocking a worker here
   /// stalls the whole engine. Callers that must touch single-threaded state
   /// trampoline instead: the epoll server core's callback only encodes the
@@ -272,7 +236,7 @@ class Engine {
   using Callback = std::function<void(Result)>;
 
   explicit Engine(EngineConfig config = {});
-  /// Equivalent to shutdown(ShutdownMode::kDrain).
+  /// Equivalent to shutdown().
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -283,12 +247,10 @@ class Engine {
   void submit(Request request, Callback on_complete);
   std::vector<std::future<Result>> submit_batch(std::vector<Request> requests);
 
-  /// Stop accepting work (further submits throw), dispose of the queue per
-  /// `mode`, and join every worker. A request already on a worker always
-  /// runs to completion — kAbandon only rejects requests still queued.
-  /// Idempotent; the first call's mode wins. Every future/callback is
-  /// fulfilled exactly once either way.
-  void shutdown(ShutdownMode mode = ShutdownMode::kDrain);
+  /// Stop accepting work (further submits throw), run every queued request
+  /// to completion, and join every worker. Idempotent. Every
+  /// future/callback is fulfilled exactly once.
+  void shutdown();
 
   /// Block until the queue is empty and every worker is idle.
   void wait_idle();
@@ -327,7 +289,7 @@ class Engine {
   struct ObsHandles;
 
   void worker_main(int worker_id);
-  /// Count a finished or abandoned request into the registry series.
+  /// Count a finished request into the registry series.
   void record(const Result& result);
   /// record() + hand the result to the task's promise or callback.
   void fulfill(Task& task, Result&& result);

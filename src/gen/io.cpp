@@ -250,7 +250,10 @@ stable::StableInstance read_stable_instance(std::istream& in) {
   const auto read_side = [&](char prefix) {
     std::vector<std::vector<std::int32_t>> prefs(static_cast<std::size_t>(n));
     for (std::int32_t p = 0; p < n; ++p) {
-      expect(in, std::string(1, prefix) + std::to_string(p) + ":", "preference line");
+      std::string label(1, prefix);
+      label += std::to_string(p);
+      label += ':';
+      expect(in, label, "preference line");
       auto& list = prefs[static_cast<std::size_t>(p)];
       list.reserve(static_cast<std::size_t>(n));
       for (std::int32_t i = 0; i < n; ++i) {

@@ -142,10 +142,8 @@ RpcStatus to_rpc_status(engine::Status status) {
     case engine::Status::kOk: return RpcStatus::kOk;
     case engine::Status::kNoSolution: return RpcStatus::kNoSolution;
     case engine::Status::kDeadlineExpired: return RpcStatus::kDeadlineExpired;
-    case engine::Status::kCancelled: return RpcStatus::kCancelled;
     case engine::Status::kInvalid: return RpcStatus::kInvalidRequest;
     case engine::Status::kError: return RpcStatus::kSolverError;
-    case engine::Status::kRejected: return RpcStatus::kRejected;
   }
   return RpcStatus::kSolverError;
 }

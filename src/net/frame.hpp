@@ -69,14 +69,14 @@ enum class FrameType : std::uint8_t {
   kStatsResponse = 6,  ///< metrics snapshot (server -> client), token echoed
 };
 
-/// Wire status of one response. The first six mirror engine::Status; the
-/// rest are protocol-level failures that never reached the engine. The
+/// Wire status of one response. Codes 0-2, 4 and 5 carry an engine::Status;
+/// the rest are protocol-level failures that never reached the engine. The
 /// retryability taxonomy lives in docs/ncpm-rpc-v1.md, "Failure semantics".
 enum class RpcStatus : std::uint8_t {
   kOk = 0,
   kNoSolution = 1,
   kDeadlineExpired = 2,
-  kCancelled = 3,
+  kCancelled = 3,        ///< reserved: a v1 server never sends it; clients still decode it
   kInvalidRequest = 4,
   kSolverError = 5,
   kRejected = 6,         ///< server shutting down before the request ran

@@ -176,11 +176,9 @@ void EpollCore::start() {
   port_ = listener_.local_port();
   listener_.set_nonblocking(true);
 
-  std::size_t n = config_.num_event_loops;
-  if (n == 0) {
-    const auto hw = static_cast<std::size_t>(std::thread::hardware_concurrency());
-    n = std::min<std::size_t>(4, std::max<std::size_t>(1, hw));
-  }
+  // Event loops sharing the connections (round-robin): min(4, hardware threads).
+  const auto hw = static_cast<std::size_t>(std::thread::hardware_concurrency());
+  const std::size_t n = std::min<std::size_t>(4, std::max<std::size_t>(1, hw));
   loops_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) loops_.push_back(std::make_unique<LoopState>());
   for (auto& ls : loops_) ls->loop.start();

@@ -148,22 +148,15 @@ void dispatch_request(engine::Engine& engine, ServerObs& obs, const ServerConfig
                             "deadline expired before dispatch")));
     return;
   }
-  const bool over_cap = config.max_in_flight_global > 0 &&
-                        engine.outstanding() >= config.max_in_flight_global;
-  const bool over_watermark = config.overload_queue_watermark > 0 &&
-                              engine.queue_depth() >= config.overload_queue_watermark;
-  if (over_cap || over_watermark) {
+  if (config.max_in_flight_global > 0 && engine.outstanding() >= config.max_in_flight_global) {
     obs.overloaded_shed.add(1);
     if (obs.log.enabled()) {
-      obs.log.event("shed_overload", {{"conn_id", conn_id},
-                                      {"request_id", head.request_id},
-                                      {"gate", over_cap ? "in-flight-cap" : "queue-watermark"}});
+      obs.log.event("shed_overload", {{"conn_id", conn_id}, {"request_id", head.request_id}});
     }
     commit_inline_span(head.request_id, head.mode_raw, RpcStatus::kOverloaded);
-    deliver(encode_response_frame(make_error_response(
-        head.request_id, head.mode_raw, RpcStatus::kOverloaded,
-        over_cap ? "server at its global in-flight cap; back off and retry"
-                 : "engine queue past the overload watermark; back off and retry")));
+    deliver(encode_response_frame(
+        make_error_response(head.request_id, head.mode_raw, RpcStatus::kOverloaded,
+                            "server at its global in-flight cap; back off and retry")));
     return;
   }
 
@@ -296,6 +289,9 @@ void dispatch_request(engine::Engine& engine, ServerObs& obs, const ServerConfig
 
 namespace {
 
+/// Spans the trace ring retains; older ones are overwritten.
+constexpr std::size_t kTraceRingCapacity = 256;
+
 /// The engine registers its own metrics into whatever registry its config
 /// points at; the server points it at the server's.
 engine::EngineConfig with_registry(engine::EngineConfig ec, obs::Registry* registry) {
@@ -310,8 +306,7 @@ Server::Server(ServerConfig config)
       registry_(std::make_unique<obs::Registry>()),
       log_(std::make_unique<obs::Log>()),
       slow_log_(std::make_unique<obs::Log>()),
-      traces_(std::make_unique<obs::TraceRing>(config_.trace_ring_capacity,
-                                               config_.trace_sample_n)),
+      traces_(std::make_unique<obs::TraceRing>(kTraceRingCapacity, config_.trace_sample_n)),
       engine_(with_registry(config_.engine, registry_.get())),
       obs_(std::make_unique<detail::ServerObs>(*registry_, *log_, *slow_log_, *traces_)) {
   if (config_.max_in_flight_per_connection < 1) config_.max_in_flight_per_connection = 1;
@@ -381,7 +376,7 @@ void Server::stop() {
   // /readyz reports 503 (stopping_ is set) for the whole drain window, so
   // an orchestrator watching the probes sees "alive but not ready" instead
   // of a vanished port.
-  engine_.shutdown(engine::Engine::ShutdownMode::kDrain);
+  engine_.shutdown();
   if (metrics_) metrics_->stop();
   if (log_->enabled()) {
     log_->event("drain_end", {{"uptime_ns", registry_->uptime_ns()},

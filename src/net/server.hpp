@@ -48,9 +48,6 @@ struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; Server::port() reports the bound port
   int backlog = 64;
-  /// Event loops sharing the connections (round-robin).
-  /// 0 = auto (min(4, hardware threads)).
-  std::size_t num_event_loops = 0;
   /// Reader-side backpressure bound: admitted frames whose response has not
   /// yet been *sent* (engine work and protocol errors alike). At the bound
   /// the connection stops consuming frames, so neither the engine queue nor
@@ -74,22 +71,18 @@ struct ServerConfig {
   /// mid-solve) reach this bound, further requests are shed with
   /// RpcStatus::kOverloaded *before* touching the engine — the server is
   /// live and the client should back off and retry (kRejected, in
-  /// contrast, means the server is going away). Zero = no cap.
+  /// contrast, means the server is going away). Since the engine queue is
+  /// part of what is outstanding, the cap also bounds queue depth (and so
+  /// worst-case queue latency). Zero = no cap.
   std::size_t max_in_flight_global = 0;
-  /// Queue-depth watermark, same shedding path: requests are shed while
-  /// the engine queue alone (work not yet on a worker) is at or beyond
-  /// this depth, bounding worst-case queue latency under overload even
-  /// when max_in_flight_global still has headroom. Zero = no watermark.
-  std::size_t overload_queue_watermark = 0;
   /// Optional HTTP/1.0 `GET /metrics` Prometheus-text endpoint on its own
   /// port (same bind address). nullopt = off; 0 = ephemeral, read the
   /// outcome back with Server::metrics_port().
   std::optional<std::uint16_t> metrics_port;
   /// Per-request trace sampling: every Nth request across the server gets a
-  /// TraceSpan in the ring (retrievable via the stats frame). 0 = off.
+  /// TraceSpan in the ring (retrievable via the stats frame; the ring keeps
+  /// the latest 256 spans). 0 = off.
   std::uint64_t trace_sample_n = 0;
-  /// Trace ring capacity (spans retained; older ones are overwritten).
-  std::size_t trace_ring_capacity = 256;
   /// Structured JSON-lines logging of connection lifecycle, sheds,
   /// malformed frames and drain events (obs::Log). Off by default — the
   /// serving path emits nothing.
@@ -148,7 +141,6 @@ class Server {
   void stop();
 
   ServerStats stats() const;
-  engine::EngineStats engine_stats() const { return engine_.stats(); }
   /// The underlying engine (tests compare rpc results against direct
   /// submits on an identically configured engine, not this one).
   engine::Engine& engine() noexcept { return engine_; }

@@ -115,13 +115,13 @@ class EpollCore final : public FdHandler {
 /// call from any thread. Two shedding gates run after the head decodes but
 /// before the (comparatively expensive) instance payload does: a request
 /// whose relative deadline already elapsed between receipt and dispatch is
-/// answered kDeadlineExpired, and when config's global in-flight cap or
-/// queue watermark is breached the request is answered kOverloaded — both
-/// without touching the engine. Increments malformed_frames /
-/// overloaded_shed / deadline_shed, emits shed/malformed log events, and
-/// commits a trace span when this request was sampled; the caller owns
-/// frames_received (counted at receipt) and responses_sent (a response
-/// only counts once it is on the wire). `conn_id` and `accepted` identify
+/// answered kDeadlineExpired, and when config's global in-flight cap is
+/// reached the request is answered kOverloaded — both without touching the
+/// engine. Increments malformed_frames / overloaded_shed / deadline_shed,
+/// emits shed/malformed log events, and commits a trace span when this
+/// request was sampled; the caller owns frames_received (counted at
+/// receipt) and responses_sent (a response only counts once it is on the
+/// wire). `conn_id` and `accepted` identify
 /// the connection for log correlation and the span's accept timestamp.
 void dispatch_request(engine::Engine& engine, ServerObs& obs, const ServerConfig& config,
                       const std::vector<std::uint8_t>& body,

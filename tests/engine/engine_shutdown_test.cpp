@@ -1,7 +1,6 @@
-// Engine::shutdown(Drain | Abandon): drain runs every queued request to
-// completion, abandon fulfils queued requests with kRejected — in both
-// cases every future/callback resolves exactly once, further submits
-// throw, and a second shutdown is a no-op.
+// Engine::shutdown() drains: every queued request runs to completion,
+// every future/callback resolves exactly once, further submits throw, and
+// a second shutdown is a no-op.
 //
 // The worker is parked deterministically: a callback request blocks the
 // (single) worker thread inside its completion callback until the test
@@ -69,7 +68,7 @@ TEST(EngineShutdown, DrainFulfillsEveryQueuedFuture) {
     queued.push_back(engine.submit(Request::popular(Mode::kCount, small_instance(2 + i))));
   }
 
-  std::thread shutter([&] { engine.shutdown(Engine::ShutdownMode::kDrain); });
+  std::thread shutter([&] { engine.shutdown(); });
   gate.release();
   shutter.join();
 
@@ -80,48 +79,10 @@ TEST(EngineShutdown, DrainFulfillsEveryQueuedFuture) {
   }
   const auto stats = engine.stats();
   EXPECT_EQ(stats.completed, 6u);
-  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.submitted, stats.completed);
   EXPECT_THROW(engine.submit(Request::popular(Mode::kSolve, small_instance(99))),
                std::runtime_error);
-  engine.shutdown(Engine::ShutdownMode::kDrain);  // idempotent
-}
-
-TEST(EngineShutdown, AbandonRejectsQueuedButFinishesInFlight) {
-  Engine engine(EngineConfig{1, 1});
-  WorkerGate gate;
-  std::promise<Status> in_flight_status;
-  engine.submit(Request::popular(Mode::kSolve, small_instance(1)), [&](Result res) {
-    in_flight_status.set_value(res.status);
-    gate.block_worker();
-  });
-  gate.await_worker();
-
-  std::vector<std::future<Result>> queued;
-  for (int i = 0; i < 5; ++i) {
-    queued.push_back(engine.submit(Request::popular(Mode::kCount, small_instance(2 + i))));
-  }
-
-  std::thread shutter([&] { engine.shutdown(Engine::ShutdownMode::kAbandon); });
-
-  // The queued futures must resolve kRejected *while the worker is still
-  // parked* — abandonment does not wait for in-flight work.
-  for (auto& f : queued) {
-    const auto res = f.get();
-    EXPECT_EQ(res.status, Status::kRejected);
-    EXPECT_FALSE(res.error.empty());
-  }
-
-  gate.release();
-  shutter.join();
-
-  // The request that was already on the worker ran to completion.
-  EXPECT_EQ(in_flight_status.get_future().get(), Status::kOk);
-  const auto stats = engine.stats();
-  EXPECT_EQ(stats.completed, 1u);
-  EXPECT_EQ(stats.rejected, 5u);
-  EXPECT_EQ(stats.per_mode[static_cast<std::size_t>(Mode::kCount)].rejected, 5u);
-  EXPECT_THROW(engine.submit(Request::popular(Mode::kSolve, small_instance(99))),
-               std::runtime_error);
+  engine.shutdown();  // idempotent
 }
 
 TEST(EngineShutdown, DestructorDrains) {
@@ -131,7 +92,7 @@ TEST(EngineShutdown, DestructorDrains) {
     for (int i = 0; i < 8; ++i) {
       futures.push_back(engine.submit(Request::popular(Mode::kSolve, small_instance(10 + i))));
     }
-  }  // ~Engine == shutdown(kDrain)
+  }  // ~Engine == shutdown()
   for (auto& f : futures) EXPECT_EQ(f.get().status, Status::kOk);
 }
 

@@ -2,10 +2,10 @@
 // target in CI): Engine::stats() and Registry::snapshot() are hammered
 // from reader threads while submitter threads keep the queue full.
 // Properties: no data race (TSan), counters only move forward, every
-// intermediate snapshot satisfies submitted >= completed + rejected, and
-// at quiesce the books balance exactly: submitted == completed + rejected
-// and nothing is outstanding. The EngineBooks tests drive every status and
-// check that EngineStats reads back exactly the registry's labelled series.
+// intermediate snapshot satisfies submitted >= completed, and at quiesce
+// the books balance exactly: submitted == completed and nothing is
+// outstanding. The EngineBooks tests drive every reachable status and check
+// that EngineStats reads back exactly the registry's labelled series.
 
 #include "engine/engine.hpp"
 
@@ -62,7 +62,7 @@ TEST(EngineStatsRace, ConcurrentScrapesDuringSubmitStormStayConsistent) {
         // Both scrape surfaces, interleaved: EngineStats (read back from the
         // engine's own series) and a whole registry snapshot.
         const EngineStats stats = engine.stats();
-        ASSERT_GE(stats.submitted, stats.completed + stats.rejected);
+        ASSERT_GE(stats.submitted, stats.completed);
         ASSERT_GE(stats.submitted, last_submitted);
         ASSERT_GE(stats.completed, last_completed);
         ASSERT_LE(stats.submitted, kTotal);
@@ -71,8 +71,7 @@ TEST(EngineStatsRace, ConcurrentScrapesDuringSubmitStormStayConsistent) {
 
         const obs::Snapshot snap = registry.snapshot();
         ASSERT_GE(counter_sum(snap, "ncpm_engine_submitted_total"),
-                  counter_sum(snap, "ncpm_engine_completed_total") +
-                      counter_sum(snap, "ncpm_engine_rejected_total"));
+                  counter_sum(snap, "ncpm_engine_completed_total"));
         // The lock-free mirrors never report impossible depths.
         ASSERT_LE(engine.queue_depth(), static_cast<std::size_t>(kTotal));
         ASSERT_LE(engine.outstanding(), static_cast<std::size_t>(kTotal));
@@ -104,15 +103,13 @@ TEST(EngineStatsRace, ConcurrentScrapesDuringSubmitStormStayConsistent) {
   // request (counters update before the promise is fulfilled).
   const EngineStats final_stats = engine.stats();
   EXPECT_EQ(final_stats.submitted, kTotal);
-  EXPECT_EQ(final_stats.submitted, final_stats.completed + final_stats.rejected);
-  EXPECT_EQ(final_stats.rejected, 0u);
+  EXPECT_EQ(final_stats.submitted, final_stats.completed);
   EXPECT_EQ(engine.outstanding(), 0u);
   EXPECT_EQ(engine.queue_depth(), 0u);
 
   const obs::Snapshot snap = registry.snapshot();
   EXPECT_EQ(counter_sum(snap, "ncpm_engine_submitted_total"), kTotal);
   EXPECT_EQ(counter_sum(snap, "ncpm_engine_completed_total"), kTotal);
-  EXPECT_EQ(counter_sum(snap, "ncpm_engine_rejected_total"), 0u);
   // Histograms are registered for every mode; only the three exercised
   // ones carry observations, and their quantiles must be sane.
   std::uint64_t observed = 0;
@@ -158,9 +155,8 @@ struct WorkerGate {
 /// except kError (no solver input makes one throw):
 ///   solve:       2 ok (one is the gate request), 1 no-solution, 1 invalid
 ///   max-card:    1 deadline-expired
-///   fair:        1 cancelled
 ///   next-stable: 1 invalid
-///   count:       1 ok, then 3 rejected by shutdown(kAbandon)
+///   count:       1 ok, then 3 ok drained by shutdown()
 void drive_every_status(Engine& engine) {
   gen::SolvableConfig icfg;
   icfg.num_applicants = 12;
@@ -179,17 +175,14 @@ void drive_every_status(Engine& engine) {
   auto late = Request::popular(Mode::kMaxCard, inst);
   late.deadline = std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
   done.push_back(engine.submit(std::move(late)));
-  CancelToken token;
-  token.cancel();
-  done.push_back(engine.submit(Request::popular(Mode::kFair, inst).with_cancel(token)));
-  const Status expected[] = {Status::kOk,      Status::kOk,           Status::kNoSolution,
-                             Status::kInvalid, Status::kInvalid,      Status::kDeadlineExpired,
-                             Status::kCancelled};
+  const Status expected[] = {Status::kOk,      Status::kOk,      Status::kNoSolution,
+                             Status::kInvalid, Status::kInvalid, Status::kDeadlineExpired};
   for (std::size_t i = 0; i < done.size(); ++i) {
     ASSERT_EQ(done[i].get().status, expected[i]) << "request " << i;
   }
 
-  // Park the worker, queue three requests behind it, and abandon them.
+  // Park the worker, queue three requests behind it, and shut down: the
+  // drain still runs them.
   WorkerGate gate;
   engine.submit(Request::popular(Mode::kSolve, inst), [&](Result) {
     gate.entered.set_value();
@@ -198,10 +191,10 @@ void drive_every_status(Engine& engine) {
   gate.entered.get_future().wait();
   std::vector<std::future<Result>> queued;
   for (int i = 0; i < 3; ++i) queued.push_back(engine.submit(Request::popular(Mode::kCount, inst)));
-  std::thread shutter([&] { engine.shutdown(Engine::ShutdownMode::kAbandon); });
-  for (auto& f : queued) ASSERT_EQ(f.get().status, Status::kRejected);
+  std::thread shutter([&] { engine.shutdown(); });
   gate.released.set_value();
   shutter.join();
+  for (auto& f : queued) ASSERT_EQ(f.get().status, Status::kOk);
 }
 
 void expect_every_status_counted(const EngineStats& stats) {
@@ -214,19 +207,14 @@ void expect_every_status_counted(const EngineStats& stats) {
   const auto& max_card = stats.per_mode[static_cast<std::size_t>(Mode::kMaxCard)];
   EXPECT_EQ(max_card.deadline_expired, 1u);
   EXPECT_EQ(max_card.completed, 1u);
-  const auto& fair = stats.per_mode[static_cast<std::size_t>(Mode::kFair)];
-  EXPECT_EQ(fair.cancelled, 1u);
-  EXPECT_EQ(fair.completed, 1u);
   const auto& next_stable = stats.per_mode[static_cast<std::size_t>(Mode::kNextStable)];
   EXPECT_EQ(next_stable.invalid, 1u);
   const auto& count = stats.per_mode[static_cast<std::size_t>(Mode::kCount)];
   EXPECT_EQ(count.submitted, 4u);
-  EXPECT_EQ(count.ok, 1u);
-  EXPECT_EQ(count.completed, 1u);
-  EXPECT_EQ(count.rejected, 3u);
-  EXPECT_EQ(stats.submitted, 11u);
-  EXPECT_EQ(stats.completed, 8u);
-  EXPECT_EQ(stats.rejected, 3u);
+  EXPECT_EQ(count.ok, 4u);
+  EXPECT_EQ(count.completed, 4u);
+  EXPECT_EQ(stats.submitted, 10u);
+  EXPECT_EQ(stats.completed, 10u);
   std::uint64_t errors = 0;
   for (const auto& mode : stats.per_mode) errors += mode.errors;
   EXPECT_EQ(errors, 0u);
@@ -251,12 +239,10 @@ TEST(EngineBooks, StatsMatchTheSuppliedRegistryToTheUnit) {
     const ModeStats& book = stats.per_mode[m];
     SCOPED_TRACE(mode);
     EXPECT_EQ(book.submitted, series_value(snap, "ncpm_engine_submitted_total", {{"mode", mode}}));
-    EXPECT_EQ(book.rejected, series_value(snap, "ncpm_engine_rejected_total", {{"mode", mode}}));
     const std::pair<Status, std::uint64_t> by_status[] = {
         {Status::kOk, book.ok},
         {Status::kNoSolution, book.no_solution},
         {Status::kDeadlineExpired, book.deadline_expired},
-        {Status::kCancelled, book.cancelled},
         {Status::kInvalid, book.invalid},
         {Status::kError, book.errors}};
     std::uint64_t completed = 0;
@@ -277,7 +263,6 @@ TEST(EngineBooks, StatsMatchTheSuppliedRegistryToTheUnit) {
   EXPECT_EQ(stats.solve_ns_total, solve_ns);
   EXPECT_EQ(counter_sum(snap, "ncpm_engine_submitted_total"), stats.submitted);
   EXPECT_EQ(counter_sum(snap, "ncpm_engine_completed_total"), stats.completed);
-  EXPECT_EQ(counter_sum(snap, "ncpm_engine_rejected_total"), stats.rejected);
 }
 
 TEST(EngineBooks, StatsCountEveryStatusWithoutARegistry) {

@@ -116,8 +116,7 @@ TEST(EngineStress, ConcurrentSubmittersSeeConsistentStats) {
   for (const auto& mode : stats.per_mode) {
     per_mode_completed += mode.completed;
     EXPECT_EQ(mode.completed,
-              mode.ok + mode.no_solution + mode.deadline_expired + mode.cancelled +
-                  mode.invalid + mode.errors);
+              mode.ok + mode.no_solution + mode.deadline_expired + mode.invalid + mode.errors);
   }
   EXPECT_EQ(per_mode_completed, stats.completed);
 }

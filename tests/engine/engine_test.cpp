@@ -1,7 +1,7 @@
 // The engine is a scheduler, not a solver: whatever the worker count, every
 // Request must produce byte-identical results to the direct single-call API,
-// and the control surfaces (deadlines, cancellation, invalid requests,
-// stats) must behave deterministically.
+// and the control surfaces (deadlines, invalid requests, stats) must behave
+// deterministically.
 
 #include "engine/engine.hpp"
 
@@ -213,52 +213,10 @@ TEST(Engine, GenerousDeadlineSolves) {
   cfg.seed = 9;
   auto inst = gen::solvable_strict_instance(cfg);
   Engine engine({1, 1});
-  const auto res =
-      engine
-          .submit(Request::popular(Mode::kSolve, std::move(inst))
-                      .with_deadline_after(std::chrono::minutes(5)))
-          .get();
+  auto request = Request::popular(Mode::kSolve, std::move(inst));
+  request.deadline = std::chrono::steady_clock::now() + std::chrono::minutes(5);
+  const auto res = engine.submit(std::move(request)).get();
   EXPECT_EQ(res.status, Status::kOk);
-}
-
-TEST(Engine, CancelledBeforeSubmitNeverRuns) {
-  gen::SolvableConfig cfg;
-  cfg.seed = 13;
-  auto inst = gen::solvable_strict_instance(cfg);
-  CancelToken token;
-  token.cancel();
-  Engine engine({2, 1});
-  const auto res = engine.submit(Request::popular(Mode::kSolve, std::move(inst))
-                                     .with_cancel(token))
-                       .get();
-  EXPECT_EQ(res.status, Status::kCancelled);
-  EXPECT_FALSE(res.matching.has_value());
-}
-
-TEST(Engine, CancelWhileQueuedDropsRequest) {
-  // One worker occupied by a head request; the token fires BEFORE the tail
-  // requests are submitted, so no worker can have dequeued them yet and
-  // every tail result is deterministically kCancelled — while the requests
-  // still sit in a live queue behind in-flight work.
-  gen::SolvableConfig cfg;
-  cfg.num_applicants = 400;
-  cfg.num_posts = 1200;
-  cfg.seed = 17;
-  const auto inst = gen::solvable_strict_instance(cfg);
-  Engine engine({1, 1});
-  CancelToken token;
-  auto head = engine.submit(Request::popular(Mode::kSolve, inst));
-  token.cancel();
-  std::vector<std::future<Result>> tail;
-  for (int i = 0; i < 8; ++i) {
-    tail.push_back(engine.submit(Request::popular(Mode::kSolve, inst).with_cancel(token)));
-  }
-  EXPECT_EQ(head.get().status, Status::kOk);
-  for (auto& f : tail) {
-    const auto res = f.get();
-    EXPECT_EQ(res.status, Status::kCancelled);
-    EXPECT_FALSE(res.matching.has_value());
-  }
 }
 
 TEST(Engine, MissingInstanceIsInvalid) {

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "gen/generators.hpp"
@@ -142,6 +144,33 @@ TEST(FrameCodec, ErrorResponseRoundTrip) {
   EXPECT_EQ(decoded.status, RpcStatus::kMalformedFrame);
   EXPECT_EQ(decoded.error, "truncated instance");
   EXPECT_FALSE(decoded.mode().has_value());
+}
+
+/// The wire numbering is pinned: every code keeps its value and name, and
+/// every engine status maps to the code it always had — code 3 stays
+/// reserved (decodable, never sent by a v1 server).
+TEST(Frame, EveryWireStatusRoundTrips) {
+  const std::pair<std::uint8_t, std::string_view> wire[] = {
+      {0, "ok"},           {1, "no-solution"},  {2, "deadline-expired"}, {3, "cancelled"},
+      {4, "invalid-request"}, {5, "solver-error"}, {6, "rejected"},      {7, "malformed-frame"},
+      {8, "unsupported-mode"}, {9, "overloaded"}};
+  const auto mode_raw = static_cast<std::uint8_t>(engine::Mode::kCount);
+  for (const auto& [code, name] : wire) {
+    SCOPED_TRACE(name);
+    const auto status = static_cast<RpcStatus>(code);
+    EXPECT_EQ(rpc_status_name(status), name);
+    const auto body =
+        body_of(encode_response_frame(make_error_response(7, mode_raw, status, "why")));
+    const auto decoded = decode_response_frame(body.data(), body.size());
+    EXPECT_EQ(static_cast<std::uint8_t>(decoded.status), code);
+    EXPECT_EQ(rpc_status_name(decoded.status), name);
+  }
+
+  EXPECT_EQ(static_cast<std::uint8_t>(to_rpc_status(engine::Status::kOk)), 0u);
+  EXPECT_EQ(static_cast<std::uint8_t>(to_rpc_status(engine::Status::kNoSolution)), 1u);
+  EXPECT_EQ(static_cast<std::uint8_t>(to_rpc_status(engine::Status::kDeadlineExpired)), 2u);
+  EXPECT_EQ(static_cast<std::uint8_t>(to_rpc_status(engine::Status::kInvalid)), 4u);
+  EXPECT_EQ(static_cast<std::uint8_t>(to_rpc_status(engine::Status::kError)), 5u);
 }
 
 TEST(FrameCodec, RejectsWrongFrameType) {

@@ -4,7 +4,7 @@
 //
 // Determinism discipline: tests that need a busy engine occupy its single
 // worker with a large instance submitted *directly* (no wire race), so the
-// admission gates see outstanding()/queue_depth() at known values when the
+// admission gate sees outstanding()/queue_depth() at known values when the
 // wire requests arrive.
 
 #include "net/server.hpp"
@@ -76,21 +76,25 @@ TEST(ServerResilience, InFlightCapShedsWithOverloadedNeverRejected) {
   EXPECT_EQ(server.stats().overloaded_shed, calls.size());
 }
 
-TEST(ServerResilience, QueueWatermarkShedsWithOverloaded) {
+TEST(ServerResilience, InFlightCapBoundsTheQueueDepth) {
+  // outstanding() counts queued work too, so the in-flight cap alone bounds
+  // the engine queue: with one worker and a cap of 2, one busy request and
+  // one queued one fill it, and a third is shed before it can queue.
   ServerConfig cfg;
   cfg.engine = engine::EngineConfig{1, 1};
-  cfg.overload_queue_watermark = 1;
+  cfg.max_in_flight_global = 2;
   Server server(cfg);
   server.start();
 
-  // Worker busy on the first, second parked in the queue: queue_depth()
-  // sits at 1 (== the watermark) until the busywork completes.
   auto busy = server.engine().submit(engine::Request::popular(Mode::kSolve, busywork_instance()));
+  // Queue the second request only once the worker has taken the first.
+  while (server.engine().queue_depth() != 0) std::this_thread::sleep_for(1ms);
   auto queued = server.engine().submit(engine::Request::popular(Mode::kSolve, small_instance(2)));
 
   auto client = Client::connect("127.0.0.1", server.port());
   const auto resp = client.call(Mode::kSolve, small_instance(3));
   EXPECT_EQ(resp.status, RpcStatus::kOverloaded) << rpc_status_name(resp.status);
+  EXPECT_LE(server.engine().queue_depth(), 1u);
 
   busy.get();
   queued.get();

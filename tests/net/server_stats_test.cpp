@@ -449,9 +449,10 @@ TEST(ServerObsLoopback, SlowRequestCaptureLogsEveryRequestOverTheBound) {
         << line;
     // The full fixed-schema phase breakdown rides every capture.
     for (std::size_t p = 0; p < obs::kNumPhases; ++p) {
-      EXPECT_NE(line.find("\"" + std::string(obs::phase_name(p)) + "_ns\":"),
-                std::string::npos)
-          << line;
+      std::string key = "\"";
+      key += obs::phase_name(p);
+      key += "_ns\":";
+      EXPECT_NE(line.find(key), std::string::npos) << line;
     }
   }
 }

@@ -150,10 +150,15 @@ TEST(Registry, RegistrationIsIdempotentPerNameAndLabels) {
 TEST(Registry, HandlesStayValidAsTheRegistryGrows) {
   Registry reg;
   Counter& first = reg.counter("first_total", "");
+  const auto named = [](char prefix, int i) {
+    std::string name(1, prefix);
+    name += std::to_string(i);
+    return name;
+  };
   for (int i = 0; i < 200; ++i) {
-    reg.counter("c" + std::to_string(i), "");
-    reg.gauge("g" + std::to_string(i), "");
-    reg.histogram("h" + std::to_string(i), "");
+    reg.counter(named('c', i), "");
+    reg.gauge(named('g', i), "");
+    reg.histogram(named('h', i), "");
   }
   first.add(3);  // the deque never moves entries, so this handle is live
   EXPECT_EQ(first.value(), 3u);
