@@ -8,7 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/max_card_popular.hpp"
 #include "core/optimal_popular.hpp"
 #include "core/reduced_graph.hpp"
 #include "core/switching_graph.hpp"
@@ -98,32 +97,5 @@ void BM_CountPopular(benchmark::State& state) {
 }
 BENCHMARK(BM_CountPopular)->RangeMultiplier(4)->Range(1 << 8, 1 << 17)
     ->Unit(benchmark::kMillisecond)->Complexity();
-
-void BM_MaxWeightPopular(benchmark::State& state) {
-  const auto inst = instance_for(state.range(0));
-  const ncpm::core::WeightFn weight = [&inst](std::int32_t a, std::int32_t p) {
-    if (inst.is_last_resort(p)) return std::int64_t{0};
-    return static_cast<std::int64_t>((a * 131 + p * 17) % 1000);
-  };
-  for (auto _ : state) {
-    ncpm::pram::Workspace ws;
-    auto m = ncpm::core::find_optimal_popular(inst, weight, true, ws);
-    benchmark::DoNotOptimize(m);
-  }
-}
-BENCHMARK(BM_MaxWeightPopular)->RangeMultiplier(4)->Range(1 << 8, 1 << 15)
-    ->Unit(benchmark::kMillisecond);
-
-// Reference point: Algorithm 3 as the unit-weight special case.
-void BM_MaxCardAsWeightBaseline(benchmark::State& state) {
-  const auto inst = instance_for(state.range(0));
-  for (auto _ : state) {
-    ncpm::pram::Workspace ws;
-    auto m = ncpm::core::find_max_card_popular(inst, ws);
-    benchmark::DoNotOptimize(m);
-  }
-}
-BENCHMARK(BM_MaxCardAsWeightBaseline)->RangeMultiplier(4)->Range(1 << 8, 1 << 15)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -86,8 +86,7 @@ constexpr const char* kServeUsage =
     "[--idle-timeout-ms T] [--hello-timeout-ms T] [--metrics-port P] [--trace-sample-n N] "
     "[--slow-request-ms N] [--log-json]";
 constexpr const char* kRpcUsage =
-    "rpc HOST:PORT MODE [file] [--deadline-ms N] [--retries R] [--backoff-ms B] "
-    "[--hedge-ms H]";
+    "rpc HOST:PORT MODE [file] [--deadline-ms N] [--retries R] [--backoff-ms B]";
 constexpr const char* kStatsUsage =
     "stats HOST:PORT [--watch SECS] [--format prom|json] [--traces]";
 constexpr const char* kTopCmdUsage = "top HOST:PORT [--interval SECS] [--count N]";
@@ -121,7 +120,6 @@ struct Options {
   int deadline_ms = 0;           // rpc: 0 = none
   int retries = 0;               // rpc: attempts beyond the first
   int backoff_ms = 50;           // rpc: initial retry backoff
-  int hedge_ms = 0;              // rpc: 0 = no hedged second attempt
   int metrics_port = -1;         // serve: -1 = no /metrics endpoint, 0 = ephemeral
   int trace_sample_n = 0;        // serve: 0 = tracing off, N = every Nth request
   int slow_request_ms = 0;       // serve: 0 = slow-request capture off
@@ -171,8 +169,6 @@ bool parse_flags(int argc, char** argv, Options& opts) {
       if (++i >= argc || !parse_int(argv[i], 0, opts.retries)) return false;
     } else if (arg == "--backoff-ms") {
       if (++i >= argc || !parse_int(argv[i], 1, opts.backoff_ms)) return false;
-    } else if (arg == "--hedge-ms") {
-      if (++i >= argc || !parse_int(argv[i], 1, opts.hedge_ms)) return false;
     } else if (arg == "--metrics-port") {
       if (++i >= argc || !parse_int(argv[i], 0, opts.metrics_port) || opts.metrics_port > 65535) {
         return false;
@@ -520,13 +516,12 @@ int run_rpc(const Options& opts) {
   if (opts.positional.size() == 3) input.positional.push_back(opts.positional[2]);
   const auto inst = ncpm::io::read_instance(slurp_input(input));
 
-  // Always go through the resilient wrapper: with the defaults (0 retries,
-  // no hedge) it behaves exactly like a plain Client, and the flags buy
-  // reconnect + backoff + hedging without a separate code path.
+  // Always go through the resilient wrapper: with the defaults (0 retries)
+  // it behaves exactly like a plain Client, and the flags buy reconnect +
+  // backoff without a separate code path.
   ncpm::net::ResilientClientConfig rcfg;
   rcfg.max_attempts = opts.retries + 1;
   rcfg.backoff.initial = std::chrono::milliseconds(opts.backoff_ms);
-  rcfg.hedge_delay = std::chrono::milliseconds(opts.hedge_ms);
   ncpm::net::ResilientClient client(hostport.substr(0, colon), static_cast<std::uint16_t>(port),
                                     rcfg);
   return print_response(client.call(*mode, inst, std::chrono::milliseconds(opts.deadline_ms)));

@@ -20,7 +20,8 @@ matching::Matching maximize_cardinality(const Instance& inst, const matching::Ma
   });
   ws.round(n_ext);
 
-  return engine.apply_best(value.span(), ws);
+  const auto report = engine.margins(value.span(), ws);
+  return engine.apply(engine.best_choices(report, ws), ws);
 }
 
 std::optional<matching::Matching> find_max_card_popular(const Instance& inst, pram::Workspace& ws) {

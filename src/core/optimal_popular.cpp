@@ -1,44 +1,14 @@
 #include "core/optimal_popular.hpp"
 
+#include <functional>
 #include <stdexcept>
+#include <vector>
 
 #include "core/popular_matching.hpp"
 #include "core/reduced_graph.hpp"
 #include "core/switching_graph.hpp"
 
 namespace ncpm::core {
-
-matching::Matching optimize_weight(const Instance& inst, const matching::Matching& popular,
-                                   const WeightFn& weight, bool maximize, pram::Workspace& ws) {
-  const ReducedGraph rg = build_reduced_graph(inst, ws);
-  const SwitchingEngine engine(inst, rg, popular, ws);
-  const std::size_t n_ext = engine.pseudoforest().size();
-
-  // Per-vertex delta: gain for the out-edge applicant when it switches.
-  // WeightFn is user code — evaluate sequentially (it may not be thread-safe).
-  auto delta = ws.take<std::int64_t>(n_ext, std::int64_t{0});
-  const auto out = engine.out_applicant();
-  for (std::size_t v = 0; v < n_ext; ++v) {
-    const std::int32_t a = out[v];
-    if (a == kNone) continue;
-    const std::int32_t to = engine.pseudoforest().next[v];
-    const std::int64_t d = weight(a, to) - weight(a, static_cast<std::int32_t>(v));
-    delta[v] = maximize ? d : -d;
-  }
-  ws.round(n_ext);
-
-  const auto report = engine.margins_from_deltas(delta.span(), ws);
-  const auto choices = engine.best_choices(report, ws);
-  return engine.apply(choices, ws);
-}
-
-std::optional<matching::Matching> find_optimal_popular(const Instance& inst,
-                                                       const WeightFn& weight, bool maximize,
-                                                       pram::Workspace& ws) {
-  const auto popular = find_popular_matching(inst, ws);
-  if (!popular.has_value()) return std::nullopt;
-  return optimize_weight(inst, *popular, weight, maximize, ws);
-}
 
 Profile matching_profile(const Instance& inst, const matching::Matching& m) {
   const auto dim = static_cast<std::size_t>(inst.max_ranks()) + 1;

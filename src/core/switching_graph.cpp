@@ -265,13 +265,6 @@ matching::Matching SwitchingEngine::apply(std::span<const Choice> choices,
   return out;
 }
 
-matching::Matching SwitchingEngine::apply_best(std::span<const std::int64_t> post_value,
-                                               pram::Workspace& ws) const {
-  const auto report = margins(post_value, ws);
-  const auto choices = best_choices(report, ws);
-  return apply(choices, ws);
-}
-
 SwitchingEngine::Menu SwitchingEngine::menu() const {
   const std::size_t n_ext = pf_.size();
   Menu menu;

@@ -80,8 +80,8 @@ class SwitchingEngine {
 
   /// Margins from raw per-vertex deltas: vertex_delta[v] is the gain when
   /// the applicant on v's out-edge switches (must be 0 for sinks). This is
-  /// the general entry point — weighted and profile-valued optimisation
-  /// (Section IV-E) build applicant-dependent deltas and aggregate here.
+  /// the general entry point — profile-valued optimisation (Section IV-E)
+  /// builds applicant-dependent deltas and aggregates here.
   MarginReport margins_from_deltas(std::span<const std::int64_t> vertex_delta,
                                    pram::Workspace& ws) const;
 
@@ -100,10 +100,6 @@ class SwitchingEngine {
   /// margin is positive; per tree component take the best-margin switching
   /// path (ties to the smallest start id) iff positive.
   std::vector<Choice> best_choices(const MarginReport& report, pram::Workspace& ws) const;
-
-  /// Convenience: margins + best_choices + apply.
-  matching::Matching apply_best(std::span<const std::int64_t> post_value,
-                                pram::Workspace& ws) const;
 
   /// The switches one component offers (Theorem 9: pick none or one).
   struct MenuEntry {

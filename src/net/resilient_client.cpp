@@ -1,8 +1,6 @@
 #include "net/resilient_client.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -47,48 +45,6 @@ bool rpc_status_retryable(RpcStatus status) noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// CircuitBreaker
-// ---------------------------------------------------------------------------
-
-bool CircuitBreaker::allow(std::chrono::steady_clock::time_point now) {
-  switch (state_) {
-    case State::kClosed:
-      return true;
-    case State::kOpen:
-      if (now - opened_at_ < config_.cooldown) return false;
-      state_ = State::kHalfOpen;
-      probe_in_flight_ = true;
-      return true;
-    case State::kHalfOpen:
-      if (probe_in_flight_) return false;
-      probe_in_flight_ = true;
-      return true;
-  }
-  return false;
-}
-
-void CircuitBreaker::record_success() {
-  state_ = State::kClosed;
-  failures_ = 0;
-  probe_in_flight_ = false;
-}
-
-void CircuitBreaker::record_failure(std::chrono::steady_clock::time_point now) {
-  ++failures_;
-  if (state_ == State::kHalfOpen) {
-    // The probe failed: straight back to open, cooldown restarts.
-    state_ = State::kOpen;
-    probe_in_flight_ = false;
-    opened_at_ = now;
-    return;
-  }
-  if (state_ == State::kClosed && failures_ >= config_.failure_threshold) {
-    state_ = State::kOpen;
-    opened_at_ = now;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // ResilientClient
 // ---------------------------------------------------------------------------
 
@@ -97,138 +53,37 @@ ResilientClient::ResilientClient(std::string host, std::uint16_t port,
     : host_(std::move(host)),
       port_(port),
       config_(config),
-      breaker_(config.breaker),
       jitter_state_(config.jitter_seed == 0 ? 1 : config.jitter_seed) {
   if (config_.max_attempts < 1) config_.max_attempts = 1;
 }
 
-ResilientClient::Attempt ResilientClient::attempt_once(std::shared_ptr<Client>& conn,
-                                                       engine::Mode mode,
+ResilientClient::Attempt ResilientClient::attempt_once(engine::Mode mode,
                                                        const core::Instance& inst,
                                                        std::uint64_t server_deadline_ns,
                                                        std::chrono::milliseconds recv_budget) {
   Attempt out;
   try {
-    if (!conn) {
-      conn = std::make_shared<Client>(Client::connect(host_, port_, config_.client));
-      out.redialled = true;
+    if (!conn_) {
+      conn_.emplace(Client::connect(host_, port_, config_.client));
+      ++stats_.reconnects;
     }
     // Tighten the response wait to the remaining budget so a stalled server
     // cannot eat more of the deadline than the deadline has left.
     if (recv_budget.count() > 0 && (config_.client.recv_timeout.count() == 0 ||
                                     recv_budget < config_.client.recv_timeout)) {
-      conn->socket().set_recv_timeout(recv_budget);
+      conn_->socket().set_recv_timeout(recv_budget);
     }
-    out.response = conn->call(mode, inst, server_deadline_ns);
+    out.response = conn_->call(mode, inst, server_deadline_ns);
   } catch (const NetError& e) {
     out.transport_error = e.code();
     out.error = e.what();
-    conn.reset();  // the stream is unusable; the next attempt redials
+    conn_.reset();  // the stream is unusable; the next attempt redials
   } catch (const std::exception& e) {
     out.transport_error = NetErrc::kIo;
     out.error = e.what();
-    conn.reset();
+    conn_.reset();
   }
   return out;
-}
-
-ResilientClient::Attempt ResilientClient::attempt_hedged(engine::Mode mode,
-                                                         const core::Instance& inst,
-                                                         std::uint64_t server_deadline_ns,
-                                                         std::chrono::milliseconds recv_budget) {
-  // Shared scoreboard: each worker publishes its connection the moment it
-  // has one (so the main thread can shut a straggler down) and its outcome
-  // when done; the first usable response wins. Workers never touch stats_
-  // or conn_ — the main thread reconciles both after joining, so there is
-  // nothing to race on.
-  struct Shared {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::shared_ptr<Client> conns[2];
-    std::optional<Attempt> results[2];
-  };
-  auto shared = std::make_shared<Shared>();
-
-  auto run = [this, shared, mode, &inst, server_deadline_ns, recv_budget](
-                 int slot, std::shared_ptr<Client> conn) {
-    Attempt out;
-    if (!conn) {
-      try {
-        conn = std::make_shared<Client>(Client::connect(host_, port_, config_.client));
-        out.redialled = true;
-      } catch (const NetError& e) {
-        out.transport_error = e.code();
-        out.error = e.what();
-      } catch (const std::exception& e) {
-        out.transport_error = NetErrc::kIo;
-        out.error = e.what();
-      }
-    }
-    if (conn) {
-      {
-        std::lock_guard<std::mutex> lock(shared->mu);
-        shared->conns[slot] = conn;
-      }
-      const bool redialled = out.redialled;
-      out = attempt_once(conn, mode, inst, server_deadline_ns, recv_budget);
-      out.redialled = redialled;
-    }
-    std::lock_guard<std::mutex> lock(shared->mu);
-    shared->conns[slot] = std::move(conn);  // null when the attempt broke it
-    shared->results[slot] = std::move(out);
-    shared->cv.notify_all();
-  };
-
-  std::thread primary(run, 0, std::move(conn_));
-
-  bool hedged = false;
-  std::thread hedge;
-  int winner = 0;
-  {
-    std::unique_lock<std::mutex> lock(shared->mu);
-    if (!shared->cv.wait_for(lock, config_.hedge_delay,
-                             [&] { return shared->results[0].has_value(); })) {
-      // Primary is slow; race a second attempt on a fresh connection.
-      hedged = true;
-      lock.unlock();
-      hedge = std::thread(run, 1, nullptr);
-      lock.lock();
-    }
-    // Wake on the first usable (non-transport-error) outcome, or when every
-    // launched attempt has reported in.
-    auto usable = [&](int slot) {
-      return shared->results[slot].has_value() && shared->results[slot]->response.has_value();
-    };
-    auto done = [&] {
-      return shared->results[0].has_value() && (!hedged || shared->results[1].has_value());
-    };
-    shared->cv.wait(lock, [&] { return usable(0) || usable(1) || done(); });
-    winner = usable(0) ? 0 : (usable(1) ? 1 : 0);
-    // Unblock the straggler before joining it: shutting its socket down
-    // turns its pending recv into an immediate error.
-    const int loser = 1 - winner;
-    if (hedged && !shared->results[loser].has_value() && shared->conns[loser]) {
-      shared->conns[loser]->socket().shutdown_both();
-    }
-    shared->cv.wait(lock, done);
-  }
-  primary.join();
-  if (hedge.joinable()) hedge.join();
-
-  // Reconcile: adopt the winner's connection, close the loser's (a
-  // connection whose response we abandoned has an orphan frame in flight —
-  // unusable), fold the workers' counts into stats_.
-  std::lock_guard<std::mutex> lock(shared->mu);
-  if (hedged) {
-    ++stats_.hedges_launched;
-    ++stats_.attempts;  // the hedge's own wire attempt
-    if (winner == 1) ++stats_.hedge_wins;
-    const int loser = 1 - winner;
-    if (shared->results[loser]->redialled) ++stats_.reconnects;
-    if (shared->conns[loser]) shared->conns[loser]->close();
-  }
-  conn_ = std::move(shared->conns[winner]);
-  return std::move(*shared->results[winner]);
 }
 
 ResponseFrame ResilientClient::call(engine::Mode mode, const core::Instance& inst,
@@ -246,39 +101,16 @@ ResponseFrame ResilientClient::call(engine::Mode mode, const core::Instance& ins
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
     const auto budget = remaining_ms();
     if (bounded && budget.count() <= 0) return synthesized_deadline_expired();
-
-    const auto now = std::chrono::steady_clock::now();
-    if (!breaker_.allow(now)) {
-      ++stats_.breaker_rejections;
-      throw NetError(NetErrc::kCircuitOpen,
-                     "circuit breaker open for " + host_ + ":" + std::to_string(port_));
-    }
     if (attempt > 0) ++stats_.retries;
 
     const auto server_deadline_ns =
         bounded ? static_cast<std::uint64_t>(
                       std::chrono::duration_cast<std::chrono::nanoseconds>(budget).count())
                 : 0;
-    const bool hedge_this =
-        config_.hedge_delay.count() > 0 && (!bounded || budget > config_.hedge_delay);
-    last = hedge_this ? attempt_hedged(mode, inst, server_deadline_ns, budget)
-                      : attempt_once(conn_, mode, inst, server_deadline_ns, budget);
-    ++stats_.attempts;  // the primary wire attempt (attempt_hedged adds the hedge's)
-    if (last.redialled) ++stats_.reconnects;
-
-    if (last.response.has_value()) {
-      if (!rpc_status_retryable(last.response->status)) {
-        breaker_.record_success();
-        return std::move(*last.response);
-      }
-      // Retryable wire status. kOverloaded/kRejected count against the
-      // breaker — the endpoint is refusing work; a corrupted frame does
-      // not, the endpoint answered fine.
-      if (last.response->status != RpcStatus::kMalformedFrame) {
-        breaker_.record_failure(std::chrono::steady_clock::now());
-      }
-    } else {
-      breaker_.record_failure(std::chrono::steady_clock::now());
+    last = attempt_once(mode, inst, server_deadline_ns, budget);
+    ++stats_.attempts;
+    if (last.response.has_value() && !rpc_status_retryable(last.response->status)) {
+      return std::move(*last.response);
     }
 
     if (attempt + 1 >= config_.max_attempts) break;
@@ -308,7 +140,7 @@ StatsReply ResilientClient::scrape_stats(bool include_traces) {
     ++stats_.attempts;
     try {
       if (!conn_) {
-        conn_ = std::make_shared<Client>(Client::connect(host_, port_, config_.client));
+        conn_.emplace(Client::connect(host_, port_, config_.client));
         ++stats_.reconnects;
       }
       return conn_->stats(include_traces);
@@ -329,7 +161,7 @@ StatsReply ResilientClient::scrape_stats(bool include_traces) {
 bool ResilientClient::healthy() noexcept {
   try {
     if (!conn_) {
-      conn_ = std::make_shared<Client>(Client::connect(host_, port_, config_.client));
+      conn_.emplace(Client::connect(host_, port_, config_.client));
       ++stats_.reconnects;
     }
     conn_->ping();

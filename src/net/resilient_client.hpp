@@ -1,31 +1,21 @@
 #pragma once
-// Fault-tolerant ncpm-rpc v1 client: a net::Client wrapped in the retry
+// Fault-tolerant ncpm-rpc v1 client: a net::Client wrapped in the one retry
 // discipline the chaos suite demands of any production caller.
 //
 //  - Reconnect: a broken connection (reset, timeout, protocol desync) is
 //    dropped and redialled on the next attempt — solves are idempotent, so
 //    resending a request whose response was lost is always safe.
-//  - Deadline-aware retry: exponential backoff with full jitter
-//    (backoff_with_jitter below), capped so a sleep never outlives the
-//    caller's remaining budget; when the budget is gone the client
+//  - Full-jitter backoff: exponential backoff with full jitter
+//    (backoff_with_jitter below) between attempts, up to max_attempts.
+//  - Whole-call deadline: every sleep and every response wait is capped at
+//    the caller's remaining budget; when the budget is gone the client
 //    synthesises a kDeadlineExpired response instead of throwing.
-//  - Circuit breaker: after `failure_threshold` consecutive failures the
-//    breaker opens and calls fail fast with NetError(kCircuitOpen) for
-//    `cooldown`, then a single half-open probe decides between closing it
-//    and another cooldown. Time is passed in explicitly, so the breaker
-//    unit-tests run on a synthetic clock (the TimerWheel discipline).
-//  - Hedging (optional): when an attempt has not returned within
-//    `hedge_delay`, a second attempt launches on a fresh connection and
-//    the first usable response wins; the straggler's socket is shut down.
-//    Safe for the same idempotency reason resend is.
 //
 // Like Client, a ResilientClient is single-threaded by design — one per
-// caller thread; the hedging worker threads are internal and joined before
-// call() returns.
+// caller thread — and starts no threads of its own.
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -49,61 +39,20 @@ struct BackoffPolicy {
 std::chrono::milliseconds backoff_with_jitter(const BackoffPolicy& policy, int attempt,
                                               std::uint64_t& rng_state);
 
-struct CircuitBreakerConfig {
-  /// Consecutive failures that trip the breaker open.
-  int failure_threshold = 5;
-  /// How long the breaker stays open before allowing one half-open probe.
-  std::chrono::milliseconds cooldown{1000};
-};
-
-/// Per-endpoint circuit breaker, closed -> open -> half-open. Pure state
-/// machine over caller-supplied time_points: no clock inside, so tests
-/// drive it with synthetic time.
-class CircuitBreaker {
- public:
-  enum class State : std::uint8_t { kClosed, kOpen, kHalfOpen };
-
-  explicit CircuitBreaker(CircuitBreakerConfig config = {}) : config_(config) {}
-
-  /// May this call proceed? Open + cooldown elapsed transitions to
-  /// half-open and admits exactly one probe; further calls are refused
-  /// until the probe reports back.
-  bool allow(std::chrono::steady_clock::time_point now);
-  void record_success();
-  void record_failure(std::chrono::steady_clock::time_point now);
-
-  State state() const noexcept { return state_; }
-  int consecutive_failures() const noexcept { return failures_; }
-
- private:
-  CircuitBreakerConfig config_;
-  State state_ = State::kClosed;
-  int failures_ = 0;
-  bool probe_in_flight_ = false;
-  std::chrono::steady_clock::time_point opened_at_{};
-};
-
 struct ResilientClientConfig {
   ClientConfig client{};
   /// Attempts per call (first try included). The loop also stops early
   /// when the deadline budget runs out.
   int max_attempts = 4;
   BackoffPolicy backoff{};
-  CircuitBreakerConfig breaker{};
-  /// 0 = no hedging. Otherwise: an attempt still unanswered after this
-  /// long gets a racing second attempt on a fresh connection.
-  std::chrono::milliseconds hedge_delay{0};
   /// Seed for the jitter stream (deterministic backoff schedules in tests).
   std::uint64_t jitter_seed = 0x243f6a8885a308d3ULL;
 };
 
 struct ResilientClientStats {
-  std::uint64_t attempts = 0;       ///< individual wire attempts (hedges included)
-  std::uint64_t retries = 0;        ///< attempts beyond the first, per call
-  std::uint64_t reconnects = 0;     ///< fresh dials after a broken connection
-  std::uint64_t hedges_launched = 0;
-  std::uint64_t hedge_wins = 0;     ///< calls the hedge answered first
-  std::uint64_t breaker_rejections = 0;
+  std::uint64_t attempts = 0;    ///< individual wire attempts
+  std::uint64_t retries = 0;     ///< attempts beyond the first, per call
+  std::uint64_t reconnects = 0;  ///< fresh dials after a broken connection
 };
 
 class ResilientClient {
@@ -113,11 +62,10 @@ class ResilientClient {
   ResilientClient(std::string host, std::uint16_t port, ResilientClientConfig config = {});
 
   /// One request with the full resilience discipline. `deadline` bounds
-  /// the whole call — attempts, backoffs and hedges included; zero means
-  /// no bound (retries still stop at max_attempts). Throws
-  /// NetError(kCircuitOpen) when the breaker refuses, or the final
-  /// transport error when every attempt failed; returns the server's
-  /// response (or a synthesised kDeadlineExpired one) otherwise.
+  /// the whole call — attempts and backoffs included; zero means no bound
+  /// (retries still stop at max_attempts). Throws the final transport
+  /// error when every attempt failed; returns the server's response (or a
+  /// synthesised kDeadlineExpired one) otherwise.
   ResponseFrame call(engine::Mode mode, const core::Instance& inst,
                      std::chrono::milliseconds deadline = std::chrono::milliseconds(0));
 
@@ -127,41 +75,31 @@ class ResilientClient {
 
   /// One metrics scrape (Client::stats) with reconnect-and-retry: a broken
   /// connection is redialled and the scrape retried with the usual backoff
-  /// up to max_attempts. Deliberately outside the circuit breaker — a
-  /// monitoring loop must keep probing a down endpoint to see it come
-  /// back, and a scrape never costs the server a backpressure slot. Throws
-  /// the final attempt's NetError when every attempt failed (the caller's
-  /// watch loop decides whether to keep waiting).
+  /// up to max_attempts. Throws the final attempt's NetError when every
+  /// attempt failed (the caller's watch loop decides whether to keep
+  /// waiting).
   StatsReply scrape_stats(bool include_traces = false);
 
   /// Drop the current connection (the next call redials).
   void disconnect() noexcept { conn_.reset(); }
 
   const ResilientClientStats& stats() const noexcept { return stats_; }
-  CircuitBreaker::State breaker_state() const noexcept { return breaker_.state(); }
 
  private:
   struct Attempt {
     std::optional<ResponseFrame> response;  ///< set when the wire answered
     std::optional<NetErrc> transport_error;
     std::string error;
-    bool redialled = false;  ///< this attempt opened a fresh connection
   };
 
-  /// One wire attempt on `conn` (dialling it first if null).
-  Attempt attempt_once(std::shared_ptr<Client>& conn, engine::Mode mode,
-                       const core::Instance& inst, std::uint64_t server_deadline_ns,
-                       std::chrono::milliseconds recv_budget);
-  /// One possibly-hedged attempt; adopts the winning connection into conn_.
-  Attempt attempt_hedged(engine::Mode mode, const core::Instance& inst,
-                         std::uint64_t server_deadline_ns,
-                         std::chrono::milliseconds recv_budget);
+  /// One wire attempt on conn_ (dialling it first if empty).
+  Attempt attempt_once(engine::Mode mode, const core::Instance& inst,
+                       std::uint64_t server_deadline_ns, std::chrono::milliseconds recv_budget);
 
   std::string host_;
   std::uint16_t port_;
   ResilientClientConfig config_;
-  std::shared_ptr<Client> conn_;  ///< shared with hedge workers mid-call only
-  CircuitBreaker breaker_;
+  std::optional<Client> conn_;
   std::uint64_t jitter_state_;
   ResilientClientStats stats_;
 };

@@ -55,7 +55,6 @@ std::string_view net_errc_name(NetErrc code) {
     case NetErrc::kClosed: return "closed";
     case NetErrc::kProtocol: return "protocol";
     case NetErrc::kIo: return "io";
-    case NetErrc::kCircuitOpen: return "circuit-open";
   }
   return "unknown";
 }

@@ -23,7 +23,6 @@ enum class NetErrc : std::uint8_t {
   kClosed,             ///< peer closed the connection mid-message
   kProtocol,           ///< peer spoke bytes that are not ncpm-rpc v1
   kIo,                 ///< any other socket-level failure
-  kCircuitOpen,        ///< ResilientClient's circuit breaker refused the call
 };
 
 std::string_view net_errc_name(NetErrc code);

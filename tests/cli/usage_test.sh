@@ -79,7 +79,7 @@ expect_usage "rpc next-stable"         -- rpc localhost:7447 next-stable
 expect_usage "rpc bad deadline"        -- rpc localhost:7447 solve --deadline-ms nope
 expect_usage "rpc bad retries"         -- rpc localhost:7447 solve --retries nope
 expect_usage "rpc bad backoff"         -- rpc localhost:7447 solve --backoff-ms 0
-expect_usage "rpc bad hedge"           -- rpc localhost:7447 solve --hedge-ms 0
+expect_usage "rpc retired hedge flag"  -- rpc localhost:7447 solve --hedge-ms 5
 expect_usage "rpc retries missing"     -- rpc localhost:7447 solve --retries
 expect_usage "stats no args"           -- stats
 expect_usage "stats two positionals"   -- stats a:1 b:2

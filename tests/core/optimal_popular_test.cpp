@@ -1,5 +1,6 @@
-// Section IV-E: optimal popular matchings — weighted, rank-maximal and fair
-// — validated against exhaustive enumeration of all popular matchings.
+// Section IV-E: profile-optimal popular matchings — rank-maximal and fair —
+// and max-card as the unit-weight case, validated against exhaustive
+// enumeration of all popular matchings.
 
 #include "core/optimal_popular.hpp"
 
@@ -9,7 +10,9 @@
 #include <type_traits>
 
 #include "core/max_card_popular.hpp"
+#include "core/popular_matching.hpp"
 #include "core/reduced_graph.hpp"
+#include "core/switching_graph.hpp"
 #include "core/verify.hpp"
 #include "gen/generators.hpp"
 #include "support/popular_oracle.hpp"
@@ -79,6 +82,12 @@ TEST_P(OptimalOracle, FairIsMinimalAmongPopularMatchings) {
   }
 }
 
+// The paper realises both profile orders with integer weights: with B = n+1
+// and an applicant matched at rank k (its last resort ranks R+1), weighing
+// it B^(R+1-k) makes the rank-maximal popular matching the maximum-weight
+// one, and weighing it B^(k-1) makes the fair one the minimum-weight one.
+// Checked here against exhaustive search with ranks read off the lists, so
+// the exact profile orders must agree with the paper's weights.
 TEST_P(OptimalOracle, MaxWeightMatchesExhaustiveSearch) {
   pram::Workspace ws;
   const auto [seed, n_a, n_p, list_max] = GetParam();
@@ -90,28 +99,46 @@ TEST_P(OptimalOracle, MaxWeightMatchesExhaustiveSearch) {
     cfg.list_max = list_max;
     cfg.seed = seed * 401 + round;
     const auto inst = gen::random_strict_instance(cfg);
-    // Deterministic pseudo-random weights from the pair ids.
-    const WeightFn weight = [&](std::int32_t a, std::int32_t p) {
-      if (inst.is_last_resort(p)) return std::int64_t{0};
-      return static_cast<std::int64_t>((a * 37 + p * 101) % 50);
+    const std::int64_t base = inst.num_applicants() + 1;
+    const std::int32_t last_rank = inst.max_ranks() + 1;
+    const auto power = [&](std::int32_t e) {
+      std::int64_t r = 1;
+      for (std::int32_t i = 0; i < e; ++i) r *= base;
+      return r;
     };
-    const auto all = test::all_popular_matchings_bruteforce(inst);
-    const auto m = find_optimal_popular(inst, weight, /*maximize=*/true, ws);
-    ASSERT_EQ(m.has_value(), !all.empty());
-    if (!m.has_value()) continue;
-    const auto total = [&](const matching::Matching& cand) {
+    const auto rank_in = [&](const matching::Matching& cand, std::int32_t a) {
+      const std::int32_t p = cand.right_of(a);
+      if (inst.is_last_resort(p)) return last_rank;
+      const auto posts = inst.posts_of(a);
+      const auto it = std::find(posts.begin(), posts.end(), p);
+      return inst.ranks_of(a)[static_cast<std::size_t>(it - posts.begin())];
+    };
+    const auto rank_maximal_weight = [&](const matching::Matching& cand) {
       std::int64_t sum = 0;
-      for (std::int32_t a = 0; a < inst.num_applicants(); ++a) sum += weight(a, cand.right_of(a));
+      for (std::int32_t a = 0; a < inst.num_applicants(); ++a) {
+        sum += power(last_rank - rank_in(cand, a));
+      }
       return sum;
     };
-    std::int64_t best = total(all.front());
-    for (const auto& cand : all) best = std::max(best, total(cand));
-    EXPECT_EQ(total(*m), best) << "seed " << cfg.seed;
-
-    const auto mn = find_optimal_popular(inst, weight, /*maximize=*/false, ws);
-    std::int64_t worst = total(all.front());
-    for (const auto& cand : all) worst = std::min(worst, total(cand));
-    EXPECT_EQ(total(*mn), worst) << "seed " << cfg.seed;
+    const auto fair_weight = [&](const matching::Matching& cand) {
+      std::int64_t sum = 0;
+      for (std::int32_t a = 0; a < inst.num_applicants(); ++a) sum += power(rank_in(cand, a) - 1);
+      return sum;
+    };
+    const auto all = test::all_popular_matchings_bruteforce(inst);
+    const auto rm = find_rank_maximal_popular(inst, ws);
+    const auto fair = find_fair_popular(inst, ws);
+    ASSERT_EQ(rm.has_value(), !all.empty()) << "seed " << cfg.seed;
+    ASSERT_EQ(fair.has_value(), !all.empty()) << "seed " << cfg.seed;
+    if (all.empty()) continue;
+    std::int64_t best = rank_maximal_weight(all.front());
+    std::int64_t least = fair_weight(all.front());
+    for (const auto& cand : all) {
+      best = std::max(best, rank_maximal_weight(cand));
+      least = std::min(least, fair_weight(cand));
+    }
+    EXPECT_EQ(rank_maximal_weight(*rm), best) << "seed " << cfg.seed;
+    EXPECT_EQ(fair_weight(*fair), least) << "seed " << cfg.seed;
   }
 }
 
@@ -142,23 +169,37 @@ TEST(OptimalPopular, FairIsAlsoMaximumCardinality) {
 
 TEST(OptimalPopular, MaxCardIsTheUnitWeightSpecialCase) {
   pram::Workspace ws;
-  // Algorithm 3 == max-weight with 1 for real posts and 0 for last resorts.
+  // Algorithm 3 == max-weight with 1 for real posts and 0 for last resorts:
+  // its matching reaches the largest unit-weight total over every popular
+  // matching, enumerated by switching from Algorithm 1's (Theorem 9). At
+  // 20 applicants these instances have 240-864 popular matchings (at 50,
+  // millions).
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     gen::SolvableConfig cfg;
-    cfg.num_applicants = 50;
-    cfg.num_posts = 90;
+    cfg.num_applicants = 20;
+    cfg.num_posts = 36;
     cfg.all_f_fraction = 0.5;
     cfg.contention = 2.5;
     cfg.seed = seed;
     const auto inst = gen::solvable_strict_instance(cfg);
-    const WeightFn unit = [&](std::int32_t, std::int32_t p) {
-      return inst.is_last_resort(p) ? std::int64_t{0} : std::int64_t{1};
+    const auto unit_total = [&](const matching::Matching& cand) {
+      std::int64_t sum = 0;
+      for (std::int32_t a = 0; a < inst.num_applicants(); ++a) {
+        sum += inst.is_last_resort(cand.right_of(a)) ? 0 : 1;
+      }
+      return sum;
     };
-    const auto via_weight = find_optimal_popular(inst, unit, true, ws);
+    const auto seed_matching = find_popular_matching(inst, ws);
     const auto via_algo3 = find_max_card_popular(inst, ws);
-    ASSERT_TRUE(via_weight.has_value());
+    ASSERT_TRUE(seed_matching.has_value());
     ASSERT_TRUE(via_algo3.has_value());
-    EXPECT_EQ(matching_size(inst, *via_weight), matching_size(inst, *via_algo3));
+    const auto rg = build_reduced_graph(inst, ws);
+    const auto all = all_popular_matchings_via_switching(inst, rg, *seed_matching, ws);
+    ASSERT_EQ(count_popular_matchings(inst, ws), all.size()) << "seed " << seed;
+    std::int64_t best = 0;
+    for (const auto& cand : all) best = std::max(best, unit_total(cand));
+    EXPECT_EQ(unit_total(*via_algo3), best) << "seed " << seed;
+    EXPECT_EQ(static_cast<std::size_t>(best), matching_size(inst, *via_algo3)) << "seed " << seed;
   }
 }
 

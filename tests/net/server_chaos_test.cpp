@@ -145,7 +145,6 @@ TEST(ServerChaos, RetryStormLosesNothingAndMatchesDirectEngine) {
         rcfg.max_attempts = 10;
         rcfg.backoff.initial = 1ms;
         rcfg.backoff.max = 20ms;
-        rcfg.breaker.failure_threshold = 1000;  // the storm must not trip it
         rcfg.jitter_seed = 0x9000 + static_cast<std::uint64_t>(c);
         ResilientClient client("127.0.0.1", proxy.port(), rcfg);
         for (std::size_t i = 0; i < calls.size(); ++i) {

@@ -279,6 +279,14 @@ TEST(ServerObsLoopback, HttpMetricsEndpointServesPrometheusText) {
 
   auto client = Client::connect("127.0.0.1", server.port());
   ASSERT_EQ(client.call(Mode::kSolve, small_instance(3)).status, RpcStatus::kOk);
+  // The session counts a response only after its write completes, on the
+  // loop thread, so the client can hold the bytes a beat before the counter
+  // moves; the metrics listener is another thread and would see 0.
+  const auto counted_by = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.stats().responses_sent < 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), counted_by) << "responses_sent never reached 1";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   const auto http_get = [&](const std::string& target) {
     Socket sock =
@@ -471,6 +479,30 @@ TEST(ServerObsLoopback, SlowRequestCaptureOffByDefault) {
   EXPECT_EQ(captured.load(), 0);
 }
 
+/// Holds one engine worker inside a completion callback until release() (or
+/// destruction), so a test decides how long the engine stays busy instead
+/// of racing a solve that may finish before the test thread runs again.
+class WorkerHold {
+ public:
+  explicit WorkerHold(engine::Engine& engine) : released_(release_.get_future().share()) {
+    engine.submit(engine::Request::popular(Mode::kSolve, small_instance(11)),
+                  [released = released_](engine::Result) { released.wait(); });
+  }
+  ~WorkerHold() { release(); }
+  WorkerHold(const WorkerHold&) = delete;
+  WorkerHold& operator=(const WorkerHold&) = delete;
+
+  void release() {
+    if (held_) release_.set_value();
+    held_ = false;
+  }
+
+ private:
+  std::promise<void> release_;
+  std::shared_future<void> released_;
+  bool held_ = true;
+};
+
 TEST(ServerObsLoopback, HealthAndReadinessProbesTrackTheServerLifecycle) {
   ServerConfig cfg = make_config();
   cfg.metrics_port = 0;
@@ -485,53 +517,37 @@ TEST(ServerObsLoopback, HealthAndReadinessProbesTrackTheServerLifecycle) {
   EXPECT_EQ(http_exchange(port, "GET", "/healthz").rfind("HTTP/1.0 200 OK\r\n", 0), 0u);
   EXPECT_EQ(http_exchange(port, "GET", "/readyz").rfind("HTTP/1.0 200 OK\r\n", 0), 0u);
 
-  // Overload: park enough work on the engine that outstanding stays at or
-  // above the admission cap while we probe; readyz must report 503 (and
-  // healthz must keep reporting 200 — the process is alive, just busy).
-  gen::SolvableConfig big;
-  big.num_applicants = 2000;
-  big.num_posts = 4000;
-  std::vector<core::Instance> backlog;
-  for (std::uint64_t i = 0; i < 16; ++i) {
-    big.seed = i + 1;
-    backlog.push_back(gen::solvable_strict_instance(big));
-  }
-  std::vector<std::future<engine::Result>> pending;
-  for (auto& inst : backlog) {
-    pending.push_back(
-        server.engine().submit(engine::Request::popular(Mode::kSolve, std::move(inst))));
-  }
-  bool saw_unready = false;
-  const auto overload_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!saw_unready && std::chrono::steady_clock::now() < overload_deadline) {
-    const std::string readyz = http_exchange(port, "GET", "/readyz");
-    if (readyz.rfind("HTTP/1.0 503 Service Unavailable\r\n", 0) == 0) {
-      EXPECT_NE(readyz.find("unready\n"), std::string::npos);
-      saw_unready = true;
+  // Overload: hold the one worker and queue two requests behind it, so
+  // outstanding stays at the admission cap until we release it; readyz
+  // must report 503 (and healthz must keep reporting 200 — the process is
+  // alive, just busy).
+  {
+    WorkerHold hold(server.engine());
+    std::vector<std::future<engine::Result>> pending;
+    for (std::uint64_t i = 0; i < 2; ++i) {
+      pending.push_back(
+          server.engine().submit(engine::Request::popular(Mode::kSolve, small_instance(20 + i))));
     }
-    if (server.engine().outstanding() < cfg.max_in_flight_global) break;  // window closed
+    const std::string readyz = http_exchange(port, "GET", "/readyz");
+    EXPECT_EQ(readyz.rfind("HTTP/1.0 503 Service Unavailable\r\n", 0), 0u) << readyz;
+    EXPECT_NE(readyz.find("unready\n"), std::string::npos);
+    EXPECT_EQ(http_exchange(port, "GET", "/healthz").rfind("HTTP/1.0 200 OK\r\n", 0), 0u);
+    hold.release();
+    for (auto& f : pending) f.get();
   }
-  EXPECT_TRUE(saw_unready) << "readyz never reported 503 while overloaded";
-  EXPECT_EQ(http_exchange(port, "GET", "/healthz").rfind("HTTP/1.0 200 OK\r\n", 0), 0u);
-  for (auto& f : pending) f.get();
 
   // Back under the cap: ready again.
   EXPECT_EQ(http_exchange(port, "GET", "/readyz").rfind("HTTP/1.0 200 OK\r\n", 0), 0u);
 
-  // Drain: park another backlog, then stop() on a second thread. For the
-  // whole drain window the probes stay answerable — healthz 200 (alive),
-  // readyz 503 (stopping) — then the listener goes away with the server.
-  backlog.clear();
-  for (std::uint64_t i = 0; i < 16; ++i) {
-    big.seed = 100 + i;
-    backlog.push_back(gen::solvable_strict_instance(big));
-  }
-  for (auto& inst : backlog) {
-    pending.push_back(
-        server.engine().submit(engine::Request::popular(Mode::kSolve, std::move(inst))));
-  }
+  // Drain: stop() on a second thread. For the whole drain window the probes
+  // stay answerable — healthz 200 (alive), readyz 503 (stopping) — then the
+  // listener goes away with the server. The held worker keeps the window
+  // open until a probe has seen the drain; a bound releases it if the 503
+  // never comes.
+  WorkerHold hold(server.engine());
   std::thread stopper([&] { server.stop(); });
   bool saw_draining = false;
+  const auto drain_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (true) {
     const std::string readyz = http_exchange(port, "GET", "/readyz");
     if (readyz.empty()) break;  // metrics listener stopped: drain is over
@@ -542,6 +558,7 @@ TEST(ServerObsLoopback, HealthAndReadinessProbesTrackTheServerLifecycle) {
         EXPECT_EQ(healthz.rfind("HTTP/1.0 200 OK\r\n", 0), 0u);
       }
     }
+    if (saw_draining || std::chrono::steady_clock::now() > drain_deadline) hold.release();
   }
   stopper.join();
   EXPECT_TRUE(saw_draining) << "readyz never reported 503 during the drain window";
