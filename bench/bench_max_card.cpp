@@ -5,7 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/max_card_popular.hpp"
+#include "core/optimal_popular.hpp"
 #include "core/popular_matching.hpp"
 #include "core/reduced_graph.hpp"
 #include "core/switching_graph.hpp"
@@ -40,13 +40,17 @@ void BM_MaxCardPipeline(benchmark::State& state) {
 BENCHMARK(BM_MaxCardPipeline)->RangeMultiplier(4)->Range(1 << 8, 1 << 16)
     ->Unit(benchmark::kMillisecond);
 
+// Algorithm 3's second stage on the G' Algorithm 1 ran in, as the served
+// mode runs it: switching graph, selection and apply.
 void BM_SwitchingPhaseOnly(benchmark::State& state) {
   ncpm::pram::Workspace ws;
   const auto inst = pressured_instance(state.range(0));
-  const auto base = ncpm::core::find_popular_matching(inst, ws);
+  const auto rg = ncpm::core::build_reduced_graph(inst, ws);
+  const auto base = ncpm::core::find_popular_matching(inst, rg, ws);
   std::size_t gained = 0;
   for (auto _ : state) {
-    auto m = ncpm::core::maximize_cardinality(inst, *base, ws);
+    auto m = ncpm::core::optimize_popular(inst, rg, *base,
+                                          ncpm::core::Objective::kMaxCardinality, ws);
     gained = ncpm::core::matching_size(inst, m) - ncpm::core::matching_size(inst, *base);
     benchmark::DoNotOptimize(m);
   }
@@ -56,25 +60,32 @@ void BM_SwitchingPhaseOnly(benchmark::State& state) {
 BENCHMARK(BM_SwitchingPhaseOnly)->RangeMultiplier(4)->Range(1 << 8, 1 << 16)
     ->Unit(benchmark::kMillisecond);
 
-// Ablation (DESIGN.md §6.3): the single weighted list-ranking pass prices
-// every switching path of a tree component at once; this measures that
-// margin computation in isolation.
-void BM_MarginsOnly(benchmark::State& state) {
+// Ablation: one selector key prices every switching path of a tree
+// component with a single weighted list-ranking pass and keeps each
+// component's best; this measures that selection in isolation, on max-card's
+// deltas (+1 when an applicant leaves its last resort, -1 when it moves onto
+// it).
+void BM_SelectionOnly(benchmark::State& state) {
   ncpm::pram::Workspace ws;
   const auto inst = pressured_instance(state.range(0));
-  const auto base = ncpm::core::find_popular_matching(inst, ws);
   const auto rg = ncpm::core::build_reduced_graph(inst, ws);
+  const auto base = ncpm::core::find_popular_matching(inst, rg, ws);
   const ncpm::core::SwitchingEngine engine(inst, rg, *base, ws);
-  std::vector<std::int64_t> value(static_cast<std::size_t>(inst.total_posts()));
-  for (std::int32_t p = 0; p < inst.total_posts(); ++p) {
-    value[static_cast<std::size_t>(p)] = inst.is_last_resort(p) ? 0 : 1;
+  const auto& next = engine.pseudoforest().next;
+  std::vector<std::int64_t> delta(static_cast<std::size_t>(inst.total_posts()), 0);
+  for (std::size_t v = 0; v < delta.size(); ++v) {
+    if (engine.out_applicant()[v] == ncpm::core::kNone) continue;
+    delta[v] = std::int64_t{inst.is_last_resort(static_cast<std::int32_t>(v))} -
+               std::int64_t{inst.is_last_resort(next[v])};
   }
   for (auto _ : state) {
-    auto report = engine.margins(value, ws);
-    benchmark::DoNotOptimize(report);
+    ncpm::core::SwitchingEngine::Selector selector(engine, ws);
+    selector.refine(delta, ws);
+    auto choices = selector.choices(ws);
+    benchmark::DoNotOptimize(choices);
   }
 }
-BENCHMARK(BM_MarginsOnly)->RangeMultiplier(4)->Range(1 << 8, 1 << 16)
+BENCHMARK(BM_SelectionOnly)->RangeMultiplier(4)->Range(1 << 8, 1 << 16)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -9,7 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/abraham_baseline.hpp"
-#include "core/max_card_popular.hpp"
+#include "core/optimal_popular.hpp"
 #include "core/popular_matching.hpp"
 #include "gen/generators.hpp"
 #include "pram/executor.hpp"

@@ -4,7 +4,9 @@
 #
 #   bench/run_benches.sh [build-dir] [output-dir] [extra benchmark args...]
 #
-# Defaults: build-dir = build, output-dir = bench/results.
+# Defaults: build-dir = build, output-dir = bench/results. A binary's file is
+# replaced only when its run produced results, so re-recording a subset with
+# --benchmark_filter rewrites just the files of the binaries it matched.
 set -euo pipefail
 
 build_dir="${1:-build}"
@@ -30,9 +32,10 @@ try:
     with open(path) as f:
         data = json.load(f)
 except (OSError, json.JSONDecodeError):
-    # A filter that matches nothing leaves an empty output file; skip it.
-    print(f"   (no JSON to stamp in {path})")
-    sys.exit(0)
+    data = {}
+if not data.get("benchmarks"):
+    # A filter that matches nothing leaves an empty output file.
+    sys.exit(3)
 
 def git(*args):
     try:
@@ -89,15 +92,25 @@ PY
 }
 
 found=0
+tmp=""
+trap 'rm -f "${tmp}"' EXIT
 for bin in "${build_dir}"/bench/bench_*; do
   [[ -f "${bin}" && -x "${bin}" ]] || continue
   found=1
   name="$(basename "${bin}")"
   out="${out_dir}/BENCH_${name#bench_}.json"
+  tmp="${out_dir}/.BENCH_${name#bench_}.json.partial"
   echo "== ${name} -> ${out}"
-  "${bin}" --benchmark_format=json --benchmark_out="${out}" \
+  "${bin}" --benchmark_format=json --benchmark_out="${tmp}" \
            --benchmark_out_format=json "$@"
-  stamp_json "${out}"
+  if stamp_json "${tmp}"; then
+    mv "${tmp}" "${out}"
+  else
+    status=$?
+    [[ "${status}" -eq 3 ]] || exit "${status}"
+    echo "   (no results; ${out} left as it was)"
+    rm -f "${tmp}"
+  fi
 done
 
 if [[ "${found}" -eq 0 ]]; then

@@ -10,7 +10,6 @@
 
 #include <cstdio>
 
-#include "core/max_card_popular.hpp"
 #include "core/optimal_popular.hpp"
 #include "core/popular_matching.hpp"
 #include "core/verify.hpp"

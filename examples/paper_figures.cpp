@@ -1,6 +1,6 @@
-// Regenerates the content of every figure in the paper (F1-F7 in
-// DESIGN.md) from the library's own computations, in the paper's notation.
-// Diff the output against the figures in the text.
+// Regenerates the content of every figure in the paper from the library's
+// own computations, in the paper's notation. Diff the output against the
+// figures in the text.
 
 #include <cstdio>
 

@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "core/instance.hpp"
-#include "core/max_card_popular.hpp"
+#include "core/optimal_popular.hpp"
 #include "core/popular_matching.hpp"
 #include "core/verify.hpp"
 

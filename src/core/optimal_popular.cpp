@@ -1,11 +1,11 @@
 #include "core/optimal_popular.hpp"
 
-#include <functional>
+#include <algorithm>
+#include <atomic>
 #include <stdexcept>
-#include <vector>
 
+#include "core/max_card_popular.hpp"
 #include "core/popular_matching.hpp"
-#include "core/reduced_graph.hpp"
 #include "core/switching_graph.hpp"
 
 namespace ncpm::core {
@@ -25,15 +25,10 @@ Profile matching_profile(const Instance& inst, const matching::Matching& m) {
   return profile;
 }
 
-namespace {
-
-/// Shared driver for the two profile orders. `better(x, y)` = x strictly
-/// improves on y.
-matching::Matching optimize_profile(const Instance& inst, const matching::Matching& popular,
-                                    const std::function<bool(const Profile&, const Profile&)>& better,
+matching::Matching optimize_popular(const Instance& inst, const ReducedGraph& rg,
+                                    const matching::Matching& popular, Objective objective,
                                     pram::Workspace& ws) {
   pram::Executor& ex = ws.exec();
-  const ReducedGraph rg = build_reduced_graph(inst, ws);
   const SwitchingEngine engine(inst, rg, popular, ws);
   const std::size_t n_ext = engine.pseudoforest().size();
   const auto out = engine.out_applicant();
@@ -41,103 +36,85 @@ matching::Matching optimize_profile(const Instance& inst, const matching::Matchi
 
   // A switch at v moves out[v] between its reduced posts v and pf.next[v]:
   // f(a) ranks 1, s(a) s_rank, and last resorts share bucket max_ranks().
-  // Buckets no switch touches are zero in every profile compared and drop
-  // out of both orders, so the occurring ones are renumbered in rank order.
+  const auto last_resorts = static_cast<std::int32_t>(inst.max_ranks());
   const auto bucket = [&](std::size_t v, std::int32_t p) {
     const auto a = static_cast<std::size_t>(out[v]);
-    if (p == rg.f_post[a]) return std::size_t{0};
-    return static_cast<std::size_t>(inst.is_last_resort(p) ? inst.max_ranks() : rg.s_rank[a] - 1);
+    if (p == rg.f_post[a]) return std::int32_t{0};
+    return inst.is_last_resort(p) ? last_resorts : rg.s_rank[a] - 1;
   };
-  std::vector<std::int32_t> slot(static_cast<std::size_t>(inst.max_ranks()) + 1, kNone);
-  for (std::size_t v = 0; v < n_ext; ++v) {
-    if (out[v] == kNone) continue;
-    slot[bucket(v, static_cast<std::int32_t>(v))] = 0;
-    slot[bucket(v, pf.next[v])] = 0;
-  }
-  std::size_t dim = 0;
-  for (auto& k : slot) k = k == kNone ? kNone : static_cast<std::int32_t>(dim++);
-  auto from = ws.take<std::int32_t>(n_ext);
-  auto to = ws.take<std::int32_t>(n_ext);
-  ex.parallel_for(n_ext, [&](std::size_t v) {
-    const bool sink = out[v] == kNone;
-    from[v] = sink ? kNone : slot[bucket(v, static_cast<std::int32_t>(v))];
-    to[v] = sink ? kNone : slot[bucket(v, pf.next[v])];
-  });
-  ws.round(n_ext);
 
-  // One int64 margin pass per bucket; a switch's profile delta at vertex v
-  // is +1 in the bucket of the new post, -1 in the old post's. The delta
-  // buffer is leased once and rewritten per bucket.
-  auto delta = ws.take<std::int64_t>(n_ext);
-  std::int64_t* const delta_data = delta.data();
-  std::vector<SwitchingEngine::MarginReport> reports;
-  reports.reserve(dim);
-  for (std::size_t k = 0; k < dim; ++k) {
-    const auto b = static_cast<std::int32_t>(k);
+  // The keys in priority order, and the sign that makes larger better.
+  // Max-card's one key is the last-resort bucket; the profile orders read
+  // the buckets some switch touches (the others are zero in every margin).
+  std::vector<std::int32_t> keys{last_resorts};
+  if (objective != Objective::kMaxCardinality) {
+    auto occurs = ws.take<std::uint8_t>(static_cast<std::size_t>(last_resorts) + 1, 0);
+    const auto mark = [&](std::int32_t b) {
+      std::atomic_ref<std::uint8_t>(occurs[static_cast<std::size_t>(b)])
+          .store(1, std::memory_order_relaxed);
+    };
     ex.parallel_for(n_ext, [&](std::size_t v) {
-      delta_data[v] = std::int64_t{to[v] == b} - std::int64_t{from[v] == b};
+      if (out[v] == kNone) return;
+      mark(bucket(v, static_cast<std::int32_t>(v)));
+      mark(bucket(v, pf.next[v]));
     });
     ws.round(n_ext);
-    reports.push_back(engine.margins_from_deltas(delta.span(), ws));
+    keys.clear();
+    for (std::int32_t b = 0; b <= last_resorts; ++b) {
+      if (occurs[static_cast<std::size_t>(b)] != 0) keys.push_back(b);
+    }
+    if (objective == Objective::kFair) std::reverse(keys.begin(), keys.end());
   }
+  const std::int64_t sign = objective == Objective::kRankMaximal ? 1 : -1;
 
-  const auto path_profile = [&](std::int32_t q) {
-    Profile p(dim);
-    for (std::size_t k = 0; k < dim; ++k) p[k] = reports[k].path_margin[static_cast<std::size_t>(q)];
-    return p;
-  };
-  const auto cycle_profile = [&](std::int32_t root) {
-    Profile p(dim);
-    for (std::size_t k = 0; k < dim; ++k) {
-      p[k] = reports[k].cycle_margin[static_cast<std::size_t>(root)];
-    }
-    return p;
-  };
-
-  // Per-component selection under the profile order. Orchestration is
-  // sequential over the menu (O(n) in total; the margin passes above carry
-  // the NC depth), candidates visited in ascending id for determinism.
-  const Profile zero(dim);
-  const auto menu = engine.menu();
-  std::vector<SwitchingEngine::Choice> choices;
-  for (const auto& entry : menu.entries) {
-    if (entry.cycle_root != kNone) {
-      if (better(cycle_profile(entry.cycle_root), zero)) {
-        choices.push_back({entry.cycle_root, true});
-      }
-      continue;
-    }
-    Profile best = zero;
-    std::int32_t best_q = kNone;
-    for (const auto q : menu.starts_of(entry)) {
-      const Profile candidate = path_profile(q);
-      if (better(candidate, best)) {
-        best = candidate;
-        best_q = q;
-      }
-    }
-    if (best_q != kNone) choices.push_back({best_q, false});
+  // One delta round and one selector refinement per key: a switch's delta
+  // at vertex v is +1 in the bucket of the new post and -1 in the old
+  // post's. The delta buffer is leased once and rewritten per key.
+  SwitchingEngine::Selector selector(engine, ws);
+  auto delta = ws.take<std::int64_t>(n_ext);
+  std::int64_t* const delta_data = delta.data();
+  for (const std::int32_t key : keys) {
+    ex.parallel_for(n_ext, [&](std::size_t v) {
+      delta_data[v] = out[v] == kNone
+                          ? 0
+                          : sign * (std::int64_t{bucket(v, pf.next[v]) == key} -
+                                    std::int64_t{bucket(v, static_cast<std::int32_t>(v)) == key});
+    });
+    ws.round(n_ext);
+    selector.refine(delta.span(), ws);
   }
-  return engine.apply(choices, ws);
+  return engine.apply(selector.choices(ws), ws);
+}
+
+namespace {
+
+std::optional<matching::Matching> find_optimal(const Instance& inst, Objective objective,
+                                               pram::Workspace& ws) {
+  const ReducedGraph rg = build_reduced_graph(inst, ws);
+  const auto popular = find_popular_matching(inst, rg, ws);
+  if (!popular.has_value()) return std::nullopt;
+  return optimize_popular(inst, rg, *popular, objective, ws);
 }
 
 }  // namespace
 
+std::optional<matching::Matching> find_max_card_popular(const Instance& inst, pram::Workspace& ws) {
+  return find_optimal(inst, Objective::kMaxCardinality, ws);
+}
+
 std::optional<matching::Matching> find_rank_maximal_popular(const Instance& inst,
                                                             pram::Workspace& ws) {
-  const auto popular = find_popular_matching(inst, ws);
-  if (!popular.has_value()) return std::nullopt;
-  return optimize_profile(
-      inst, *popular,
-      [](const Profile& x, const Profile& y) { return Profile::rank_maximal_less(y, x); }, ws);
+  return find_optimal(inst, Objective::kRankMaximal, ws);
 }
 
 std::optional<matching::Matching> find_fair_popular(const Instance& inst, pram::Workspace& ws) {
-  const auto popular = find_popular_matching(inst, ws);
-  if (!popular.has_value()) return std::nullopt;
-  return optimize_profile(
-      inst, *popular, [](const Profile& x, const Profile& y) { return Profile::fair_less(x, y); },
-      ws);
+  return find_optimal(inst, Objective::kFair, ws);
+}
+
+matching::Matching maximize_cardinality(const Instance& inst, const matching::Matching& popular,
+                                        pram::Workspace& ws) {
+  return optimize_popular(inst, build_reduced_graph(inst, ws), popular,
+                          Objective::kMaxCardinality, ws);
 }
 
 }  // namespace ncpm::core

@@ -1,7 +1,6 @@
 #include "core/popular_matching.hpp"
 
 #include "core/applicant_complete.hpp"
-#include "core/reduced_graph.hpp"
 #include "obs/profiler.hpp"
 
 namespace ncpm::core {
@@ -9,13 +8,14 @@ namespace ncpm::core {
 std::optional<matching::Matching> find_popular_matching(const Instance& inst,
                                                         pram::Workspace& ws,
                                                         PopularRunStats* stats) {
+  return find_popular_matching(inst, build_reduced_graph(inst, ws), ws, stats);
+}
+
+std::optional<matching::Matching> find_popular_matching(const Instance& inst,
+                                                        const ReducedGraph& rg,
+                                                        pram::Workspace& ws,
+                                                        PopularRunStats* stats) {
   pram::Executor& ex = ws.exec();
-  std::optional<ReducedGraph> rg_holder;
-  {
-    obs::PhaseScope phase(ws.profiler(), obs::Phase::kReducedGraph);
-    rg_holder.emplace(build_reduced_graph(inst, ws));
-  }
-  const ReducedGraph& rg = *rg_holder;
   ApplicantCompleteResult ac = applicant_complete_matching(inst, rg, ws);
   if (stats != nullptr) {
     stats->while_rounds = ac.while_rounds;

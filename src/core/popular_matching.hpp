@@ -13,6 +13,7 @@
 #include <optional>
 
 #include "core/instance.hpp"
+#include "core/reduced_graph.hpp"
 #include "matching/matching.hpp"
 #include "pram/workspace.hpp"
 
@@ -34,6 +35,14 @@ struct PopularRunStats {
 /// across calls keeps the buffers warm, so repeated solves perform no
 /// round-loop allocation at all.
 std::optional<matching::Matching> find_popular_matching(const Instance& inst,
+                                                        pram::Workspace& ws,
+                                                        PopularRunStats* stats = nullptr);
+
+/// Steps 2 and 3 on a G' built by the caller (build_reduced_graph on this
+/// instance). The composite modes build G' once, run this, and hand the
+/// same G' to their second stage.
+std::optional<matching::Matching> find_popular_matching(const Instance& inst,
+                                                        const ReducedGraph& rg,
                                                         pram::Workspace& ws,
                                                         PopularRunStats* stats = nullptr);
 

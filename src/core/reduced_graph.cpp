@@ -3,11 +3,13 @@
 #include <atomic>
 #include <stdexcept>
 
+#include "obs/profiler.hpp"
 #include "pram/scan.hpp"
 
 namespace ncpm::core {
 
 ReducedGraph build_reduced_graph(const Instance& inst, pram::Workspace& ws) {
+  obs::PhaseScope phase(ws.profiler(), obs::Phase::kReducedGraph);
   if (!inst.strict_prefs()) {
     throw std::invalid_argument("build_reduced_graph: instance has ties (see core/ties.hpp)");
   }

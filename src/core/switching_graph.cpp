@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <bit>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -18,6 +17,10 @@ namespace {
 inline void atomic_store_flag(std::uint8_t& slot) {
   std::atomic_ref<std::uint8_t>(slot).store(1, std::memory_order_relaxed);
 }
+
+/// A component maximum before any candidate has raised it; no margin (at
+/// most n in magnitude) reaches it.
+constexpr std::int64_t kNoCandidate = std::numeric_limits<std::int64_t>::min();
 
 }  // namespace
 
@@ -84,10 +87,7 @@ void SwitchingEngine::build(const Instance& inst, const ReducedGraph& rg,
   // Broken successors: terminals at sinks and at cycle roots.
   broken_succ_.resize(n_ext);
   ex.parallel_for(n_ext, [&](std::size_t v) {
-    const bool terminal =
-        pf_.is_sink(v) ||
-        (cycles_.on_cycle[v] != 0 && cycles_.cycle_root[v] == static_cast<std::int32_t>(v));
-    broken_succ_[v] = terminal ? static_cast<std::int32_t>(v) : pf_.next[v];
+    broken_succ_[v] = pf_.is_sink(v) || is_cycle_root(v) ? static_cast<std::int32_t>(v) : pf_.next[v];
   });
   ws.round(n_ext);
   steps_ = pram::list_rank(broken_succ_, ws);
@@ -106,87 +106,79 @@ void SwitchingEngine::build(const Instance& inst, const ReducedGraph& rg,
   }
 }
 
-SwitchingEngine::MarginReport SwitchingEngine::margins(std::span<const std::int64_t> post_value,
-                                                       pram::Workspace& ws) const {
-  const std::size_t n_ext = pf_.size();
-  if (post_value.size() != n_ext) {
-    throw std::invalid_argument("SwitchingEngine::margins: post_value size mismatch");
-  }
-  // Vertex delta = the change contributed by the applicant on v's out-edge.
-  std::vector<std::int64_t> delta(n_ext, 0);
+SwitchingEngine::Selector::Selector(const SwitchingEngine& engine, pram::Workspace& ws)
+    : engine_(engine),
+      state_(ws.take<std::uint8_t>(engine.pf_.size())),
+      best_(ws.take<std::int64_t>(engine.pf_.size())),
+      head_(ws.take<std::int32_t>(engine.pf_.size())),
+      rank_(ws.take<std::int64_t>(engine.pf_.size())),
+      reaches_(ws.take<std::uint8_t>(engine.pf_.size())) {
+  const std::size_t n_ext = engine.pf_.size();
   ws.exec().parallel_for(n_ext, [&](std::size_t v) {
-    if (out_applicant_[v] != kNone) {
-      delta[v] = post_value[static_cast<std::size_t>(pf_.next[v])] - post_value[v];
-    }
+    state_[v] = engine_.is_cycle_root(v) || engine_.is_path_start(v) ? kTied : kOut;
+    best_[v] = kNoCandidate;
   });
   ws.round(n_ext);
-  return margins_from_deltas(delta, ws);
 }
 
-SwitchingEngine::MarginReport SwitchingEngine::margins_from_deltas(
-    std::span<const std::int64_t> vertex_delta, pram::Workspace& ws) const {
-  const std::size_t n_ext = pf_.size();
-  if (vertex_delta.size() != n_ext) {
-    throw std::invalid_argument("SwitchingEngine::margins_from_deltas: size mismatch");
-  }
-  auto ranking = pram::weighted_list_rank(broken_succ_, vertex_delta, ws);
-
-  MarginReport report;
-  report.path_margin = std::move(ranking.rank);
-  report.cycle_margin.assign(n_ext, 0);
-  ws.exec().parallel_for(n_ext, [&](std::size_t v) {
-    if (cycles_.on_cycle[v] != 0 && cycles_.cycle_root[v] == static_cast<std::int32_t>(v)) {
-      // The root is the ranking terminal, so its own weight is re-added.
-      const auto succ = static_cast<std::size_t>(pf_.next[v]);
-      report.cycle_margin[v] = vertex_delta[v] + report.path_margin[succ];
-    }
-  });
-  ws.round(n_ext);
-  return report;
-}
-
-std::vector<SwitchingEngine::Choice> SwitchingEngine::best_choices(
-    const MarginReport& report, pram::Workspace& ws) const {
-  const std::size_t n_ext = pf_.size();
+void SwitchingEngine::Selector::refine(std::span<const std::int64_t> vertex_delta,
+                                       pram::Workspace& ws) {
+  const std::size_t n_ext = engine_.pf_.size();
+  pram::weighted_list_rank_into(engine_.broken_succ_, vertex_delta,
+                                {head_.span(), rank_.span(), reaches_.span()}, ws);
   pram::Executor& ex = ws.exec();
-  std::vector<Choice> choices;
-
-  // Cycle components: apply the unique switching cycle iff its margin > 0.
-  std::vector<std::uint8_t> cycle_chosen(n_ext, 0);
+  const auto comp = [&](std::size_t v) {
+    return static_cast<std::size_t>(engine_.cycles_.component[v]);
+  };
+  // A path start's margin is its ranking sum. A cycle root is its ranking
+  // terminal, so its cycle margin re-adds its own delta to its successor's.
+  // The key's index rides in the high half so that this key's candidates
+  // outrank whatever an earlier key left in best_ (deltas in {-1, 0, 1}
+  // bound |margin| by n_ext < 2^31), and best_ needs no reset between keys.
+  const std::int64_t key_base = key_++ * (std::int64_t{1} << 32) + (std::int64_t{1} << 31);
+  const auto packed_margin = [&](std::size_t v) {
+    return key_base + (engine_.is_cycle_root(v)
+                           ? vertex_delta[v] + rank_[static_cast<std::size_t>(engine_.pf_.next[v])]
+                           : rank_[v]);
+  };
   ex.parallel_for(n_ext, [&](std::size_t v) {
-    if (cycles_.on_cycle[v] != 0 && cycles_.cycle_root[v] == static_cast<std::int32_t>(v) &&
-        report.cycle_margin[v] > 0) {
-      cycle_chosen[v] = 1;
+    if (state_[v] != kOut) pram::crcw_max(best_[comp(v)], packed_margin(v));
+  });
+  ws.round(n_ext);
+  // Keep the candidates on the maximum. Survivors have sat on every key's
+  // maximum, so the first nonzero margin of any survivor is its component's
+  // first nonzero maximum: it decides whether the component's winner beats
+  // not switching at all.
+  ex.parallel_for(n_ext, [&](std::size_t v) {
+    if (state_[v] == kOut) return;
+    const std::int64_t packed = packed_margin(v);
+    if (packed != best_[comp(v)]) {
+      state_[v] = kOut;
+    } else if (state_[v] == kTied && packed != key_base) {
+      state_[v] = packed > key_base ? kAhead : kBehind;
     }
   });
   ws.round(n_ext);
+}
 
-  // Tree components: the best-margin s-post start, ties to the smallest id.
-  std::vector<std::int64_t> best_margin(n_ext, std::numeric_limits<std::int64_t>::min());
-  ex.parallel_for(n_ext, [&](std::size_t q) {
-    if (is_s_post_[q] == 0 || out_applicant_[q] == kNone) return;
-    const auto comp = static_cast<std::size_t>(cycles_.component[q]);
-    if (has_cycle_[comp] != 0) return;
-    pram::crcw_max(best_margin[comp], report.path_margin[q]);
-  });
-  ws.round(n_ext);
-  std::vector<std::int32_t> best_start(n_ext, std::numeric_limits<std::int32_t>::max());
-  ex.parallel_for(n_ext, [&](std::size_t q) {
-    if (is_s_post_[q] == 0 || out_applicant_[q] == kNone) return;
-    const auto comp = static_cast<std::size_t>(cycles_.component[q]);
-    if (has_cycle_[comp] != 0) return;
-    if (report.path_margin[q] == best_margin[comp]) {
-      pram::crcw_min(best_start[comp], static_cast<std::int32_t>(q));
+std::vector<SwitchingEngine::Choice> SwitchingEngine::Selector::choices(
+    pram::Workspace& ws) const {
+  const std::size_t n_ext = engine_.pf_.size();
+  // Survivors share every key, so ties go to the smallest key.
+  auto winner = ws.take<std::int32_t>(n_ext, std::numeric_limits<std::int32_t>::max());
+  ws.exec().parallel_for(n_ext, [&](std::size_t v) {
+    if (state_[v] != kOut) {
+      pram::crcw_min(winner[static_cast<std::size_t>(engine_.cycles_.component[v])],
+                     static_cast<std::int32_t>(v));
     }
   });
   ws.round(n_ext);
-
-  for (std::size_t v = 0; v < n_ext; ++v) {
-    if (cycle_chosen[v] != 0) {
-      choices.push_back({static_cast<std::int32_t>(v), true});
-    }
-    if (best_margin[v] > 0 && best_start[v] != std::numeric_limits<std::int32_t>::max()) {
-      choices.push_back({best_start[v], false});
+  std::vector<Choice> choices;
+  for (std::size_t c = 0; c < n_ext; ++c) {
+    const std::int32_t key = winner[c];
+    if (key != std::numeric_limits<std::int32_t>::max() &&
+        state_[static_cast<std::size_t>(key)] == kAhead) {
+      choices.push_back({key, engine_.is_cycle_root(static_cast<std::size_t>(key))});
     }
   }
   return choices;
@@ -206,18 +198,16 @@ matching::Matching SwitchingEngine::apply(std::span<const Choice> choices,
     }
     const auto key = static_cast<std::size_t>(c.key);
     if (c.is_cycle) {
-      if (cycles_.on_cycle[key] == 0 || cycles_.cycle_root[key] != c.key) {
+      if (!is_cycle_root(key)) {
         throw std::invalid_argument("SwitchingEngine::apply: cycle key is not a cycle root");
       }
       cycle_root_chosen[key] = 1;
     } else {
-      if (is_s_post_[key] == 0 || out_applicant_[key] == kNone) {
-        throw std::invalid_argument("SwitchingEngine::apply: path start is not a matched s-post");
+      if (!is_path_start(key)) {
+        throw std::invalid_argument(
+            "SwitchingEngine::apply: path start is not a matched s-post of a tree component");
       }
       const auto comp = static_cast<std::size_t>(cycles_.component[key]);
-      if (has_cycle_[comp] != 0) {
-        throw std::invalid_argument("SwitchingEngine::apply: path start lies in a cycle component");
-      }
       if (path_start[comp] != kNone) {
         throw std::invalid_argument("SwitchingEngine::apply: two switches in one component");
       }
@@ -279,9 +269,9 @@ SwitchingEngine::Menu SwitchingEngine::menu() const {
       menu.entries.push_back({kNone, 0, 0});
     }
     auto& entry = menu.entries[static_cast<std::size_t>(slot[comp])];
-    if (cycles_.on_cycle[v] != 0 && cycles_.cycle_root[v] == static_cast<std::int32_t>(v)) {
+    if (is_cycle_root(v)) {
       entry.cycle_root = static_cast<std::int32_t>(v);
-    } else if (is_s_post_[v] != 0 && has_cycle_[comp] == 0) {
+    } else if (is_path_start(v)) {
       ++entry.starts_end;
     }
   }
@@ -294,9 +284,8 @@ SwitchingEngine::Menu SwitchingEngine::menu() const {
   }
   menu.starts.resize(offset);
   for (std::size_t v = 0; v < n_ext; ++v) {
-    if (out_applicant_[v] == kNone || is_s_post_[v] == 0) continue;
+    if (!is_path_start(v)) continue;
     const auto comp = static_cast<std::size_t>(cycles_.component[v]);
-    if (has_cycle_[comp] != 0) continue;
     auto& entry = menu.entries[static_cast<std::size_t>(slot[comp])];
     menu.starts[entry.starts_end++] = static_cast<std::int32_t>(v);
   }
@@ -304,15 +293,17 @@ SwitchingEngine::Menu SwitchingEngine::menu() const {
 }
 
 std::optional<std::uint64_t> count_popular_matchings(const Instance& inst, pram::Workspace& ws) {
-  const auto seed = find_popular_matching(inst, ws);
+  const ReducedGraph rg = build_reduced_graph(inst, ws);
+  const auto seed = find_popular_matching(inst, rg, ws);
   if (!seed.has_value()) return std::nullopt;
-  return count_popular_matchings(inst, *seed, ws);
+  return count_popular_matchings(inst, rg, *seed, ws);
 }
 
 std::uint64_t count_popular_matchings(const Instance& inst, const matching::Matching& popular,
                                       pram::NcCounters* counters, pram::Executor& ex) {
   pram::Workspace ws(ex);
-  const std::uint64_t count = count_popular_matchings(inst, popular, ws);
+  const std::uint64_t count =
+      count_popular_matchings(inst, build_reduced_graph(inst, ws), popular, ws);
   if (counters != nullptr) {
     counters->rounds += ws.counters().rounds;
     counters->work += ws.counters().work;
@@ -320,9 +311,8 @@ std::uint64_t count_popular_matchings(const Instance& inst, const matching::Matc
   return count;
 }
 
-std::uint64_t count_popular_matchings(const Instance& inst, const matching::Matching& popular,
-                                      pram::Workspace& ws) {
-  const ReducedGraph rg = build_reduced_graph(inst, ws);
+std::uint64_t count_popular_matchings(const Instance& inst, const ReducedGraph& rg,
+                                      const matching::Matching& popular, pram::Workspace& ws) {
   const SwitchingEngine engine(inst, rg, popular, ws);
   const auto menu = engine.menu();
   std::uint64_t count = 1;
@@ -333,35 +323,6 @@ std::uint64_t count_popular_matchings(const Instance& inst, const matching::Matc
                 : count * factor;
   }
   return count;
-}
-
-std::vector<matching::Matching> all_popular_matchings_via_switching(const Instance& inst,
-                                                                    const ReducedGraph& rg,
-                                                                    const matching::Matching& m,
-                                                                    pram::Workspace& ws) {
-  const SwitchingEngine engine(inst, rg, m, ws);
-  const auto menu = engine.menu();
-
-  // Per component: no switch, the cycle, or one path (Theorem 9).
-  std::vector<matching::Matching> result;
-  std::vector<SwitchingEngine::Choice> current;
-  const std::function<void(std::size_t)> recurse = [&](std::size_t i) {
-    if (i == menu.entries.size()) {
-      result.push_back(engine.apply(current, ws));
-      return;
-    }
-    const auto with = [&](SwitchingEngine::Choice c) {
-      current.push_back(c);
-      recurse(i + 1);
-      current.pop_back();
-    };
-    const auto& entry = menu.entries[i];
-    recurse(i + 1);
-    if (entry.cycle_root != kNone) with({entry.cycle_root, true});
-    for (const auto q : menu.starts_of(entry)) with({q, false});
-  };
-  recurse(0);
-  return result;
 }
 
 }  // namespace ncpm::core

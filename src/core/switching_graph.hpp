@@ -19,13 +19,14 @@
 // list-ranking pass toward the component terminal (sink, or cycle broken at
 // its root) — which prices *every* switching path of a tree component in a
 // single pass — and marks chosen paths with binary-lifting jump pointers.
-// Margins are parameterised by an arbitrary int64 post-value function so
-// the same engine drives Algorithm 3 (value = 1 for real posts, 0 for last
-// resorts; Definition 4) and the weighted variants of Section IV-E.
+// One Selector prices and picks the switches from a sequence of per-vertex
+// int64 deltas in priority order: Algorithm 3 feeds one key (a switch's gain
+// in real posts, Definition 4), and the profile optimisers of Section IV-E
+// one per rank bucket (optimal_popular.hpp).
 //
-// Per-component orchestration (counting, the profile optimisers, the
-// Theorem 9 oracle) reads one menu(): every component's cycle root and
-// path starts, grouped by a single O(n) counting sort on component label.
+// Per-component orchestration (counting, the tests' Theorem 9 enumeration)
+// reads one menu(): every component's cycle root and path starts, grouped
+// by a single O(n) counting sort on component label.
 
 #include <cstdint>
 #include <optional>
@@ -66,25 +67,6 @@ class SwitchingEngine {
   /// Component label (min post id) of every post vertex.
   std::span<const std::int32_t> component() const noexcept { return cycles_.component; }
 
-  struct MarginReport {
-    /// Per vertex v: sum of applicant deltas along v -> component terminal
-    /// (the switching-path margin when v is a valid path start).
-    std::vector<std::int64_t> path_margin;
-    /// Per vertex: the full cycle margin if v is a cycle root, else 0.
-    std::vector<std::int64_t> cycle_margin;
-  };
-
-  /// Margins under a post-value function (indexed by extended post id): an
-  /// applicant moving M(a) -> O_M(a) contributes value[O_M(a)] - value[M(a)].
-  MarginReport margins(std::span<const std::int64_t> post_value, pram::Workspace& ws) const;
-
-  /// Margins from raw per-vertex deltas: vertex_delta[v] is the gain when
-  /// the applicant on v's out-edge switches (must be 0 for sinks). This is
-  /// the general entry point — profile-valued optimisation (Section IV-E)
-  /// builds applicant-dependent deltas and aggregates here.
-  MarginReport margins_from_deltas(std::span<const std::int64_t> vertex_delta,
-                                   pram::Workspace& ws) const;
-
   /// One switch: either the cycle rooted at `key`, or the switching path
   /// from s-post vertex `key` to its component's sink.
   struct Choice {
@@ -96,10 +78,35 @@ class SwitchingEngine {
   /// matching consistency) and return the resulting matching.
   matching::Matching apply(std::span<const Choice> choices, pram::Workspace& ws) const;
 
-  /// Algorithm 3 selection: per cycle component take the cycle iff its
-  /// margin is positive; per tree component take the best-margin switching
-  /// path (ties to the smallest start id) iff positive.
-  std::vector<Choice> best_choices(const MarginReport& report, pram::Workspace& ws) const;
+  /// Lexicographic switch selection. A component's candidates are its
+  /// switches (its cycle, or its path starts). Each refine() takes one key
+  /// as per-vertex deltas — vertex_delta[v] in {-1, 0, 1} is the gain when
+  /// the applicant on v's out-edge switches (0 for sinks) — prices every
+  /// candidate with one weighted list-ranking pass toward the component
+  /// terminal (a path start's margin is its path sum, a cycle root's the
+  /// whole cycle's) and keeps the candidates on the component maximum, in
+  /// two CRCW rounds; keys arrive in priority order. choices() takes each
+  /// component's smallest surviving key iff its margins are
+  /// lexicographically positive.
+  class Selector {
+   public:
+    Selector(const SwitchingEngine& engine, pram::Workspace& ws);
+    void refine(std::span<const std::int64_t> vertex_delta, pram::Workspace& ws);
+    std::vector<Choice> choices(pram::Workspace& ws) const;
+
+   private:
+    /// Per vertex: not a candidate (or dropped), or a candidate on every
+    /// key so far whose margins were all zero, or whose first nonzero
+    /// margin was positive, or negative.
+    enum : std::uint8_t { kOut, kTied, kAhead, kBehind };
+    const SwitchingEngine& engine_;
+    std::int64_t key_ = 0;                 // keys refined so far
+    pram::WsBuffer<std::uint8_t> state_;
+    pram::WsBuffer<std::int64_t> best_;    // per component label: (key, maximum margin)
+    pram::WsBuffer<std::int32_t> head_;    // ranking scratch, leased once for every key
+    pram::WsBuffer<std::int64_t> rank_;
+    pram::WsBuffer<std::uint8_t> reaches_;
+  };
 
   /// The switches one component offers (Theorem 9: pick none or one).
   struct MenuEntry {
@@ -125,6 +132,14 @@ class SwitchingEngine {
  private:
   void build(const Instance& inst, const ReducedGraph& rg, const matching::Matching& m,
              pram::Workspace& ws);
+  bool is_cycle_root(std::size_t v) const {
+    return cycles_.on_cycle[v] != 0 && cycles_.cycle_root[v] == static_cast<std::int32_t>(v);
+  }
+  /// A switching-path start: a matched s-post vertex of a tree component.
+  bool is_path_start(std::size_t v) const {
+    return is_s_post_[v] != 0 && out_applicant_[v] != kNone &&
+           has_cycle_[static_cast<std::size_t>(cycles_.component[v])] == 0;
+  }
 
   std::vector<std::int32_t> post_of_;  // M as a post vector (per applicant)
   graph::DirectedPseudoforest pf_;
@@ -137,14 +152,6 @@ class SwitchingEngine {
   std::vector<std::vector<std::int32_t>> lift_;  // binary-lifting tables over broken_succ_
 };
 
-/// Theorem 9 as an oracle: every popular matching obtainable from m by
-/// applying at most one switch per component. Exponential in the component
-/// count — tests only.
-std::vector<matching::Matching> all_popular_matchings_via_switching(const Instance& inst,
-                                                                    const ReducedGraph& rg,
-                                                                    const matching::Matching& m,
-                                                                    pram::Workspace& ws);
-
 /// Number of popular matchings of the instance, in linear time past the
 /// seed solve: by Theorem 9 it is the product, over the switching-graph
 /// components of any popular matching, of (2 for a cycle component) x
@@ -153,15 +160,15 @@ std::vector<matching::Matching> all_popular_matchings_via_switching(const Instan
 /// instance admits no popular matching. (An extension beyond the paper,
 /// following McDermid & Irving's structure results.)
 std::optional<std::uint64_t> count_popular_matchings(const Instance& inst, pram::Workspace& ws);
-/// Count from a known popular matching, skipping the seed solve (callers
-/// that already hold one — the engine's check mode — pay one pipeline run,
-/// not two).
-std::uint64_t count_popular_matchings(const Instance& inst, const matching::Matching& popular,
-                                      pram::Workspace& ws);
+/// Count from a known popular matching and the G' it lies in, skipping the
+/// seed solve and the reduction (callers that already hold both — the
+/// engine's check mode — build G' once and run one pipeline, not two).
+std::uint64_t count_popular_matchings(const Instance& inst, const ReducedGraph& rg,
+                                      const matching::Matching& popular, pram::Workspace& ws);
 /// Benchmark shell, kept only because the frozen perfbench/ sources call
-/// this signature: builds a Workspace on `ex`, runs the form above and adds
-/// its counts to `counters` when that is not null. Nothing else may call
-/// it; it goes with the next benchmark change.
+/// this signature: builds a Workspace on `ex` and G' in it, runs the form
+/// above and adds its counts to `counters` when that is not null. Nothing
+/// else may call it; it goes with the next benchmark change.
 std::uint64_t count_popular_matchings(const Instance& inst, const matching::Matching& popular,
                                       pram::NcCounters* counters, pram::Executor& ex);
 

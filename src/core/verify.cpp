@@ -31,21 +31,6 @@ std::size_t matching_size(const Instance& inst, const matching::Matching& m) {
   return size;
 }
 
-std::int64_t popularity_votes(const Instance& inst, const matching::Matching& m1,
-                              const matching::Matching& m2) {
-  std::int64_t votes = 0;
-  for (std::int32_t a = 0; a < inst.num_applicants(); ++a) {
-    const std::int32_t p1 = m1.right_of(a);
-    const std::int32_t p2 = m2.right_of(a);
-    if (inst.prefers(a, p1, p2)) {
-      ++votes;
-    } else if (inst.prefers(a, p2, p1)) {
-      --votes;
-    }
-  }
-  return votes;
-}
-
 bool satisfies_popular_characterization(const Instance& inst, const ReducedGraph& rg,
                                         const matching::Matching& m) {
   if (!is_valid_assignment(inst, m) || !is_applicant_complete(inst, m)) return false;

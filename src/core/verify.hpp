@@ -1,8 +1,8 @@
 #pragma once
-// Validators for popular matchings: assignment validity, size, vote counts
-// and the Theorem 1 characterization, checked directly against the instance.
-// The test suite's Definition 1 oracles, which use none of these
-// characterizations, live in tests/support/popular_oracle.hpp.
+// Validators for popular matchings: assignment validity, size and the
+// Theorem 1 characterization, checked directly against the instance. The
+// test suite's Definition 1 oracles (vote counts included), which use none
+// of these characterizations, live in tests/support/popular_oracle.hpp.
 
 #include <cstdint>
 #include <vector>
@@ -21,10 +21,6 @@ bool is_applicant_complete(const Instance& inst, const matching::Matching& m);
 
 /// Number of applicants not matched to a last resort (the paper's |M|).
 std::size_t matching_size(const Instance& inst, const matching::Matching& m);
-
-/// P(m1, m2) - P(m2, m1): positive iff m1 is more popular than m2.
-std::int64_t popularity_votes(const Instance& inst, const matching::Matching& m1,
-                              const matching::Matching& m2);
 
 /// Theorem 1: m is popular iff every f-post is matched and every applicant
 /// sits on f(a) or s(a). Strict instances with last resorts only.

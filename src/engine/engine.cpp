@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/max_card_popular.hpp"
 #include "core/optimal_popular.hpp"
 #include "core/switching_graph.hpp"
 #include "core/ties.hpp"
@@ -119,18 +118,19 @@ void execute(const Request& req, pram::Workspace& ws, Result& out) {
       report.applicants = inst.num_applicants();
       report.posts = inst.num_posts();
       report.strict = strict;
-      const auto m = strict
-                         ? core::find_popular_matching(inst, ws, &out.run_stats)
-                         : core::find_popular_matching_ties(inst);
+      // One G' serves the solve and the count: one reduction and one
+      // pipeline run, in this worker's own workspace.
+      std::optional<core::ReducedGraph> rg;
+      if (strict) rg.emplace(core::build_reduced_graph(inst, ws));
+      const auto m = strict ? core::find_popular_matching(inst, *rg, ws, &out.run_stats)
+                            : core::find_popular_matching_ties(inst);
       report.admits_popular = m.has_value();
       if (m.has_value()) {
         {
           obs::PhaseScope phase(ws.profiler(), obs::Phase::kVerify);
           report.size = core::matching_size(inst, *m);
         }
-        // Count from the matching already in hand — one pipeline run, not
-        // two — in this worker's own workspace.
-        if (strict) report.count = core::count_popular_matchings(inst, *m, ws);
+        if (strict) report.count = core::count_popular_matchings(inst, *rg, *m, ws);
       }
       out.check = report;
       out.status = report.admits_popular ? Status::kOk : Status::kNoSolution;

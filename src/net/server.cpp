@@ -24,10 +24,10 @@ ServerObs::ServerObs(obs::Registry& registry_in, obs::Log& log_in, obs::Log& slo
                                             "Connections accepted since start")),
       connections_active(
           registry.gauge("ncpm_server_connections_active", "Connections currently open")),
-      frames_received(registry.counter("ncpm_server_frames_received_total",
-                                       "Request frames read off the wire")),
       responses_sent(registry.counter("ncpm_server_responses_sent_total",
                                       "Response frames fully written")),
+      frames_received(registry.counter("ncpm_server_frames_received_total",
+                                       "Request frames read off the wire")),
       malformed_frames(registry.counter("ncpm_server_malformed_frames_total",
                                         "Error responses that never reached the engine")),
       overloaded_shed(registry.counter("ncpm_server_overloaded_shed_total",
@@ -391,8 +391,9 @@ ServerStats Server::stats() const {
   ServerStats s;
   s.connections_accepted = obs_->connections_accepted.value();
   s.connections_active = static_cast<std::uint64_t>(obs_->connections_active.value());
-  s.frames_received = obs_->frames_received.value();
+  // Outcomes before submissions, as in Registry::snapshot.
   s.responses_sent = obs_->responses_sent.value();
+  s.frames_received = obs_->frames_received.value();
   s.malformed_frames = obs_->malformed_frames.value();
   s.overloaded_shed = obs_->overloaded_shed.value();
   s.deadline_shed = obs_->deadline_shed.value();

@@ -50,8 +50,13 @@ struct ServerObs {
 
   obs::Counter& connections_accepted;
   obs::Gauge& connections_active;
-  obs::Counter& frames_received;
+  // Outcomes before submissions: members initialise, and so register, in
+  // declaration order, and Registry::snapshot reads series in registration
+  // order. Reading responses before frames keeps frames >= responses in
+  // any snapshot taken mid-flight (Server::stats reads them in this order
+  // too).
   obs::Counter& responses_sent;
+  obs::Counter& frames_received;
   obs::Counter& malformed_frames;
   obs::Counter& overloaded_shed;
   obs::Counter& deadline_shed;

@@ -204,8 +204,19 @@ inline ListRanking list_rank(std::span<const std::int32_t> next, Workspace& ws) 
   return detail::ranked(next, {}, ws);
 }
 
-/// Weighted ranking: rank[v] = sum of weight[u] over every non-terminal u on
-/// the path from v (inclusive) to its terminal (exclusive).
+/// Weighted ranking into caller-provided arrays: rank[v] = sum of weight[u]
+/// over every non-terminal u on the path from v (inclusive) to its terminal
+/// (exclusive).
+inline void weighted_list_rank_into(std::span<const std::int32_t> next,
+                                    std::span<const std::int64_t> weight,
+                                    const ListRankingSpans& out, Workspace& ws) {
+  if (weight.size() != next.size()) {
+    throw std::invalid_argument("weighted_list_rank: weight/next size mismatch");
+  }
+  detail::rank_into(next, weight, out, ws);
+}
+
+/// weighted_list_rank_into with freshly allocated result arrays.
 inline ListRanking weighted_list_rank(std::span<const std::int32_t> next,
                                       std::span<const std::int64_t> weight, Workspace& ws) {
   if (weight.size() != next.size()) {

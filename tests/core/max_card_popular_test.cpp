@@ -3,20 +3,20 @@
 // force; and Theorem 9's switching enumeration must produce exactly the set
 // of all popular matchings.
 
-#include "core/max_card_popular.hpp"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 #include <type_traits>
 
+#include "core/optimal_popular.hpp"
 #include "core/popular_matching.hpp"
 #include "core/reduced_graph.hpp"
 #include "core/switching_graph.hpp"
 #include "core/verify.hpp"
 #include "gen/generators.hpp"
 #include "support/popular_oracle.hpp"
+#include "support/switching_oracle.hpp"
 #include "test_util.hpp"
 
 namespace ncpm::core {
@@ -109,7 +109,7 @@ TEST_P(Theorem9Oracle, SwitchingEnumerationIsExactlyAllPopularMatchings) {
     ASSERT_EQ(m.has_value(), !brute.empty());
     if (!m.has_value()) continue;
     const auto rg = build_reduced_graph(inst, ws);
-    const auto via_switching = all_popular_matchings_via_switching(inst, rg, *m, ws);
+    const auto via_switching = test::all_popular_matchings_via_switching(inst, rg, *m, ws);
     std::set<std::vector<std::int32_t>> brute_keys, switch_keys;
     for (const auto& cand : brute) brute_keys.insert(key_of(cand));
     for (const auto& cand : via_switching) switch_keys.insert(key_of(cand));
@@ -136,11 +136,11 @@ TEST_P(MaxCardMedium, NeverSmallerThanAlgorithm1AndAlwaysCharacterized) {
   const auto rg = build_reduced_graph(inst, ws);
   const auto base = find_popular_matching(inst, ws);
   ASSERT_TRUE(base.has_value());
-  const auto maxed = maximize_cardinality(inst, *base, ws);
+  const auto maxed = optimize_popular(inst, rg, *base, Objective::kMaxCardinality, ws);
   EXPECT_TRUE(satisfies_popular_characterization(inst, rg, maxed));
   EXPECT_GE(matching_size(inst, maxed), matching_size(inst, *base));
   // Idempotent: a second pass finds no positive margins.
-  const auto again = maximize_cardinality(inst, maxed, ws);
+  const auto again = optimize_popular(inst, rg, maxed, Objective::kMaxCardinality, ws);
   EXPECT_EQ(matching_size(inst, again), matching_size(inst, maxed));
 }
 

@@ -8,9 +8,9 @@
 #include <functional>
 #include <vector>
 
-#include "core/max_card_popular.hpp"
 #include "core/optimal_popular.hpp"
 #include "core/popular_matching.hpp"
+#include "core/reduced_graph.hpp"
 #include "core/switching_graph.hpp"
 #include "gen/generators.hpp"
 #include "gen/stable_generators.hpp"
@@ -74,6 +74,64 @@ TEST(NcCounters, RoundsAreLaneIndependent) {
       (void)stable::next_stable_matchings(sinst, m0, ws);
     });
   }
+}
+
+/// The counters `run` charges to a fresh one-lane workspace.
+pram::NcCounters counters_of(const std::function<void(pram::Workspace&)>& run) {
+  pram::Executor serial(1);
+  pram::Workspace ws(serial);
+  run(ws);
+  return ws.counters();
+}
+
+// Every composite mode reduces once: its rounds and work are exactly the
+// solve's plus its second stage's on the G' the solve ran in, so no stage
+// rebuilds G'.
+TEST(NcCounters, CompositeModesBuildTheReducedGraphOnce) {
+  const Instance inst = strict_instance(1);
+  const auto solve = counters_of([&](pram::Workspace& ws) {
+    ASSERT_TRUE(find_popular_matching(inst, ws).has_value());
+  });
+  /// The second stage's counters, run after Algorithm 1 on one G'.
+  const auto stage = [&](const std::function<void(const ReducedGraph&, const matching::Matching&,
+                                                  pram::Workspace&)>& second) {
+    return counters_of([&](pram::Workspace& ws) {
+      const ReducedGraph rg = build_reduced_graph(inst, ws);
+      const auto m = find_popular_matching(inst, rg, ws);
+      ASSERT_TRUE(m.has_value());
+      EXPECT_EQ(ws.counters().rounds, solve.rounds);
+      EXPECT_EQ(ws.counters().work, solve.work);
+      ws.counters().reset();
+      second(rg, *m, ws);
+    });
+  };
+  const auto expect_solve_plus = [&](const char* mode, const pram::NcCounters& whole,
+                                     const pram::NcCounters& second) {
+    EXPECT_EQ(whole.rounds, solve.rounds + second.rounds) << mode;
+    EXPECT_EQ(whole.work, solve.work + second.work) << mode;
+  };
+  const auto optimal = [&](Objective objective) {
+    return stage([&](const ReducedGraph& rg, const matching::Matching& m, pram::Workspace& ws) {
+      (void)optimize_popular(inst, rg, m, objective, ws);
+    });
+  };
+  expect_solve_plus("max-card", counters_of([&](pram::Workspace& ws) {
+                      ASSERT_TRUE(find_max_card_popular(inst, ws).has_value());
+                    }),
+                    optimal(Objective::kMaxCardinality));
+  expect_solve_plus("fair", counters_of([&](pram::Workspace& ws) {
+                      ASSERT_TRUE(find_fair_popular(inst, ws).has_value());
+                    }),
+                    optimal(Objective::kFair));
+  expect_solve_plus("rank-maximal", counters_of([&](pram::Workspace& ws) {
+                      ASSERT_TRUE(find_rank_maximal_popular(inst, ws).has_value());
+                    }),
+                    optimal(Objective::kRankMaximal));
+  expect_solve_plus("count", counters_of([&](pram::Workspace& ws) {
+                      ASSERT_TRUE(count_popular_matchings(inst, ws).has_value());
+                    }),
+                    stage([&](const ReducedGraph& rg, const matching::Matching& m,
+                              pram::Workspace& ws) { (void)count_popular_matchings(inst, rg, m, ws); }));
 }
 
 // The solve path's 1-lane depth and work on a fixed instance. Pinned:

@@ -9,13 +9,13 @@
 #include <algorithm>
 #include <type_traits>
 
-#include "core/max_card_popular.hpp"
 #include "core/popular_matching.hpp"
 #include "core/reduced_graph.hpp"
 #include "core/switching_graph.hpp"
 #include "core/verify.hpp"
 #include "gen/generators.hpp"
 #include "support/popular_oracle.hpp"
+#include "support/switching_oracle.hpp"
 #include "test_util.hpp"
 
 namespace ncpm::core {
@@ -194,7 +194,7 @@ TEST(OptimalPopular, MaxCardIsTheUnitWeightSpecialCase) {
     ASSERT_TRUE(seed_matching.has_value());
     ASSERT_TRUE(via_algo3.has_value());
     const auto rg = build_reduced_graph(inst, ws);
-    const auto all = all_popular_matchings_via_switching(inst, rg, *seed_matching, ws);
+    const auto all = test::all_popular_matchings_via_switching(inst, rg, *seed_matching, ws);
     ASSERT_EQ(count_popular_matchings(inst, ws), all.size()) << "seed " << seed;
     std::int64_t best = 0;
     for (const auto& cand : all) best = std::max(best, unit_total(cand));

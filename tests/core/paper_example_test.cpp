@@ -5,12 +5,13 @@
 #include <gtest/gtest.h>
 
 #include "core/applicant_complete.hpp"
-#include "core/max_card_popular.hpp"
+#include "core/optimal_popular.hpp"
 #include "core/popular_matching.hpp"
 #include "core/reduced_graph.hpp"
 #include "core/switching_graph.hpp"
 #include "core/verify.hpp"
 #include "support/popular_oracle.hpp"
+#include "support/switching_oracle.hpp"
 #include "test_util.hpp"
 
 namespace ncpm::core {
@@ -103,7 +104,7 @@ TEST_F(PaperExample, AllEightPopularMatchingsAgreeAcrossOracles) {
   // each checked by max-weight assignment) must coincide on instance I.
   const auto mine = find_popular_matching(inst, ws);
   ASSERT_TRUE(mine.has_value());
-  const auto via_switching = all_popular_matchings_via_switching(inst, rg, *mine, ws);
+  const auto via_switching = test::all_popular_matchings_via_switching(inst, rg, *mine, ws);
   const auto brute = test::all_popular_matchings_bruteforce(inst);
   EXPECT_EQ(via_switching.size(), brute.size());
   for (const auto& cand : via_switching) {

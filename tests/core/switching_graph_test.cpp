@@ -1,5 +1,5 @@
 // The switching graph G_M (Section IV): Lemma 4's structure, Figure 4 of
-// the paper, margins, and switch application.
+// the paper, max-card selection, and switch application.
 
 #include "core/switching_graph.hpp"
 
@@ -7,10 +7,12 @@
 
 #include <algorithm>
 
+#include "core/optimal_popular.hpp"
 #include "core/popular_matching.hpp"
 #include "core/reduced_graph.hpp"
 #include "core/verify.hpp"
 #include "gen/generators.hpp"
+#include "support/switching_oracle.hpp"
 #include "test_util.hpp"
 
 namespace ncpm::core {
@@ -196,7 +198,7 @@ TEST(SwitchingGraph, MenuMatchesNaiveGrouping) {
     const auto count = count_popular_matchings(inst, ws);
     ASSERT_TRUE(count.has_value());
     if (*count <= 4096) {
-      EXPECT_EQ(*count, all_popular_matchings_via_switching(inst, rg, *m, ws).size());
+      EXPECT_EQ(*count, test::all_popular_matchings_via_switching(inst, rg, *m, ws).size());
       ++enumerated;
     }
   }
@@ -211,14 +213,8 @@ TEST(SwitchingGraph, MarginsOfPaperInstanceAreNonPositive) {
   // Algorithm 3 must change nothing.
   const auto inst = ncpm::test::fig1_instance();
   const auto rg = build_reduced_graph(inst, ws);
-  const SwitchingEngine engine(inst, rg, paper_matching(inst), ws);
-  std::vector<std::int64_t> value(static_cast<std::size_t>(inst.total_posts()));
-  for (std::int32_t p = 0; p < inst.total_posts(); ++p) {
-    value[static_cast<std::size_t>(p)] = inst.is_last_resort(p) ? 0 : 1;
-  }
-  const auto report = engine.margins(value, ws);
-  const auto choices = engine.best_choices(report, ws);
-  EXPECT_TRUE(choices.empty());
+  const auto m = paper_matching(inst);
+  EXPECT_EQ(optimize_popular(inst, rg, m, Objective::kMaxCardinality, ws), m);
 }
 
 TEST(SwitchingGraph, ApplyCycleSwitchesEveryCycleApplicant) {

@@ -27,9 +27,9 @@ TEST(Verify, VotesAreAntisymmetric) {
     // m2: everyone on their last resort.
     m2.match(static_cast<std::int32_t>(a), inst.last_resort(static_cast<std::int32_t>(a)));
   }
-  EXPECT_EQ(popularity_votes(inst, m1, m2), 8);
-  EXPECT_EQ(popularity_votes(inst, m2, m1), -8);
-  EXPECT_EQ(popularity_votes(inst, m1, m1), 0);
+  EXPECT_EQ(test::popularity_votes(inst, m1, m2), 8);
+  EXPECT_EQ(test::popularity_votes(inst, m2, m1), -8);
+  EXPECT_EQ(test::popularity_votes(inst, m1, m1), 0);
 }
 
 TEST(Verify, ValidityCatchesCorruption) {

@@ -19,6 +19,7 @@
 #include "gen/generators.hpp"
 #include "matching/matching.hpp"
 #include "pram/workspace.hpp"
+#include "support/popular_oracle.hpp"
 
 namespace ncpm::core {
 namespace {
@@ -145,7 +146,7 @@ TEST(WorkspaceReuse, LargeSparseCompactionSweepAgreesWithOracle) {
     const auto seq = find_popular_matching_sequential(inst);
     ASSERT_EQ(nc.has_value(), seq.has_value()) << "depth " << depth;
     if (nc.has_value()) {
-      EXPECT_EQ(popularity_votes(inst, *nc, *seq), 0) << "depth " << depth;
+      EXPECT_EQ(test::popularity_votes(inst, *nc, *seq), 0) << "depth " << depth;
     }
   }
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
@@ -161,7 +162,7 @@ TEST(WorkspaceReuse, LargeSparseCompactionSweepAgreesWithOracle) {
     const auto seq = find_popular_matching_sequential(inst);
     ASSERT_EQ(nc.has_value(), seq.has_value()) << "seed " << cfg.seed;
     ASSERT_TRUE(nc.has_value()) << "seed " << cfg.seed;
-    EXPECT_EQ(popularity_votes(inst, *nc, *seq), 0) << "seed " << cfg.seed;
+    EXPECT_EQ(test::popularity_votes(inst, *nc, *seq), 0) << "seed " << cfg.seed;
   }
 }
 

@@ -12,7 +12,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/max_card_popular.hpp"
 #include "core/optimal_popular.hpp"
 #include "core/popular_matching.hpp"
 #include "core/switching_graph.hpp"

@@ -1,7 +1,9 @@
 // Nested parallelism oracle: the engine's two axes — worker concurrency x
 // executor lanes per worker — must compose without changing a single byte
 // of output. For every workers ∈ {1,2,4} x lanes ∈ {1,2,4} the same mixed
-// batch must produce matchings identical to the sequential baseline (a
+// batch (every instance in solve, max-card, fair, rank-maximal and count,
+// so the switch selector's CRCW rounds run on every lane count) must
+// produce matchings and counts identical to the sequential baseline (a
 // one-lane Executor, one call at a time), and once the per-worker
 // workspaces are warm, further identical rounds must allocate nothing
 // (ws_allocs_steady == 0). This binary is part of the ThreadSanitizer CI
@@ -19,8 +21,9 @@
 #include <thread>
 #include <vector>
 
-#include "core/max_card_popular.hpp"
+#include "core/optimal_popular.hpp"
 #include "core/popular_matching.hpp"
+#include "core/switching_graph.hpp"
 #include "engine/engine.hpp"
 #include "gen/generators.hpp"
 #include "gen/stable_generators.hpp"
@@ -58,8 +61,10 @@ std::vector<core::Instance> oracle_instances() {
 }
 
 struct Reference {
+  std::size_t instance;
   Mode mode;
   std::optional<matching::Matching> matching;
+  std::optional<std::uint64_t> count;
 };
 
 /// Sequential baseline: every request solved one at a time on a
@@ -69,14 +74,12 @@ std::vector<Reference> sequential_reference(const std::vector<core::Instance>& i
   pram::Workspace ws(serial);
   std::vector<Reference> refs;
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    const Mode mode = i % 2 == 0 ? Mode::kSolve : Mode::kMaxCard;
-    std::optional<matching::Matching> m;
-    if (mode == Mode::kSolve) {
-      m = core::find_popular_matching(instances[i], ws);
-    } else {
-      m = core::find_max_card_popular(instances[i], ws);
-    }
-    refs.push_back({mode, std::move(m)});
+    const auto& inst = instances[i];
+    refs.push_back({i, Mode::kSolve, core::find_popular_matching(inst, ws), std::nullopt});
+    refs.push_back({i, Mode::kMaxCard, core::find_max_card_popular(inst, ws), std::nullopt});
+    refs.push_back({i, Mode::kFair, core::find_fair_popular(inst, ws), std::nullopt});
+    refs.push_back({i, Mode::kRankMaximal, core::find_rank_maximal_popular(inst, ws), std::nullopt});
+    refs.push_back({i, Mode::kCount, std::nullopt, core::count_popular_matchings(inst, ws)});
   }
   return refs;
 }
@@ -84,9 +87,7 @@ std::vector<Reference> sequential_reference(const std::vector<core::Instance>& i
 std::vector<Request> make_batch(const std::vector<core::Instance>& instances,
                                 const std::vector<Reference>& refs) {
   std::vector<Request> batch;
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    batch.push_back(Request::popular(refs[i].mode, instances[i]));
-  }
+  for (const auto& ref : refs) batch.push_back(Request::popular(ref.mode, instances[ref.instance]));
   return batch;
 }
 
@@ -99,11 +100,13 @@ void expect_round_matches(Engine& engine, const std::vector<core::Instance>& ins
     const auto& ref = refs[i];
     ASSERT_EQ(res.matching.has_value(), ref.matching.has_value())
         << "workers " << workers << " lanes " << lanes << " request " << i;
+    EXPECT_EQ(res.count, ref.count) << "workers " << workers << " lanes " << lanes << " request "
+                                    << i << ": count differs from the sequential baseline";
     if (ref.matching.has_value()) {
       EXPECT_TRUE(*res.matching == *ref.matching)
           << "workers " << workers << " lanes " << lanes << " request " << i
           << ": matching differs from the sequential baseline";
-    } else {
+    } else if (!ref.count.has_value()) {
       EXPECT_EQ(res.status, Status::kNoSolution);
     }
   }

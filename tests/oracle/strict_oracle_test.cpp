@@ -42,7 +42,7 @@ TEST_P(StrictOracle, NcAgreesWithAbrahamBaselineOnRandomInstances) {
     if (nc.has_value()) {
       // Two popular matchings always tie in votes; their *sizes* may differ
       // (that is what max_card_popular is for), so size is not asserted.
-      EXPECT_EQ(popularity_votes(inst, *nc, *seq), 0) << "seed " << cfg.seed;
+      EXPECT_EQ(test::popularity_votes(inst, *nc, *seq), 0) << "seed " << cfg.seed;
     }
   }
 }
@@ -68,7 +68,7 @@ TEST_P(StrictOracle, SolvableFamiliesYieldCharacterizedMatchings) {
     EXPECT_TRUE(satisfies_popular_characterization(inst, rg, *seq)) << "seed " << cfg.seed;
     EXPECT_TRUE(is_valid_assignment(inst, *nc)) << "seed " << cfg.seed;
     EXPECT_TRUE(is_applicant_complete(inst, *nc)) << "seed " << cfg.seed;
-    EXPECT_EQ(popularity_votes(inst, *nc, *seq), 0) << "seed " << cfg.seed;
+    EXPECT_EQ(test::popularity_votes(inst, *nc, *seq), 0) << "seed " << cfg.seed;
   }
 }
 

@@ -149,6 +149,21 @@ std::int64_t unpopularity_margin(const Instance& inst, const matching::Matching&
   return max_weight_assignment(w, cols);
 }
 
+std::int64_t popularity_votes(const Instance& inst, const matching::Matching& m1,
+                              const matching::Matching& m2) {
+  std::int64_t votes = 0;
+  for (std::int32_t a = 0; a < inst.num_applicants(); ++a) {
+    const std::int32_t p1 = m1.right_of(a);
+    const std::int32_t p2 = m2.right_of(a);
+    if (inst.prefers(a, p1, p2)) {
+      ++votes;
+    } else if (inst.prefers(a, p2, p1)) {
+      --votes;
+    }
+  }
+  return votes;
+}
+
 bool is_popular(const Instance& inst, const matching::Matching& m) {
   return core::is_valid_assignment(inst, m) && unpopularity_margin(inst, m) <= 0;
 }
@@ -158,17 +173,7 @@ bool is_popular_bruteforce(const Instance& inst, const matching::Matching& m) {
   bool popular = true;
   for_each_assignment(inst, [&](const std::vector<std::int32_t>& post_of) {
     if (!popular) return;
-    std::int64_t votes = 0;
-    for (std::int32_t a = 0; a < inst.num_applicants(); ++a) {
-      const std::int32_t p1 = post_of[static_cast<std::size_t>(a)];
-      const std::int32_t p2 = m.right_of(a);
-      if (inst.prefers(a, p1, p2)) {
-        ++votes;
-      } else if (inst.prefers(a, p2, p1)) {
-        --votes;
-      }
-    }
-    if (votes > 0) popular = false;
+    if (popularity_votes(inst, assignment_to_matching(inst, post_of), m) > 0) popular = false;
   });
   return popular;
 }

@@ -3,6 +3,7 @@
 // f-post / s-post characterization) or the AIKM algorithm: each checks
 // Definition 1 directly, so they stay independent of the code under test.
 //
+//  * `popularity_votes` — Definition 1's vote count between two matchings.
 //  * `is_popular` — one max-weight assignment. M is popular iff no matching
 //    M' wins a vote against it, i.e. iff the unpopularity margin
 //    max over M' of sum_a vote_a(M'(a), M(a)) is <= 0, where vote_a is +1,
@@ -36,6 +37,10 @@ void for_each_assignment(const core::Instance& inst,
 /// post_of vector -> Matching (validates injectivity).
 matching::Matching assignment_to_matching(const core::Instance& inst,
                                           const std::vector<std::int32_t>& post_of);
+
+/// P(m1, m2) - P(m2, m1): positive iff m1 is more popular than m2.
+std::int64_t popularity_votes(const core::Instance& inst, const matching::Matching& m1,
+                              const matching::Matching& m2);
 
 /// Largest vote margin any matching (applicant-complete when the instance
 /// has last resorts) wins against m, by max-weight assignment. m must be a

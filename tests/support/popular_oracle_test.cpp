@@ -38,7 +38,7 @@ core::Instance without_last_resorts(const core::Instance& inst) {
 std::int64_t margin_by_enumeration(const core::Instance& inst, const matching::Matching& m) {
   std::int64_t best = std::numeric_limits<std::int64_t>::min();
   for_each_assignment(inst, [&](const std::vector<std::int32_t>& post_of) {
-    best = std::max(best, core::popularity_votes(inst, assignment_to_matching(inst, post_of), m));
+    best = std::max(best, popularity_votes(inst, assignment_to_matching(inst, post_of), m));
   });
   return best;
 }
