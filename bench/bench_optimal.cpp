@@ -1,10 +1,18 @@
-// Experiment C5 (Section IV-E): optimal popular matchings. The profile
-// variants pay one margin pass per rank bucket that some switch touches
-// instead of the paper's n^(R+1) integer weights; `profile_dim` reports
-// max_ranks() + 1, the bound on that count. Counting and the profile
-// variants run out to 2^17 with a complexity fit: their per-component work
-// is one O(n) switch-menu pass. BM_FairPopular_LongList extends one list to
-// every post, which leaves G' unchanged and must leave the time unchanged.
+// Experiment C5 (Section IV-E): optimal popular matchings. Max-card, fair
+// and rank-maximal all run one SwitchingEngine::Selector on the G' that
+// Algorithm 1 built. Fair and rank-maximal hand it one key per rank bucket
+// that some switch touches, instead of the paper's n^(R+1) integer
+// weights; `profile_dim` reports max_ranks() + 1, the bound on that count.
+// Each key costs one delta round, one weighted list-ranking pass and two
+// selector rounds. Counting and the profile variants run out to 2^17 with
+// a complexity fit. BM_FairPopular_LongList extends one list to every
+// post, which leaves G' unchanged and must leave the time unchanged.
+//
+// Every series reuses one warm Workspace across iterations, as the
+// engine's workers do. bench/results/BENCH_optimal.json is recorded with
+// NCPM_LANES=1, the width of the engine workers that serve fair and
+// rank-maximal in perfbench's modes-mid; at the default width, lane
+// dispatch rather than the selector dominates the small sizes.
 
 #include <benchmark/benchmark.h>
 
@@ -29,8 +37,8 @@ ncpm::core::Instance instance_for(std::int64_t n) {
 
 void BM_RankMaximalPopular(benchmark::State& state) {
   const auto inst = instance_for(state.range(0));
+  ncpm::pram::Workspace ws;
   for (auto _ : state) {
-    ncpm::pram::Workspace ws;
     auto m = ncpm::core::find_rank_maximal_popular(inst, ws);
     benchmark::DoNotOptimize(m);
   }
@@ -42,8 +50,8 @@ BENCHMARK(BM_RankMaximalPopular)->RangeMultiplier(4)->Range(1 << 8, 1 << 17)
 
 void BM_FairPopular(benchmark::State& state) {
   const auto inst = instance_for(state.range(0));
+  ncpm::pram::Workspace ws;
   for (auto _ : state) {
-    ncpm::pram::Workspace ws;
     auto m = ncpm::core::find_fair_popular(inst, ws);
     benchmark::DoNotOptimize(m);
   }
@@ -76,8 +84,8 @@ ncpm::core::Instance long_list_instance_for(std::int64_t n) {
 
 void BM_FairPopular_LongList(benchmark::State& state) {
   const auto inst = long_list_instance_for(state.range(0));
+  ncpm::pram::Workspace ws;
   for (auto _ : state) {
-    ncpm::pram::Workspace ws;
     auto m = ncpm::core::find_fair_popular(inst, ws);
     benchmark::DoNotOptimize(m);
   }
@@ -88,8 +96,8 @@ BENCHMARK(BM_FairPopular_LongList)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 14)
 
 void BM_CountPopular(benchmark::State& state) {
   const auto inst = instance_for(state.range(0));
+  ncpm::pram::Workspace ws;
   for (auto _ : state) {
-    ncpm::pram::Workspace ws;
     auto count = ncpm::core::count_popular_matchings(inst, ws);
     benchmark::DoNotOptimize(count);
   }

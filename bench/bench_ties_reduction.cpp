@@ -9,6 +9,7 @@
 #include "core/ties.hpp"
 #include "gen/generators.hpp"
 #include "matching/hopcroft_karp.hpp"
+#include "support/rank1_reduction.hpp"
 
 namespace {
 
@@ -18,7 +19,7 @@ void BM_McbmViaPopularReduction(benchmark::State& state) {
   const auto g = ncpm::gen::random_bipartite(n, n, avg_deg, 97);
   std::size_t cardinality = 0;
   for (auto _ : state) {
-    auto m = ncpm::core::max_card_bipartite_via_popular(g);
+    auto m = ncpm::test::max_card_bipartite_via_popular(g);
     cardinality = m.size();
     benchmark::DoNotOptimize(m);
   }
@@ -48,7 +49,7 @@ void BM_ReductionConstructionOnly(benchmark::State& state) {
   const auto n = static_cast<std::int32_t>(state.range(0));
   const auto g = ncpm::gen::random_bipartite(n, n, 5.0, 97);
   for (auto _ : state) {
-    auto inst = ncpm::core::rank1_instance(g);
+    auto inst = ncpm::test::rank1_instance(g);
     benchmark::DoNotOptimize(inst);
   }
 }

@@ -22,10 +22,10 @@ void report(const char* label, const ncpm::core::Instance& inst,
   const auto profile = ncpm::core::matching_profile(inst, m);
   std::printf("%-22s housed %6zu / %d families | by rank:", label,
               ncpm::core::matching_size(inst, m), inst.num_applicants());
-  for (std::size_t k = 0; k + 1 < profile.dim(); ++k) {
-    std::printf(" %ld", static_cast<long>(profile.at(k)));
+  for (std::size_t k = 0; k + 1 < profile.size(); ++k) {
+    std::printf(" %ld", static_cast<long>(profile[k]));
   }
-  std::printf(" | unhoused %ld\n", static_cast<long>(profile.at(profile.dim() - 1)));
+  std::printf(" | unhoused %ld\n", static_cast<long>(profile.back()));
 }
 
 }  // namespace

@@ -6,9 +6,7 @@
 #include <cstdio>
 
 #include "stable/gale_shapley.hpp"
-#include "stable/lattice.hpp"
 #include "stable/next_stable.hpp"
-#include "stable/stability.hpp"
 
 namespace {
 
@@ -49,9 +47,6 @@ void print_matching(const char* label, const ncpm::stable::MarriageMatching& m) 
 int main() {
   ncpm::pram::Workspace ws;  // the round context every solver call threads
   const auto inst = fig5();
-  const auto all = ncpm::stable::all_stable_matchings(inst);
-  std::printf("the instance has %zu stable matchings in total\n\n", all.size());
-
   auto m = ncpm::stable::man_optimal(inst);
   print_matching("man-optimal M0", m);
   int level = 0;

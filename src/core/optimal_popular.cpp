@@ -10,9 +10,9 @@
 
 namespace ncpm::core {
 
-Profile matching_profile(const Instance& inst, const matching::Matching& m) {
+std::vector<std::int64_t> matching_profile(const Instance& inst, const matching::Matching& m) {
   const auto dim = static_cast<std::size_t>(inst.max_ranks()) + 1;
-  Profile profile(dim);
+  std::vector<std::int64_t> profile(dim, 0);
   for (std::int32_t a = 0; a < inst.num_applicants(); ++a) {
     const std::int32_t p = m.right_of(a);
     if (p == matching::kNone) {

@@ -6,9 +6,8 @@
 // matching is an independent per-component choice of switches, and margins
 // add across components, so optimising per component optimises globally.
 // The paper realises the profile orders with n^(R+1)-sized integer
-// weights; we keep exact profiles (profile.hpp) and feed them, one rank
-// bucket at a time in the order's priority, to the one
-// SwitchingEngine::Selector:
+// weights; we feed the exact profile deltas, one rank bucket at a time in
+// the order's priority, to the one SwitchingEngine::Selector:
 //   * max-card: one key, the last-resort bucket negated (Definition 4);
 //   * rank-maximal: the buckets a switch touches, from rank 1 down;
 //   * fair: the same buckets negated, from the last-resort bucket up.
@@ -24,10 +23,11 @@
 // workspace across calls (as the engine's workers do) and the pipeline
 // runs without allocating scratch.
 
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "core/instance.hpp"
-#include "core/profile.hpp"
 #include "core/reduced_graph.hpp"
 #include "matching/matching.hpp"
 #include "pram/workspace.hpp"
@@ -61,8 +61,9 @@ std::optional<matching::Matching> find_rank_maximal_popular(const Instance& inst
 /// maximum-cardinality popular matching.
 std::optional<matching::Matching> find_fair_popular(const Instance& inst, pram::Workspace& ws);
 
-/// The profile of an applicant-complete matching; dimension max_ranks()+1,
-/// bucket k = applicants matched at rank k+1, last bucket = last resorts.
-Profile matching_profile(const Instance& inst, const matching::Matching& m);
+/// The profile of an applicant-complete matching (Section IV-E): dimension
+/// max_ranks()+1, bucket k = applicants matched at rank k+1, last bucket =
+/// last resorts.
+std::vector<std::int64_t> matching_profile(const Instance& inst, const matching::Matching& m);
 
 }  // namespace ncpm::core

@@ -17,16 +17,12 @@
 // with M1 through the Mendelsohn–Dulmage theorem so the result covers every
 // applicant *and* every Odd/Unreachable post, which forces (i).
 //
-// Theorem 11 (MCBM ≤_NC Popular Matching): give every edge of an arbitrary
-// bipartite graph rank 1 and add no last resorts; then popular matchings
-// and maximum-cardinality matchings coincide (Lemmas 12 and 13). The
-// reduction itself is the NC part; the instance family it produces is
-// solved here per Lemma 13.
+// The Theorem 11 reduction (MCBM ≤_NC Popular Matching) is a test oracle:
+// tests/support/rank1_reduction.hpp.
 
 #include <optional>
 
 #include "core/instance.hpp"
-#include "graph/bipartite_graph.hpp"
 #include "matching/matching.hpp"
 
 namespace ncpm::core {
@@ -36,18 +32,6 @@ namespace ncpm::core {
 /// black box inside is Hopcroft–Karp (whether popular matching with ties is
 /// in NC is exactly the open question behind Conjecture 14).
 std::optional<matching::Matching> find_popular_matching_ties(const Instance& inst);
-
-/// Theorem 11 instance: every edge of g at rank 1, no last resorts.
-Instance rank1_instance(const graph::BipartiteGraph& g);
-
-/// Popular matching of a rank-1 no-last-resort instance (Lemma 13: any
-/// maximum matching of the acceptability graph is popular, and Lemma 12:
-/// any popular matching is maximum).
-matching::Matching popular_matching_rank1(const Instance& inst);
-
-/// The full Theorem 11 pipeline: reduce g to a popular-matching instance,
-/// solve it, return the matching (which has maximum cardinality in g).
-matching::Matching max_card_bipartite_via_popular(const graph::BipartiteGraph& g);
 
 /// Polynomial-time popularity check for instances with ties (and strict
 /// ones), via the AIKM characterization: M ∩ E1 is a maximum matching of

@@ -99,16 +99,4 @@ std::vector<Rotation> all_rotations(const StableInstance& inst) {
   return rotations;
 }
 
-bool is_exposed_rotation(const StableInstance& inst, const MarriageMatching& m,
-                         const Rotation& rho) {
-  const std::size_t k = rho.pairs.size();
-  if (k < 2) return false;
-  for (std::size_t i = 0; i < k; ++i) {
-    const auto [mi, wi] = rho.pairs[i];
-    if (m.wife_of[static_cast<std::size_t>(mi)] != wi) return false;
-    if (s_m(inst, m, mi) != rho.pairs[(i + 1) % k].second) return false;
-  }
-  return true;
-}
-
 }  // namespace ncpm::stable

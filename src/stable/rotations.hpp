@@ -7,9 +7,11 @@
 // m_{i+1} = p_M(w_{i+1}). Eliminating it (m_i marries w_{i+1}) yields the
 // immediately-dominated stable matching M \ ρ (Lemma 15).
 //
-// This module is the *sequential* rotation machinery — the baseline that
-// Algorithm 4 (next_stable.hpp) parallelises — plus shared helpers
-// (elimination, validation, canonicalisation).
+// This module is the *sequential* rotation machinery: the baseline that
+// Algorithm 4 (next_stable.hpp) parallelises, and all_rotations, which
+// `ncpm_cli rotations` serves. Algorithm 4 shares eliminate_rotation. The
+// checks of Definition 7 and the lattice enumeration are test oracles
+// (tests/support/stable_oracle.hpp).
 
 #include <optional>
 #include <utility>
@@ -39,11 +41,6 @@ std::vector<Rotation> exposed_rotations_sequential(const StableInstance& inst,
 
 /// M \ ρ (Definition 8). ρ must consist of M-pairs.
 MarriageMatching eliminate_rotation(const MarriageMatching& m, const Rotation& rho);
-
-/// Definition 7 validation: every (m_i, w_i) matched in M and
-/// w_{i+1} = s_M(m_i).
-bool is_exposed_rotation(const StableInstance& inst, const MarriageMatching& m,
-                         const Rotation& rho);
 
 /// The complete rotation set of the instance, collected along one maximal
 /// chain from the man-optimal to the woman-optimal matching. By the

@@ -15,6 +15,7 @@
 #include "core/verify.hpp"
 #include "gen/generators.hpp"
 #include "support/popular_oracle.hpp"
+#include "support/profile_order.hpp"
 #include "support/switching_oracle.hpp"
 #include "test_util.hpp"
 
@@ -48,10 +49,10 @@ TEST_P(OptimalOracle, RankMaximalBeatsEveryPopularMatchingLexicographically) {
     ASSERT_EQ(m.has_value(), !all.empty()) << "seed " << cfg.seed;
     if (!m.has_value()) continue;
     EXPECT_TRUE(test::is_popular(inst, *m));
-    const Profile mine = matching_profile(inst, *m);
+    const auto mine = matching_profile(inst, *m);
     for (const auto& cand : all) {
-      const Profile other = matching_profile(inst, cand);
-      EXPECT_FALSE(Profile::rank_maximal_less(mine, other))
+      const auto other = matching_profile(inst, cand);
+      EXPECT_FALSE(test::rank_maximal_less(mine, other))
           << "seed " << cfg.seed << ": a more rank-maximal popular matching exists";
     }
   }
@@ -73,10 +74,10 @@ TEST_P(OptimalOracle, FairIsMinimalAmongPopularMatchings) {
     ASSERT_EQ(m.has_value(), !all.empty()) << "seed " << cfg.seed;
     if (!m.has_value()) continue;
     EXPECT_TRUE(test::is_popular(inst, *m));
-    const Profile mine = matching_profile(inst, *m);
+    const auto mine = matching_profile(inst, *m);
     for (const auto& cand : all) {
-      const Profile other = matching_profile(inst, cand);
-      EXPECT_FALSE(Profile::fair_less(other, mine))
+      const auto other = matching_profile(inst, cand);
+      EXPECT_FALSE(test::fair_less(other, mine))
           << "seed " << cfg.seed << ": a fairer popular matching exists";
     }
   }
@@ -243,26 +244,6 @@ TEST(OptimalPopular, LongListAddsNoRounds) {
     EXPECT_EQ(ws_base.counters().rounds, ws_ext.counters().rounds);
     EXPECT_EQ(ws_base.counters().work, ws_ext.counters().work);
   }
-}
-
-TEST(Profile, OrdersBehaveAsDocumented) {
-  Profile a(3), b(3);
-  a[0] = 2;
-  b[0] = 1;
-  b[1] = 5;
-  // Rank-maximal: a (more rank-1s) beats b.
-  EXPECT_TRUE(Profile::rank_maximal_less(b, a));
-  EXPECT_FALSE(Profile::rank_maximal_less(a, b));
-  // Fair: compare from the worst bucket; equal there, then bucket 1: a has
-  // fewer -> a is fair-smaller (better).
-  EXPECT_TRUE(Profile::fair_less(a, b));
-  Profile c(3);
-  EXPECT_FALSE(Profile::fair_less(c, c));
-  EXPECT_TRUE((a + b - b) == a);
-  EXPECT_TRUE(c.is_zero());
-  Profile d(2);
-  EXPECT_THROW(void(Profile::fair_less(a, d)), std::invalid_argument);
-  EXPECT_THROW(a += d, std::invalid_argument);
 }
 
 }  // namespace

@@ -15,11 +15,11 @@
 
 #include "core/optimal_popular.hpp"
 #include "core/popular_matching.hpp"
-#include "core/profile.hpp"
 #include "core/reduced_graph.hpp"
 #include "core/switching_graph.hpp"
 #include "core/verify.hpp"
 #include "gen/generators.hpp"
+#include "support/profile_order.hpp"
 
 namespace ncpm::core {
 namespace {
@@ -37,11 +37,11 @@ Better better_for(const Instance& inst, Objective objective) {
       };
     case Objective::kRankMaximal:
       return [&inst](const matching::Matching& x, const matching::Matching& y) {
-        return Profile::rank_maximal_less(matching_profile(inst, y), matching_profile(inst, x));
+        return test::rank_maximal_less(matching_profile(inst, y), matching_profile(inst, x));
       };
     case Objective::kFair:
       return [&inst](const matching::Matching& x, const matching::Matching& y) {
-        return Profile::fair_less(matching_profile(inst, x), matching_profile(inst, y));
+        return test::fair_less(matching_profile(inst, x), matching_profile(inst, y));
       };
   }
   return {};

@@ -10,6 +10,7 @@
 #include "gen/generators.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "support/popular_oracle.hpp"
+#include "support/rank1_reduction.hpp"
 #include "test_util.hpp"
 
 namespace ncpm::core {
@@ -110,7 +111,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TiesVsStrict, ::testing::Values(1, 2, 3, 4, 5));
 
 TEST(Theorem11, ReductionInstanceShape) {
   const auto g = gen::random_bipartite(10, 8, 2.5, 42);
-  const auto inst = rank1_instance(g);
+  const auto inst = test::rank1_instance(g);
   EXPECT_FALSE(inst.has_last_resorts());
   EXPECT_EQ(inst.num_applicants(), 10);
   EXPECT_EQ(inst.num_posts(), 8);
@@ -126,7 +127,7 @@ TEST_P(Theorem11Random, ReductionRecoversMaximumCardinality) {
   for (std::uint64_t round = 0; round < 10; ++round) {
     const auto g =
         gen::random_bipartite(20, 15, 0.5 + static_cast<double>(round) * 0.4, GetParam() * 31 + round);
-    const auto via_popular = max_card_bipartite_via_popular(g);
+    const auto via_popular = test::max_card_bipartite_via_popular(g);
     const auto hk = matching::maximum_matching(g);
     EXPECT_EQ(via_popular.size(), hk.size());
     EXPECT_TRUE(via_popular.consistent_with(g));
@@ -143,8 +144,8 @@ TEST_P(Lemma12And13, OnRank1InstancesPopularEqualsMaximum) {
   // smaller matching is popular and our popular one has maximum size.
   for (int round = 0; round < 10; ++round) {
     const auto g = gen::random_bipartite(5, 4, 1.5, GetParam() * 1000 + static_cast<std::uint64_t>(round));
-    const auto inst = rank1_instance(g);
-    const auto m = popular_matching_rank1(inst);
+    const auto inst = test::rank1_instance(g);
+    const auto m = test::popular_matching_rank1(inst);
     EXPECT_TRUE(test::is_popular(inst, m)) << "Lemma 13 violated";
     // Lemma 12: all brute-force popular matchings share the maximum size.
     const auto all = test::all_popular_matchings_bruteforce(inst);

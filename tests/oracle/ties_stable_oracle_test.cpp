@@ -12,8 +12,8 @@
 #include "gen/generators.hpp"
 #include "gen/stable_generators.hpp"
 #include "stable/gale_shapley.hpp"
-#include "stable/stability.hpp"
 #include "support/popular_oracle.hpp"
+#include "support/stable_oracle.hpp"
 
 namespace ncpm {
 namespace {
@@ -74,17 +74,16 @@ class StableOracle : public ::testing::TestWithParam<std::uint64_t> {};
 // and the man-optimal matching weakly dominates the woman-optimal one for
 // every man (lattice extremes in the right order).
 TEST_P(StableOracle, GaleShapleyOutputsAreStableLatticeExtremes) {
-  pram::Workspace ws;
   for (std::uint64_t round = 0; round < kSweepSize; ++round) {
     const auto n = 4 + static_cast<std::int32_t>(round % 6) * 4;
     const auto seed = GetParam() * 10'000 + round;
     const auto inst = gen::random_stable_instance(n, seed);
     const auto m0 = stable::man_optimal(inst);
     const auto mz = stable::woman_optimal(inst);
-    EXPECT_TRUE(stable::is_stable(inst, m0, ws)) << "seed " << seed;
-    EXPECT_TRUE(stable::is_stable(inst, mz, ws)) << "seed " << seed;
-    EXPECT_TRUE(stable::blocking_pairs(inst, m0).empty()) << "seed " << seed;
-    EXPECT_TRUE(stable::blocking_pairs(inst, mz).empty()) << "seed " << seed;
+    EXPECT_TRUE(test::is_stable(inst, m0)) << "seed " << seed;
+    EXPECT_TRUE(test::is_stable(inst, mz)) << "seed " << seed;
+    EXPECT_TRUE(test::blocking_pairs(inst, m0).empty()) << "seed " << seed;
+    EXPECT_TRUE(test::blocking_pairs(inst, mz).empty()) << "seed " << seed;
     for (std::int32_t man = 0; man < n; ++man) {
       EXPECT_LE(inst.man_rank_of(man, m0.wife_of[static_cast<std::size_t>(man)]),
                 inst.man_rank_of(man, mz.wife_of[static_cast<std::size_t>(man)]))
@@ -94,13 +93,12 @@ TEST_P(StableOracle, GaleShapleyOutputsAreStableLatticeExtremes) {
 }
 
 TEST_P(StableOracle, CyclicFamilyIsStableAtEverySize) {
-  pram::Workspace ws;
   const auto n = 3 + static_cast<std::int32_t>(GetParam()) * 5;
   const auto inst = gen::cyclic_stable_instance(n);
   const auto m0 = stable::man_optimal(inst);
   const auto mz = stable::woman_optimal(inst);
-  EXPECT_TRUE(stable::is_stable(inst, m0, ws));
-  EXPECT_TRUE(stable::is_stable(inst, mz, ws));
+  EXPECT_TRUE(test::is_stable(inst, m0));
+  EXPECT_TRUE(test::is_stable(inst, mz));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StableOracle, ::testing::Values(1, 2, 3));

@@ -7,12 +7,15 @@
 
 #include "gen/stable_generators.hpp"
 #include "stable/gale_shapley.hpp"
-#include "stable/lattice.hpp"
-#include "stable/stability.hpp"
+#include "support/stable_oracle.hpp"
 #include "test_util.hpp"
 
 namespace ncpm::stable {
 namespace {
+
+using test::is_exposed_rotation;
+using test::is_stable;
+using test::strictly_dominates;
 
 TEST(Rotations, SmValuesOfThePaperExample) {
   const auto inst = ncpm::test::fig5_instance();
@@ -56,7 +59,6 @@ TEST(Rotations, PaperExampleExposesTwoRotations) {
 }
 
 TEST(Rotations, EliminationProducesTheExpectedMatching) {
-  pram::Workspace ws;
   const auto inst = ncpm::test::fig5_instance();
   const auto m = ncpm::test::fig5_matching();
   const Rotation rho{{{0, 7}, {1, 2}, {3, 5}}};
@@ -65,7 +67,7 @@ TEST(Rotations, EliminationProducesTheExpectedMatching) {
   EXPECT_EQ(next.wife_of[1], 5);  // m2 -> w6
   EXPECT_EQ(next.wife_of[3], 7);  // m4 -> w8
   EXPECT_EQ(next.wife_of[2], m.wife_of[2]);  // m3 untouched
-  EXPECT_TRUE(is_stable(inst, next, ws));  // Lemma 15 prerequisite
+  EXPECT_TRUE(is_stable(inst, next));  // Lemma 15 prerequisite
 }
 
 TEST(Rotations, EliminationValidation) {
@@ -86,7 +88,6 @@ TEST(Rotations, CanonicalRotatesToSmallestMan) {
 class RotationsRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RotationsRandom, ExposedRotationsValidateAndEliminateStably) {
-  pram::Workspace ws;
   for (std::int32_t n : {3, 6, 10, 20}) {
     const auto inst = gen::random_stable_instance(n, GetParam() * 77 + static_cast<std::uint64_t>(n));
     MarriageMatching m = man_optimal(inst);
@@ -97,7 +98,7 @@ TEST_P(RotationsRandom, ExposedRotationsValidateAndEliminateStably) {
       for (const auto& rho : rotations) {
         EXPECT_TRUE(is_exposed_rotation(inst, m, rho));
         const auto next = eliminate_rotation(m, rho);
-        EXPECT_TRUE(is_stable(inst, next, ws));
+        EXPECT_TRUE(is_stable(inst, next));
         EXPECT_TRUE(strictly_dominates(inst, m, next));
       }
       m = eliminate_rotation(m, rotations.front());

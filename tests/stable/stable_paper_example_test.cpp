@@ -7,11 +7,14 @@
 #include "stable/gale_shapley.hpp"
 #include "stable/next_stable.hpp"
 #include "stable/rotations.hpp"
-#include "stable/stability.hpp"
+#include "support/stable_oracle.hpp"
 #include "test_util.hpp"
 
 namespace ncpm::stable {
 namespace {
+
+using test::blocking_pairs;
+using test::is_stable;
 
 class StablePaperExample : public ::testing::Test {
  protected:
@@ -20,8 +23,7 @@ class StablePaperExample : public ::testing::Test {
 };
 
 TEST_F(StablePaperExample, Figure5MatchingIsStable) {
-  pram::Workspace ws;
-  EXPECT_TRUE(is_stable(inst, m, ws));
+  EXPECT_TRUE(is_stable(inst, m));
   EXPECT_TRUE(blocking_pairs(inst, m).empty());
 }
 
@@ -58,7 +60,7 @@ TEST_F(StablePaperExample, EliminationsAreStableAndDistinct) {
   const auto result = next_stable_matchings(inst, m, ws);
   ASSERT_EQ(result.successors.size(), 2u);
   for (const auto& succ : result.successors) {
-    EXPECT_TRUE(is_stable(inst, succ, ws));
+    EXPECT_TRUE(is_stable(inst, succ));
     EXPECT_NE(succ.wife_of, m.wife_of);
   }
   EXPECT_NE(result.successors[0].wife_of, result.successors[1].wife_of);

@@ -1,20 +1,24 @@
-// The stable-matching lattice helpers: dominance, enumeration, immediate
+// The stable-matching lattice oracles: dominance, enumeration, immediate
 // domination.
 
-#include "stable/lattice.hpp"
+#include "support/stable_oracle.hpp"
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "gen/stable_generators.hpp"
 #include "stable/gale_shapley.hpp"
-#include "stable/stability.hpp"
 #include "test_util.hpp"
 
-namespace ncpm::stable {
+namespace ncpm::test {
 namespace {
 
+using stable::man_optimal;
+using stable::woman_optimal;
+
 TEST(Lattice, DominanceIsReflexiveOnEqualAndAntisymmetric) {
-  const auto inst = ncpm::test::fig5_instance();
+  const auto inst = fig5_instance();
   const auto m0 = man_optimal(inst);
   const auto mz = woman_optimal(inst);
   EXPECT_TRUE(dominates(inst, m0, m0));
@@ -24,7 +28,6 @@ TEST(Lattice, DominanceIsReflexiveOnEqualAndAntisymmetric) {
 }
 
 TEST(Lattice, EnumerationContainsExtremesAndOnlyStableMatchings) {
-  pram::Workspace ws;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const auto inst = gen::random_stable_instance(6, seed);
     const auto all = all_stable_matchings(inst);
@@ -33,7 +36,7 @@ TEST(Lattice, EnumerationContainsExtremesAndOnlyStableMatchings) {
     const auto m0 = man_optimal(inst);
     const auto mz = woman_optimal(inst);
     for (const auto& m : all) {
-      EXPECT_TRUE(is_stable(inst, m, ws));
+      EXPECT_TRUE(is_stable(inst, m));
       has_m0 = has_m0 || m.wife_of == m0.wife_of;
       has_mz = has_mz || m.wife_of == mz.wife_of;
     }
@@ -65,4 +68,4 @@ TEST(Lattice, CyclicInstanceHasManyStableMatchings) {
 }
 
 }  // namespace
-}  // namespace ncpm::stable
+}  // namespace ncpm::test
